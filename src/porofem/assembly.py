@@ -2,8 +2,9 @@
 
 Builds the matrices of the two-field formulation (elasticity block,
 divergence coupling, scalar mass and stiffness), load vectors including
-boundary tractions and fluxes, and the constraint machinery that reduces
-a full linear system to its free unknowns.
+boundary tractions and fluxes, the boundary data of a problem (which dofs
+are constrained, built once, and their values at any time), and the
+reduction of a full linear system to its free unknowns.
 
 Displacement dofs are interleaved: dof(node, comp) = 2*node + comp, with
 quadratic nodes ordered vertices-first then edge midpoints.  Scalar dofs
@@ -48,11 +49,9 @@ __all__ = [
     "assemble_gravity_load",
     "assemble_load",
     "rigid_motion_basis",
-    "AffineConstraint",
-    "ConstraintSet",
+    "BoundaryData",
     "build_constraints",
     "ReducedSystem",
-    "apply_constraints",
 ]
 
 
@@ -359,70 +358,62 @@ def rigid_motion_basis(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
     return basis
 
 
-@dataclass(frozen=True)
-class AffineConstraint:
-    """A linear combination constraint sum_k coeffs[k] * x[dofs[k]] = value."""
-
-    dofs: tuple[int, ...]
-    coeffs: tuple[float, ...]
-    value: float
-
-
 @dataclass(frozen=True, eq=False)
-class ConstraintSet:
-    """Constraints in monolithic [u | xi | eta] numbering.
+class BoundaryData:
+    """Boundary constraints of the coupled problem, fixed for a whole run.
+
+    Which dofs are constrained does not depend on time; only the prescribed
+    values do, and values(t) evaluates them.
 
     Attributes:
-        n_dofs: size of the monolithic layout.
-        dirichlet_dofs / dirichlet_values: single-dof prescriptions
-            (displacement components; in decoupled mode also eta values at
-            pressure-Dirichlet vertices).
-        affine: combination constraints (monolithic mode pressure rows
-            kappa1*xi_b + kappa2*eta_b = p_D).
-        rigid_rows: optional (3, n_dofs) sparse rows (r_i, .)_{L2} enforcing
-            rigid-motion orthogonality for pure-traction mechanics.
-        pressure_vertices: vertex ids carrying pressure-Dirichlet data, in
-            the order their eta/affine constraints are listed.
+        u_dofs: sorted displacement dofs carrying Dirichlet data.
+        pressure_vertices: sorted vertex ids carrying pressure-Dirichlet
+            data; at each, eta is eliminated through xi by the row
+            kappa1*xi_b + kappa2*eta_b = p_D(x_b, t).
+        rigid_rows: (3, n_u) rows (r_i, .)_{L2} enforcing rigid-motion
+            orthogonality of the displacement; present exactly when no
+            displacement component is Dirichlet anywhere.
     """
 
-    n_dofs: int
-    dirichlet_dofs: np.ndarray
-    dirichlet_values: np.ndarray
-    affine: tuple[AffineConstraint, ...]
-    rigid_rows: Optional[sp.csr_matrix]
+    u_dofs: np.ndarray
     pressure_vertices: np.ndarray
+    rigid_rows: Optional[sp.csr_matrix]
+    # (closure, points) per Dirichlet segment in ascending tag order, and
+    # the position in their concatenated values of each constrained entry's
+    # first listing: where segments share a node the lower tag supplies it.
+    _u_sources: tuple[tuple[Callable, np.ndarray], ...]
+    _u_pick: np.ndarray
+    _p_sources: tuple[tuple[Callable, np.ndarray], ...]
+    _p_pick: np.ndarray
 
-    def restrict(self, lo: int, hi: int) -> "ConstraintSet":
-        """Project the set onto the dof window [lo, hi), renumbered from 0.
+    def values(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """Dirichlet displacement values at u_dofs and pressure data at
+        pressure_vertices, at time t."""
+        return _gather(self._u_sources, self._u_pick, t), _gather(self._p_sources, self._p_pick, t)
 
-        Single-dof constraints outside the window are dropped; affine
-        constraints and rigid rows are kept only when their whole support
-        lies inside the window.
-        """
-        keep = (self.dirichlet_dofs >= lo) & (self.dirichlet_dofs < hi)
-        affine = tuple(
-            AffineConstraint(tuple(d - lo for d in c.dofs), c.coeffs, c.value)
-            for c in self.affine
-            if all(lo <= d < hi for d in c.dofs)
-        )
-        rigid = None
-        if self.rigid_rows is not None:
-            csr = self.rigid_rows.tocsc()
-            outside = np.setdiff1d(np.arange(self.n_dofs), np.arange(lo, hi))
-            norm_out = np.zeros(self.rigid_rows.shape[0])
-            if outside.size:
-                norm_out = np.abs(csr[:, outside]).sum(axis=1).A.ravel()
-            if np.all(norm_out == 0.0):
-                rigid = csr[:, lo:hi].tocsr()
-        pv = self.pressure_vertices
-        return ConstraintSet(
-            n_dofs=hi - lo,
-            dirichlet_dofs=self.dirichlet_dofs[keep] - lo,
-            dirichlet_values=self.dirichlet_values[keep],
-            affine=affine,
-            rigid_rows=rigid,
-            pressure_vertices=pv,
-        )
+    def rigid_rows_padded(self, n_cols: int) -> Optional[sp.csr_matrix]:
+        """rigid_rows widened by zero columns to n_cols (layout [u | ...])."""
+        if self.rigid_rows is None:
+            return None
+        rows = self.rigid_rows
+        pad = sp.csr_matrix((rows.shape[0], n_cols - rows.shape[1]))
+        return sp.hstack([rows, pad]).tocsr()
+
+
+def _first_wins(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct keys and the index of each one's first listing."""
+    if not keys:
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    return np.unique(np.concatenate(keys).astype(np.int64), return_index=True)
+
+
+def _gather(sources, pick: np.ndarray, t: float) -> np.ndarray:
+    if not sources:
+        return np.empty(0)
+    vals = np.concatenate(
+        [np.asarray(closure(points, t), dtype=float) for closure, points in sources]
+    )
+    return vals[pick]
 
 
 def _segment_vertices(mesh: Mesh, tag: BoundarySegment) -> np.ndarray:
@@ -435,89 +426,51 @@ def build_constraints(
     dofmap: DofMap,
     bcs: BoundaryConditionSpec,
     coeffs: DerivedCoeffs,
-    t: float,
-    theta_mode: str = "monolithic",
-    xi_known: Optional[np.ndarray] = None,
-) -> ConstraintSet:
-    """Constraints of the coupled problem at time t in monolithic numbering.
+) -> BoundaryData:
+    """Boundary data of the coupled problem.
 
-    Pressure-Dirichlet vertices yield, in "monolithic" mode, the affine
-    rows kappa1*xi_b + kappa2*eta_b = p_D(x_b, t); in "decoupled" mode they
-    become single-dof eta prescriptions eta_b = (p_D - kappa1*xi_b)/kappa2
-    using the supplied xi_known values.  Rigid-motion rows are attached
-    exactly when no displacement component is Dirichlet anywhere.
+    Raises:
+        ValueError: pressure-Dirichlet data with kappa2 = 0, where the
+            eta elimination is undefined.
     """
-    if theta_mode not in ("monolithic", "decoupled"):
-        raise ValueError(f"unknown theta_mode {theta_mode!r}")
     coords = mesh.p2_node_coords()
-    dir_map: dict[int, float] = {}
+    u_sources, u_keys = [], []
     for tag in sorted(bcs.mechanical, key=int):
-        bc = bcs.mechanical[tag]
         nodes = mesh.nodes_on_segment(tag)
-        for comp in (0, 1):
-            closure = bc.dirichlet[comp]
-            if closure is None:
-                continue
-            values = np.asarray(closure(coords[nodes], t), dtype=float)
-            for node, val in zip(nodes, values):
-                dof = 2 * int(node) + comp
-                if dof not in dir_map:
-                    dir_map[dof] = float(val)
+        for comp, closure in enumerate(bcs.mechanical[tag].dirichlet):
+            if closure is not None:
+                u_sources.append((closure, coords[nodes]))
+                u_keys.append(dofmap.u_dofs(nodes, comp))
 
-    pressure_map: dict[int, float] = {}
+    p_sources, p_keys = [], []
     for tag in sorted(bcs.flow, key=int):
         bc = bcs.flow[tag]
-        if bc.kind != "pressure":
-            continue
-        verts = _segment_vertices(mesh, tag)
-        values = np.asarray(bc.value(mesh.vertices[verts], t), dtype=float)
-        for vert, val in zip(verts, values):
-            v = int(vert)
-            if v not in pressure_map:
-                pressure_map[v] = float(val)
+        if bc.kind == "pressure":
+            verts = _segment_vertices(mesh, tag)
+            p_sources.append((bc.value, mesh.vertices[verts]))
+            p_keys.append(verts)
 
-    if pressure_map and coeffs.kappa2 == 0.0:
+    u_dofs, u_pick = _first_wins(u_keys)
+    pverts, p_pick = _first_wins(p_keys)
+    if pverts.size and coeffs.kappa2 == 0.0:
         raise ValueError(
             "pressure-Dirichlet data requires kappa2 > 0 (i.e. lam > 0); "
             "the eta elimination is undefined otherwise"
         )
 
-    affine: list[AffineConstraint] = []
-    pverts = np.array(sorted(pressure_map), dtype=np.int64)
-    if theta_mode == "monolithic":
-        for v in pverts:
-            affine.append(
-                AffineConstraint(
-                    dofs=(dofmap.xi_offset + int(v), dofmap.eta_offset + int(v)),
-                    coeffs=(coeffs.kappa1, coeffs.kappa2),
-                    value=pressure_map[int(v)],
-                )
-            )
-    else:
-        if pverts.size and xi_known is None:
-            raise ValueError("decoupled mode needs xi_known to eliminate eta values")
-        for v in pverts:
-            val = (pressure_map[int(v)] - coeffs.kappa1 * float(xi_known[int(v)])) / coeffs.kappa2
-            dir_map[dofmap.eta_offset + int(v)] = val
-
     rigid = None
     if bcs.is_pure_traction():
         basis = rigid_motion_basis(mesh, dofmap)
         mass = assemble_vector_mass(mesh, dofmap)
-        rows_u = mass.dot(basis.T).T  # (3, n_u)
-        rigid = sp.hstack(
-            [sp.csr_matrix(rows_u), sp.csr_matrix((3, 2 * dofmap.n_scalar))]
-        ).tocsr()
-
-    dir_dofs = np.array(sorted(dir_map), dtype=np.int64)
-    dir_vals = np.array([dir_map[d] for d in dir_dofs], dtype=float)
-    return ConstraintSet(
-        n_dofs=dofmap.n_monolithic,
-        dirichlet_dofs=dir_dofs,
-        dirichlet_values=dir_vals,
-        affine=tuple(affine),
-        rigid_rows=rigid,
+        rigid = sp.csr_matrix(mass.dot(basis.T).T)
+    return BoundaryData(
+        u_dofs=u_dofs,
         pressure_vertices=pverts,
+        rigid_rows=rigid,
+        _u_sources=tuple(u_sources),
+        _u_pick=u_pick,
+        _p_sources=tuple(p_sources),
+        _p_pick=p_pick,
     )
 
 
@@ -559,7 +512,6 @@ class ReducedSystem:
         self.masters = masters
         self.keep_rows = keep_rows
         self.slaves = slaves
-        self.slave_values: Optional[np.ndarray] = None
         n_m = masters.size
 
         t_rows = [masters]
@@ -580,7 +532,6 @@ class ReducedSystem:
         core = (a_keep @ self.T).tocsr()
 
         self.n_lag = 0
-        self._lag = None
         self._lag_slave = None
         self._lag_rhs = np.empty(0)
         if lag_rows is not None and lag_rows.shape[0] > 0:
@@ -593,8 +544,6 @@ class ReducedSystem:
                 raise SingularConstraintsError(
                     "constraint rows are linearly dependent after elimination"
                 )
-            self._lag = lag
-            self._lag_red = lag_red
             self._lag_slave = lag[:, slaves].tocsr() if slaves.size else None
             self._lag_rhs = (
                 np.asarray(lag_rhs, dtype=float) if lag_rhs is not None else np.zeros(self.n_lag)
@@ -604,17 +553,13 @@ class ReducedSystem:
         self.matrix = core.tocsc()
         self.n_reduced = n_m + self.n_lag
 
-    def _slave_vals(self, slave_values: Optional[np.ndarray]) -> np.ndarray:
-        if slave_values is None:
-            slave_values = self.slave_values
-        if slave_values is None:
-            raise ValueError("slave values required but none given or stored")
+    def _slave_vals(self, slave_values: np.ndarray) -> np.ndarray:
         vals = np.asarray(slave_values, dtype=float)
         if vals.shape != self.slaves.shape:
             raise ValueError("slave value vector has wrong length")
         return vals
 
-    def reduce_rhs(self, rhs: np.ndarray, slave_values: Optional[np.ndarray] = None) -> np.ndarray:
+    def reduce_rhs(self, rhs: np.ndarray, slave_values: np.ndarray) -> np.ndarray:
         """Right-hand side of the reduced system for given slave values."""
         top = np.asarray(rhs, dtype=float)[self.keep_rows].copy()
         bottom = self._lag_rhs.copy()
@@ -625,7 +570,7 @@ class ReducedSystem:
                 bottom -= self._lag_slave @ vals
         return np.concatenate([top, bottom]) if self.n_lag else top
 
-    def expand(self, solution: np.ndarray, slave_values: Optional[np.ndarray] = None) -> np.ndarray:
+    def expand(self, solution: np.ndarray, slave_values: np.ndarray) -> np.ndarray:
         """Recover the full dof vector from a reduced solution."""
         y = np.asarray(solution, dtype=float)[: self.masters.size]
         x = self.T @ y
@@ -635,51 +580,3 @@ class ReducedSystem:
 
     def multipliers(self, solution: np.ndarray) -> np.ndarray:
         return np.asarray(solution, dtype=float)[self.masters.size :]
-
-
-def apply_constraints(
-    matrix: sp.spmatrix, rhs: np.ndarray, constraints: ConstraintSet
-) -> ReducedSystem:
-    """Reduce (matrix, rhs) by the constraint set.
-
-    Single-dof constraints are eliminated symmetrically (row/column removal
-    with right-hand-side correction); affine combination constraints and
-    rigid-motion rows are appended as Lagrange multipliers.  The returned
-    system carries .matrix and .rhs; expand() reproduces all constraints.
-    """
-    n = matrix.shape[0]
-    if constraints.n_dofs != n:
-        raise ValueError(
-            f"constraint layout ({constraints.n_dofs} dofs) does not match matrix ({n})"
-        )
-    slaves = constraints.dirichlet_dofs
-    if np.unique(slaves).size != slaves.size:
-        raise SingularConstraintsError("duplicate single-dof constraints")
-    masters = np.setdiff1d(np.arange(n, dtype=np.int64), slaves)
-
-    lag_rows = []
-    lag_rhs = []
-    for c in constraints.affine:
-        row = sp.csr_matrix(
-            (np.asarray(c.coeffs, dtype=float), (np.zeros(len(c.dofs), np.int64), np.asarray(c.dofs))),
-            shape=(1, n),
-        )
-        lag_rows.append(row)
-        lag_rhs.append(c.value)
-    if constraints.rigid_rows is not None:
-        lag_rows.append(constraints.rigid_rows)
-        lag_rhs.extend([0.0] * constraints.rigid_rows.shape[0])
-    lag = sp.vstack(lag_rows).tocsr() if lag_rows else None
-
-    system = ReducedSystem(
-        matrix,
-        masters=masters,
-        keep_rows=masters,
-        slaves=slaves,
-        coupling=None,
-        lag_rows=lag,
-        lag_rhs=np.asarray(lag_rhs, dtype=float) if lag_rhs else None,
-    )
-    system.rhs = system.reduce_rhs(np.asarray(rhs, dtype=float), constraints.dirichlet_values)
-    system.slave_values = constraints.dirichlet_values
-    return system

@@ -86,6 +86,10 @@ class MaterialParams:
     g: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
+        for name in ("lam", "mu", "alpha", "c0", "K", "mu_f", "rho_f", "g"):
+            value = getattr(self, name)
+            if not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.mu <= 0.0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if self.lam < 0.0:

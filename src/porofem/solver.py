@@ -46,7 +46,6 @@ class LinearSolveReport:
     """Outcome of one linear solve."""
 
     relative_residual: float
-    reused: bool
     dimension: int
 
 
@@ -54,13 +53,12 @@ class Factorization:
     """Opaque LU factorization bound to the matrix it was computed from.
 
     Immutable and shareable; concurrent solves against one factorization
-    are safe.  The solve counter only tracks the reuse flag of reports.
+    are safe.
     """
 
     def __init__(self, matrix: sp.csc_matrix, lu: spla.SuperLU) -> None:
         self.matrix = matrix
         self._lu = lu
-        self._solves = 0
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -127,10 +125,7 @@ def solve(
     x = fact._solve_vector(rhs)
     norm_b = np.linalg.norm(rhs)
     residual = np.linalg.norm(fact.matrix @ x - rhs) / (norm_b if norm_b > 0.0 else 1.0)
-    report = LinearSolveReport(
-        relative_residual=float(residual), reused=fact._solves > 0, dimension=n
-    )
-    fact._solves += 1
+    report = LinearSolveReport(relative_residual=float(residual), dimension=n)
     if not np.isfinite(residual) or residual > tolerance:
         raise SolverFailureError(
             f"linear solve residual {residual:.3e} exceeds tolerance {tolerance:.1e}", report

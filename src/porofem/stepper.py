@@ -24,7 +24,6 @@ import scipy.sparse as sp
 from .assembly import (
     DofMap,
     ReducedSystem,
-    apply_constraints,
     assemble_div,
     assemble_domain_load,
     assemble_elasticity,
@@ -92,6 +91,10 @@ class TimeScheme:
     T: float = -1.0
 
     def __post_init__(self) -> None:
+        for name in ("dt", "n_steps", "T"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.dt <= 0.0:
             raise ValueError(f"time step must be positive, got {self.dt}")
         if self.n_steps < 0:
@@ -111,7 +114,9 @@ class TimeScheme:
         """Build the scheme covering [0, T]; T must be a multiple of dt."""
         if dt <= 0.0:
             raise ValueError(f"time step must be positive, got {dt}")
-        n = int(round(T / dt))
+        ratio = T / dt
+        # A non-finite T or dt is rejected, by name, when the scheme is built.
+        n = int(round(ratio)) if np.isfinite(ratio) else 0
         return cls(dt=dt, n_steps=n, theta=theta, T=float(T))
 
 
@@ -181,8 +186,8 @@ class StepSystems:
 
     Built once per (benchmark, mesh, scheme); every step reuses the
     factorizations and only reassembles right-hand sides and boundary
-    values.  The boundary-condition structure (which dofs are constrained)
-    is frozen at construction and re-verified against each step's values.
+    values.  The boundary data (which dofs are constrained) is built once,
+    at construction; each step evaluates only its values.
     """
 
     def __init__(
@@ -209,12 +214,9 @@ class StepSystems:
         self.M = assemble_scalar_mass(mesh, dm)
         self.S = assemble_scalar_stiffness(mesh, dm, prm.K / prm.mu_f)
 
-        structure = build_constraints(
-            mesh, dm, benchmark.bcs, self.coeffs, 0.0, theta_mode="monolithic"
-        )
-        self.u_dirichlet = structure.dirichlet_dofs
-        self.pressure_vertices = structure.pressure_vertices
-        self.rigid_rows = structure.rigid_rows
+        self.boundary = build_constraints(mesh, dm, benchmark.bcs, self.coeffs)
+        u_dofs = self.boundary.u_dofs
+        pverts = self.boundary.pressure_vertices
 
         dt = scheme.dt
         self.solve_reports: list[LinearSolveReport] = []
@@ -229,33 +231,25 @@ class StepSystems:
                 ],
                 format="csr",
             )
-            eta_slaves = dm.eta_offset + self.pressure_vertices
-            slaves = np.concatenate([self.u_dirichlet, eta_slaves])
+            slaves = np.concatenate([u_dofs, dm.eta_offset + pverts])
             masters = np.setdiff1d(np.arange(dm.n_monolithic, dtype=np.int64), slaves)
             coupling = None
-            if self.pressure_vertices.size:
+            if pverts.size:
                 # Substituting eta_b = (p_D - kappa1*xi_b)/kappa2 couples each
                 # slave eta to its master xi.
-                xi_cols = np.searchsorted(masters, dm.xi_offset + self.pressure_vertices)
-                rows = np.arange(
-                    self.u_dirichlet.size, slaves.size, dtype=np.int64
-                )
+                xi_cols = np.searchsorted(masters, dm.xi_offset + pverts)
+                rows = np.arange(u_dofs.size, slaves.size, dtype=np.int64)
                 coupling = sp.coo_matrix(
-                    (
-                        np.full(self.pressure_vertices.size, -k1 / k2),
-                        (rows, xi_cols),
-                    ),
+                    (np.full(pverts.size, -k1 / k2), (rows, xi_cols)),
                     shape=(slaves.size, masters.size),
                 )
-            lag_rhs = np.zeros(3) if self.rigid_rows is not None else None
             self.reduced_mono = ReducedSystem(
                 mono,
                 masters=masters,
                 keep_rows=masters,
                 slaves=slaves,
                 coupling=coupling,
-                lag_rows=self.rigid_rows,
-                lag_rhs=lag_rhs,
+                lag_rows=self.boundary.rigid_rows_padded(dm.n_monolithic),
             )
             self.fact_mono = factorize(self.reduced_mono.matrix)
         else:
@@ -271,52 +265,26 @@ class StepSystems:
             saddle = sp.bmat(
                 [[self.A, -self.B.T], [self.B, k3 * self.M]], format="csr"
             )
-            masters1 = np.setdiff1d(np.arange(n1, dtype=np.int64), self.u_dirichlet)
-            rigid1 = None
-            if self.rigid_rows is not None:
-                rigid1 = structure.restrict(0, n1).rigid_rows
+            masters1 = np.setdiff1d(np.arange(n1, dtype=np.int64), u_dofs)
             self.reduced_stokes = ReducedSystem(
                 saddle,
                 masters=masters1,
                 keep_rows=masters1,
-                slaves=self.u_dirichlet,
-                coupling=None,
-                lag_rows=rigid1,
-                lag_rhs=np.zeros(3) if rigid1 is not None else None,
+                slaves=u_dofs,
+                lag_rows=self.boundary.rigid_rows_padded(n1),
             )
             self.fact_stokes = factorize(self.reduced_stokes.matrix)
 
             diffusion = (self.M / dt + k2 * self.S).tocsr()
-            masters2 = np.setdiff1d(
-                np.arange(dm.n_scalar, dtype=np.int64), self.pressure_vertices
-            )
+            masters2 = np.setdiff1d(np.arange(dm.n_scalar, dtype=np.int64), pverts)
             self.reduced_diffusion = ReducedSystem(
-                diffusion,
-                masters=masters2,
-                keep_rows=masters2,
-                slaves=self.pressure_vertices,
+                diffusion, masters=masters2, keep_rows=masters2, slaves=pverts
             )
             self.fact_diffusion = factorize(self.reduced_diffusion.matrix)
 
     def boundary_values(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Dirichlet displacement values and pressure data at time t.
-
-        Re-derives the constraint set at t and checks that its structure
-        matches the one the factorizations were built for.
-        """
-        cs = build_constraints(
-            self.mesh, self.dofmap, self.benchmark.bcs, self.coeffs, t,
-            theta_mode="monolithic",
-        )
-        if not np.array_equal(cs.dirichlet_dofs, self.u_dirichlet) or not np.array_equal(
-            cs.pressure_vertices, self.pressure_vertices
-        ):
-            raise RuntimeError(
-                "boundary-condition structure changed between steps; only "
-                "boundary values may depend on time"
-            )
-        p_data = np.array([c.value for c in cs.affine], dtype=float)
-        return cs.dirichlet_values, p_data
+        """Dirichlet displacement values and pressure data at time t."""
+        return self.boundary.values(t)
 
     def assemble_rhs(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         mech, flow = assemble_load(
@@ -351,7 +319,8 @@ class StepSystems:
         dm = self.dofmap
         k1, k2 = self.coeffs.kappa1, self.coeffs.kappa2
         dt = self.scheme.dt
-        u_zero = np.zeros(self.u_dirichlet.size)
+        pverts = self.boundary.pressure_vertices
+        u_zero = np.zeros(self.boundary.u_dofs.size)
         vec = np.ones(dm.n_scalar) / np.sqrt(dm.n_scalar)
         ratios: list[float] = []
         for _ in range(n_iters):
@@ -362,11 +331,7 @@ class StepSystems:
             )
             xi = self.reduced_stokes.expand(y1, u_zero)[dm.n_u:]
             rhs2 = self.M @ vec / dt - k1 * (self.S @ xi)
-            eta_values = (
-                -(k1 / k2) * xi[self.pressure_vertices]
-                if self.pressure_vertices.size
-                else np.zeros(0)
-            )
+            eta_values = -(k1 / k2) * xi[pverts] if pverts.size else np.zeros(0)
             y2, _ = solve(
                 self.fact_diffusion,
                 self.reduced_diffusion.reduce_rhs(rhs2, eta_values),
@@ -430,13 +395,16 @@ def init_state(
 
     coords = mesh.p2_node_coords()
     u_interp = _interleave(benchmark.u0(coords, 0.0))
-    constraints = build_constraints(
-        mesh, dofmap, benchmark.bcs, coeffs, 0.0, theta_mode="monolithic"
-    ).restrict(0, dofmap.n_u)
-    system = apply_constraints(A, A @ u_interp, constraints)
+    boundary = build_constraints(mesh, dofmap, benchmark.bcs, coeffs)
+    u_values, _ = boundary.values(0.0)
+    masters = np.setdiff1d(np.arange(dofmap.n_u, dtype=np.int64), boundary.u_dofs)
+    system = ReducedSystem(
+        A, masters=masters, keep_rows=masters, slaves=boundary.u_dofs,
+        lag_rows=boundary.rigid_rows,
+    )
     fact = factorize(system.matrix)
-    y, _ = solve(fact, system.rhs, DEFAULT_TOLERANCE)
-    u0 = system.expand(y, system.slave_values)
+    y, _ = solve(fact, system.reduce_rhs(A @ u_interp, u_values), DEFAULT_TOLERANCE)
+    u0 = system.expand(y, u_values)
 
     mass_fact = factorize(assemble_scalar_mass(mesh, dofmap))
     p_load = assemble_domain_load(mesh, dofmap, benchmark.p0, 0.0, space="scalar")
@@ -512,11 +480,7 @@ def step_decoupled(state: FieldState, scheme: TimeScheme, systems: StepSystems) 
     xi = x1[dm.n_u :]
 
     rhs2 = systems.M @ state.eta / dt + flow - k1 * (systems.S @ xi)
-    eta_values = (
-        (p_data - k1 * xi[systems.pressure_vertices]) / k2
-        if systems.pressure_vertices.size
-        else p_data
-    )
+    eta_values = (p_data - k1 * xi[systems.boundary.pressure_vertices]) / k2
     red2 = systems.reduced_diffusion
     y2 = systems._solve(
         systems.fact_diffusion,
@@ -601,7 +565,7 @@ def run(
                 f"dt={gate.dt:.6g} > {gate.threshold:.6g}",
                 stacklevel=2,
             )
-        if systems.pressure_vertices.size and scheme.n_steps > 0:
+        if systems.boundary.pressure_vertices.size and scheme.n_steps > 0:
             amplification = systems.estimate_decoupled_amplification()
             if amplification > 1.000001:
                 warnings.warn(
@@ -627,7 +591,7 @@ def run(
         and np.allclose(flow0, flow_end, rtol=1e-12, atol=1e-14)
     )
 
-    if systems.rigid_rows is not None:
+    if systems.boundary.rigid_rows is not None:
         # Pure-traction mechanics: the load must do no work on rigid
         # motions, else the continuous problem has no solution and the
         # multiplier silently absorbs the imbalance.

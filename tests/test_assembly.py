@@ -12,11 +12,9 @@ import pytest
 import scipy.sparse as sp
 
 from porofem.assembly import (
-    AffineConstraint,
-    ConstraintSet,
     DofMap,
+    ReducedSystem,
     SingularConstraintsError,
-    apply_constraints,
     assemble_boundary_load,
     assemble_div,
     assemble_domain_load,
@@ -31,7 +29,14 @@ from porofem.assembly import (
 )
 from porofem.elements import eval_basis, triangle_quadrature
 from porofem.mesh import BoundarySegment, build_rect_mesh
-from porofem.model import MaterialParams, derive_kappas, get_benchmark
+from porofem.model import (
+    BoundaryConditionSpec,
+    FlowBC,
+    MaterialParams,
+    MechanicalBC,
+    derive_kappas,
+    get_benchmark,
+)
 from porofem.solver import factorize, solve
 
 from helpers import conservation_benchmark
@@ -284,23 +289,23 @@ def test_assembly_is_deterministic(mesh2, dofmap2):
 
 def test_constraints_locking_layout(mesh2, dofmap2):
     bench = get_benchmark("locking")
-    cs = build_constraints(mesh2, dofmap2, bench.bcs, bench.coeffs, 0.0)
+    bd = build_constraints(mesh2, dofmap2, bench.bcs, bench.coeffs)
     n_left_nodes = 2 * mesh2.ny + 1
-    assert cs.dirichlet_dofs.size == 2 * n_left_nodes
-    assert cs.pressure_vertices.size == 0
-    assert cs.rigid_rows is None
+    assert bd.u_dofs.size == 2 * n_left_nodes
+    assert bd.pressure_vertices.size == 0
+    assert bd.rigid_rows is None
     coords = mesh2.p2_node_coords()
-    for dof in cs.dirichlet_dofs:
+    for dof in bd.u_dofs:
         assert coords[dof // 2, 0] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_constraints_test1_layout(mesh2, dofmap2):
     bench = get_benchmark("test1")
-    cs = build_constraints(mesh2, dofmap2, bench.bcs, bench.coeffs, 0.0)
-    assert cs.pressure_vertices.size == 2 * (mesh2.nx + mesh2.ny)
-    assert cs.rigid_rows is None
+    bd = build_constraints(mesh2, dofmap2, bench.bcs, bench.coeffs)
+    assert bd.pressure_vertices.size == 2 * (mesh2.nx + mesh2.ny)
+    assert bd.rigid_rows is None
     coords = mesh2.p2_node_coords()
-    for dof in cs.dirichlet_dofs:
+    for dof in bd.u_dofs:
         node, comp = divmod(dof, 2)
         x, y = coords[node]
         if comp == 0:
@@ -311,46 +316,105 @@ def test_constraints_test1_layout(mesh2, dofmap2):
 
 def test_constraints_pure_traction_gets_rigid_rows(mesh2, dofmap2):
     bench = conservation_benchmark()
-    cs = build_constraints(mesh2, dofmap2, bench.bcs, bench.coeffs, 0.0)
-    assert cs.dirichlet_dofs.size == 0
-    assert cs.rigid_rows is not None
-    assert cs.rigid_rows.shape[0] == 3
+    bd = build_constraints(mesh2, dofmap2, bench.bcs, bench.coeffs)
+    assert bd.u_dofs.size == 0
+    assert bd.rigid_rows is not None
+    assert bd.rigid_rows.shape == (3, dofmap2.n_u)
 
 
 def test_constraints_reject_kappa2_zero_with_pressure_bc(mesh2, dofmap2):
     bench = get_benchmark("test1", MaterialParams(lam=0.0, mu=1.0, alpha=1.0, c0=1.0))
     with pytest.raises(ValueError, match="kappa2"):
-        build_constraints(mesh2, dofmap2, bench.bcs, bench.coeffs, 0.0)
+        build_constraints(mesh2, dofmap2, bench.bcs, bench.coeffs)
 
 
-def test_apply_constraints_identity_system():
-    cs = ConstraintSet(
-        n_dofs=2,
-        dirichlet_dofs=np.array([0]),
-        dirichlet_values=np.array([5.0]),
-        affine=(),
-        rigid_rows=None,
-        pressure_vertices=np.empty(0, dtype=np.int64),
+def _reference_boundary_values(mesh, bcs, t):
+    """Per-dof loop over segments in ascending tag order; the first segment
+    that lists a dof or vertex supplies its value."""
+    coords = mesh.p2_node_coords()
+    u_map = {}
+    for tag in sorted(bcs.mechanical, key=int):
+        nodes = mesh.nodes_on_segment(tag)
+        for comp in (0, 1):
+            closure = bcs.mechanical[tag].dirichlet[comp]
+            if closure is None:
+                continue
+            values = np.asarray(closure(coords[nodes], t), dtype=float)
+            for node, val in zip(nodes, values):
+                u_map.setdefault(2 * int(node) + comp, float(val))
+    p_map = {}
+    for tag in sorted(bcs.flow, key=int):
+        bc = bcs.flow[tag]
+        if bc.kind != "pressure":
+            continue
+        verts = np.unique(mesh.edges[mesh.edges_with_tag(tag)].ravel())
+        values = np.asarray(bc.value(mesh.vertices[verts], t), dtype=float)
+        for vert, val in zip(verts, values):
+            p_map.setdefault(int(vert), float(val))
+    u_dofs = sorted(u_map)
+    p_verts = sorted(p_map)
+    return (
+        np.array(u_dofs, dtype=np.int64),
+        np.array([u_map[d] for d in u_dofs], dtype=float),
+        np.array(p_verts, dtype=np.int64),
+        np.array([p_map[v] for v in p_verts], dtype=float),
     )
-    rs = apply_constraints(sp.eye(2, format="csr"), np.array([7.0, 3.0]), cs)
-    x, _ = solve(factorize(rs.matrix), rs.rhs)
-    assert np.allclose(rs.expand(x), [5.0, 3.0], atol=1e-14)
 
 
-def test_apply_constraints_affine_matches_dense_kkt_oracle():
+def _disagreeing_corners_spec():
+    # Every side prescribes its own constant, so each corner node is
+    # listed by two sides with different values.
+    def const(value):
+        return lambda x, t: np.full(x.shape[0], value * (1.0 + t))
+
+    mechanical = {
+        tag: MechanicalBC(dirichlet=(const(float(tag)), const(-float(tag))))
+        for tag in BoundarySegment
+    }
+    flow = {tag: FlowBC(kind="pressure", value=const(10.0 * tag)) for tag in BoundarySegment}
+    return BoundaryConditionSpec(mechanical=mechanical, flow=flow)
+
+
+@pytest.mark.parametrize("name", ["test1", "barry_mercer", "locking", "polynomial", "corners"])
+def test_boundary_values_match_per_dof_reference(name):
+    mesh = build_rect_mesh(3, 2)
+    dofmap = DofMap.from_mesh(mesh)
+    if name == "corners":
+        bcs, coeffs, t_later = _disagreeing_corners_spec(), derive_kappas(MaterialParams()), 0.25
+    else:
+        bench = get_benchmark(name)
+        bcs, coeffs, t_later = bench.bcs, bench.coeffs, 0.37 * bench.T
+    bd = build_constraints(mesh, dofmap, bcs, coeffs)
+    for t in (0.0, t_later):
+        u_dofs, u_vals, p_verts, p_vals = _reference_boundary_values(mesh, bcs, t)
+        got_u, got_p = bd.values(t)
+        assert np.array_equal(bd.u_dofs, u_dofs)
+        assert np.array_equal(bd.pressure_vertices, p_verts)
+        assert np.array_equal(got_u, u_vals)
+        assert np.array_equal(got_p, p_vals)
+
+
+def test_reduced_system_identity_with_prescribed_dof():
+    rs = ReducedSystem(
+        sp.eye(2, format="csr"), masters=np.array([1]), keep_rows=np.array([1]),
+        slaves=np.array([0]),
+    )
+    prescribed = np.array([5.0])
+    x, _ = solve(factorize(rs.matrix), rs.reduce_rhs(np.array([7.0, 3.0]), prescribed))
+    assert np.allclose(rs.expand(x, prescribed), [5.0, 3.0], atol=1e-14)
+
+
+def test_reduced_system_lagrange_row_matches_dense_kkt_oracle():
     matrix = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     rhs = np.array([1.0, 1.0])
-    cs = ConstraintSet(
-        n_dofs=2,
-        dirichlet_dofs=np.empty(0, dtype=np.int64),
-        dirichlet_values=np.empty(0),
-        affine=(AffineConstraint(dofs=(0, 1), coeffs=(1.0, 1.0), value=1.0),),
-        rigid_rows=None,
-        pressure_vertices=np.empty(0, dtype=np.int64),
+    both = np.array([0, 1])
+    none = np.empty(0)
+    rs = ReducedSystem(
+        matrix, masters=both, keep_rows=both,
+        lag_rows=sp.csr_matrix(np.array([[1.0, 1.0]])), lag_rhs=np.array([1.0]),
     )
-    rs = apply_constraints(matrix, rhs, cs)
-    x, _ = solve(factorize(rs.matrix), rs.rhs)
-    got = rs.expand(x)
+    x, _ = solve(factorize(rs.matrix), rs.reduce_rhs(rhs, none))
+    got = rs.expand(x, none)
     kkt = np.array([[2.0, -1.0, 1.0], [-1.0, 2.0, 1.0], [1.0, 1.0, 0.0]])
     oracle = np.linalg.solve(kkt, np.array([1.0, 1.0, 1.0]))
     assert np.allclose(got, oracle[:2], atol=1e-13)
@@ -361,43 +425,35 @@ def test_rigid_motion_constrained_traction_solve(mesh2, dofmap2):
     bench = conservation_benchmark()
     A = assemble_elasticity(mesh2, dofmap2, bench.params.mu)
     mech, _ = assemble_load(mesh2, dofmap2, bench.sources, bench.bcs, bench.params, 0.0)
-    cs = build_constraints(mesh2, dofmap2, bench.bcs, bench.coeffs, 0.0)
-    cs_u = cs.restrict(0, dofmap2.n_u)
-    rs = apply_constraints(A, mech, cs_u)
-    x, _ = solve(factorize(rs.matrix), rs.rhs)
-    u = rs.expand(x)
+    bd = build_constraints(mesh2, dofmap2, bench.bcs, bench.coeffs)
+    u_values, _ = bd.values(0.0)
+    masters = np.setdiff1d(np.arange(dofmap2.n_u), bd.u_dofs)
+    rs = ReducedSystem(
+        A, masters=masters, keep_rows=masters, slaves=bd.u_dofs, lag_rows=bd.rigid_rows
+    )
+    x, _ = solve(factorize(rs.matrix), rs.reduce_rhs(mech, u_values))
+    u = rs.expand(x, u_values)
     basis = rigid_motion_basis(mesh2, dofmap2)
     for row in basis:
         assert abs(row @ u) <= 1e-10 * max(1.0, np.linalg.norm(u) * np.linalg.norm(row))
 
 
-def test_duplicate_dirichlet_rejected():
-    cs = ConstraintSet(
-        n_dofs=3,
-        dirichlet_dofs=np.array([1, 1]),
-        dirichlet_values=np.array([0.0, 0.0]),
-        affine=(),
-        rigid_rows=None,
-        pressure_vertices=np.empty(0, dtype=np.int64),
-    )
+def test_dof_both_master_and_slave_rejected():
     with pytest.raises(SingularConstraintsError):
-        apply_constraints(sp.eye(3, format="csr"), np.zeros(3), cs)
+        ReducedSystem(
+            sp.eye(3, format="csr"), masters=np.array([0, 1]), keep_rows=np.array([0, 1]),
+            slaves=np.array([1]),
+        )
 
 
 def test_dependent_affine_rows_rejected():
-    cs = ConstraintSet(
-        n_dofs=2,
-        dirichlet_dofs=np.empty(0, dtype=np.int64),
-        dirichlet_values=np.empty(0),
-        affine=(
-            AffineConstraint(dofs=(0, 1), coeffs=(1.0, 1.0), value=1.0),
-            AffineConstraint(dofs=(0, 1), coeffs=(2.0, 2.0), value=2.0),
-        ),
-        rigid_rows=None,
-        pressure_vertices=np.empty(0, dtype=np.int64),
-    )
+    both = np.array([0, 1])
     with pytest.raises(SingularConstraintsError):
-        apply_constraints(sp.eye(2, format="csr"), np.zeros(2), cs)
+        ReducedSystem(
+            sp.eye(2, format="csr"), masters=both, keep_rows=both,
+            lag_rows=sp.csr_matrix(np.array([[1.0, 1.0], [2.0, 2.0]])),
+            lag_rhs=np.array([1.0, 2.0]),
+        )
 
 
 def test_boundary_load_single_side(mesh2, dofmap2):

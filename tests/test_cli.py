@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import porofem
 from porofem.cli import (
     ConfigError,
     RunConfig,
@@ -462,6 +464,11 @@ def test_sweep_writes_pairwise_distances(tmp_path):
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "o"
+    # The child imports porofem from the same place this process did.
+    src = str(Path(porofem.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
     proc = subprocess.run(
         [
             sys.executable, "-m", "porofem", "run",
@@ -472,6 +479,7 @@ def test_module_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "run.log").exists()

@@ -123,6 +123,16 @@ def test_material_params_validation():
         MaterialParams(mu_f=0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    field=st.sampled_from(["lam", "mu", "alpha", "c0", "K", "mu_f", "rho_f", "g"]),
+    value=st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+)
+def test_material_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+        MaterialParams(**{field: (0.0, value) if field == "g" else value})
+
+
 def test_lame_from_young_poisson():
     lam, mu = lame_from_young_poisson(1e5, 0.4)
     assert mu == pytest.approx(1e5 / 2.8, rel=1e-14)

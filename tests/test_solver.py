@@ -24,7 +24,6 @@ def test_hand_solved_2x2():
     assert np.allclose(x, [1.0, 3.0], atol=1e-14)
     assert report.relative_residual <= DEFAULT_TOLERANCE
     assert report.dimension == 2
-    assert report.reused is False
 
 
 def test_hand_solved_saddle_point():
@@ -63,14 +62,12 @@ def test_zero_rhs_gives_zero_solution():
     assert report.relative_residual == 0.0
 
 
-def test_factorization_reuse_is_flagged_and_consistent():
+def test_factorization_reuse_is_consistent():
     A = sp.csc_matrix(np.array([[3.0, 1.0], [1.0, 3.0]]))
     fact = factorize(A)
     b = np.array([1.0, 2.0])
-    x1, r1 = solve(fact, b)
-    x2, r2 = solve(fact, b)
-    assert r1.reused is False
-    assert r2.reused is True
+    x1, _ = solve(fact, b)
+    x2, _ = solve(fact, b)
     assert np.array_equal(x1, x2)
 
 

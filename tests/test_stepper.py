@@ -6,7 +6,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import porofem.assembly
+import porofem.diagnostics
 from porofem.assembly import DofMap
 from porofem.diagnostics import ErrorEvaluator, check_state_consistency
 from porofem.mesh import BoundarySegment, build_rect_mesh
@@ -53,6 +57,21 @@ def test_scheme_validation():
         TimeScheme(dt=0.1, n_steps=1, theta=2)
     with pytest.raises(ValueError, match="final time"):
         TimeScheme(dt=0.1, n_steps=3, theta=1, T=0.5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    field=st.sampled_from(["dt", "n_steps", "T"]),
+    value=st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+)
+def test_scheme_rejects_non_finite(field, value):
+    fields = {"dt": 0.1, "n_steps": 3, "theta": 1, field: value}
+    with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+        TimeScheme(**fields)
+    if field != "n_steps":
+        # A negative dt is refused as a nonpositive step before T / dt.
+        with pytest.raises(ValueError, match=rf"^{field} must be finite|time step"):
+            TimeScheme.from_final_time(T=fields.get("T", 0.3), dt=fields["dt"], theta=1)
 
 
 def test_scheme_default_final_time():
@@ -343,6 +362,25 @@ def test_zero_step_run():
     assert result.records == [] and result.energy == [] and result.conservation == []
     assert result.solve_count == 0
     assert result.initial_state is result.final_state
+
+
+def test_pure_traction_boundary_data_built_once(monkeypatch):
+    calls = []
+    original = porofem.assembly.assemble_vector_mass
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in (porofem.assembly, porofem.diagnostics):
+        monkeypatch.setattr(module, "assemble_vector_mass", counting)
+    counts = []
+    for n_steps in (2, 6):
+        calls.clear()
+        run(conservation_benchmark(), build_rect_mesh(2, 2),
+            TimeScheme(dt=0.02, n_steps=n_steps, theta=1))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 @pytest.mark.parametrize("keep,expected", [(False, 2), (True, 6)])
