@@ -2,9 +2,10 @@
 
 Builds the matrices of the two-field formulation (elasticity block,
 divergence coupling, scalar mass and stiffness), load vectors including
-boundary tractions and fluxes, the boundary data of a problem (which dofs
-are constrained, built once, and their values at any time), and the
-reduction of a full linear system to its free unknowns.
+boundary tractions and fluxes (from quadrature tables built once per run),
+the boundary data of a problem (which dofs are constrained, built once,
+and their values at any time), and the reduction of a full linear system
+to its free unknowns.
 
 Displacement dofs are interleaved: dof(node, comp) = 2*node + comp, with
 quadratic nodes ordered vertices-first then edge midpoints.  Scalar dofs
@@ -21,6 +22,7 @@ import scipy.sparse as sp
 
 from .elements import (
     AffineMaps,
+    QuadratureRule,
     edge_quadrature,
     edge_trace_p1,
     edge_trace_p2,
@@ -34,6 +36,8 @@ from .model import (
     DerivedCoeffs,
     MaterialParams,
     SourceFunctions,
+    zero_scalar,
+    zero_vector,
 )
 
 __all__ = [
@@ -44,6 +48,9 @@ __all__ = [
     "assemble_scalar_mass",
     "assemble_scalar_stiffness",
     "assemble_vector_mass",
+    "CellRule",
+    "DomainQuadrature",
+    "LoadAssembler",
     "assemble_domain_load",
     "assemble_boundary_load",
     "assemble_gravity_load",
@@ -216,35 +223,132 @@ def assemble_vector_mass(mesh: Mesh, dofmap: DofMap, min_degree: int = 4) -> sp.
     return _scatter(rows, cols, local, (dofmap.n_u, dofmap.n_u))
 
 
+@dataclass(frozen=True, eq=False)
+class CellRule:
+    """A quadrature rule laid over a set of cells against one basis,
+    tabulated once: the triangles of a mesh, or the edges of a boundary
+    segment.
+
+    Attributes:
+        points: (n * nq, 2) physical quadrature points, cell by cell.
+        measure: (n,) |det J| of each triangle, or the length of each edge.
+        table: (nq * c, k * c) rule weights times the k basis values (or
+            edge traces) at the nq points.  For vector fields (c = 2) it is
+            the Kronecker product with the 2 x 2 identity, so interleaved
+            closure values map onto interleaved dofs; for scalars c = 1.
+        dofs: (n, k * c) global dof of each local entry.
+        size: length of the assembled vector.
+    """
+
+    points: np.ndarray
+    measure: np.ndarray
+    table: np.ndarray
+    dofs: np.ndarray
+    size: int
+
+    def integrate(self, closure: Callable, t: float) -> np.ndarray:
+        """Load vector (closure(., t), phi_i) over the cells."""
+        values = np.asarray(closure(self.points, t), dtype=float)
+        local = values.reshape(self.measure.size, -1) @ self.table
+        local *= self.measure[:, None]
+        return np.bincount(self.dofs.ravel(), local.ravel(), self.size)
+
+
+@dataclass(frozen=True, eq=False)
+class DomainQuadrature:
+    """A triangle rule over every triangle of a mesh, tabulated once.
+
+    The loads, the initial L2 projections and the error evaluation of a
+    run share one instance.
+
+    Attributes:
+        rule: the reference rule.
+        maps: the affine geometry of the triangles.
+        vector: the rule against P2 vector test functions.
+        scalar: the rule against P1 scalar test functions.
+    """
+
+    rule: QuadratureRule
+    maps: AffineMaps
+    vector: CellRule
+    scalar: CellRule
+
+    @classmethod
+    def from_mesh(cls, mesh: Mesh, dofmap: DofMap, min_degree: int = 6) -> "DomainQuadrature":
+        rule = triangle_quadrature(min_degree)
+        maps = AffineMaps.from_mesh(mesh)
+        points = physical_points(mesh, rule.points).reshape(-1, 2)
+        p2, _ = eval_basis("P2", rule.points)
+        p1, _ = eval_basis("P1", rule.points)
+        w = rule.weights[:, None]
+        return cls(
+            rule=rule,
+            maps=maps,
+            vector=CellRule(points, maps.det, np.kron(w * p2, np.eye(2)), dofmap.triangle_u, dofmap.n_u),
+            scalar=CellRule(points, maps.det, w * p1, mesh.triangles, dofmap.n_scalar),
+        )
+
+
+def _edge_rule(
+    mesh: Mesh, dofmap: DofMap, tag: BoundarySegment, space: str, min_degree: int = 5
+) -> CellRule:
+    """Edge rule over one segment against P2 vector or P1 scalar traces."""
+    eids = mesh.edges_with_tag(tag)
+    rule = edge_quadrature(min_degree)
+    s = rule.points[:, 1]
+    w = rule.weights[:, None]
+    va = mesh.vertices[mesh.edges[eids, 0]]
+    vb = mesh.vertices[mesh.edges[eids, 1]]
+    points = va[:, None, :] * (1.0 - s)[None, :, None] + vb[:, None, :] * s[None, :, None]
+    points = points.reshape(-1, 2)
+    length = np.linalg.norm(vb - va, axis=1)
+    if space == "vector":
+        nodes = np.column_stack([mesh.edges[eids, 0], mesh.edges[eids, 1], mesh.edge_nodes[eids]])
+        dofs = (2 * nodes[:, :, None] + np.array([0, 1])).reshape(eids.size, 6)
+        table = np.kron(w * edge_trace_p2(s), np.eye(2))
+        return CellRule(points, length, table, dofs, dofmap.n_u)
+    return CellRule(points, length, w * edge_trace_p1(s), mesh.edges[eids], dofmap.n_scalar)
+
+
+def _check_space(space: str) -> None:
+    if space not in ("vector", "scalar"):
+        raise ValueError(f"unknown load space {space!r}")
+
+
+def _contributes(closure: Optional[Callable]) -> bool:
+    """False for an absent closure and for the model's zero closures."""
+    return closure is not None and closure is not zero_vector and closure is not zero_scalar
+
+
 def assemble_domain_load(
-    mesh: Mesh,
-    dofmap: DofMap,
-    closure: Callable,
-    t: float,
-    space: str = "vector",
-    min_degree: int = 6,
+    quadrature: DomainQuadrature, closure: Callable, t: float, space: str = "vector"
 ) -> np.ndarray:
     """Domain load (f, v) against P2 vectors or (phi, psi) against P1 scalars."""
-    rule = triangle_quadrature(min_degree)
-    pts = physical_points(mesh, rule.points)
-    n_tri, nq = pts.shape[0], pts.shape[1]
-    flat = pts.reshape(-1, 2)
-    maps = AffineMaps.from_mesh(mesh)
-    w, det = rule.weights, maps.det
-    if space == "vector":
-        data = np.asarray(closure(flat, t), dtype=float).reshape(n_tri, nq, 2)
-        vals, _ = eval_basis("P2", rule.points)
-        local = np.einsum("q,fqa,qi,f->fia", w, data, vals, det, optimize=True)
-        out = np.zeros(dofmap.n_u)
-        np.add.at(out, dofmap.triangle_u, local.reshape(n_tri, 12))
-    elif space == "scalar":
-        data = np.asarray(closure(flat, t), dtype=float).reshape(n_tri, nq)
-        vals, _ = eval_basis("P1", rule.points)
-        local = np.einsum("q,fq,qj,f->fj", w, data, vals, det, optimize=True)
-        out = np.zeros(dofmap.n_scalar)
-        np.add.at(out, mesh.triangles, local)
-    else:
-        raise ValueError(f"unknown load space {space!r}")
+    _check_space(space)
+    rule = quadrature.vector if space == "vector" else quadrature.scalar
+    return rule.integrate(closure, t)
+
+
+def _edge_terms(
+    mesh: Mesh,
+    dofmap: DofMap,
+    closures: Mapping[BoundarySegment, Optional[Callable]],
+    space: str,
+    min_degree: int = 5,
+) -> list[tuple[Callable, CellRule]]:
+    """(closure, edge rule) per segment in tag order, for every closure
+    that can contribute."""
+    return [
+        (closures[tag], _edge_rule(mesh, dofmap, tag, space, min_degree))
+        for tag in sorted(closures, key=int)
+        if _contributes(closures[tag])
+    ]
+
+
+def _sum_terms(terms, t: float, size: int) -> np.ndarray:
+    out = np.zeros(size)
+    for closure, rule in terms:
+        out += rule.integrate(closure, t)
     return out
 
 
@@ -261,69 +365,66 @@ def assemble_boundary_load(
     Integrates over every tagged edge of segments whose closure is not
     None; segments absent from the mapping contribute nothing.
     """
-    rule = edge_quadrature(min_degree)
-    s = rule.points[:, 1]
-    w = rule.weights
-    tr_p2 = edge_trace_p2(s)
-    tr_p1 = edge_trace_p1(s)
-    out = np.zeros(dofmap.n_u if space == "vector" else dofmap.n_scalar)
-    if space not in ("vector", "scalar"):
-        raise ValueError(f"unknown load space {space!r}")
-    for tag in sorted(closures, key=int):
-        closure = closures[tag]
-        if closure is None:
-            continue
-        eids = mesh.edges_with_tag(tag)
-        if eids.size == 0:
-            continue
-        va = mesh.vertices[mesh.edges[eids, 0]]
-        vb = mesh.vertices[mesh.edges[eids, 1]]
-        length = np.linalg.norm(vb - va, axis=1)
-        pts = va[:, None, :] * (1.0 - s)[None, :, None] + vb[:, None, :] * s[None, :, None]
-        ne, nq = pts.shape[0], pts.shape[1]
-        if space == "vector":
-            data = np.asarray(closure(pts.reshape(-1, 2), t), dtype=float).reshape(ne, nq, 2)
-            local = np.einsum("q,eqa,qi,e->eia", w, data, tr_p2, length, optimize=True)
-            nodes = np.column_stack(
-                [mesh.edges[eids, 0], mesh.edges[eids, 1], mesh.edge_nodes[eids]]
-            )
-            comps = np.array([0, 1], dtype=np.int64)
-            dofs = (2 * nodes[:, :, None] + comps).reshape(ne, 6)
-            np.add.at(out, dofs, local.reshape(ne, 6))
-        else:
-            data = np.asarray(closure(pts.reshape(-1, 2), t), dtype=float).reshape(ne, nq)
-            local = np.einsum("q,eq,qj,e->ej", w, data, tr_p1, length, optimize=True)
-            np.add.at(out, mesh.edges[eids], local)
-    return out
+    _check_space(space)
+    size = dofmap.n_u if space == "vector" else dofmap.n_scalar
+    return _sum_terms(_edge_terms(mesh, dofmap, closures, space, min_degree), t, size)
 
 
 def assemble_gravity_load(mesh: Mesh, dofmap: DofMap, params: MaterialParams) -> np.ndarray:
     """Gravity contribution (K/mu_f) * (rho_f g, grad psi_i) to the flow rhs."""
     rho_g = params.rho_g
-    out = np.zeros(dofmap.n_scalar)
     if not np.any(rho_g):
-        return out
+        return np.zeros(dofmap.n_scalar)
     rule = triangle_quadrature(1)
     _, ref_grads = eval_basis("P1", rule.points)
     maps = AffineMaps.from_mesh(mesh)
-    grads = maps.physical_gradients(ref_grads)
-    coeff = params.K / params.mu_f
-    local = coeff * np.einsum(
-        "q,a,fqja,f->fj", rule.weights, rho_g, grads, maps.det, optimize=True
-    )
-    np.add.at(out, mesh.triangles, local)
-    return out
+    # P1 gradients are constant on a triangle: grad psi_j = J^{-T} grad_ref psi_j.
+    grads = ref_grads[0] @ np.swapaxes(maps.inv_jac_t, 1, 2)  # (F, 3, 2)
+    local = (params.K / params.mu_f) * rule.weights[0] * maps.det[:, None] * (grads @ rho_g)
+    return np.bincount(mesh.triangles.ravel(), local.ravel(), dofmap.n_scalar)
 
 
-def assemble_load(
-    mesh: Mesh,
-    dofmap: DofMap,
-    sources: SourceFunctions,
-    bcs: BoundaryConditionSpec,
-    params: MaterialParams,
-    t: float,
-    min_degree: int = 6,
-) -> tuple[np.ndarray, np.ndarray]:
+@dataclass(frozen=True, eq=False)
+class LoadAssembler:
+    """Right-hand sides of one problem on one mesh, with every table built once.
+
+    Each term pairs a closure with the cell rule it is integrated by: the
+    body force and the mass source over the triangles, each traction and
+    each flux over the edges of its segment.  A closure that is
+    zero_vector or zero_scalar contributes nothing and is dropped here, so
+    no step evaluates it.  The gravity term does not depend on time.
+    """
+
+    quadrature: DomainQuadrature
+    mech_terms: tuple[tuple[Callable, CellRule], ...]
+    flow_terms: tuple[tuple[Callable, CellRule], ...]
+    gravity: np.ndarray
+
+    @classmethod
+    def build(
+        cls,
+        mesh: Mesh,
+        dofmap: DofMap,
+        sources: SourceFunctions,
+        bcs: BoundaryConditionSpec,
+        params: MaterialParams,
+    ) -> "LoadAssembler":
+        quadrature = DomainQuadrature.from_mesh(mesh, dofmap)
+        mech = [(sources.f, quadrature.vector)] if _contributes(sources.f) else []
+        tractions = {tag: bc.traction for tag, bc in bcs.mechanical.items()}
+        mech += _edge_terms(mesh, dofmap, tractions, "vector")
+        flow = [(sources.phi, quadrature.scalar)] if _contributes(sources.phi) else []
+        fluxes = {tag: bc.value for tag, bc in bcs.flow.items() if bc.kind == "flux"}
+        flow += _edge_terms(mesh, dofmap, fluxes, "scalar")
+        return cls(
+            quadrature=quadrature,
+            mech_terms=tuple(mech),
+            flow_terms=tuple(flow),
+            gravity=assemble_gravity_load(mesh, dofmap, params),
+        )
+
+
+def assemble_load(loads: LoadAssembler, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Full right-hand sides at time t.
 
     Returns (rhs_mech, rhs_flow) with rhs_mech = (f, v) + <f1, v> over
@@ -331,16 +432,10 @@ def assemble_load(
     flux segments plus the gravity term (K/mu_f)(rho_f g, grad psi).
     Entries at constrained dofs are present but ignored by the reduction.
     """
-    rhs_mech = assemble_domain_load(mesh, dofmap, sources.f, t, "vector", min_degree)
-    tractions = {tag: bc.traction for tag, bc in bcs.mechanical.items()}
-    rhs_mech += assemble_boundary_load(mesh, dofmap, tractions, t, "vector")
-    rhs_flow = assemble_domain_load(mesh, dofmap, sources.phi, t, "scalar", min_degree)
-    fluxes = {
-        tag: (bc.value if bc.kind == "flux" else None) for tag, bc in bcs.flow.items()
-    }
-    rhs_flow += assemble_boundary_load(mesh, dofmap, fluxes, t, "scalar")
-    rhs_flow += assemble_gravity_load(mesh, dofmap, params)
-    return rhs_mech, rhs_flow
+    mech = _sum_terms(loads.mech_terms, t, loads.quadrature.vector.size)
+    flow = _sum_terms(loads.flow_terms, t, loads.quadrature.scalar.size)
+    flow += loads.gravity
+    return mech, flow
 
 
 def rigid_motion_basis(mesh: Mesh, dofmap: DofMap) -> np.ndarray:

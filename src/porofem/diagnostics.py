@@ -20,6 +20,8 @@ import scipy.sparse as sp
 
 from .assembly import (
     DofMap,
+    DomainQuadrature,
+    LoadAssembler,
     assemble_div,
     assemble_elasticity,
     assemble_load,
@@ -28,7 +30,10 @@ from .assembly import (
     assemble_vector_mass,
     rigid_motion_basis,
 )
-from .elements import AffineMaps, edge_quadrature, edge_trace_p2, eval_basis, physical_points, triangle_quadrature
+from .elements import AffineMaps, edge_quadrature, edge_trace_p2, eval_basis, triangle_quadrature
+# Unused here since DomainQuadrature tabulates the points, but perfbench's
+# tracer still wraps this name (perfbench/spans.py).
+from .elements import physical_points  # noqa: F401
 from .mesh import BoundarySegment, Mesh
 from .model import Benchmark, DerivedCoeffs, get_benchmark
 
@@ -38,6 +43,7 @@ __all__ = [
     "ConservationTracker",
     "check_conservation",
     "boundary_flux",
+    "boundary_flux_functional",
     "EnergyRecord",
     "EnergyAuditor",
     "energy_audit",
@@ -129,27 +135,32 @@ def check_conservation(state, refs: ConservedQuantities) -> ConservationResidual
     return ConservationResiduals(eta=eta, xi=xi, q=q, p=p, flux=flux)
 
 
-def boundary_flux(mesh: Mesh, dofmap: DofMap, u: np.ndarray) -> float:
-    """The boundary integral of u . n over the whole boundary."""
+def boundary_flux_functional(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
+    """The vector g with g @ u = the boundary integral of u . n.
+
+    u . n is linear in the displacement coefficients, so the flux of any
+    state is one dot product with g.
+    """
     rule = edge_quadrature(5)
-    s = rule.points[:, 1]
-    traces = edge_trace_p2(s)
-    total = 0.0
+    trace_integrals = rule.weights @ edge_trace_p2(rule.points[:, 1])  # (3,)
+    dofs, weights = [], []
     for tag in BoundarySegment:
         normal = mesh.outward_normal(tag)
         eids = mesh.edges_with_tag(tag)
-        if eids.size == 0:
-            continue
         nodes = np.column_stack([mesh.edges[eids, 0], mesh.edges[eids, 1], mesh.edge_nodes[eids]])
-        ux = u[2 * nodes]
-        uy = u[2 * nodes + 1]
-        un = ux * normal[0] + uy * normal[1]  # (ne, 3) nodal values of u.n
         va = mesh.vertices[mesh.edges[eids, 0]]
         vb = mesh.vertices[mesh.edges[eids, 1]]
         length = np.linalg.norm(vb - va, axis=1)
-        vals = un @ traces.T  # (ne, nq)
-        total += float(np.einsum("q,eq,e->", rule.weights, vals, length))
-    return total
+        per_node = length[:, None] * trace_integrals  # (ne, 3)
+        for comp in (0, 1):
+            dofs.append(2 * nodes.ravel() + comp)
+            weights.append(normal[comp] * per_node.ravel())
+    return np.bincount(np.concatenate(dofs), np.concatenate(weights), dofmap.n_u)
+
+
+def boundary_flux(mesh: Mesh, dofmap: DofMap, u: np.ndarray) -> float:
+    """The boundary integral of u . n over the whole boundary."""
+    return float(boundary_flux_functional(mesh, dofmap) @ u)
 
 
 class ConservationTracker:
@@ -167,6 +178,7 @@ class ConservationTracker:
         self.dim = 2
         coords = mesh.p2_node_coords()
         self.x_pairing = coords.ravel()  # interpolant of the position field
+        self.flux_functional = boundary_flux_functional(mesh, dofmap)
         self.eta_applicable = benchmark.bcs.is_pure_neumann_flow()
         self.traction_applicable = self.eta_applicable and benchmark.bcs.is_pure_traction()
         self._c_eta: Optional[float] = None
@@ -181,7 +193,7 @@ class ConservationTracker:
             "xi": self._integral(state.xi),
             "q": self._integral(state.q),
             "p": self._integral(state.p),
-            "flux": boundary_flux(self.mesh, self.dofmap, state.u),
+            "flux": float(self.flux_functional @ state.u),
         }
 
     def start(self, state0) -> ConservedQuantities:
@@ -390,8 +402,9 @@ def energy_audit(
     S = assemble_scalar_stiffness(mesh, dofmap, prm.K / prm.mu_f)
     t0 = trajectory[0].t
     t_end = trajectory[-1].t
-    mech0, flow0 = assemble_load(mesh, dofmap, benchmark.sources, benchmark.bcs, prm, t0)
-    mech1, flow1 = assemble_load(mesh, dofmap, benchmark.sources, benchmark.bcs, prm, t_end)
+    loads = LoadAssembler.build(mesh, dofmap, benchmark.sources, benchmark.bcs, prm)
+    mech0, flow0 = assemble_load(loads, t0)
+    mech1, flow1 = assemble_load(loads, t_end)
     if not (np.allclose(mech0, mech1, atol=1e-14) and np.allclose(flow0, flow1, atol=1e-14)):
         warnings.warn(
             "sources or boundary data vary in time; the energy identity is "
@@ -431,30 +444,50 @@ class ErrorReport:
 
 
 class ErrorEvaluator:
-    """Quadrature evaluation of instantaneous errors against exact closures."""
+    """Quadrature evaluation of instantaneous errors against exact closures.
 
-    def __init__(self, benchmark: Benchmark, mesh: Mesh, dofmap: DofMap, min_degree: int = 6) -> None:
+    Evaluates at the points of a DomainQuadrature, a run's own when it
+    passes one.  Each field's values and gradients at the points are
+    matrix products of its per-triangle coefficients with basis tables.
+    """
+
+    def __init__(
+        self,
+        benchmark: Benchmark,
+        mesh: Mesh,
+        dofmap: DofMap,
+        quadrature: Optional[DomainQuadrature] = None,
+    ) -> None:
         if benchmark.exact_u is None or benchmark.exact_p is None:
             raise ValueError("benchmark carries no exact solution closures")
         self.benchmark = benchmark
         self.mesh = mesh
         self.dofmap = dofmap
-        rule = triangle_quadrature(min_degree)
-        self.points = physical_points(mesh, rule.points)
-        self.flat = self.points.reshape(-1, 2)
-        maps = AffineMaps.from_mesh(mesh)
-        self.wdet = rule.weights[None, :] * maps.det[:, None]  # (F, nq)
-        p2_vals, p2_grads = eval_basis("P2", rule.points)
-        p1_vals, p1_grads = eval_basis("P1", rule.points)
-        self.p2_vals = p2_vals
-        self.p1_vals = p1_vals
-        self.p2_grads = maps.physical_gradients(p2_grads)  # (F, nq, 6, 2)
-        self.p1_grads = maps.physical_gradients(p1_grads)  # (F, nq, 3, 2)
+        quad = quadrature or DomainQuadrature.from_mesh(mesh, dofmap)
+        self.flat = quad.vector.points
+        self.weights = quad.rule.weights
+        self.det = quad.maps.det
         self.n_tri = mesh.n_triangles
-        self.nq = rule.points.shape[0]
+        self.nq = quad.rule.weights.size
+        p2_vals, p2_grads = eval_basis("P2", quad.rule.points)
+        p1_vals, p1_grads = eval_basis("P1", quad.rule.points)
+        # Interleaved P2 coefficients (12,) -> values (nq, 2).
+        self.u_values = np.kron(p2_vals.T, np.eye(2))
+        # (F, 6, nq * 2): physical gradient of P2 basis function i at each
+        # point, so (coefficients^T @ table) gives grad u per triangle.
+        grads = quad.maps.physical_gradients(p2_grads)  # (F, nq, 6, 2)
+        self.p2_grads = np.ascontiguousarray(grads.transpose(0, 2, 1, 3)).reshape(
+            self.n_tri, 6, 2 * self.nq
+        )
+        self.p1_values = p1_vals.T  # (3, nq)
+        # (F, 3, 2): P1 gradients are constant on each triangle.
+        self.p1_grads = quad.maps.physical_gradients(p1_grads[:1])[:, 0]
 
-    def _norm2(self, sq_density: np.ndarray) -> float:
-        return float(np.sum(self.wdet * sq_density))
+    def _norm2(self, squares: np.ndarray) -> float:
+        """Integral of squares (F, nq, ...), summed over its trailing axes."""
+        per_point = squares[0].size // self.nq
+        weights = np.repeat(self.weights, per_point)
+        return float(self.det @ (squares.reshape(self.n_tri, -1) @ weights))
 
     def evaluate(self, state) -> dict[str, float]:
         """Instantaneous errors: L2 and H1-seminorm for u and p, L2 for xi
@@ -462,32 +495,31 @@ class ErrorEvaluator:
         bm = self.benchmark
         t = state.t
         f, q = self.n_tri, self.nq
-        u_coef = state.u[self.dofmap.triangle_u].reshape(f, 6, 2)
-        u_vals = np.einsum("qi,fic->fqc", self.p2_vals, u_coef, optimize=True)
-        u_grads = np.einsum("fqia,fic->fqca", self.p2_grads, u_coef, optimize=True)
+        u_coef = state.u[self.dofmap.triangle_u]  # (F, 12)
+        u_vals = (u_coef @ self.u_values).reshape(f, q, 2)
         ue = np.asarray(bm.exact_u(self.flat, t)).reshape(f, q, 2)
-        out = {"u_L2": np.sqrt(self._norm2(np.sum((u_vals - ue) ** 2, axis=2)))}
+        out = {"u_L2": np.sqrt(self._norm2((u_vals - ue) ** 2))}
         if bm.exact_grad_u is not None:
-            ge = np.asarray(bm.exact_grad_u(self.flat, t)).reshape(f, q, 2, 2)
-            diff = u_grads - ge
-            out["u_H1"] = np.sqrt(self._norm2(np.sum(diff**2, axis=(2, 3))))
-        p_coef = state.p[self.mesh.triangles]
-        p_vals = np.einsum("qj,fj->fq", self.p1_vals, p_coef, optimize=True)
-        p_grads = np.einsum("fqja,fj->fqa", self.p1_grads, p_coef, optimize=True)
+            u_by_comp = u_coef.reshape(f, 6, 2).transpose(0, 2, 1)  # (F, 2, 6)
+            u_grads = np.matmul(u_by_comp, self.p2_grads).reshape(f, 2, q, 2)  # [f, c, q, a]
+            ge = np.asarray(bm.exact_grad_u(self.flat, t)).reshape(f, q, 2, 2)  # [f, q, c, a]
+            out["u_H1"] = np.sqrt(self._norm2((u_grads.transpose(0, 2, 1, 3) - ge) ** 2))
+        triangles = self.mesh.triangles
+        p_coef = state.p[triangles]
+        p_vals = p_coef @ self.p1_values
         pe = np.asarray(bm.exact_p(self.flat, t)).reshape(f, q)
         out["p_L2"] = np.sqrt(self._norm2((p_vals - pe) ** 2))
         if bm.exact_grad_p is not None:
+            p_grads = np.matmul(p_coef[:, None, :], self.p1_grads)  # (F, 1, 2)
             gpe = np.asarray(bm.exact_grad_p(self.flat, t)).reshape(f, q, 2)
-            out["p_H1"] = np.sqrt(self._norm2(np.sum((p_grads - gpe) ** 2, axis=2)))
+            out["p_H1"] = np.sqrt(self._norm2((p_grads - gpe) ** 2))
         if bm.exact_grad_u is not None:
             prm = bm.params
             qe = ge[..., 0, 0] + ge[..., 1, 1]  # exact div u
             xi_e = prm.alpha * pe - prm.lam * qe
             eta_e = prm.c0 * pe + prm.alpha * qe
-            xi_coef = state.xi[self.mesh.triangles]
-            eta_coef = state.eta[self.mesh.triangles]
-            xi_vals = np.einsum("qj,fj->fq", self.p1_vals, xi_coef, optimize=True)
-            eta_vals = np.einsum("qj,fj->fq", self.p1_vals, eta_coef, optimize=True)
+            xi_vals = state.xi[triangles] @ self.p1_values
+            eta_vals = state.eta[triangles] @ self.p1_values
             out["xi_L2"] = np.sqrt(self._norm2((xi_vals - xi_e) ** 2))
             out["eta_L2"] = np.sqrt(self._norm2((eta_vals - eta_e) ** 2))
         return out
@@ -531,7 +563,8 @@ def error_norms(
     if not trajectory:
         raise ValueError("empty trajectory")
     dofmap = dofmap or DofMap.from_mesh(mesh)
-    ev = ErrorEvaluator(benchmark, mesh, dofmap, min_degree)
+    quadrature = DomainQuadrature.from_mesh(mesh, dofmap, min_degree)
+    ev = ErrorEvaluator(benchmark, mesh, dofmap, quadrature)
     history: dict[str, list[float]] = {}
     times = []
     for state in trajectory:

@@ -168,19 +168,33 @@ def triangle_quadrature(min_degree: int) -> QuadratureRule:
     return QuadratureRule(points=points, weights=weights, exactness_degree=degree)
 
 
+def _edge_rule_table(max_points: int = 6) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    # Gauss-Legendre with n points, mapped to the unit edge, for n up to
+    # max_points: exact to degree 2n - 1.
+    table = {}
+    for n_points in range(1, max_points + 1):
+        nodes, weights = np.polynomial.legendre.leggauss(n_points)
+        s = 0.5 * (nodes + 1.0)
+        table[n_points] = (np.column_stack([1.0 - s, s]), 0.5 * weights)
+    return table
+
+
+_EDGE_RULES = _edge_rule_table()
+
+
 def edge_quadrature(min_degree: int) -> QuadratureRule:
     """Gauss-Legendre rule on the unit reference edge, exact to min_degree.
 
     Points are returned as (n, 2) barycentric pairs (1-s, s).
+
+    Raises:
+        ValueError: if min_degree is outside [1, 11].
     """
-    if min_degree < 1:
-        raise ValueError(f"unsupported quadrature degree {min_degree}")
     n_points = (min_degree + 2) // 2
-    nodes, weights = np.polynomial.legendre.leggauss(n_points)
-    s = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
-    points = np.column_stack([1.0 - s, s])
-    return QuadratureRule(points=points, weights=w, exactness_degree=2 * n_points - 1)
+    if min_degree < 1 or n_points not in _EDGE_RULES:
+        raise ValueError(f"unsupported quadrature degree {min_degree}")
+    points, weights = _EDGE_RULES[n_points]
+    return QuadratureRule(points=points, weights=weights, exactness_degree=2 * n_points - 1)
 
 
 def edge_trace_p1(s: np.ndarray) -> np.ndarray:

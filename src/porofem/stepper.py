@@ -23,6 +23,8 @@ import scipy.sparse as sp
 
 from .assembly import (
     DofMap,
+    DomainQuadrature,
+    LoadAssembler,
     ReducedSystem,
     assemble_div,
     assemble_domain_load,
@@ -186,8 +188,9 @@ class StepSystems:
 
     Built once per (benchmark, mesh, scheme); every step reuses the
     factorizations and only reassembles right-hand sides and boundary
-    values.  The boundary data (which dofs are constrained) is built once,
-    at construction; each step evaluates only its values.
+    values.  The boundary data (which dofs are constrained) and the load
+    assembler's quadrature tables are built once, at construction; each
+    step evaluates only the closures.
     """
 
     def __init__(
@@ -282,15 +285,16 @@ class StepSystems:
             )
             self.fact_diffusion = factorize(self.reduced_diffusion.matrix)
 
+        # Built after the factorizations, so its tables do not add to their
+        # memory peak.
+        self.loads = LoadAssembler.build(mesh, dm, benchmark.sources, benchmark.bcs, prm)
+
     def boundary_values(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Dirichlet displacement values and pressure data at time t."""
         return self.boundary.values(t)
 
     def assemble_rhs(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        mech, flow = assemble_load(
-            self.mesh, self.dofmap, self.benchmark.sources, self.benchmark.bcs,
-            self.params, t,
-        )
+        mech, flow = assemble_load(self.loads, t)
         self.last_loads = (mech, flow)
         return mech, flow
 
@@ -376,7 +380,7 @@ def init_state(
     benchmark: Benchmark,
     mesh: Mesh,
     dofmap: Optional[DofMap] = None,
-    elasticity: Optional[sp.spmatrix] = None,
+    systems: Optional[StepSystems] = None,
 ) -> FieldState:
     """Discrete initial data.
 
@@ -387,15 +391,25 @@ def init_state(
     eta and xi follow coefficientwise from the change of variables, and the
     stored p, q are re-derived from them so the state identities hold
     exactly.
+
+    A run passes its StepSystems, whose operators, boundary data and
+    quadrature tables are then reused; without it they are built here.
     """
-    dofmap = dofmap or DofMap.from_mesh(mesh)
     prm = benchmark.params
     coeffs = benchmark.coeffs
-    A = elasticity if elasticity is not None else assemble_elasticity(mesh, dofmap, prm.mu)
+    if systems is not None:
+        dofmap = systems.dofmap
+        A, M, boundary = systems.A, systems.M, systems.boundary
+        quadrature = systems.loads.quadrature
+    else:
+        dofmap = dofmap or DofMap.from_mesh(mesh)
+        A = assemble_elasticity(mesh, dofmap, prm.mu)
+        M = assemble_scalar_mass(mesh, dofmap)
+        boundary = build_constraints(mesh, dofmap, benchmark.bcs, coeffs)
+        quadrature = DomainQuadrature.from_mesh(mesh, dofmap)
 
     coords = mesh.p2_node_coords()
     u_interp = _interleave(benchmark.u0(coords, 0.0))
-    boundary = build_constraints(mesh, dofmap, benchmark.bcs, coeffs)
     u_values, _ = boundary.values(0.0)
     masters = np.setdiff1d(np.arange(dofmap.n_u, dtype=np.int64), boundary.u_dofs)
     system = ReducedSystem(
@@ -406,9 +420,9 @@ def init_state(
     y, _ = solve(fact, system.reduce_rhs(A @ u_interp, u_values), DEFAULT_TOLERANCE)
     u0 = system.expand(y, u_values)
 
-    mass_fact = factorize(assemble_scalar_mass(mesh, dofmap))
-    p_load = assemble_domain_load(mesh, dofmap, benchmark.p0, 0.0, space="scalar")
-    q_load = assemble_domain_load(mesh, dofmap, benchmark.div_u0, 0.0, space="scalar")
+    mass_fact = factorize(M)
+    p_load = assemble_domain_load(quadrature, benchmark.p0, 0.0, space="scalar")
+    q_load = assemble_domain_load(quadrature, benchmark.div_u0, 0.0, space="scalar")
     p0, _ = solve(mass_fact, p_load, DEFAULT_TOLERANCE)
     q0, _ = solve(mass_fact, q_load, DEFAULT_TOLERANCE)
 
@@ -577,15 +591,10 @@ def run(
                     stacklevel=2,
                 )
 
-    state = init_state(benchmark, mesh, dofmap, elasticity=systems.A)
+    state = init_state(benchmark, mesh, dofmap, systems=systems)
 
-    mech0, flow0 = assemble_load(
-        mesh, dofmap, benchmark.sources, benchmark.bcs, benchmark.params, state.t
-    )
-    mech_end, flow_end = assemble_load(
-        mesh, dofmap, benchmark.sources, benchmark.bcs, benchmark.params,
-        state.t + scheme.T,
-    )
+    mech0, flow0 = assemble_load(systems.loads, state.t)
+    mech_end, flow_end = assemble_load(systems.loads, state.t + scheme.T)
     time_independent = bool(
         np.allclose(mech0, mech_end, rtol=1e-12, atol=1e-14)
         and np.allclose(flow0, flow_end, rtol=1e-12, atol=1e-14)
@@ -616,7 +625,10 @@ def run(
         compute_errors is True
         or (compute_errors == "auto" and benchmark.exact_u is not None and benchmark.exact_p is not None)
     )
-    evaluator = ErrorEvaluator(benchmark, mesh, dofmap) if want_errors else None
+    evaluator = (
+        ErrorEvaluator(benchmark, mesh, dofmap, systems.loads.quadrature)
+        if want_errors else None
+    )
     times: list[float] = []
     history: dict[str, list[float]] = {}
 

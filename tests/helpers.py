@@ -8,9 +8,11 @@ recursions.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from porofem.mesh import BoundarySegment
+from porofem.mesh import BoundarySegment, Mesh, build_rect_mesh
 from porofem.model import (
     Benchmark,
     BoundaryConditionSpec,
@@ -26,6 +28,22 @@ _OUTWARD = {
     BoundarySegment.LEFT: (-1.0, 0.0),
     BoundarySegment.TOP: (0.0, 1.0),
 }
+
+
+def jittered_mesh(nx: int, ny: int, rect=(0.0, 0.0, 1.0, 1.0), seed: int = 0) -> Mesh:
+    """A structured mesh with every vertex moved by up to 0.2 cell widths,
+    boundary vertices along their side and corners not at all, so that
+    triangle areas and boundary edge lengths all differ."""
+    mesh = build_rect_mesh(nx, ny, rect)
+    x0, y0, x1, y1 = rect
+    hx, hy = (x1 - x0) / nx, (y1 - y0) / ny
+    rng = np.random.default_rng(seed)
+    moved = mesh.vertices + rng.uniform(-0.2, 0.2, mesh.vertices.shape) * (hx, hy)
+    on_x_side = np.isclose(mesh.vertices[:, 0], x0) | np.isclose(mesh.vertices[:, 0], x1)
+    on_y_side = np.isclose(mesh.vertices[:, 1], y0) | np.isclose(mesh.vertices[:, 1], y1)
+    moved[on_x_side, 0] = mesh.vertices[on_x_side, 0]
+    moved[on_y_side, 1] = mesh.vertices[on_y_side, 1]
+    return dataclasses.replace(mesh, vertices=moved)
 
 
 def zero_vector(x: np.ndarray, t: float) -> np.ndarray:

@@ -7,12 +7,17 @@ production assembler; the two must agree entrywise.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import porofem.assembly
 from porofem.assembly import (
     DofMap,
+    DomainQuadrature,
+    LoadAssembler,
     ReducedSystem,
     SingularConstraintsError,
     assemble_boundary_load,
@@ -27,7 +32,15 @@ from porofem.assembly import (
     build_constraints,
     rigid_motion_basis,
 )
-from porofem.elements import eval_basis, triangle_quadrature
+from porofem.elements import (
+    AffineMaps,
+    edge_quadrature,
+    edge_trace_p1,
+    edge_trace_p2,
+    eval_basis,
+    physical_points,
+    triangle_quadrature,
+)
 from porofem.mesh import BoundarySegment, build_rect_mesh
 from porofem.model import (
     BoundaryConditionSpec,
@@ -38,8 +51,9 @@ from porofem.model import (
     get_benchmark,
 )
 from porofem.solver import factorize, solve
+from porofem.stepper import TimeScheme, run
 
-from helpers import conservation_benchmark
+from helpers import conservation_benchmark, jittered_mesh
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +64,10 @@ def mesh2():
 @pytest.fixture(scope="module")
 def dofmap2(mesh2):
     return DofMap.from_mesh(mesh2)
+
+
+def _loads(mesh, dofmap, bench) -> LoadAssembler:
+    return LoadAssembler.build(mesh, dofmap, bench.sources, bench.bcs, bench.params)
 
 
 def _interleave(values: np.ndarray) -> np.ndarray:
@@ -186,7 +204,8 @@ def test_scalar_mass_total_and_row_sums(mesh2, dofmap2):
     M = assemble_scalar_mass(mesh2, dofmap2)
     assert float(M.sum()) == pytest.approx(1.0, rel=1e-12)
     load_of_one = assemble_domain_load(
-        mesh2, dofmap2, lambda x, t: np.ones(x.shape[0]), 0.0, space="scalar"
+        DomainQuadrature.from_mesh(mesh2, dofmap2), lambda x, t: np.ones(x.shape[0]), 0.0,
+        space="scalar",
     )
     assert np.allclose(M @ np.ones(dofmap2.n_scalar), load_of_one, atol=1e-13)
 
@@ -233,16 +252,14 @@ def test_constant_body_force_sums_to_total(mesh2, dofmap2):
         out[:, 0] = 1.0
         return out
 
-    rhs = assemble_domain_load(mesh2, dofmap2, f, 0.0, space="vector")
+    rhs = assemble_domain_load(DomainQuadrature.from_mesh(mesh2, dofmap2), f, 0.0, space="vector")
     assert float(rhs[0::2].sum()) == pytest.approx(1.0, rel=1e-12)
     assert float(rhs[1::2].sum()) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_locking_traction_loads(mesh2, dofmap2):
     bench = get_benchmark("locking")
-    mech, flow = assemble_load(
-        mesh2, dofmap2, bench.sources, bench.bcs, bench.params, 0.0
-    )
+    mech, flow = assemble_load(_loads(mesh2, dofmap2, bench), 0.0)
     assert np.max(np.abs(flow)) == 0.0
     assert float(mech[1::2].sum()) == pytest.approx(-1.0, rel=1e-12)
     assert float(mech[0::2].sum()) == pytest.approx(0.0, abs=1e-13)
@@ -250,13 +267,13 @@ def test_locking_traction_loads(mesh2, dofmap2):
 
 def test_unit_mass_source_sums_to_area(mesh2, dofmap2):
     bench = conservation_benchmark(phi_const=1.0, flux_bottom=0.0)
-    _, flow = assemble_load(mesh2, dofmap2, bench.sources, bench.bcs, bench.params, 0.0)
+    _, flow = assemble_load(_loads(mesh2, dofmap2, bench), 0.0)
     assert float(flow.sum()) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_boundary_flux_load_sums_to_side_integral(mesh2, dofmap2):
     bench = conservation_benchmark(phi_const=0.0, flux_bottom=0.3)
-    _, flow = assemble_load(mesh2, dofmap2, bench.sources, bench.bcs, bench.params, 0.0)
+    _, flow = assemble_load(_loads(mesh2, dofmap2, bench), 0.0)
     assert float(flow.sum()) == pytest.approx(0.3, rel=1e-12)
 
 
@@ -277,9 +294,145 @@ def test_assembly_is_deterministic(mesh2, dofmap2):
     A2 = assemble_elasticity(mesh2, dofmap2)
     assert (A1 != A2).nnz == 0
     bench = get_benchmark("test1")
-    l1 = assemble_load(mesh2, dofmap2, bench.sources, bench.bcs, bench.params, 5e-4)
-    l2 = assemble_load(mesh2, dofmap2, bench.sources, bench.bcs, bench.params, 5e-4)
+    l1 = assemble_load(_loads(mesh2, dofmap2, bench), 5e-4)
+    l2 = assemble_load(_loads(mesh2, dofmap2, bench), 5e-4)
     assert np.array_equal(l1[0], l2[0]) and np.array_equal(l1[1], l2[1])
+
+
+# ---------------------------------------------------------------------------
+# Tabulated load assembler against the per-call einsum formula
+# ---------------------------------------------------------------------------
+
+
+def _reference_edge_load(mesh, closures, t, out, vector):
+    rule = edge_quadrature(5)
+    s, w = rule.points[:, 1], rule.weights
+    for tag in sorted(closures, key=int):
+        closure = closures[tag]
+        eids = mesh.edges_with_tag(tag)
+        if closure is None or eids.size == 0:
+            continue
+        va = mesh.vertices[mesh.edges[eids, 0]]
+        vb = mesh.vertices[mesh.edges[eids, 1]]
+        length = np.linalg.norm(vb - va, axis=1)
+        pts = va[:, None, :] * (1.0 - s)[None, :, None] + vb[:, None, :] * s[None, :, None]
+        ne, nq = pts.shape[0], pts.shape[1]
+        if vector:
+            data = np.asarray(closure(pts.reshape(-1, 2), t), dtype=float).reshape(ne, nq, 2)
+            local = np.einsum("q,eqa,qi,e->eia", w, data, edge_trace_p2(s), length, optimize=True)
+            nodes = np.column_stack(
+                [mesh.edges[eids, 0], mesh.edges[eids, 1], mesh.edge_nodes[eids]]
+            )
+            dofs = (2 * nodes[:, :, None] + np.array([0, 1])).reshape(ne, 6)
+            np.add.at(out, dofs, local.reshape(ne, 6))
+        else:
+            data = np.asarray(closure(pts.reshape(-1, 2), t), dtype=float).reshape(ne, nq)
+            local = np.einsum("q,eq,qj,e->ej", w, data, edge_trace_p1(s), length, optimize=True)
+            np.add.at(out, mesh.edges[eids], local)
+
+
+def _reference_load(mesh, dofmap, bench, t):
+    """The load assembly the tabulated assembler replaced: every call maps
+    the quadrature points, contracts with an einsum and scatters with
+    np.add.at."""
+    rule = triangle_quadrature(6)
+    pts = physical_points(mesh, rule.points)
+    n_tri, nq = pts.shape[0], pts.shape[1]
+    flat = pts.reshape(-1, 2)
+    maps = AffineMaps.from_mesh(mesh)
+    w, det = rule.weights, maps.det
+    p2, _ = eval_basis("P2", rule.points)
+    p1, p1_grads = eval_basis("P1", rule.points)
+    mech = np.zeros(dofmap.n_u)
+    data = np.asarray(bench.sources.f(flat, t), dtype=float).reshape(n_tri, nq, 2)
+    local = np.einsum("q,fqa,qi,f->fia", w, data, p2, det, optimize=True)
+    np.add.at(mech, dofmap.triangle_u, local.reshape(n_tri, 12))
+    flow = np.zeros(dofmap.n_scalar)
+    data = np.asarray(bench.sources.phi(flat, t), dtype=float).reshape(n_tri, nq)
+    np.add.at(flow, mesh.triangles, np.einsum("q,fq,qj,f->fj", w, data, p1, det, optimize=True))
+    bcs = bench.bcs
+    tractions = {tag: bc.traction for tag, bc in bcs.mechanical.items()}
+    boundary = np.zeros(dofmap.n_u)
+    _reference_edge_load(mesh, tractions, t, boundary, vector=True)
+    mech += boundary
+    fluxes = {tag: (bc.value if bc.kind == "flux" else None) for tag, bc in bcs.flow.items()}
+    boundary = np.zeros(dofmap.n_scalar)
+    _reference_edge_load(mesh, fluxes, t, boundary, vector=False)
+    flow += boundary
+    prm = bench.params
+    gravity = np.zeros(dofmap.n_scalar)
+    if np.any(prm.rho_g):
+        g_rule = triangle_quadrature(1)
+        _, g_grads = eval_basis("P1", g_rule.points)
+        grads = maps.physical_gradients(g_grads)
+        local = (prm.K / prm.mu_f) * np.einsum(
+            "q,a,fqja,f->fj", g_rule.weights, prm.rho_g, grads, det, optimize=True
+        )
+        np.add.at(gravity, mesh.triangles, local)
+    flow += gravity
+    return mech, flow
+
+
+def _with_gravity(bench):
+    params = dataclasses.replace(bench.params, rho_f=2.0, g=(0.5, -3.0))
+    return dataclasses.replace(bench, params=params)
+
+
+_LOAD_CASES = {
+    "test1": lambda: get_benchmark("test1"),
+    "barry_mercer": lambda: get_benchmark("barry_mercer"),
+    "locking": lambda: get_benchmark("locking"),
+    "polynomial": lambda: get_benchmark("polynomial"),
+    "test1_gravity": lambda: _with_gravity(get_benchmark("test1")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LOAD_CASES))
+def test_tabulated_load_matches_reference_formula(case):
+    bench = _LOAD_CASES[case]()
+    mesh = jittered_mesh(6, 5, rect=bench.rect)
+    dofmap = DofMap.from_mesh(mesh)
+    loads = _loads(mesh, dofmap, bench)
+    for t in (0.0, bench.T / 3.0, bench.T):
+        got = assemble_load(loads, t)
+        want = _reference_load(mesh, dofmap, bench, t)
+        for new, old in zip(got, want):
+            assert np.max(np.abs(new - old)) <= 1e-14 * np.max(np.abs(old)), (case, t)
+
+
+def test_zero_closures_are_dropped_and_give_exact_zeros(mesh2, dofmap2):
+    # locking: zero body force, mass source and fluxes, zero tractions on
+    # the right and bottom sides; only the top traction is integrated.
+    bench = get_benchmark("locking")
+    loads = _loads(mesh2, dofmap2, bench)
+    assert loads.flow_terms == ()
+    assert [closure for closure, _ in loads.mech_terms] == [
+        bench.bcs.mechanical[BoundarySegment.TOP].traction
+    ]
+    mech, flow = assemble_load(loads, bench.T)
+    assert np.all(flow == 0.0)
+    top = dofmap2.u_dofs(mesh2.nodes_on_segment(BoundarySegment.TOP), 1)
+    off_top = np.setdiff1d(np.arange(dofmap2.n_u), top)
+    assert np.all(mech[off_top] == 0.0)
+    assert np.all(mech[top] < 0.0)
+
+
+def test_load_tables_are_built_once_per_run(monkeypatch):
+    calls = []
+    original = porofem.assembly.physical_points
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(porofem.assembly, "physical_points", counting)
+    counts = []
+    for n_steps in (2, 6):
+        calls.clear()
+        run(get_benchmark("test1"), build_rect_mesh(3, 3),
+            TimeScheme(dt=1e-4, n_steps=n_steps, theta=1))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +577,7 @@ def test_reduced_system_lagrange_row_matches_dense_kkt_oracle():
 def test_rigid_motion_constrained_traction_solve(mesh2, dofmap2):
     bench = conservation_benchmark()
     A = assemble_elasticity(mesh2, dofmap2, bench.params.mu)
-    mech, _ = assemble_load(mesh2, dofmap2, bench.sources, bench.bcs, bench.params, 0.0)
+    mech, _ = assemble_load(_loads(mesh2, dofmap2, bench), 0.0)
     bd = build_constraints(mesh2, dofmap2, bench.bcs, bench.coeffs)
     u_values, _ = bd.values(0.0)
     masters = np.setdiff1d(np.arange(dofmap2.n_u), bd.u_dofs)

@@ -15,6 +15,7 @@ from porofem.diagnostics import (
     ErrorEvaluator,
     biot_limit_sweep,
     boundary_flux,
+    boundary_flux_functional,
     check_conservation,
     check_state_consistency,
     energy_audit,
@@ -24,11 +25,19 @@ from porofem.diagnostics import (
     locking_scan,
     summarize_error_history,
 )
-from porofem.mesh import build_rect_mesh
+from porofem.elements import (
+    AffineMaps,
+    edge_quadrature,
+    edge_trace_p2,
+    eval_basis,
+    physical_points,
+    triangle_quadrature,
+)
+from porofem.mesh import BoundarySegment, build_rect_mesh
 from porofem.model import MaterialParams, get_benchmark
 from porofem.stepper import FieldState, TimeScheme, init_state, run
 
-from helpers import conservation_benchmark, zero_benchmark
+from helpers import conservation_benchmark, jittered_mesh, zero_benchmark
 
 
 def _scalar_state(mesh, p_values, t=0.0):
@@ -173,6 +182,35 @@ def test_boundary_flux_of_simple_fields():
     assert boundary_flux(mesh, dofmap, quadratic) == pytest.approx(1.0, rel=1e-12)
 
 
+def _reference_boundary_flux(mesh, u):
+    """Per-call edge quadrature of u . n, the formula boundary_flux replaced."""
+    rule = edge_quadrature(5)
+    traces = edge_trace_p2(rule.points[:, 1])
+    total = 0.0
+    for tag in BoundarySegment:
+        normal = mesh.outward_normal(tag)
+        eids = mesh.edges_with_tag(tag)
+        nodes = np.column_stack([mesh.edges[eids, 0], mesh.edges[eids, 1], mesh.edge_nodes[eids]])
+        un = u[2 * nodes] * normal[0] + u[2 * nodes + 1] * normal[1]
+        va = mesh.vertices[mesh.edges[eids, 0]]
+        vb = mesh.vertices[mesh.edges[eids, 1]]
+        length = np.linalg.norm(vb - va, axis=1)
+        total += float(np.einsum("q,eq,e->", rule.weights, un @ traces.T, length))
+    return total
+
+
+def test_boundary_flux_functional_matches_edge_quadrature():
+    mesh = jittered_mesh(5, 4, rect=(0.0, -1.0, 2.0, 0.5))
+    dofmap = DofMap.from_mesh(mesh)
+    g = boundary_flux_functional(mesh, dofmap)
+    rng = np.random.default_rng(7)
+    for _ in range(3):
+        u = rng.standard_normal(dofmap.n_u)
+        want = _reference_boundary_flux(mesh, u)
+        assert g @ u == pytest.approx(want, rel=1e-13, abs=1e-13)
+        assert boundary_flux(mesh, dofmap, u) == g @ u
+
+
 # ---------------------------------------------------------------------------
 # Error norms and rates
 # ---------------------------------------------------------------------------
@@ -186,6 +224,69 @@ def test_error_evaluator_is_zero_for_exact_state():
     errs = ErrorEvaluator(bench, mesh, dofmap).evaluate(state)
     for key in ("u_L2", "u_H1", "p_L2", "p_H1", "xi_L2", "eta_L2"):
         assert errs[key] <= 1e-10
+
+
+def _reference_errors(bench, mesh, dofmap, state):
+    """Per-triangle physical gradient tables contracted by einsum: the
+    formula ErrorEvaluator.evaluate replaced.  Returns each error with the
+    L2 norm of the exact field it measures."""
+    rule = triangle_quadrature(6)
+    flat = physical_points(mesh, rule.points).reshape(-1, 2)
+    maps = AffineMaps.from_mesh(mesh)
+    wdet = rule.weights[None, :] * maps.det[:, None]
+    p2_vals, p2_grads = eval_basis("P2", rule.points)
+    p1_vals, p1_grads = eval_basis("P1", rule.points)
+    p2_grads = maps.physical_gradients(p2_grads)
+    p1_grads = maps.physical_gradients(p1_grads)
+    f, q = mesh.n_triangles, rule.points.shape[0]
+    t = state.t
+
+    def norm(sq):
+        return float(np.sqrt(np.sum(wdet * sq)))
+
+    u_coef = state.u[dofmap.triangle_u].reshape(f, 6, 2)
+    u_vals = np.einsum("qi,fic->fqc", p2_vals, u_coef, optimize=True)
+    u_grads = np.einsum("fqia,fic->fqca", p2_grads, u_coef, optimize=True)
+    ue = bench.exact_u(flat, t).reshape(f, q, 2)
+    ge = bench.exact_grad_u(flat, t).reshape(f, q, 2, 2)
+    p_coef = state.p[mesh.triangles]
+    p_vals = np.einsum("qj,fj->fq", p1_vals, p_coef, optimize=True)
+    p_grads = np.einsum("fqja,fj->fqa", p1_grads, p_coef, optimize=True)
+    pe = bench.exact_p(flat, t).reshape(f, q)
+    gpe = bench.exact_grad_p(flat, t).reshape(f, q, 2)
+    prm = bench.params
+    qe = ge[..., 0, 0] + ge[..., 1, 1]
+    xi_vals = np.einsum("qj,fj->fq", p1_vals, state.xi[mesh.triangles], optimize=True)
+    eta_vals = np.einsum("qj,fj->fq", p1_vals, state.eta[mesh.triangles], optimize=True)
+    xi_e = prm.alpha * pe - prm.lam * qe
+    eta_e = prm.c0 * pe + prm.alpha * qe
+    return {
+        "u_L2": (norm(np.sum((u_vals - ue) ** 2, axis=2)), norm(np.sum(ue**2, axis=2))),
+        "u_H1": (norm(np.sum((u_grads - ge) ** 2, axis=(2, 3))), norm(np.sum(ge**2, axis=(2, 3)))),
+        "p_L2": (norm((p_vals - pe) ** 2), norm(pe**2)),
+        "p_H1": (norm(np.sum((p_grads - gpe) ** 2, axis=2)), norm(np.sum(gpe**2, axis=2))),
+        "xi_L2": (norm((xi_vals - xi_e) ** 2), norm(xi_e**2)),
+        "eta_L2": (norm((eta_vals - eta_e) ** 2), norm(eta_e**2)),
+    }
+
+
+@pytest.mark.parametrize("name", ["test1", "polynomial"])
+def test_error_evaluator_matches_reference_formula(name):
+    bench = get_benchmark(name)
+    mesh = jittered_mesh(6, 6, rect=bench.rect)
+    dofmap = DofMap.from_mesh(mesh)
+    result = run(bench, mesh, TimeScheme(dt=bench.default_dt, n_steps=3, theta=1),
+                 compute_errors=False)
+    state = result.final_state
+    got = ErrorEvaluator(bench, mesh, dofmap).evaluate(state)
+    want = _reference_errors(bench, mesh, dofmap, state)
+    assert set(got) == set(want)
+    for key, (value, field) in want.items():
+        # polynomial is reproduced exactly, so its errors are rounding noise
+        # (1e-16 to 1e-11) that a last-bit change in a gradient moves by
+        # 1e-5 relative; compare them against the size of the field instead.
+        scale = max(field, value) if name == "polynomial" else value
+        assert abs(got[key] - value) <= 1e-13 * scale, key
 
 
 def test_error_evaluator_requires_exact_closures():

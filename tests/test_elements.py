@@ -173,6 +173,16 @@ def test_edge_quadrature_point_counts():
     assert len(edge_quadrature(5).weights) == 3
 
 
+def test_edge_quadrature_is_tabulated_once():
+    # Each call hands out the module's tabulated arrays, not a new rule.
+    assert edge_quadrature(5).points is edge_quadrature(4).points
+    assert edge_quadrature(11).weights.size == 6
+    with pytest.raises(ValueError):
+        edge_quadrature(0)
+    with pytest.raises(ValueError):
+        edge_quadrature(12)
+
+
 def test_edge_quadrature_cubic_and_quintic_values():
     r3 = edge_quadrature(3)
     assert float(r3.weights @ r3.points[:, 0] ** 3) == pytest.approx(0.25, rel=1e-13)

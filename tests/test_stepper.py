@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import porofem.assembly
 import porofem.diagnostics
+import porofem.stepper
 from porofem.assembly import DofMap
 from porofem.diagnostics import ErrorEvaluator, check_state_consistency
 from porofem.mesh import BoundarySegment, build_rect_mesh
@@ -21,6 +22,7 @@ from porofem.model import (
     get_benchmark,
 )
 from porofem.stepper import (
+    StepSystems,
     TimeScheme,
     evaluate_gate,
     init_state,
@@ -380,7 +382,33 @@ def test_pure_traction_boundary_data_built_once(monkeypatch):
         run(conservation_benchmark(), build_rect_mesh(2, 2),
             TimeScheme(dt=0.02, n_steps=n_steps, theta=1))
         counts.append(len(calls))
-    assert counts[0] == counts[1] > 0
+    # Once per run, for the rigid rows of the boundary data.
+    assert counts == [1, 1]
+
+
+def test_run_builds_boundary_data_once(monkeypatch):
+    calls = []
+    original = porofem.stepper.build_constraints
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(porofem.stepper, "build_constraints", counting)
+    run(get_benchmark("test1"), build_rect_mesh(3, 3), TimeScheme(dt=1e-4, n_steps=2, theta=1))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["test1", "conservation"])
+def test_init_state_reuses_step_systems(name):
+    bench = conservation_benchmark() if name == "conservation" else get_benchmark(name)
+    mesh = build_rect_mesh(4, 4, rect=bench.rect)
+    dofmap = DofMap.from_mesh(mesh)
+    systems = StepSystems(bench, mesh, TimeScheme(dt=1e-3, n_steps=1, theta=1), dofmap)
+    shared = init_state(bench, mesh, dofmap, systems=systems)
+    alone = init_state(bench, mesh, dofmap)
+    for field in ("u", "xi", "eta", "eta_theta", "p", "q"):
+        assert np.array_equal(getattr(shared, field), getattr(alone, field)), field
 
 
 @pytest.mark.parametrize("keep,expected", [(False, 2), (True, 6)])
