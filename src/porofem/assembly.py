@@ -15,7 +15,7 @@ coincide with vertex indices.  The monolithic layout is [u | xi | eta].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,7 +52,6 @@ __all__ = [
     "DomainQuadrature",
     "LoadAssembler",
     "assemble_domain_load",
-    "assemble_boundary_load",
     "assemble_gravity_load",
     "assemble_load",
     "rigid_motion_basis",
@@ -136,13 +135,13 @@ def _pair_indices(dofs_i: np.ndarray, dofs_j: np.ndarray):
     return rows, cols
 
 
-def assemble_elasticity(mesh: Mesh, dofmap: DofMap, mu: float = 1.0, min_degree: int = 2) -> sp.csr_matrix:
+def assemble_elasticity(mesh: Mesh, dofmap: DofMap, mu: float = 1.0) -> sp.csr_matrix:
     """Elasticity block A with A[2i+a, 2j+b] = mu * (eps(phi_j e_b), eps(phi_i e_a)).
 
     Symmetric positive semidefinite; its kernel on the unconstrained space
     is spanned by the rigid motions.
     """
-    rule = triangle_quadrature(min_degree)
+    rule = triangle_quadrature(2)
     _, ref_grads = eval_basis("P2", rule.points)
     maps = AffineMaps.from_mesh(mesh)
     grads = maps.physical_gradients(ref_grads)  # (F, nq, 6, 2)
@@ -169,9 +168,9 @@ def assemble_elasticity(mesh: Mesh, dofmap: DofMap, mu: float = 1.0, min_degree:
     return _scatter(rows, cols, local, (dofmap.n_u, dofmap.n_u))
 
 
-def assemble_div(mesh: Mesh, dofmap: DofMap, min_degree: int = 2) -> sp.csr_matrix:
+def assemble_div(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
     """Divergence coupling B with B[j, 2i+a] = (d_a phi_i, psi_j)."""
-    rule = triangle_quadrature(min_degree)
+    rule = triangle_quadrature(2)
     _, ref_grads = eval_basis("P2", rule.points)
     p1_vals, _ = eval_basis("P1", rule.points)
     maps = AffineMaps.from_mesh(mesh)
@@ -182,9 +181,9 @@ def assemble_div(mesh: Mesh, dofmap: DofMap, min_degree: int = 2) -> sp.csr_matr
     return _scatter(rows, cols, local, (dofmap.n_scalar, dofmap.n_u))
 
 
-def assemble_scalar_mass(mesh: Mesh, dofmap: DofMap, min_degree: int = 2) -> sp.csr_matrix:
+def assemble_scalar_mass(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
     """P1 mass matrix M with M[i, j] = (psi_j, psi_i)."""
-    rule = triangle_quadrature(min_degree)
+    rule = triangle_quadrature(2)
     vals, _ = eval_basis("P1", rule.points)
     maps = AffineMaps.from_mesh(mesh)
     local = np.einsum("q,qi,qj,f->fij", rule.weights, vals, vals, maps.det, optimize=True)
@@ -192,14 +191,12 @@ def assemble_scalar_mass(mesh: Mesh, dofmap: DofMap, min_degree: int = 2) -> sp.
     return _scatter(rows, cols, local, (dofmap.n_scalar, dofmap.n_scalar))
 
 
-def assemble_scalar_stiffness(
-    mesh: Mesh, dofmap: DofMap, coeff: float = 1.0, min_degree: int = 1
-) -> sp.csr_matrix:
+def assemble_scalar_stiffness(mesh: Mesh, dofmap: DofMap, coeff: float = 1.0) -> sp.csr_matrix:
     """P1 stiffness S with S[i, j] = coeff * (grad psi_j, grad psi_i).
 
     The coefficient is the mobility K/mu_f in the flow equation.
     """
-    rule = triangle_quadrature(min_degree)
+    rule = triangle_quadrature(1)
     _, ref_grads = eval_basis("P1", rule.points)
     maps = AffineMaps.from_mesh(mesh)
     grads = maps.physical_gradients(ref_grads)
@@ -210,9 +207,9 @@ def assemble_scalar_stiffness(
     return _scatter(rows, cols, local, (dofmap.n_scalar, dofmap.n_scalar))
 
 
-def assemble_vector_mass(mesh: Mesh, dofmap: DofMap, min_degree: int = 4) -> sp.csr_matrix:
+def assemble_vector_mass(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
     """P2 vector mass matrix, block-diagonal over components."""
-    rule = triangle_quadrature(min_degree)
+    rule = triangle_quadrature(4)
     vals, _ = eval_basis("P2", rule.points)
     maps = AffineMaps.from_mesh(mesh)
     block = np.einsum("q,qi,qj,f->fij", rule.weights, vals, vals, maps.det, optimize=True)
@@ -274,8 +271,8 @@ class DomainQuadrature:
     scalar: CellRule
 
     @classmethod
-    def from_mesh(cls, mesh: Mesh, dofmap: DofMap, min_degree: int = 6) -> "DomainQuadrature":
-        rule = triangle_quadrature(min_degree)
+    def from_mesh(cls, mesh: Mesh, dofmap: DofMap) -> "DomainQuadrature":
+        rule = triangle_quadrature(6)
         maps = AffineMaps.from_mesh(mesh)
         points = physical_points(mesh, rule.points).reshape(-1, 2)
         p2, _ = eval_basis("P2", rule.points)
@@ -289,12 +286,10 @@ class DomainQuadrature:
         )
 
 
-def _edge_rule(
-    mesh: Mesh, dofmap: DofMap, tag: BoundarySegment, space: str, min_degree: int = 5
-) -> CellRule:
+def _edge_rule(mesh: Mesh, dofmap: DofMap, tag: BoundarySegment, space: str) -> CellRule:
     """Edge rule over one segment against P2 vector or P1 scalar traces."""
     eids = mesh.edges_with_tag(tag)
-    rule = edge_quadrature(min_degree)
+    rule = edge_quadrature(5)
     s = rule.points[:, 1]
     w = rule.weights[:, None]
     va = mesh.vertices[mesh.edges[eids, 0]]
@@ -310,11 +305,6 @@ def _edge_rule(
     return CellRule(points, length, w * edge_trace_p1(s), mesh.edges[eids], dofmap.n_scalar)
 
 
-def _check_space(space: str) -> None:
-    if space not in ("vector", "scalar"):
-        raise ValueError(f"unknown load space {space!r}")
-
-
 def _contributes(closure: Optional[Callable]) -> bool:
     """False for an absent closure and for the model's zero closures."""
     return closure is not None and closure is not zero_vector and closure is not zero_scalar
@@ -324,7 +314,8 @@ def assemble_domain_load(
     quadrature: DomainQuadrature, closure: Callable, t: float, space: str = "vector"
 ) -> np.ndarray:
     """Domain load (f, v) against P2 vectors or (phi, psi) against P1 scalars."""
-    _check_space(space)
+    if space not in ("vector", "scalar"):
+        raise ValueError(f"unknown load space {space!r}")
     rule = quadrature.vector if space == "vector" else quadrature.scalar
     return rule.integrate(closure, t)
 
@@ -334,12 +325,11 @@ def _edge_terms(
     dofmap: DofMap,
     closures: Mapping[BoundarySegment, Optional[Callable]],
     space: str,
-    min_degree: int = 5,
 ) -> list[tuple[Callable, CellRule]]:
     """(closure, edge rule) per segment in tag order, for every closure
     that can contribute."""
     return [
-        (closures[tag], _edge_rule(mesh, dofmap, tag, space, min_degree))
+        (closures[tag], _edge_rule(mesh, dofmap, tag, space))
         for tag in sorted(closures, key=int)
         if _contributes(closures[tag])
     ]
@@ -350,24 +340,6 @@ def _sum_terms(terms, t: float, size: int) -> np.ndarray:
     for closure, rule in terms:
         out += rule.integrate(closure, t)
     return out
-
-
-def assemble_boundary_load(
-    mesh: Mesh,
-    dofmap: DofMap,
-    closures: Mapping[BoundarySegment, Optional[Callable]],
-    t: float,
-    space: str = "vector",
-    min_degree: int = 5,
-) -> np.ndarray:
-    """Boundary load <f1, v> (P2 traces) or <phi1, psi> (P1 traces).
-
-    Integrates over every tagged edge of segments whose closure is not
-    None; segments absent from the mapping contribute nothing.
-    """
-    _check_space(space)
-    size = dofmap.n_u if space == "vector" else dofmap.n_scalar
-    return _sum_terms(_edge_terms(mesh, dofmap, closures, space, min_degree), t, size)
 
 
 def assemble_gravity_load(mesh: Mesh, dofmap: DofMap, params: MaterialParams) -> np.ndarray:
@@ -574,8 +546,8 @@ class ReducedSystem:
 
     The full unknown is recovered as x = T y + s where the columns of T
     correspond to master dofs and s carries prescribed slave values; the
-    retained equations are the rows in keep_rows.  Extra constraint rows
-    (rigid-motion or combination constraints) are enforced by Lagrange
+    retained equations are the master rows.  Extra homogeneous constraint
+    rows (the rigid-motion constraints) are enforced by Lagrange
     multipliers appended after the reduction.
     """
 
@@ -583,29 +555,22 @@ class ReducedSystem:
         self,
         matrix: sp.spmatrix,
         masters: np.ndarray,
-        keep_rows: np.ndarray,
         slaves: Optional[np.ndarray] = None,
         coupling: Optional[sp.spmatrix] = None,
         lag_rows: Optional[sp.spmatrix] = None,
-        lag_rhs: Optional[np.ndarray] = None,
     ) -> None:
         matrix = matrix.tocsr()
         n_full = matrix.shape[0]
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("reduction requires a square matrix")
         masters = np.asarray(masters, dtype=np.int64)
-        keep_rows = np.asarray(keep_rows, dtype=np.int64)
-        if masters.size != keep_rows.size:
-            raise ValueError("master dof count must equal kept equation count")
         slaves = np.asarray(slaves, dtype=np.int64) if slaves is not None else np.empty(0, np.int64)
         if np.intersect1d(masters, slaves).size:
             raise SingularConstraintsError("a dof is both master and slave")
         if masters.size + slaves.size != n_full:
             raise ValueError("masters and slaves must partition the dofs")
 
-        self.n_full = n_full
         self.masters = masters
-        self.keep_rows = keep_rows
         self.slaves = slaves
         n_m = masters.size
 
@@ -622,13 +587,12 @@ class ReducedSystem:
             shape=(n_full, n_m),
         ).tocsr()
 
-        a_keep = matrix[keep_rows, :]
+        a_keep = matrix[masters, :]
         self._a_slave = a_keep[:, slaves].tocsr() if slaves.size else None
         core = (a_keep @ self.T).tocsr()
 
         self.n_lag = 0
         self._lag_slave = None
-        self._lag_rhs = np.empty(0)
         if lag_rows is not None and lag_rows.shape[0] > 0:
             lag = lag_rows.tocsr()
             self.n_lag = lag.shape[0]
@@ -640,13 +604,9 @@ class ReducedSystem:
                     "constraint rows are linearly dependent after elimination"
                 )
             self._lag_slave = lag[:, slaves].tocsr() if slaves.size else None
-            self._lag_rhs = (
-                np.asarray(lag_rhs, dtype=float) if lag_rhs is not None else np.zeros(self.n_lag)
-            )
-            col_block = lag[:, keep_rows].T.tocsr()
+            col_block = lag[:, masters].T.tocsr()
             core = sp.bmat([[core, col_block], [lag_red, None]], format="csr")
         self.matrix = core.tocsc()
-        self.n_reduced = n_m + self.n_lag
 
     def _slave_vals(self, slave_values: np.ndarray) -> np.ndarray:
         vals = np.asarray(slave_values, dtype=float)
@@ -656,8 +616,8 @@ class ReducedSystem:
 
     def reduce_rhs(self, rhs: np.ndarray, slave_values: np.ndarray) -> np.ndarray:
         """Right-hand side of the reduced system for given slave values."""
-        top = np.asarray(rhs, dtype=float)[self.keep_rows].copy()
-        bottom = self._lag_rhs.copy()
+        top = np.asarray(rhs, dtype=float)[self.masters].copy()
+        bottom = np.zeros(self.n_lag)
         if self.slaves.size:
             vals = self._slave_vals(slave_values)
             top -= self._a_slave @ vals
@@ -672,6 +632,3 @@ class ReducedSystem:
         if self.slaves.size:
             x[self.slaves] += self._slave_vals(slave_values)
         return x
-
-    def multipliers(self, solution: np.ndarray) -> np.ndarray:
-        return np.asarray(solution, dtype=float)[self.masters.size :]

@@ -18,18 +18,18 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .assembly import SingularConstraintsError
-from .diagnostics import biot_limit_sweep, extract_rates
+from .diagnostics import DiagnosticsRecord, biot_limit_sweep, extract_rates
 from .mesh import Mesh, MeshError, build_rect_mesh
-from .model import BENCHMARK_NAMES, Benchmark, MaterialParams, get_benchmark
+from .model import BENCHMARK_NAMES, Benchmark, get_benchmark
 from .solver import SingularMatrixError, SolverFailureError
-from .stepper import FieldState, RunResult, TimeScheme, run
+from .stepper import FieldState, TimeScheme, run
 
 __all__ = [
     "ConfigError",
@@ -261,6 +261,11 @@ def _resolve(config: RunConfig) -> ResolvedRun:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if config.errors == "on" and (benchmark.exact_u is None or benchmark.exact_p is None):
+        raise ConfigError(
+            f"errors = on: benchmark {config.benchmark!r} has no exact solution "
+            "to measure errors against"
+        )
     snapshot = config.snapshot_every
     if snapshot is None:
         snapshot = max(1, math.ceil(scheme.n_steps / 10))
@@ -299,7 +304,7 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def write_vtk(path: Path, mesh: Mesh, state: FieldState, title: str = "poroelastic fields") -> None:
+def write_vtk(path: Path, mesh: Mesh, state: FieldState) -> None:
     """Write one snapshot as legacy ASCII VTK 2.0 unstructured grid.
 
     Quadratic displacements are downsampled to vertex values; all point
@@ -309,7 +314,7 @@ def write_vtk(path: Path, mesh: Mesh, state: FieldState, title: str = "poroelast
     n_f = mesh.n_triangles
     lines = [
         "# vtk DataFile Version 2.0",
-        title,
+        "poroelastic fields",
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {n_v} double",
@@ -337,44 +342,6 @@ def write_vtk(path: Path, mesh: Mesh, state: FieldState, title: str = "poroelast
         lines.append("LOOKUP_TABLE default")
         lines.extend(f"{v:.17g}" for v in vec[:n_v])
     _write_text(path, "\n".join(lines) + "\n")
-
-
-_DIAGNOSTIC_COLUMNS = (
-    "step",
-    "t",
-    "J",
-    "S_cum",
-    "energy_residual",
-    "C_eta_res",
-    "C_xi_res",
-    "flux_res",
-    "err_u_L2",
-    "err_u_H1",
-    "err_p_L2",
-    "err_p_H1",
-)
-
-
-def _diagnostics_rows(result: RunResult) -> list[list]:
-    rows = []
-    for rec in result.records:
-        rows.append(
-            [
-                rec.step,
-                rec.t,
-                rec.J,
-                rec.s_cum,
-                rec.energy_residual,
-                rec.c_eta_res,
-                rec.c_xi_res,
-                rec.flux_res,
-                rec.err_u_L2,
-                rec.err_u_H1,
-                rec.err_p_L2,
-                rec.err_p_H1,
-            ]
-        )
-    return rows
 
 
 def _snapshot_steps(n_steps: int, every: int) -> list[int]:
@@ -433,7 +400,11 @@ def cmd_run(config: RunConfig) -> int:
         tolerance=config.tolerance,
     )
 
-    _write_csv(out_dir / "diagnostics.csv", _DIAGNOSTIC_COLUMNS, _diagnostics_rows(result))
+    _write_csv(
+        out_dir / "diagnostics.csv",
+        [f.name for f in fields(DiagnosticsRecord)],
+        [astuple(rec) for rec in result.records],
+    )
 
     snapshot_files = []
     if config.vtk:

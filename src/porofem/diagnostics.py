@@ -10,7 +10,6 @@ estimator for the mixed pair, and the vanishing-storage (c0 -> 0) sweep.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
@@ -21,12 +20,9 @@ import scipy.sparse as sp
 from .assembly import (
     DofMap,
     DomainQuadrature,
-    LoadAssembler,
     assemble_div,
     assemble_elasticity,
-    assemble_load,
     assemble_scalar_mass,
-    assemble_scalar_stiffness,
     assemble_vector_mass,
     rigid_motion_basis,
 )
@@ -46,11 +42,9 @@ __all__ = [
     "boundary_flux_functional",
     "EnergyRecord",
     "EnergyAuditor",
-    "energy_audit",
     "VariableNorms",
     "ErrorReport",
     "ErrorEvaluator",
-    "error_norms",
     "summarize_error_history",
     "extract_rates",
     "LockingIndicator",
@@ -380,47 +374,6 @@ class EnergyAuditor:
         )
 
 
-def energy_audit(
-    trajectory: Sequence,
-    theta: int,
-    benchmark: Benchmark,
-    mesh: Mesh,
-    dofmap: Optional[DofMap] = None,
-) -> list[EnergyRecord]:
-    """Evaluate the discrete energy identity along a trajectory of states.
-
-    The identity holds exactly (to solver tolerance) for time-independent
-    sources and boundary data; otherwise the residual is still reported,
-    with a warning, as purely informational.
-    """
-    if len(trajectory) < 2:
-        return []
-    dofmap = dofmap or DofMap.from_mesh(mesh)
-    prm = benchmark.params
-    A = assemble_elasticity(mesh, dofmap, prm.mu)
-    M = assemble_scalar_mass(mesh, dofmap)
-    S = assemble_scalar_stiffness(mesh, dofmap, prm.K / prm.mu_f)
-    t0 = trajectory[0].t
-    t_end = trajectory[-1].t
-    loads = LoadAssembler.build(mesh, dofmap, benchmark.sources, benchmark.bcs, prm)
-    mech0, flow0 = assemble_load(loads, t0)
-    mech1, flow1 = assemble_load(loads, t_end)
-    if not (np.allclose(mech0, mech1, atol=1e-14) and np.allclose(flow0, flow1, atol=1e-14)):
-        warnings.warn(
-            "sources or boundary data vary in time; the energy identity is "
-            "reported informationally only",
-            stacklevel=2,
-        )
-    dt = trajectory[1].t - trajectory[0].t
-    auditor = EnergyAuditor(A, M, S, mech0, flow0, benchmark.coeffs, theta, dt)
-    records = []
-    for state in trajectory:
-        rec = auditor.ingest(state)
-        if rec is not None:
-            records.append(rec)
-    return records
-
-
 # --------------------------------------------------------------------------
 # error norms and rates
 # --------------------------------------------------------------------------
@@ -446,9 +399,9 @@ class ErrorReport:
 class ErrorEvaluator:
     """Quadrature evaluation of instantaneous errors against exact closures.
 
-    Evaluates at the points of a DomainQuadrature, a run's own when it
-    passes one.  Each field's values and gradients at the points are
-    matrix products of its per-triangle coefficients with basis tables.
+    Evaluates at the points of a DomainQuadrature; a run passes the one its
+    loads use.  Each field's values and gradients at the points are matrix
+    products of its per-triangle coefficients with basis tables.
     """
 
     def __init__(
@@ -456,32 +409,31 @@ class ErrorEvaluator:
         benchmark: Benchmark,
         mesh: Mesh,
         dofmap: DofMap,
-        quadrature: Optional[DomainQuadrature] = None,
+        quadrature: DomainQuadrature,
     ) -> None:
         if benchmark.exact_u is None or benchmark.exact_p is None:
             raise ValueError("benchmark carries no exact solution closures")
         self.benchmark = benchmark
         self.mesh = mesh
         self.dofmap = dofmap
-        quad = quadrature or DomainQuadrature.from_mesh(mesh, dofmap)
-        self.flat = quad.vector.points
-        self.weights = quad.rule.weights
-        self.det = quad.maps.det
+        self.flat = quadrature.vector.points
+        self.weights = quadrature.rule.weights
+        self.det = quadrature.maps.det
         self.n_tri = mesh.n_triangles
-        self.nq = quad.rule.weights.size
-        p2_vals, p2_grads = eval_basis("P2", quad.rule.points)
-        p1_vals, p1_grads = eval_basis("P1", quad.rule.points)
+        self.nq = quadrature.rule.weights.size
+        p2_vals, p2_grads = eval_basis("P2", quadrature.rule.points)
+        p1_vals, p1_grads = eval_basis("P1", quadrature.rule.points)
         # Interleaved P2 coefficients (12,) -> values (nq, 2).
         self.u_values = np.kron(p2_vals.T, np.eye(2))
         # (F, 6, nq * 2): physical gradient of P2 basis function i at each
         # point, so (coefficients^T @ table) gives grad u per triangle.
-        grads = quad.maps.physical_gradients(p2_grads)  # (F, nq, 6, 2)
+        grads = quadrature.maps.physical_gradients(p2_grads)  # (F, nq, 6, 2)
         self.p2_grads = np.ascontiguousarray(grads.transpose(0, 2, 1, 3)).reshape(
             self.n_tri, 6, 2 * self.nq
         )
         self.p1_values = p1_vals.T  # (3, nq)
         # (F, 3, 2): P1 gradients are constant on each triangle.
-        self.p1_grads = quad.maps.physical_gradients(p1_grads[:1])[:, 0]
+        self.p1_grads = quadrature.maps.physical_gradients(p1_grads[:1])[:, 0]
 
     def _norm2(self, squares: np.ndarray) -> float:
         """Integral of squares (F, nq, ...), summed over its trailing axes."""
@@ -552,29 +504,6 @@ def summarize_error_history(times: Sequence[float], history: Mapping[str, Sequen
     )
 
 
-def error_norms(
-    trajectory: Sequence,
-    benchmark: Benchmark,
-    mesh: Mesh,
-    dofmap: Optional[DofMap] = None,
-    min_degree: int = 6,
-) -> ErrorReport:
-    """Space-time error norms over a trajectory of states."""
-    if not trajectory:
-        raise ValueError("empty trajectory")
-    dofmap = dofmap or DofMap.from_mesh(mesh)
-    quadrature = DomainQuadrature.from_mesh(mesh, dofmap, min_degree)
-    ev = ErrorEvaluator(benchmark, mesh, dofmap, quadrature)
-    history: dict[str, list[float]] = {}
-    times = []
-    for state in trajectory:
-        errs = ev.evaluate(state)
-        times.append(state.t)
-        for key, val in errs.items():
-            history.setdefault(key, []).append(val)
-    return summarize_error_history(times, history)
-
-
 def extract_rates(hs: Sequence[float], errors: Sequence[float]) -> list[Optional[float]]:
     """log2 error ratios between consecutive meshes of refinement ratio 2.
 
@@ -602,13 +531,13 @@ def extract_rates(hs: Sequence[float], errors: Sequence[float]) -> list[Optional
 class LockingIndicator:
     """Oscillation measures of the vertex pressure along a vertical line.
 
+    The line is x1 = 0.5, the vertical centerline of the unit square.
     undershoot is the negative excursion of the pressure relative to the
     magnitude of the prescribed boundary pressure data (or, in a run with
     no pressure-Dirichlet data, relative to the pressure scale on the
     line itself).
     """
 
-    line_x: float
     ys: np.ndarray
     values: np.ndarray
     extrema_count: int
@@ -617,10 +546,9 @@ class LockingIndicator:
     scale: float
 
 
-def locking_scan(state, mesh: Mesh, benchmark: Benchmark, line_x: float = 0.5,
-                 tol: float = 1e-12) -> LockingIndicator:
-    """Count strict interior extrema of p along the vertical line x1 = line_x."""
-    on_line = np.flatnonzero(np.abs(mesh.vertices[:, 0] - line_x) <= tol)
+def locking_scan(state, mesh: Mesh, benchmark: Benchmark) -> LockingIndicator:
+    """Count strict interior extrema of p along the vertical line x1 = 0.5."""
+    on_line = np.flatnonzero(np.abs(mesh.vertices[:, 0] - 0.5) <= 1e-12)
     order = np.argsort(mesh.vertices[on_line, 1])
     verts = on_line[order]
     ys = mesh.vertices[verts, 1]
@@ -646,7 +574,6 @@ def locking_scan(state, mesh: Mesh, benchmark: Benchmark, line_x: float = 0.5,
     min_value = float(np.min(vals)) if vals.size else 0.0
     undershoot = max(0.0, -min_value) / max(scale, 1e-30)
     return LockingIndicator(
-        line_x=line_x,
         ys=ys,
         values=vals,
         extrema_count=count,
@@ -803,15 +730,16 @@ def check_state_consistency(state, coeffs: DerivedCoeffs) -> tuple[float, float]
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
-    """One completed step's diagnostics, in the order they are serialized."""
+    """One completed step's diagnostics; diagnostics.csv has one column per
+    field, named and ordered as here."""
 
     step: int
     t: float
     J: Optional[float] = None
-    s_cum: Optional[float] = None
+    S_cum: Optional[float] = None
     energy_residual: Optional[float] = None
-    c_eta_res: Optional[float] = None
-    c_xi_res: Optional[float] = None
+    C_eta_res: Optional[float] = None
+    C_xi_res: Optional[float] = None
     flux_res: Optional[float] = None
     err_u_L2: Optional[float] = None
     err_u_H1: Optional[float] = None

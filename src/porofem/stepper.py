@@ -23,7 +23,6 @@ import scipy.sparse as sp
 
 from .assembly import (
     DofMap,
-    DomainQuadrature,
     LoadAssembler,
     ReducedSystem,
     assemble_div,
@@ -73,6 +72,10 @@ __all__ = [
 
 # Tightest coefficient-identity tolerance the scheme must maintain per step.
 _CONSISTENCY_TOL = 1e-14
+
+# Power iterations of the decoupled amplification estimate; the growth
+# factor is the geometric mean of the last five ratios.
+_AMPLIFICATION_ITERS = 25
 
 
 @dataclass(frozen=True)
@@ -198,14 +201,13 @@ class StepSystems:
         benchmark: Benchmark,
         mesh: Mesh,
         scheme: TimeScheme,
-        dofmap: Optional[DofMap] = None,
         tolerance: float = DEFAULT_TOLERANCE,
     ) -> None:
         self.benchmark = benchmark
         self.mesh = mesh
         self.scheme = scheme
         self.tolerance = float(tolerance)
-        self.dofmap = dofmap or DofMap.from_mesh(mesh)
+        self.dofmap = DofMap.from_mesh(mesh)
         dm = self.dofmap
         prm = benchmark.params
         self.params = prm
@@ -249,7 +251,6 @@ class StepSystems:
             self.reduced_mono = ReducedSystem(
                 mono,
                 masters=masters,
-                keep_rows=masters,
                 slaves=slaves,
                 coupling=coupling,
                 lag_rows=self.boundary.rigid_rows_padded(dm.n_monolithic),
@@ -272,7 +273,6 @@ class StepSystems:
             self.reduced_stokes = ReducedSystem(
                 saddle,
                 masters=masters1,
-                keep_rows=masters1,
                 slaves=u_dofs,
                 lag_rows=self.boundary.rigid_rows_padded(n1),
             )
@@ -280,9 +280,7 @@ class StepSystems:
 
             diffusion = (self.M / dt + k2 * self.S).tocsr()
             masters2 = np.setdiff1d(np.arange(dm.n_scalar, dtype=np.int64), pverts)
-            self.reduced_diffusion = ReducedSystem(
-                diffusion, masters=masters2, keep_rows=masters2, slaves=pverts
-            )
+            self.reduced_diffusion = ReducedSystem(diffusion, masters=masters2, slaves=pverts)
             self.fact_diffusion = factorize(self.reduced_diffusion.matrix)
 
         # Built after the factorizations, so its tables do not add to their
@@ -306,7 +304,7 @@ class StepSystems:
         self.solve_reports.append(report)
         return x
 
-    def estimate_decoupled_amplification(self, n_iters: int = 25) -> float:
+    def estimate_decoupled_amplification(self) -> float:
         """Per-step growth factor of the decoupled scheme's homogeneous map.
 
         The new eta of a decoupled step is a fixed linear map of the old
@@ -327,7 +325,7 @@ class StepSystems:
         u_zero = np.zeros(self.boundary.u_dofs.size)
         vec = np.ones(dm.n_scalar) / np.sqrt(dm.n_scalar)
         ratios: list[float] = []
-        for _ in range(n_iters):
+        for _ in range(_AMPLIFICATION_ITERS):
             rhs1 = np.concatenate([np.zeros(dm.n_u), k1 * (self.M @ vec)])
             y1, _ = solve(
                 self.fact_stokes, self.reduced_stokes.reduce_rhs(rhs1, u_zero),
@@ -376,13 +374,9 @@ def _normal_component_fully_prescribed(bcs) -> bool:
     )
 
 
-def init_state(
-    benchmark: Benchmark,
-    mesh: Mesh,
-    dofmap: Optional[DofMap] = None,
-    systems: Optional[StepSystems] = None,
-) -> FieldState:
-    """Discrete initial data.
+def init_state(systems: StepSystems) -> FieldState:
+    """Discrete initial data, from the operators, boundary data and
+    quadrature tables of a run's StepSystems.
 
     The displacement is the elliptic projection of the initial field: it
     matches the strain energy of the nodal interpolant, satisfies the t=0
@@ -391,30 +385,20 @@ def init_state(
     eta and xi follow coefficientwise from the change of variables, and the
     stored p, q are re-derived from them so the state identities hold
     exactly.
-
-    A run passes its StepSystems, whose operators, boundary data and
-    quadrature tables are then reused; without it they are built here.
     """
+    benchmark = systems.benchmark
     prm = benchmark.params
     coeffs = benchmark.coeffs
-    if systems is not None:
-        dofmap = systems.dofmap
-        A, M, boundary = systems.A, systems.M, systems.boundary
-        quadrature = systems.loads.quadrature
-    else:
-        dofmap = dofmap or DofMap.from_mesh(mesh)
-        A = assemble_elasticity(mesh, dofmap, prm.mu)
-        M = assemble_scalar_mass(mesh, dofmap)
-        boundary = build_constraints(mesh, dofmap, benchmark.bcs, coeffs)
-        quadrature = DomainQuadrature.from_mesh(mesh, dofmap)
+    dofmap = systems.dofmap
+    A, M, boundary = systems.A, systems.M, systems.boundary
+    quadrature = systems.loads.quadrature
 
-    coords = mesh.p2_node_coords()
+    coords = systems.mesh.p2_node_coords()
     u_interp = _interleave(benchmark.u0(coords, 0.0))
     u_values, _ = boundary.values(0.0)
     masters = np.setdiff1d(np.arange(dofmap.n_u, dtype=np.int64), boundary.u_dofs)
     system = ReducedSystem(
-        A, masters=masters, keep_rows=masters, slaves=boundary.u_dofs,
-        lag_rows=boundary.rigid_rows,
+        A, masters=masters, slaves=boundary.u_dofs, lag_rows=boundary.rigid_rows
     )
     fact = factorize(system.matrix)
     y, _ = solve(fact, system.reduce_rhs(A @ u_interp, u_values), DEFAULT_TOLERANCE)
@@ -551,7 +535,6 @@ def run(
     mesh: Mesh,
     scheme: TimeScheme,
     *,
-    dofmap: Optional[DofMap] = None,
     keep_states: bool = False,
     compute_errors="auto",
     c_stab: Optional[float] = None,
@@ -565,8 +548,8 @@ def run(
     norms.  The coefficient identities for p and q are enforced to 1e-14
     after every step.
     """
-    dofmap = dofmap or DofMap.from_mesh(mesh)
-    systems = StepSystems(benchmark, mesh, scheme, dofmap, tolerance=tolerance)
+    systems = StepSystems(benchmark, mesh, scheme, tolerance=tolerance)
+    dofmap = systems.dofmap
     coeffs = systems.coeffs
 
     gate = None
@@ -591,7 +574,7 @@ def run(
                     stacklevel=2,
                 )
 
-    state = init_state(benchmark, mesh, dofmap, systems=systems)
+    state = init_state(systems)
 
     mech0, flow0 = assemble_load(systems.loads, state.t)
     mech_end, flow_end = assemble_load(systems.loads, state.t + scheme.T)
@@ -669,10 +652,10 @@ def run(
                 step=n,
                 t=state.t,
                 J=erec.J,
-                s_cum=erec.s_cum,
+                S_cum=erec.s_cum,
                 energy_residual=erec.residual,
-                c_eta_res=residuals.eta,
-                c_xi_res=residuals.xi,
+                C_eta_res=residuals.eta,
+                C_xi_res=residuals.xi,
                 flux_res=residuals.flux,
                 err_u_L2=errs.get("u_L2"),
                 err_u_H1=errs.get("u_H1"),

@@ -21,6 +21,7 @@ from porofem.model import (
     MechanicalBC,
     SourceFunctions,
 )
+from porofem.stepper import FieldState, StepSystems, TimeScheme, init_state
 
 _OUTWARD = {
     BoundarySegment.RIGHT: (1.0, 0.0),
@@ -44,6 +45,11 @@ def jittered_mesh(nx: int, ny: int, rect=(0.0, 0.0, 1.0, 1.0), seed: int = 0) ->
     moved[on_x_side, 0] = mesh.vertices[on_x_side, 0]
     moved[on_y_side, 1] = mesh.vertices[on_y_side, 1]
     return dataclasses.replace(mesh, vertices=moved)
+
+
+def initial_state(benchmark: Benchmark, mesh: Mesh) -> FieldState:
+    """The initial state of a one-step coupled run of benchmark on mesh."""
+    return init_state(StepSystems(benchmark, mesh, TimeScheme(dt=1e-3, n_steps=1, theta=1)))
 
 
 def zero_vector(x: np.ndarray, t: float) -> np.ndarray:

@@ -17,7 +17,6 @@ from porofem.assembly import DofMap, assemble_div, assemble_elasticity
 from porofem.diagnostics import (
     biot_limit_sweep,
     check_state_consistency,
-    energy_audit,
     estimate_infsup,
     extract_rates,
     locking_scan,
@@ -124,16 +123,16 @@ def test_criterion_3_conservation():
     bench = conservation_benchmark()
     result = run(bench, build_rect_mesh(4, 4),
                  TimeScheme(dt=0.02, n_steps=5, theta=1), compute_errors=False)
-    eta_res = max(rec.c_eta_res for rec in result.records)
-    xi_res = max(rec.c_xi_res for rec in result.records)
+    eta_res = max(rec.C_eta_res for rec in result.records)
+    xi_res = max(rec.C_xi_res for rec in result.records)
     flux_res = max(rec.flux_res for rec in result.records)
 
     # pure-Neumann flow only (clamped side): the eta identity still applies
     locking = run(get_benchmark("locking"), build_rect_mesh(4, 4),
                   TimeScheme(dt=1e-4, n_steps=5, theta=1), compute_errors=False)
-    eta_res_neumann = max(rec.c_eta_res for rec in locking.records)
+    eta_res_neumann = max(rec.C_eta_res for rec in locking.records)
     not_applicable = all(
-        rec.c_xi_res is None and rec.flux_res is None for rec in locking.records
+        rec.C_xi_res is None and rec.flux_res is None for rec in locking.records
     )
 
     ok = (

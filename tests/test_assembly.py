@@ -12,6 +12,8 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import porofem.assembly
 from porofem.assembly import (
@@ -20,7 +22,6 @@ from porofem.assembly import (
     LoadAssembler,
     ReducedSystem,
     SingularConstraintsError,
-    assemble_boundary_load,
     assemble_div,
     assemble_domain_load,
     assemble_elasticity,
@@ -263,6 +264,11 @@ def test_locking_traction_loads(mesh2, dofmap2):
     assert np.max(np.abs(flow)) == 0.0
     assert float(mech[1::2].sum()) == pytest.approx(-1.0, rel=1e-12)
     assert float(mech[0::2].sum()) == pytest.approx(0.0, abs=1e-13)
+    # Only the top side carries a traction, so only its nodes are loaded.
+    coords = mesh2.p2_node_coords()
+    loaded_nodes = np.unique(np.nonzero(mech)[0] // 2)
+    assert loaded_nodes.size
+    assert np.allclose(coords[loaded_nodes, 1], 1.0, atol=1e-14)
 
 
 def test_unit_mass_source_sums_to_area(mesh2, dofmap2):
@@ -549,8 +555,7 @@ def test_boundary_values_match_per_dof_reference(name):
 
 def test_reduced_system_identity_with_prescribed_dof():
     rs = ReducedSystem(
-        sp.eye(2, format="csr"), masters=np.array([1]), keep_rows=np.array([1]),
-        slaves=np.array([0]),
+        sp.eye(2, format="csr"), masters=np.array([1]), slaves=np.array([0]),
     )
     prescribed = np.array([5.0])
     x, _ = solve(factorize(rs.matrix), rs.reduce_rhs(np.array([7.0, 3.0]), prescribed))
@@ -559,19 +564,16 @@ def test_reduced_system_identity_with_prescribed_dof():
 
 def test_reduced_system_lagrange_row_matches_dense_kkt_oracle():
     matrix = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-    rhs = np.array([1.0, 1.0])
+    rhs = np.array([1.0, 3.0])
     both = np.array([0, 1])
     none = np.empty(0)
-    rs = ReducedSystem(
-        matrix, masters=both, keep_rows=both,
-        lag_rows=sp.csr_matrix(np.array([[1.0, 1.0]])), lag_rhs=np.array([1.0]),
-    )
+    rs = ReducedSystem(matrix, masters=both, lag_rows=sp.csr_matrix(np.array([[1.0, 1.0]])))
     x, _ = solve(factorize(rs.matrix), rs.reduce_rhs(rhs, none))
     got = rs.expand(x, none)
     kkt = np.array([[2.0, -1.0, 1.0], [-1.0, 2.0, 1.0], [1.0, 1.0, 0.0]])
-    oracle = np.linalg.solve(kkt, np.array([1.0, 1.0, 1.0]))
+    oracle = np.linalg.solve(kkt, np.array([1.0, 3.0, 0.0]))
     assert np.allclose(got, oracle[:2], atol=1e-13)
-    assert rs.multipliers(x)[0] == pytest.approx(oracle[2], abs=1e-13)
+    assert x[2] == pytest.approx(oracle[2], abs=1e-13)  # the multiplier
 
 
 def test_rigid_motion_constrained_traction_solve(mesh2, dofmap2):
@@ -581,9 +583,7 @@ def test_rigid_motion_constrained_traction_solve(mesh2, dofmap2):
     bd = build_constraints(mesh2, dofmap2, bench.bcs, bench.coeffs)
     u_values, _ = bd.values(0.0)
     masters = np.setdiff1d(np.arange(dofmap2.n_u), bd.u_dofs)
-    rs = ReducedSystem(
-        A, masters=masters, keep_rows=masters, slaves=bd.u_dofs, lag_rows=bd.rigid_rows
-    )
+    rs = ReducedSystem(A, masters=masters, slaves=bd.u_dofs, lag_rows=bd.rigid_rows)
     x, _ = solve(factorize(rs.matrix), rs.reduce_rhs(mech, u_values))
     u = rs.expand(x, u_values)
     basis = rigid_motion_basis(mesh2, dofmap2)
@@ -594,8 +594,7 @@ def test_rigid_motion_constrained_traction_solve(mesh2, dofmap2):
 def test_dof_both_master_and_slave_rejected():
     with pytest.raises(SingularConstraintsError):
         ReducedSystem(
-            sp.eye(3, format="csr"), masters=np.array([0, 1]), keep_rows=np.array([0, 1]),
-            slaves=np.array([1]),
+            sp.eye(3, format="csr"), masters=np.array([0, 1]), slaves=np.array([1]),
         )
 
 
@@ -603,18 +602,57 @@ def test_dependent_affine_rows_rejected():
     both = np.array([0, 1])
     with pytest.raises(SingularConstraintsError):
         ReducedSystem(
-            sp.eye(2, format="csr"), masters=both, keep_rows=both,
+            sp.eye(2, format="csr"), masters=both,
             lag_rows=sp.csr_matrix(np.array([[1.0, 1.0], [2.0, 2.0]])),
-            lag_rhs=np.array([1.0, 2.0]),
         )
 
 
-def test_boundary_load_single_side(mesh2, dofmap2):
-    closures = {BoundarySegment.TOP: lambda x, t: np.column_stack(
-        [np.zeros(x.shape[0]), np.full(x.shape[0], -1.0)]
-    )}
-    rhs = assemble_boundary_load(mesh2, dofmap2, closures, 0.0, space="vector")
-    assert float(rhs[1::2].sum()) == pytest.approx(-1.0, rel=1e-12)
-    coords = mesh2.p2_node_coords()
-    nonzero_nodes = np.unique(np.nonzero(rhs)[0] // 2)
-    assert np.allclose(coords[nonzero_nodes, 1], 1.0, atol=1e-14)
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    seed=st.integers(0, 2**32 - 1),
+    with_coupling=st.booleans(),
+    n_lag=st.integers(0, 2),
+)
+def test_reduced_system_matches_dense_kkt_oracle(n, seed, with_coupling, n_lag):
+    """A random master/slave split of a random SPD matrix, with prescribed
+    slave values, optionally slaves coupled to masters and homogeneous
+    Lagrange rows, against the full saddle-point system solved densely."""
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(-1.0, 1.0, (n, n))
+    A = g @ g.T + n * np.eye(n)
+    is_slave = rng.random(n) < 0.4
+    is_slave[rng.integers(n)] = False
+    masters, slaves = np.flatnonzero(~is_slave), np.flatnonzero(is_slave)
+    n_lag = min(n_lag, masters.size)
+    values = rng.uniform(-2.0, 2.0, slaves.size)
+    C = np.zeros((slaves.size, masters.size))
+    if with_coupling:
+        C = rng.uniform(-1.0, 1.0, C.shape) * (rng.random(C.shape) < 0.5)
+    L = rng.uniform(-1.0, 1.0, (n_lag, n))
+    b = rng.uniform(-1.0, 1.0, n)
+    # The Lagrange rows act on x_m and x_s = C x_m + values alike.
+    assume(n_lag == 0 or np.linalg.svd(L[:, masters] + L[:, slaves] @ C, compute_uv=False)[-1] > 1e-3)
+
+    # Unknowns (x, lam): master rows of A x + L^T lam = b, each slave row
+    # replaced by its constraint x_s - C x_m = values, and L x = 0.
+    kkt = np.zeros((n + n_lag, n + n_lag))
+    kkt[masters, :n] = A[masters]
+    kkt[masters, n:] = L[:, masters].T
+    kkt[slaves, slaves] = 1.0
+    kkt[np.ix_(slaves, masters)] = -C
+    kkt[n:, :n] = L
+    full_rhs = np.concatenate([b, np.zeros(n_lag)])
+    full_rhs[slaves] = values
+    assume(np.linalg.cond(kkt) < 1e8)
+    oracle = np.linalg.solve(kkt, full_rhs)
+
+    rs = ReducedSystem(
+        sp.csr_matrix(A), masters=masters, slaves=slaves,
+        coupling=sp.csr_matrix(C) if with_coupling else None,
+        lag_rows=sp.csr_matrix(L) if n_lag else None,
+    )
+    y = np.linalg.solve(rs.matrix.toarray(), rs.reduce_rhs(b, values))
+    tol = 1e-9 * max(1.0, np.max(np.abs(oracle)))
+    assert np.allclose(rs.expand(y, values), oracle[:n], rtol=0.0, atol=tol)
+    assert np.allclose(y[masters.size:], oracle[n:], rtol=0.0, atol=tol)

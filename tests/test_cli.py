@@ -350,6 +350,18 @@ def test_bad_config_file_line_exits_2(tmp_path, capsys):
     assert "line 2" in err and "dt" in err
 
 
+def test_errors_on_without_exact_solution_exits_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    code = main([
+        "run", "--set", "benchmark=locking", "--set", "nx=4", "--set", "errors=on",
+        "--out", str(out),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "errors = on" in err and "no exact solution" in err
+    assert not out.exists()
+
+
 def test_out_directory_collision_exits_1(tmp_path, capsys):
     blocker = tmp_path / "occupied"
     blocker.write_text("a file, not a directory\n")

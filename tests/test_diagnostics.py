@@ -8,18 +8,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from porofem.assembly import DofMap
+from porofem.assembly import (
+    DofMap,
+    DomainQuadrature,
+    LoadAssembler,
+    assemble_elasticity,
+    assemble_load,
+    assemble_scalar_mass,
+    assemble_scalar_stiffness,
+)
 from porofem.diagnostics import (
     BudgetExceededError,
     ConservationTracker,
+    EnergyAuditor,
     ErrorEvaluator,
     biot_limit_sweep,
     boundary_flux,
     boundary_flux_functional,
     check_conservation,
     check_state_consistency,
-    energy_audit,
-    error_norms,
     estimate_infsup,
     extract_rates,
     locking_scan,
@@ -35,9 +42,9 @@ from porofem.elements import (
 )
 from porofem.mesh import BoundarySegment, build_rect_mesh
 from porofem.model import MaterialParams, get_benchmark
-from porofem.stepper import FieldState, TimeScheme, init_state, run
+from porofem.stepper import FieldState, TimeScheme, run
 
-from helpers import conservation_benchmark, jittered_mesh, zero_benchmark
+from helpers import conservation_benchmark, initial_state, jittered_mesh, zero_benchmark
 
 
 def _scalar_state(mesh, p_values, t=0.0):
@@ -54,11 +61,26 @@ def _scalar_state(mesh, p_values, t=0.0):
 # ---------------------------------------------------------------------------
 
 
+def _audit(states, theta, dt, bench, mesh):
+    """The energy identity evaluated along a trajectory by an EnergyAuditor
+    built from freshly assembled operators and the loads at the first
+    state's time, independent of the run that produced the states."""
+    dofmap = DofMap.from_mesh(mesh)
+    prm = bench.params
+    A = assemble_elasticity(mesh, dofmap, prm.mu)
+    M = assemble_scalar_mass(mesh, dofmap)
+    S = assemble_scalar_stiffness(mesh, dofmap, prm.K / prm.mu_f)
+    loads = LoadAssembler.build(mesh, dofmap, bench.sources, bench.bcs, prm)
+    mech, flow = assemble_load(loads, states[0].t)
+    auditor = EnergyAuditor(A, M, S, mech, flow, bench.coeffs, theta, dt)
+    return [rec for rec in map(auditor.ingest, states) if rec is not None]
+
+
 def test_energy_audit_short_trajectory_is_empty():
     mesh = build_rect_mesh(2, 2)
     bench = zero_benchmark()
-    state = init_state(bench, mesh)
-    assert energy_audit([state], theta=1, benchmark=bench, mesh=mesh) == []
+    state = initial_state(bench, mesh)
+    assert _audit([state], 1, 1e-3, bench, mesh) == []
 
 
 def test_energy_audit_zero_run():
@@ -66,7 +88,7 @@ def test_energy_audit_zero_run():
     mesh = build_rect_mesh(3, 3)
     result = run(bench, mesh, TimeScheme(dt=1e-3, n_steps=3, theta=1),
                  keep_states=True)
-    records = energy_audit(result.states, 1, bench, mesh)
+    records = _audit(result.states, 1, 1e-3, bench, mesh)
     assert len(records) == 3
     for rec in records:
         assert rec.J == 0.0 and rec.s_cum == 0.0 and rec.residual == 0.0
@@ -78,22 +100,13 @@ def test_energy_audit_matches_run_records(theta):
     mesh = build_rect_mesh(6, 6)
     result = run(bench, mesh, TimeScheme(dt=1e-4, n_steps=6, theta=theta),
                  keep_states=True, compute_errors=False)
-    records = energy_audit(result.states, theta, bench, mesh)
+    records = _audit(result.states, theta, 1e-4, bench, mesh)
     assert len(records) == len(result.energy)
     for ext, internal in zip(records, result.energy):
         assert ext.level == internal.level
         assert ext.J == pytest.approx(internal.J, rel=1e-12, abs=1e-14)
         assert ext.s_cum == pytest.approx(internal.s_cum, rel=1e-12, abs=1e-14)
         assert abs(ext.residual) <= 1e-10 * max(1.0, abs(records[0].J))
-
-
-def test_energy_audit_warns_for_time_varying_data():
-    bench = get_benchmark("test1")
-    mesh = build_rect_mesh(3, 3)
-    result = run(bench, mesh, TimeScheme(dt=2e-4, n_steps=2, theta=1),
-                 keep_states=True, compute_errors=False)
-    with pytest.warns(UserWarning, match="informational"):
-        energy_audit(result.states, 1, bench, mesh)
 
 
 def test_energy_level_indexing():
@@ -160,7 +173,7 @@ def test_tracker_requires_start():
 
     tracker = ConservationTracker(bench, mesh, dofmap,
                                   assemble_scalar_mass(mesh, dofmap), theta=1)
-    state = init_state(bench, mesh, dofmap)
+    state = initial_state(bench, mesh)
     with pytest.raises(RuntimeError, match="start"):
         tracker.advance(state, 0.1, np.zeros(dofmap.n_u), np.zeros(dofmap.n_scalar))
 
@@ -220,8 +233,9 @@ def test_error_evaluator_is_zero_for_exact_state():
     bench = get_benchmark("polynomial")
     mesh = build_rect_mesh(3, 3)
     dofmap = DofMap.from_mesh(mesh)
-    state = init_state(bench, mesh, dofmap)
-    errs = ErrorEvaluator(bench, mesh, dofmap).evaluate(state)
+    state = initial_state(bench, mesh)
+    quadrature = DomainQuadrature.from_mesh(mesh, dofmap)
+    errs = ErrorEvaluator(bench, mesh, dofmap, quadrature).evaluate(state)
     for key in ("u_L2", "u_H1", "p_L2", "p_H1", "xi_L2", "eta_L2"):
         assert errs[key] <= 1e-10
 
@@ -278,7 +292,8 @@ def test_error_evaluator_matches_reference_formula(name):
     result = run(bench, mesh, TimeScheme(dt=bench.default_dt, n_steps=3, theta=1),
                  compute_errors=False)
     state = result.final_state
-    got = ErrorEvaluator(bench, mesh, dofmap).evaluate(state)
+    quadrature = DomainQuadrature.from_mesh(mesh, dofmap)
+    got = ErrorEvaluator(bench, mesh, dofmap, quadrature).evaluate(state)
     want = _reference_errors(bench, mesh, dofmap, state)
     assert set(got) == set(want)
     for key, (value, field) in want.items():
@@ -292,19 +307,20 @@ def test_error_evaluator_matches_reference_formula(name):
 def test_error_evaluator_requires_exact_closures():
     bench = conservation_benchmark()
     mesh = build_rect_mesh(2, 2)
+    dofmap = DofMap.from_mesh(mesh)
     with pytest.raises(ValueError, match="exact"):
-        ErrorEvaluator(bench, mesh, DofMap.from_mesh(mesh))
+        ErrorEvaluator(bench, mesh, dofmap, DomainQuadrature.from_mesh(mesh, dofmap))
 
 
 def test_error_norms_trajectory():
     bench = get_benchmark("polynomial")
     mesh = build_rect_mesh(3, 3)
-    state = init_state(bench, mesh)
-    report = error_norms([state], bench, mesh)
+    dofmap = DofMap.from_mesh(mesh)
+    state = initial_state(bench, mesh)
+    errs = ErrorEvaluator(bench, mesh, dofmap, DomainQuadrature.from_mesh(mesh, dofmap)).evaluate(state)
+    report = summarize_error_history([state.t], {key: [val] for key, val in errs.items()})
     assert report.variables["u"].linf_l2 <= 1e-10
     assert report.variables["u"].l2_h1 is None  # single level: no time norm
-    with pytest.raises(ValueError, match="empty"):
-        error_norms([], bench, mesh)
 
 
 def test_summarize_error_history_hand_example():
@@ -465,7 +481,7 @@ def test_sweep_rows_carry_the_pair():
 def test_check_state_consistency_reports_violation():
     bench = get_benchmark("test1")
     mesh = build_rect_mesh(2, 2)
-    state = init_state(bench, mesh)
+    state = initial_state(bench, mesh)
     good_p, good_q = check_state_consistency(state, bench.coeffs)
     assert max(good_p, good_q) == 0.0
     import dataclasses

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import porofem.assembly
 import porofem.diagnostics
 import porofem.stepper
-from porofem.assembly import DofMap
+from porofem.assembly import DofMap, DomainQuadrature
 from porofem.diagnostics import ErrorEvaluator, check_state_consistency
 from porofem.mesh import BoundarySegment, build_rect_mesh
 from porofem.model import (
@@ -31,6 +31,7 @@ from porofem.stepper import (
 
 from helpers import (
     conservation_benchmark,
+    initial_state,
     normal_traction,
     zero_benchmark,
     zero_scalar,
@@ -139,8 +140,7 @@ def test_coupled_run_has_no_gate():
 def test_init_state_reproduces_in_space_data():
     bench = get_benchmark("polynomial")
     mesh = build_rect_mesh(3, 3)
-    dofmap = DofMap.from_mesh(mesh)
-    state = init_state(bench, mesh, dofmap)
+    state = initial_state(bench, mesh)
     coords = mesh.p2_node_coords()
     u_exact = _interleave(bench.exact_u(coords, 0.0))
     p_exact = bench.exact_p(mesh.vertices, 0.0)
@@ -152,7 +152,7 @@ def test_init_state_reproduces_in_space_data():
 
 def test_init_state_identities_hold_exactly():
     bench = get_benchmark("test1")
-    state = init_state(bench, build_rect_mesh(4, 4))
+    state = initial_state(bench, build_rect_mesh(4, 4))
     p_res, q_res = check_state_consistency(state, bench.coeffs)
     assert max(p_res, q_res) == 0.0
 
@@ -163,8 +163,9 @@ def test_init_state_pressure_projection_second_order():
     for nx in (8, 16):
         mesh = build_rect_mesh(nx, nx)
         dofmap = DofMap.from_mesh(mesh)
-        state = init_state(bench, mesh, dofmap)
-        errs.append(ErrorEvaluator(bench, mesh, dofmap).evaluate(state)["p_L2"])
+        state = initial_state(bench, mesh)
+        quadrature = DomainQuadrature.from_mesh(mesh, dofmap)
+        errs.append(ErrorEvaluator(bench, mesh, dofmap, quadrature).evaluate(state)["p_L2"])
     rate = np.log2(errs[0] / errs[1])
     assert 1.8 <= rate <= 2.2
 
@@ -299,8 +300,8 @@ def test_conserved_quantities_tracked_to_rounding():
                  keep_states=True)
     assert result.errors is None  # no exact closures on this fixture
     for record in result.records:
-        assert record.c_eta_res is not None and record.c_eta_res <= 1e-12
-        assert record.c_xi_res is not None and record.c_xi_res <= 1e-12
+        assert record.C_eta_res is not None and record.C_eta_res <= 1e-12
+        assert record.C_xi_res is not None and record.C_xi_res <= 1e-12
         assert record.flux_res is not None and record.flux_res <= 1e-12
     # Hand value: (eta(T), 1) = T * (phi*|domain| + flux*|bottom|) = 0.1*1.3.
     final_refs = result.conservation[-1]
@@ -316,8 +317,8 @@ def test_conservation_residuals_marked_inapplicable_with_dirichlet_bcs():
     assert not refs.eta_applicable
     assert not refs.traction_applicable
     for record in result.records:
-        assert record.c_eta_res is None
-        assert record.c_xi_res is None
+        assert record.C_eta_res is None
+        assert record.C_xi_res is None
         assert record.flux_res is None
 
 
@@ -400,15 +401,32 @@ def test_run_builds_boundary_data_once(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["test1", "conservation"])
-def test_init_state_reuses_step_systems(name):
+def test_init_state_reuses_step_systems(name, monkeypatch):
     bench = conservation_benchmark() if name == "conservation" else get_benchmark(name)
     mesh = build_rect_mesh(4, 4, rect=bench.rect)
-    dofmap = DofMap.from_mesh(mesh)
-    systems = StepSystems(bench, mesh, TimeScheme(dt=1e-3, n_steps=1, theta=1), dofmap)
-    shared = init_state(bench, mesh, dofmap, systems=systems)
-    alone = init_state(bench, mesh, dofmap)
-    for field in ("u", "xi", "eta", "eta_theta", "p", "q"):
-        assert np.array_equal(getattr(shared, field), getattr(alone, field)), field
+    systems = StepSystems(bench, mesh, TimeScheme(dt=1e-3, n_steps=1, theta=1))
+    calls = []
+
+    def counting(module, attr):
+        original = getattr(module, attr)
+
+        def wrapper(*args, **kwargs):
+            calls.append(attr)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, wrapper)
+
+    for attr in ("assemble_elasticity", "assemble_div", "assemble_scalar_mass",
+                 "assemble_scalar_stiffness", "build_constraints"):
+        counting(porofem.stepper, attr)
+    for attr in ("assemble_vector_mass", "physical_points"):
+        counting(porofem.assembly, attr)
+    state = init_state(systems)
+    # Nothing is assembled again: operators, boundary data and quadrature
+    # tables all come from the run's StepSystems.
+    assert calls == []
+    p_res, q_res = check_state_consistency(state, bench.coeffs)
+    assert max(p_res, q_res) == 0.0
 
 
 @pytest.mark.parametrize("keep,expected", [(False, 2), (True, 6)])
