@@ -55,6 +55,7 @@ __all__ = [
     "assemble_gravity_load",
     "assemble_load",
     "rigid_motion_basis",
+    "rigid_motion_rows",
     "BoundaryData",
     "build_constraints",
     "ReducedSystem",
@@ -425,6 +426,16 @@ def rigid_motion_basis(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
     return basis
 
 
+def rigid_motion_rows(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
+    """Rows (r_i, .)_{L2} of the rigid-motion orthogonality constraint.
+
+    Returns a dense (3, n_u) array: the L2 pairing of each rigid motion of
+    rigid_motion_basis with the displacement dofs.
+    """
+    mass = assemble_vector_mass(mesh, dofmap)
+    return mass.dot(rigid_motion_basis(mesh, dofmap).T).T
+
+
 @dataclass(frozen=True, eq=False)
 class BoundaryData:
     """Boundary constraints of the coupled problem, fixed for a whole run.
@@ -527,9 +538,7 @@ def build_constraints(
 
     rigid = None
     if bcs.is_pure_traction():
-        basis = rigid_motion_basis(mesh, dofmap)
-        mass = assemble_vector_mass(mesh, dofmap)
-        rigid = sp.csr_matrix(mass.dot(basis.T).T)
+        rigid = sp.csr_matrix(rigid_motion_rows(mesh, dofmap))
     return BoundaryData(
         u_dofs=u_dofs,
         pressure_vertices=pverts,
@@ -544,18 +553,20 @@ def build_constraints(
 class ReducedSystem:
     """Affine reduction of a sparse system, reusable across right-hand sides.
 
-    The full unknown is recovered as x = T y + s where the columns of T
-    correspond to master dofs and s carries prescribed slave values; the
-    retained equations are the master rows.  Extra homogeneous constraint
-    rows (the rigid-motion constraints) are enforced by Lagrange
-    multipliers appended after the reduction.
+    The slaves are the prescribed dofs and the masters all the others, in
+    ascending order.  The full unknown is recovered as x = T y + s where the
+    columns of T correspond to master dofs and s carries prescribed slave
+    values; the retained equations are the master rows.  A coupling of
+    shape (n_slaves, n_full), nonzero in master columns only, adds
+    coupling @ x to the slaves.  Extra homogeneous constraint rows (the
+    rigid-motion constraints) are enforced by Lagrange multipliers appended
+    after the reduction.
     """
 
     def __init__(
         self,
         matrix: sp.spmatrix,
-        masters: np.ndarray,
-        slaves: Optional[np.ndarray] = None,
+        slaves: np.ndarray,
         coupling: Optional[sp.spmatrix] = None,
         lag_rows: Optional[sp.spmatrix] = None,
     ) -> None:
@@ -563,12 +574,12 @@ class ReducedSystem:
         n_full = matrix.shape[0]
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("reduction requires a square matrix")
-        masters = np.asarray(masters, dtype=np.int64)
-        slaves = np.asarray(slaves, dtype=np.int64) if slaves is not None else np.empty(0, np.int64)
-        if np.intersect1d(masters, slaves).size:
-            raise SingularConstraintsError("a dof is both master and slave")
-        if masters.size + slaves.size != n_full:
-            raise ValueError("masters and slaves must partition the dofs")
+        slaves = np.asarray(slaves, dtype=np.int64)
+        if slaves.size and (
+            np.unique(slaves).size != slaves.size or slaves.min() < 0 or slaves.max() >= n_full
+        ):
+            raise ValueError("slaves must be distinct dofs of the system")
+        masters = np.setdiff1d(np.arange(n_full, dtype=np.int64), slaves)
 
         self.masters = masters
         self.slaves = slaves
@@ -578,7 +589,10 @@ class ReducedSystem:
         t_cols = [np.arange(n_m, dtype=np.int64)]
         t_vals = [np.ones(n_m)]
         if coupling is not None and slaves.size:
-            coup = coupling.tocoo()
+            coup = sp.csc_matrix(coupling)
+            if coup[:, slaves].count_nonzero():
+                raise ValueError("coupling must act on master dofs only")
+            coup = coup[:, masters].tocoo()
             t_rows.append(slaves[coup.row])
             t_cols.append(coup.col.astype(np.int64))
             t_vals.append(coup.data)

@@ -24,7 +24,7 @@ from .assembly import (
     assemble_elasticity,
     assemble_scalar_mass,
     assemble_vector_mass,
-    rigid_motion_basis,
+    rigid_motion_rows,
 )
 from .elements import AffineMaps, edge_quadrature, edge_trace_p2, eval_basis, triangle_quadrature
 # Unused here since DomainQuadrature tabulates the points, but perfbench's
@@ -35,9 +35,7 @@ from .model import Benchmark, DerivedCoeffs, get_benchmark
 
 __all__ = [
     "ConservedQuantities",
-    "ConservationResiduals",
     "ConservationTracker",
-    "check_conservation",
     "boundary_flux",
     "boundary_flux_functional",
     "EnergyRecord",
@@ -74,6 +72,12 @@ class ConservedQuantities:
         C_p = k1*C_xi + k2*C_eta(t_lag),
     where t_lag = t_{n-1+theta} matches the lag of the scheme's stored p
     and of the divergence equation.
+
+    The residual properties are relative, |measured - reference| /
+    max(1, |reference|), and None where the identity does not apply to the
+    run's boundary conditions (skipped, not failed): the eta identity needs
+    a pure-Neumann flow boundary; the xi and flux identities additionally
+    need pure-traction mechanics.
     """
 
     t: float
@@ -90,43 +94,25 @@ class ConservedQuantities:
     eta_applicable: bool
     traction_applicable: bool
 
+    @property
+    def eta_res(self) -> Optional[float]:
+        return _rel(self.eta_measured, self.c_eta) if self.eta_applicable else None
 
-@dataclass(frozen=True)
-class ConservationResiduals:
-    """Relative residuals |measured - reference| / max(1, |reference|).
+    @property
+    def xi_res(self) -> Optional[float]:
+        if not (self.eta_applicable and self.traction_applicable):
+            return None
+        return _rel(self.xi_measured, self.c_xi)
 
-    A residual is None when the corresponding identity is not applicable
-    for the run's boundary conditions (skipped, not failed).
-    """
-
-    eta: Optional[float]
-    xi: Optional[float]
-    q: Optional[float]
-    p: Optional[float]
-    flux: Optional[float]
+    @property
+    def flux_res(self) -> Optional[float]:
+        if not (self.eta_applicable and self.traction_applicable):
+            return None
+        return _rel(self.flux_measured, self.c_u)
 
 
 def _rel(measured: float, ref: float) -> float:
     return abs(measured - ref) / max(1.0, abs(ref))
-
-
-def check_conservation(state, refs: ConservedQuantities) -> ConservationResiduals:
-    """Residuals of the conservation identities for one state.
-
-    The eta identity needs a pure-Neumann flow boundary; the xi, q, p and
-    flux identities additionally need pure-traction mechanics.
-    """
-    if abs(refs.t - state.t) > 1e-12 * max(1.0, abs(state.t)):
-        raise ValueError("reference quantities were computed at a different time")
-    eta = _rel(refs.eta_measured, refs.c_eta) if refs.eta_applicable else None
-    if refs.eta_applicable and refs.traction_applicable:
-        xi = _rel(refs.xi_measured, refs.c_xi)
-        q = _rel(refs.q_measured, refs.c_q)
-        p = _rel(refs.p_measured, refs.c_p)
-        flux = _rel(refs.flux_measured, refs.c_u)
-    else:
-        xi = q = p = flux = None
-    return ConservationResiduals(eta=eta, xi=xi, q=q, p=p, flux=flux)
 
 
 def boundary_flux_functional(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
@@ -158,10 +144,13 @@ def boundary_flux(mesh: Mesh, dofmap: DofMap, u: np.ndarray) -> float:
 
 
 class ConservationTracker:
-    """Advances the reference recursions alongside a run and measures states."""
+    """Advances the reference recursions alongside a run and measures states.
+
+    The recursions start from the integral of eta in the initial state.
+    """
 
     def __init__(self, benchmark: Benchmark, mesh: Mesh, dofmap: DofMap,
-                 scalar_mass: sp.spmatrix, theta: int) -> None:
+                 scalar_mass: sp.spmatrix, theta: int, initial_state) -> None:
         self.benchmark = benchmark
         self.mesh = mesh
         self.dofmap = dofmap
@@ -175,8 +164,7 @@ class ConservationTracker:
         self.flux_functional = boundary_flux_functional(mesh, dofmap)
         self.eta_applicable = benchmark.bcs.is_pure_neumann_flow()
         self.traction_applicable = self.eta_applicable and benchmark.bcs.is_pure_traction()
-        self._c_eta: Optional[float] = None
-        self._c_eta_prev: Optional[float] = None
+        self._c_eta = self._integral(initial_state.eta)
 
     def _integral(self, vec: np.ndarray) -> float:
         return float((self.M @ vec).sum())
@@ -190,26 +178,6 @@ class ConservationTracker:
             "flux": float(self.flux_functional @ state.u),
         }
 
-    def start(self, state0) -> ConservedQuantities:
-        self._c_eta = self._integral(state0.eta)
-        self._c_eta_prev = self._c_eta
-        m = self._measure(state0)
-        return ConservedQuantities(
-            t=state0.t,
-            c_eta=self._c_eta,
-            c_xi=m["xi"],
-            c_q=m["q"],
-            c_p=m["p"],
-            c_u=m["flux"],
-            eta_measured=m["eta"],
-            xi_measured=m["xi"],
-            q_measured=m["q"],
-            p_measured=m["p"],
-            flux_measured=m["flux"],
-            eta_applicable=self.eta_applicable,
-            traction_applicable=self.traction_applicable,
-        )
-
     def advance(self, state, dt: float, mech_load: np.ndarray, flow_load: np.ndarray) -> ConservedQuantities:
         """Push the references forward by one step and measure the new state.
 
@@ -217,12 +185,10 @@ class ConservationTracker:
         stepper used for this step (evaluated at the new time), so that the
         references use the same quadrature as the scheme itself.
         """
-        if self._c_eta is None:
-            raise RuntimeError("tracker not started; call start(initial_state) first")
         k1, k2, k3 = self.coeffs.kappa1, self.coeffs.kappa2, self.coeffs.kappa3
-        self._c_eta_prev = self._c_eta
-        self._c_eta = self._c_eta + dt * float(flow_load.sum())
-        c_eta_lag = self._c_eta if self.theta == 1 else self._c_eta_prev
+        c_eta_prev = self._c_eta
+        self._c_eta = c_eta_prev + dt * float(flow_load.sum())
+        c_eta_lag = self._c_eta if self.theta == 1 else c_eta_prev
         work = float(mech_load @ self.x_pairing)
         c_xi = (self.mu * k1 * c_eta_lag - work) / (self.dim + self.mu * k3)
         m = self._measure(state)
@@ -638,9 +604,7 @@ def estimate_infsup(mesh: Mesh, budget: int = 2000, discontinuous_pressure: bool
             f"{n_total} dofs exceed the dense diagnostic budget of {budget}"
         )
     A = assemble_elasticity(mesh, dofmap, 1.0).toarray()
-    basis = rigid_motion_basis(mesh, dofmap)
-    mass_u = assemble_vector_mass(mesh, dofmap)
-    C = mass_u.dot(basis.T).T  # (3, n_u)
+    C = rigid_motion_rows(mesh, dofmap)
     n_u = dofmap.n_u
     K = np.zeros((n_u + 3, n_u + 3))
     K[:n_u, :n_u] = A

@@ -42,12 +42,11 @@ from .diagnostics import (
     ConservedQuantities,
     ErrorEvaluator,
     ErrorReport,
-    check_conservation,
     check_state_consistency,
     summarize_error_history,
 )
 from .mesh import BoundarySegment, Mesh
-from .model import Benchmark, MaterialParams, DerivedCoeffs
+from .model import Benchmark, MaterialParams, DerivedCoeffs, xieta_from_pq
 from .solver import (
     DEFAULT_TOLERANCE,
     Factorization,
@@ -185,6 +184,28 @@ class FieldState:
     p: np.ndarray
     q: np.ndarray
 
+    @classmethod
+    def derive(
+        cls,
+        t: float,
+        u: np.ndarray,
+        xi: np.ndarray,
+        eta: np.ndarray,
+        eta_theta: np.ndarray,
+        coeffs: DerivedCoeffs,
+    ) -> "FieldState":
+        """The state whose p and q follow from xi, eta and eta_theta (a
+        copy is stored)."""
+        return cls(
+            t=t,
+            u=u,
+            xi=xi,
+            eta=eta,
+            eta_theta=eta_theta.copy(),
+            p=coeffs.kappa1 * xi + coeffs.kappa2 * eta_theta,
+            q=coeffs.kappa1 * eta - coeffs.kappa3 * xi,
+        )
+
 
 class StepSystems:
     """Assembled operators, reductions and factorizations for one run.
@@ -237,20 +258,17 @@ class StepSystems:
                 format="csr",
             )
             slaves = np.concatenate([u_dofs, dm.eta_offset + pverts])
-            masters = np.setdiff1d(np.arange(dm.n_monolithic, dtype=np.int64), slaves)
             coupling = None
             if pverts.size:
                 # Substituting eta_b = (p_D - kappa1*xi_b)/kappa2 couples each
                 # slave eta to its master xi.
-                xi_cols = np.searchsorted(masters, dm.xi_offset + pverts)
                 rows = np.arange(u_dofs.size, slaves.size, dtype=np.int64)
                 coupling = sp.coo_matrix(
-                    (np.full(pverts.size, -k1 / k2), (rows, xi_cols)),
-                    shape=(slaves.size, masters.size),
+                    (np.full(pverts.size, -k1 / k2), (rows, dm.xi_offset + pverts)),
+                    shape=(slaves.size, dm.n_monolithic),
                 )
             self.reduced_mono = ReducedSystem(
                 mono,
-                masters=masters,
                 slaves=slaves,
                 coupling=coupling,
                 lag_rows=self.boundary.rigid_rows_padded(dm.n_monolithic),
@@ -265,22 +283,18 @@ class StepSystems:
                     "determines xi only up to a constant; use the coupled "
                     "scheme (theta = 1) or a positive storage coefficient"
                 )
-            n1 = dm.n_step1
             saddle = sp.bmat(
                 [[self.A, -self.B.T], [self.B, k3 * self.M]], format="csr"
             )
-            masters1 = np.setdiff1d(np.arange(n1, dtype=np.int64), u_dofs)
             self.reduced_stokes = ReducedSystem(
                 saddle,
-                masters=masters1,
                 slaves=u_dofs,
-                lag_rows=self.boundary.rigid_rows_padded(n1),
+                lag_rows=self.boundary.rigid_rows_padded(dm.n_step1),
             )
             self.fact_stokes = factorize(self.reduced_stokes.matrix)
 
             diffusion = (self.M / dt + k2 * self.S).tocsr()
-            masters2 = np.setdiff1d(np.arange(dm.n_scalar, dtype=np.int64), pverts)
-            self.reduced_diffusion = ReducedSystem(diffusion, masters=masters2, slaves=pverts)
+            self.reduced_diffusion = ReducedSystem(diffusion, slaves=pverts)
             self.fact_diffusion = factorize(self.reduced_diffusion.matrix)
 
         # Built after the factorizations, so its tables do not add to their
@@ -296,13 +310,22 @@ class StepSystems:
         self.last_loads = (mech, flow)
         return mech, flow
 
-    def _solve(self, fact: Factorization, rhs: np.ndarray, label: str) -> np.ndarray:
+    def _solve(
+        self,
+        reduced: ReducedSystem,
+        fact: Factorization,
+        rhs: np.ndarray,
+        slave_values: np.ndarray,
+        label: str,
+    ) -> np.ndarray:
+        """Full solution of one reduced system at the run's tolerance; the
+        solve's report is recorded, and a failure names the label."""
         try:
-            x, report = solve(fact, rhs, self.tolerance)
+            y, report = solve(fact, reduced.reduce_rhs(rhs, slave_values), self.tolerance)
         except SolverFailureError as exc:
             raise SolverFailureError(f"{label}: {exc}", exc.report) from exc
         self.solve_reports.append(report)
-        return x
+        return reduced.expand(y, slave_values)
 
     def estimate_decoupled_amplification(self) -> float:
         """Per-step growth factor of the decoupled scheme's homogeneous map.
@@ -319,27 +342,15 @@ class StepSystems:
         if self.scheme.theta != 0:
             raise ValueError("amplification estimate applies to theta = 0 only")
         dm = self.dofmap
-        k1, k2 = self.coeffs.kappa1, self.coeffs.kappa2
-        dt = self.scheme.dt
-        pverts = self.boundary.pressure_vertices
-        u_zero = np.zeros(self.boundary.u_dofs.size)
+        mech, flow = np.zeros(dm.n_u), np.zeros(dm.n_scalar)
+        u_values = np.zeros(self.boundary.u_dofs.size)
+        p_data = np.zeros(self.boundary.pressure_vertices.size)
         vec = np.ones(dm.n_scalar) / np.sqrt(dm.n_scalar)
         ratios: list[float] = []
         for _ in range(_AMPLIFICATION_ITERS):
-            rhs1 = np.concatenate([np.zeros(dm.n_u), k1 * (self.M @ vec)])
-            y1, _ = solve(
-                self.fact_stokes, self.reduced_stokes.reduce_rhs(rhs1, u_zero),
-                self.tolerance,
+            _, _, new = _decoupled_solves(
+                self, vec, mech, flow, u_values, p_data, "solve of the amplification estimate"
             )
-            xi = self.reduced_stokes.expand(y1, u_zero)[dm.n_u:]
-            rhs2 = self.M @ vec / dt - k1 * (self.S @ xi)
-            eta_values = -(k1 / k2) * xi[pverts] if pverts.size else np.zeros(0)
-            y2, _ = solve(
-                self.fact_diffusion,
-                self.reduced_diffusion.reduce_rhs(rhs2, eta_values),
-                self.tolerance,
-            )
-            new = self.reduced_diffusion.expand(y2, eta_values)
             norm = float(np.linalg.norm(new))
             if norm == 0.0:
                 return 0.0
@@ -387,115 +398,88 @@ def init_state(systems: StepSystems) -> FieldState:
     exactly.
     """
     benchmark = systems.benchmark
-    prm = benchmark.params
-    coeffs = benchmark.coeffs
-    dofmap = systems.dofmap
     A, M, boundary = systems.A, systems.M, systems.boundary
     quadrature = systems.loads.quadrature
 
     coords = systems.mesh.p2_node_coords()
     u_interp = _interleave(benchmark.u0(coords, 0.0))
     u_values, _ = boundary.values(0.0)
-    masters = np.setdiff1d(np.arange(dofmap.n_u, dtype=np.int64), boundary.u_dofs)
-    system = ReducedSystem(
-        A, masters=masters, slaves=boundary.u_dofs, lag_rows=boundary.rigid_rows
+    system = ReducedSystem(A, slaves=boundary.u_dofs, lag_rows=boundary.rigid_rows)
+    u0 = systems._solve(
+        system, factorize(system.matrix), A @ u_interp, u_values,
+        "initial displacement projection",
     )
-    fact = factorize(system.matrix)
-    y, _ = solve(fact, system.reduce_rhs(A @ u_interp, u_values), DEFAULT_TOLERANCE)
-    u0 = system.expand(y, u_values)
 
     mass_fact = factorize(M)
     p_load = assemble_domain_load(quadrature, benchmark.p0, 0.0, space="scalar")
     q_load = assemble_domain_load(quadrature, benchmark.div_u0, 0.0, space="scalar")
-    p0, _ = solve(mass_fact, p_load, DEFAULT_TOLERANCE)
-    q0, _ = solve(mass_fact, q_load, DEFAULT_TOLERANCE)
+    p0, _ = solve(mass_fact, p_load, systems.tolerance)
+    q0, _ = solve(mass_fact, q_load, systems.tolerance)
 
-    eta0 = prm.c0 * p0 + prm.alpha * q0
-    xi0 = prm.alpha * p0 - prm.lam * q0
-    return FieldState(
-        t=0.0,
-        u=u0,
-        xi=xi0,
-        eta=eta0,
-        eta_theta=eta0.copy(),
-        p=coeffs.kappa1 * xi0 + coeffs.kappa2 * eta0,
-        q=coeffs.kappa1 * eta0 - coeffs.kappa3 * xi0,
-    )
+    xi0, eta0 = xieta_from_pq(p0, q0, benchmark.params)
+    return FieldState.derive(0.0, u0, xi0, eta0, eta0, systems.coeffs)
 
 
-def step_coupled(state: FieldState, scheme: TimeScheme, systems: StepSystems) -> FieldState:
+def step_coupled(state: FieldState, systems: StepSystems) -> FieldState:
     """One monolithic (theta = 1) step from state.t to state.t + dt."""
     dm = systems.dofmap
-    k1, k2, k3 = systems.coeffs.kappa1, systems.coeffs.kappa2, systems.coeffs.kappa3
-    dt = scheme.dt
+    dt = systems.scheme.dt
     t_next = state.t + dt
-    label = f"coupled step to t={t_next:.6g}"
 
     mech, flow = systems.assemble_rhs(t_next)
     rhs = np.concatenate(
         [mech, np.zeros(dm.n_scalar), systems.M @ state.eta / dt + flow]
     )
     u_values, p_data = systems.boundary_values(t_next)
-    slave_values = np.concatenate([u_values, p_data / k2])
-    red = systems.reduced_mono
-    y = systems._solve(systems.fact_mono, red.reduce_rhs(rhs, slave_values), label)
-    x = red.expand(y, slave_values)
-
-    u = x[: dm.n_u]
-    xi = x[dm.xi_offset : dm.eta_offset]
+    slave_values = np.concatenate([u_values, p_data / systems.coeffs.kappa2])
+    x = systems._solve(
+        systems.reduced_mono, systems.fact_mono, rhs, slave_values,
+        f"coupled step to t={t_next:.6g}",
+    )
     eta = x[dm.eta_offset :]
-    return FieldState(
-        t=t_next,
-        u=u,
-        xi=xi,
-        eta=eta,
-        eta_theta=eta.copy(),
-        p=k1 * xi + k2 * eta,
-        q=k1 * eta - k3 * xi,
+    return FieldState.derive(
+        t_next, x[: dm.n_u], x[dm.xi_offset : dm.eta_offset], eta, eta, systems.coeffs
     )
 
 
-def step_decoupled(state: FieldState, scheme: TimeScheme, systems: StepSystems) -> FieldState:
+def _decoupled_solves(
+    systems: StepSystems,
+    eta_prev: np.ndarray,
+    mech: np.ndarray,
+    flow: np.ndarray,
+    u_values: np.ndarray,
+    p_data: np.ndarray,
+    label: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The decoupled step map: the Stokes solve with eta lagged at eta_prev,
+    then the diffusion solve for the new eta.  Returns (u, xi, eta)."""
+    dm = systems.dofmap
+    k1, k2 = systems.coeffs.kappa1, systems.coeffs.kappa2
+    rhs1 = np.concatenate([mech, k1 * (systems.M @ eta_prev)])
+    x1 = systems._solve(
+        systems.reduced_stokes, systems.fact_stokes, rhs1, u_values,
+        f"decoupled Stokes {label}",
+    )
+    xi = x1[dm.n_u :]
+    rhs2 = systems.M @ eta_prev / systems.scheme.dt + flow - k1 * (systems.S @ xi)
+    eta_values = (p_data - k1 * xi[systems.boundary.pressure_vertices]) / k2
+    eta = systems._solve(
+        systems.reduced_diffusion, systems.fact_diffusion, rhs2, eta_values,
+        f"decoupled diffusion {label}",
+    )
+    return x1[: dm.n_u], xi, eta
+
+
+def step_decoupled(state: FieldState, systems: StepSystems) -> FieldState:
     """One decoupled (theta = 0) step: Stokes solve with lagged eta, then
     the diffusion solve for the new eta."""
-    dm = systems.dofmap
-    k1, k2, k3 = systems.coeffs.kappa1, systems.coeffs.kappa2, systems.coeffs.kappa3
-    dt = scheme.dt
-    t_next = state.t + dt
-
+    t_next = state.t + systems.scheme.dt
     mech, flow = systems.assemble_rhs(t_next)
     u_values, p_data = systems.boundary_values(t_next)
-
-    rhs1 = np.concatenate([mech, k1 * (systems.M @ state.eta)])
-    red1 = systems.reduced_stokes
-    y1 = systems._solve(
-        systems.fact_stokes,
-        red1.reduce_rhs(rhs1, u_values),
-        f"decoupled Stokes step to t={t_next:.6g}",
+    u, xi, eta = _decoupled_solves(
+        systems, state.eta, mech, flow, u_values, p_data, f"step to t={t_next:.6g}"
     )
-    x1 = red1.expand(y1, u_values)
-    u = x1[: dm.n_u]
-    xi = x1[dm.n_u :]
-
-    rhs2 = systems.M @ state.eta / dt + flow - k1 * (systems.S @ xi)
-    eta_values = (p_data - k1 * xi[systems.boundary.pressure_vertices]) / k2
-    red2 = systems.reduced_diffusion
-    y2 = systems._solve(
-        systems.fact_diffusion,
-        red2.reduce_rhs(rhs2, eta_values),
-        f"decoupled diffusion step to t={t_next:.6g}",
-    )
-    eta = red2.expand(y2, eta_values)
-
-    return FieldState(
-        t=t_next,
-        u=u,
-        xi=xi,
-        eta=eta,
-        eta_theta=state.eta.copy(),
-        p=k1 * xi + k2 * state.eta,
-        q=k1 * eta - k3 * xi,
-    )
+    return FieldState.derive(t_next, u, xi, eta, state.eta, systems.coeffs)
 
 
 @dataclass
@@ -601,8 +585,8 @@ def run(
         systems.A, systems.M, systems.S, mech0, flow0, coeffs, scheme.theta, scheme.dt
     )
     auditor.ingest(state)
-    tracker = ConservationTracker(benchmark, mesh, dofmap, systems.M, scheme.theta)
-    tracker.start(state)
+    tracker = ConservationTracker(benchmark, mesh, dofmap, systems.M, scheme.theta, state)
+    first_step_report = len(systems.solve_reports)
 
     want_errors = (
         compute_errors is True
@@ -633,7 +617,7 @@ def run(
     step_fn = step_coupled if scheme.theta == 1 else step_decoupled
 
     for n in range(1, scheme.n_steps + 1):
-        state = step_fn(state, scheme, systems)
+        state = step_fn(state, systems)
         p_res, q_res = check_state_consistency(state, coeffs)
         if max(p_res, q_res) > _CONSISTENCY_TOL:
             raise RuntimeError(
@@ -645,7 +629,6 @@ def run(
         mech, flow = systems.last_loads
         refs = tracker.advance(state, scheme.dt, mech, flow)
         conservation.append(refs)
-        residuals = check_conservation(state, refs)
         errs = observe_errors(state)
         records.append(
             DiagnosticsRecord(
@@ -654,9 +637,9 @@ def run(
                 J=erec.J,
                 S_cum=erec.s_cum,
                 energy_residual=erec.residual,
-                C_eta_res=residuals.eta,
-                C_xi_res=residuals.xi,
-                flux_res=residuals.flux,
+                C_eta_res=refs.eta_res,
+                C_xi_res=refs.xi_res,
+                flux_res=refs.flux_res,
                 err_u_L2=errs.get("u_L2"),
                 err_u_H1=errs.get("u_H1"),
                 err_p_L2=errs.get("p_L2"),
@@ -669,7 +652,7 @@ def run(
         states.append(state)
 
     errors = summarize_error_history(times, history) if evaluator is not None else None
-    reports = systems.solve_reports
+    reports = systems.solve_reports[first_step_report:]
     max_residual = max((r.relative_residual for r in reports), default=0.0)
     return RunResult(
         benchmark=benchmark,

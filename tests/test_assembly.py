@@ -479,6 +479,12 @@ def test_constraints_pure_traction_gets_rigid_rows(mesh2, dofmap2):
     assert bd.u_dofs.size == 0
     assert bd.rigid_rows is not None
     assert bd.rigid_rows.shape == (3, dofmap2.n_u)
+    # The rows are L2 pairings with (1,0), (0,1), (-x2, x1): on the unit
+    # square, u = (1, 0) gives (1, 0, -1/2) and u = (0, 1) gives (0, 1, 1/2).
+    for comp, expected in ((0, [1.0, 0.0, -0.5]), (1, [0.0, 1.0, 0.5])):
+        u = np.zeros(dofmap2.n_u)
+        u[comp::2] = 1.0
+        assert np.allclose(bd.rigid_rows @ u, expected, rtol=0.0, atol=1e-13)
 
 
 def test_constraints_reject_kappa2_zero_with_pressure_bc(mesh2, dofmap2):
@@ -554,9 +560,7 @@ def test_boundary_values_match_per_dof_reference(name):
 
 
 def test_reduced_system_identity_with_prescribed_dof():
-    rs = ReducedSystem(
-        sp.eye(2, format="csr"), masters=np.array([1]), slaves=np.array([0]),
-    )
+    rs = ReducedSystem(sp.eye(2, format="csr"), slaves=np.array([0]))
     prescribed = np.array([5.0])
     x, _ = solve(factorize(rs.matrix), rs.reduce_rhs(np.array([7.0, 3.0]), prescribed))
     assert np.allclose(rs.expand(x, prescribed), [5.0, 3.0], atol=1e-14)
@@ -565,9 +569,8 @@ def test_reduced_system_identity_with_prescribed_dof():
 def test_reduced_system_lagrange_row_matches_dense_kkt_oracle():
     matrix = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
     rhs = np.array([1.0, 3.0])
-    both = np.array([0, 1])
     none = np.empty(0)
-    rs = ReducedSystem(matrix, masters=both, lag_rows=sp.csr_matrix(np.array([[1.0, 1.0]])))
+    rs = ReducedSystem(matrix, slaves=none, lag_rows=sp.csr_matrix(np.array([[1.0, 1.0]])))
     x, _ = solve(factorize(rs.matrix), rs.reduce_rhs(rhs, none))
     got = rs.expand(x, none)
     kkt = np.array([[2.0, -1.0, 1.0], [-1.0, 2.0, 1.0], [1.0, 1.0, 0.0]])
@@ -582,8 +585,7 @@ def test_rigid_motion_constrained_traction_solve(mesh2, dofmap2):
     mech, _ = assemble_load(_loads(mesh2, dofmap2, bench), 0.0)
     bd = build_constraints(mesh2, dofmap2, bench.bcs, bench.coeffs)
     u_values, _ = bd.values(0.0)
-    masters = np.setdiff1d(np.arange(dofmap2.n_u), bd.u_dofs)
-    rs = ReducedSystem(A, masters=masters, slaves=bd.u_dofs, lag_rows=bd.rigid_rows)
+    rs = ReducedSystem(A, slaves=bd.u_dofs, lag_rows=bd.rigid_rows)
     x, _ = solve(factorize(rs.matrix), rs.reduce_rhs(mech, u_values))
     u = rs.expand(x, u_values)
     basis = rigid_motion_basis(mesh2, dofmap2)
@@ -591,18 +593,21 @@ def test_rigid_motion_constrained_traction_solve(mesh2, dofmap2):
         assert abs(row @ u) <= 1e-10 * max(1.0, np.linalg.norm(u) * np.linalg.norm(row))
 
 
-def test_dof_both_master_and_slave_rejected():
-    with pytest.raises(SingularConstraintsError):
-        ReducedSystem(
-            sp.eye(3, format="csr"), masters=np.array([0, 1]), slaves=np.array([1]),
-        )
+@pytest.mark.parametrize(
+    "slaves, message",
+    [([1, 1], "distinct"), ([3], "distinct"), ([-1], "distinct"), ([0], "master dofs only")],
+)
+def test_reduced_system_rejects_invalid_slaves(slaves, message):
+    # Duplicate and out-of-range slaves, and a coupling that reads a slave.
+    coupling = sp.csr_matrix(np.array([[1.0, 0.0, 0.0]]))
+    with pytest.raises(ValueError, match=message):
+        ReducedSystem(sp.eye(3, format="csr"), slaves=np.array(slaves), coupling=coupling)
 
 
 def test_dependent_affine_rows_rejected():
-    both = np.array([0, 1])
     with pytest.raises(SingularConstraintsError):
         ReducedSystem(
-            sp.eye(2, format="csr"), masters=both,
+            sp.eye(2, format="csr"), slaves=np.empty(0),
             lag_rows=sp.csr_matrix(np.array([[1.0, 1.0], [2.0, 2.0]])),
         )
 
@@ -626,13 +631,18 @@ def test_reduced_system_matches_dense_kkt_oracle(n, seed, with_coupling, n_lag):
     masters, slaves = np.flatnonzero(~is_slave), np.flatnonzero(is_slave)
     n_lag = min(n_lag, masters.size)
     values = rng.uniform(-2.0, 2.0, slaves.size)
-    C = np.zeros((slaves.size, masters.size))
+    # The coupling is given in full-system columns, zero in the slave ones.
+    C = np.zeros((slaves.size, n))
     if with_coupling:
-        C = rng.uniform(-1.0, 1.0, C.shape) * (rng.random(C.shape) < 0.5)
+        C[:, masters] = rng.uniform(-1.0, 1.0, (slaves.size, masters.size))
+        C *= rng.random(C.shape) < 0.5
     L = rng.uniform(-1.0, 1.0, (n_lag, n))
     b = rng.uniform(-1.0, 1.0, n)
     # The Lagrange rows act on x_m and x_s = C x_m + values alike.
-    assume(n_lag == 0 or np.linalg.svd(L[:, masters] + L[:, slaves] @ C, compute_uv=False)[-1] > 1e-3)
+    assume(
+        n_lag == 0
+        or np.linalg.svd(L[:, masters] + L[:, slaves] @ C[:, masters], compute_uv=False)[-1] > 1e-3
+    )
 
     # Unknowns (x, lam): master rows of A x + L^T lam = b, each slave row
     # replaced by its constraint x_s - C x_m = values, and L x = 0.
@@ -640,7 +650,7 @@ def test_reduced_system_matches_dense_kkt_oracle(n, seed, with_coupling, n_lag):
     kkt[masters, :n] = A[masters]
     kkt[masters, n:] = L[:, masters].T
     kkt[slaves, slaves] = 1.0
-    kkt[np.ix_(slaves, masters)] = -C
+    kkt[np.ix_(slaves, masters)] = -C[:, masters]
     kkt[n:, :n] = L
     full_rhs = np.concatenate([b, np.zeros(n_lag)])
     full_rhs[slaves] = values
@@ -648,7 +658,7 @@ def test_reduced_system_matches_dense_kkt_oracle(n, seed, with_coupling, n_lag):
     oracle = np.linalg.solve(kkt, full_rhs)
 
     rs = ReducedSystem(
-        sp.csr_matrix(A), masters=masters, slaves=slaves,
+        sp.csr_matrix(A), slaves=slaves,
         coupling=sp.csr_matrix(C) if with_coupling else None,
         lag_rows=sp.csr_matrix(L) if n_lag else None,
     )

@@ -376,6 +376,18 @@ def test_out_directory_collision_exits_1(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+def test_unreachable_tolerance_exits_1_naming_the_solve(tmp_path, capsys):
+    # No solve meets a relative residual of 1e-18; the first one of a
+    # decoupled run, in the amplification estimate, fails and says so.
+    code = main([
+        "run", "--set", "benchmark=barry_mercer", "--set", "theta=0", "--set", "nx=4",
+        "--set", "tolerance=1e-18", "--out", str(tmp_path / "o"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: decoupled Stokes solve of the amplification estimate: linear solve residual" in err
+
+
 def test_missing_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as info:
         main([])

@@ -21,6 +21,7 @@ from porofem.model import (
     MechanicalBC,
     get_benchmark,
 )
+from porofem.solver import SolverFailureError
 from porofem.stepper import (
     StepSystems,
     TimeScheme,
@@ -155,6 +156,14 @@ def test_init_state_identities_hold_exactly():
     state = initial_state(bench, build_rect_mesh(4, 4))
     p_res, q_res = check_state_consistency(state, bench.coeffs)
     assert max(p_res, q_res) == 0.0
+
+
+def test_init_state_solves_at_the_run_tolerance():
+    bench = get_benchmark("test1")
+    systems = StepSystems(bench, build_rect_mesh(4, 4),
+                          TimeScheme(dt=1e-3, n_steps=1, theta=1), tolerance=1e-18)
+    with pytest.raises(SolverFailureError):
+        init_state(systems)
 
 
 def test_init_state_pressure_projection_second_order():
