@@ -42,6 +42,7 @@ from .model import (
 
 __all__ = [
     "DofMap",
+    "nested_dissection",
     "SingularConstraintsError",
     "assemble_elasticity",
     "assemble_div",
@@ -123,6 +124,82 @@ class DofMap:
     def n_step1(self) -> int:
         """Size of the displacement/xi saddle block."""
         return self.n_u + self.n_scalar
+
+    def grid_index(self) -> np.ndarray:
+        """(n_monolithic, 2) logical grid position of every [u | xi | eta] dof.
+
+        Vertex k of the structured mesh sits at (k mod (nx+1), k div (nx+1)),
+        doubled; an edge node sits halfway between its two vertices.  A
+        displacement dof takes its node's position and a scalar dof its
+        vertex's.  Every element lies in one grid cell, so the dofs on an
+        even (vertex) line separate those on either side of it exactly,
+        whatever the vertex coordinates.
+        """
+        mesh = self.mesh
+        k = np.arange(mesh.n_vertices, dtype=np.int64)
+        vertex = 2 * np.column_stack([k % (mesh.nx + 1), k // (mesh.nx + 1)])
+        edge = (vertex[mesh.edges[:, 0]] + vertex[mesh.edges[:, 1]]) // 2
+        node = np.vstack([vertex, edge])
+        return np.vstack([np.repeat(node, 2, axis=0), vertex, vertex])
+
+
+def nested_dissection(grid: np.ndarray) -> np.ndarray:
+    """Fill-reducing elimination order of dofs at logical grid positions.
+
+    Recursive bisection on even grid lines (George, SIAM J. Numer. Anal.
+    10, 1973): the longer side of a region's bounding box is split at the
+    even line nearest its middle, and the two halves are ordered, each by
+    the same rule, before the separating line.  A region too narrow to hold
+    an interior even line keeps ascending dof order.
+
+    All regions of one bisection level are split together.  Each level
+    gives every dof a digit: 0 or 1 for the half it falls into, 2 on the
+    separator (which ends its recursion), 0 once its recursion has ended;
+    the order sorts the digit strings, so halves precede their separator.
+
+    Args:
+        grid: (n, 2) nonnegative integer positions, as taken from
+            DofMap.grid_index.
+
+    Returns:
+        A permutation of range(n): position i holds the dof eliminated i-th.
+    """
+    grid = np.asarray(grid, dtype=np.int64)
+    n = grid.shape[0]
+    active = np.arange(n, dtype=np.int64)
+    region = np.zeros(n, dtype=np.int64)
+    n_regions = 1
+    digits: list[np.ndarray] = []
+    while active.size:
+        x, y = grid[active, 0], grid[active, 1]
+        box = np.empty((4, n_regions), dtype=np.int64)
+        box[:2] = np.iinfo(np.int64).max
+        box[2:] = -1
+        np.minimum.at(box[0], region, x)
+        np.minimum.at(box[1], region, y)
+        np.maximum.at(box[2], region, x)
+        np.maximum.at(box[3], region, y)
+        on_x = box[2] - box[0] >= box[3] - box[1]
+        lo = np.where(on_x, box[0], box[1])
+        hi = np.where(on_x, box[2], box[3])
+        line = (lo + hi) // 4 * 2
+        line[line <= lo] += 2
+        split = (line < hi)[region]
+        coord = np.where(on_x[region], x, y)
+        at = line[region]
+        digit = np.where(coord < at, 0, np.where(coord > at, 1, 2)).astype(np.int8)
+        digit[~split] = 0
+        level = np.zeros(n, dtype=np.int8)
+        level[active] = digit
+        digits.append(level)
+        going = split & (digit < 2)
+        active = active[going]
+        halves = 2 * region[going] + digit[going]
+        present = np.zeros(2 * n_regions, dtype=bool)
+        present[halves] = True
+        region = (np.cumsum(present) - 1)[halves]
+        n_regions = int(np.count_nonzero(present))
+    return np.lexsort(digits[::-1]) if digits else np.zeros(0, dtype=np.int64)
 
 
 def _scatter(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, shape) -> sp.csr_matrix:

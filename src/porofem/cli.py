@@ -427,6 +427,11 @@ def cmd_run(config: RunConfig) -> int:
     log.append(f"time-independent loads = {'yes' if result.time_independent_loads else 'no'}")
     if not result.time_independent_loads:
         log.append("note: energy identity columns are informational (loads vary in time)")
+    for fact in result.factorizations:
+        log.append(
+            f"factorization = {fact.label}: {fact.unknowns} unknowns, "
+            f"{fact.lu_nnz} L+U nonzeros"
+        )
     log.append(f"solves = {result.solve_count}")
     log.append(f"max solver residual = {result.max_solver_residual:.17g}")
     if result.records:

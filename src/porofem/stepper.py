@@ -32,6 +32,7 @@ from .assembly import (
     assemble_scalar_mass,
     assemble_scalar_stiffness,
     build_constraints,
+    nested_dissection,
     rigid_motion_basis,
 )
 from .diagnostics import (
@@ -58,6 +59,7 @@ from .solver import (
 
 __all__ = [
     "TimeScheme",
+    "FactorizationRecord",
     "GateReport",
     "evaluate_gate",
     "FieldState",
@@ -166,6 +168,15 @@ def evaluate_gate(
     )
 
 
+@dataclass(frozen=True)
+class FactorizationRecord:
+    """Size and fill of one factorization of a run."""
+
+    label: str
+    unknowns: int
+    lu_nnz: int
+
+
 @dataclass(frozen=True, eq=False)
 class FieldState:
     """All coefficient vectors at one time level.
@@ -246,6 +257,8 @@ class StepSystems:
 
         dt = scheme.dt
         self.solve_reports: list[LinearSolveReport] = []
+        self.factorizations: list[FactorizationRecord] = []
+        self.grid = dm.grid_index()
         self.last_loads: Optional[tuple[np.ndarray, np.ndarray]] = None
 
         if scheme.theta == 1:
@@ -273,7 +286,7 @@ class StepSystems:
                 coupling=coupling,
                 lag_rows=self.boundary.rigid_rows_padded(dm.n_monolithic),
             )
-            self.fact_mono = factorize(self.reduced_mono.matrix)
+            self.fact_mono = self._factorize(self.reduced_mono, self.grid, "coupled system")
         else:
             if k3 == 0.0 and _normal_component_fully_prescribed(benchmark.bcs):
                 raise ValueError(
@@ -291,11 +304,16 @@ class StepSystems:
                 slaves=u_dofs,
                 lag_rows=self.boundary.rigid_rows_padded(dm.n_step1),
             )
-            self.fact_stokes = factorize(self.reduced_stokes.matrix)
+            self.fact_stokes = self._factorize(
+                self.reduced_stokes, self.grid[: dm.n_step1], "Stokes system"
+            )
 
             diffusion = (self.M / dt + k2 * self.S).tocsr()
             self.reduced_diffusion = ReducedSystem(diffusion, slaves=pverts)
-            self.fact_diffusion = factorize(self.reduced_diffusion.matrix)
+            self.fact_diffusion = self._factorize(
+                self.reduced_diffusion, self.grid[dm.xi_offset : dm.eta_offset],
+                "diffusion system",
+            )
 
         # Built after the factorizations, so its tables do not add to their
         # memory peak.
@@ -309,6 +327,18 @@ class StepSystems:
         mech, flow = assemble_load(self.loads, t)
         self.last_loads = (mech, flow)
         return mech, flow
+
+    def _factorize(self, reduced: ReducedSystem, grid: np.ndarray, label: str) -> Factorization:
+        """Factorization of a reduced system in nested-dissection order of
+        its masters' grid positions, Lagrange rows last; its size and fill
+        are recorded under the label."""
+        n_masters = reduced.masters.size
+        order = np.concatenate(
+            [nested_dissection(grid[reduced.masters]), n_masters + np.arange(reduced.n_lag)]
+        )
+        fact = factorize(reduced.matrix, order)
+        self.factorizations.append(FactorizationRecord(label, fact.shape[0], fact.lu_nnz))
+        return fact
 
     def _solve(
         self,
@@ -398,23 +428,27 @@ def init_state(systems: StepSystems) -> FieldState:
     exactly.
     """
     benchmark = systems.benchmark
+    dm = systems.dofmap
     A, M, boundary = systems.A, systems.M, systems.boundary
     quadrature = systems.loads.quadrature
 
     coords = systems.mesh.p2_node_coords()
     u_interp = _interleave(benchmark.u0(coords, 0.0))
     u_values, _ = boundary.values(0.0)
+    label = "initial displacement projection"
     system = ReducedSystem(A, slaves=boundary.u_dofs, lag_rows=boundary.rigid_rows)
-    u0 = systems._solve(
-        system, factorize(system.matrix), A @ u_interp, u_values,
-        "initial displacement projection",
-    )
+    fact = systems._factorize(system, systems.grid[: dm.n_u], label)
+    u0 = systems._solve(system, fact, A @ u_interp, u_values, label)
 
-    mass_fact = factorize(M)
+    none = np.empty(0)
+    mass = ReducedSystem(M, slaves=none)
+    mass_fact = systems._factorize(
+        mass, systems.grid[dm.xi_offset : dm.eta_offset], "initial mass projections"
+    )
     p_load = assemble_domain_load(quadrature, benchmark.p0, 0.0, space="scalar")
     q_load = assemble_domain_load(quadrature, benchmark.div_u0, 0.0, space="scalar")
-    p0, _ = solve(mass_fact, p_load, systems.tolerance)
-    q0, _ = solve(mass_fact, q_load, systems.tolerance)
+    p0 = systems._solve(mass, mass_fact, p_load, none, "initial pressure projection")
+    q0 = systems._solve(mass, mass_fact, q_load, none, "initial divergence projection")
 
     xi0, eta0 = xieta_from_pq(p0, q0, benchmark.params)
     return FieldState.derive(0.0, u0, xi0, eta0, eta0, systems.coeffs)
@@ -502,6 +536,7 @@ class RunResult:
     gate: Optional[GateReport]
     time_independent_loads: bool
     max_solver_residual: float
+    factorizations: tuple[FactorizationRecord, ...]
     solve_count: int = 0
     decoupled_amplification: Optional[float] = None
 
@@ -669,4 +704,5 @@ def run(
         max_solver_residual=max_residual,
         solve_count=len(reports),
         decoupled_amplification=amplification,
+        factorizations=tuple(systems.factorizations),
     )

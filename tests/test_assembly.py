@@ -31,6 +31,7 @@ from porofem.assembly import (
     assemble_scalar_stiffness,
     assemble_vector_mass,
     build_constraints,
+    nested_dissection,
     rigid_motion_basis,
 )
 from porofem.elements import (
@@ -92,6 +93,58 @@ def test_dofmap_counts_and_layout(mesh2, dofmap2):
     assert dm.eta_offset == dm.n_u + dm.n_scalar
     assert dm.n_monolithic == dm.n_u + 2 * dm.n_scalar
     assert dm.n_step1 == dm.n_u + dm.n_scalar
+
+
+def test_grid_index_positions():
+    # nx = 3, ny = 2: vertex k sits at (k mod 4, k div 4), doubled.
+    mesh = jittered_mesh(3, 2)
+    dm = DofMap.from_mesh(mesh)
+    grid = dm.grid_index()
+    assert grid.shape == (dm.n_monolithic, 2)
+    k = np.arange(mesh.n_vertices)
+    vertex = np.column_stack([2 * (k % 4), 2 * (k // 4)])
+    for offset in (dm.xi_offset, dm.eta_offset):
+        assert np.array_equal(grid[offset : offset + dm.n_scalar], vertex)
+    assert np.array_equal(grid[0 : 2 * mesh.n_vertices : 2], vertex)
+    assert np.array_equal(grid[1 : 2 * mesh.n_vertices : 2], vertex)
+    # An edge node halves the sum of its vertices' positions, exactly on
+    # the structured grid; both components of a node share its position.
+    edge_nodes = grid[2 * mesh.n_vertices : dm.n_u]
+    assert np.array_equal(edge_nodes[0::2], edge_nodes[1::2])
+    assert np.array_equal(
+        2 * edge_nodes[0::2], vertex[mesh.edges[:, 0]] + vertex[mesh.edges[:, 1]]
+    )
+
+
+def _nested_dissection_by_recursion(grid: np.ndarray, dofs: np.ndarray) -> list[int]:
+    """Region by region statement of the ordering rule of nested_dissection."""
+    if dofs.size == 0:
+        return []
+    pos = grid[dofs]
+    lo, hi = pos.min(axis=0), pos.max(axis=0)
+    axis = 0 if hi[0] - lo[0] >= hi[1] - lo[1] else 1
+    line = (lo[axis] + hi[axis]) // 4 * 2
+    if line <= lo[axis]:
+        line += 2
+    if line >= hi[axis]:
+        return sorted(dofs.tolist())
+    coord = pos[:, axis]
+    return (
+        _nested_dissection_by_recursion(grid, dofs[coord < line])
+        + _nested_dissection_by_recursion(grid, dofs[coord > line])
+        + sorted(dofs[coord == line].tolist())
+    )
+
+
+@pytest.mark.parametrize("nx, ny", [(1, 1), (2, 3), (5, 4), (9, 2), (16, 16)])
+def test_nested_dissection_matches_recursive_rule(nx, ny):
+    grid = DofMap.from_mesh(build_rect_mesh(nx, ny)).grid_index()
+    rng = np.random.default_rng(nx * 100 + ny)
+    kept = np.sort(rng.choice(grid.shape[0], grid.shape[0] * 4 // 5, replace=False))
+    for sub in (grid, grid[kept], grid[: 2 * (nx + 1) * (ny + 1)], grid[:1], grid[:0]):
+        order = nested_dissection(sub)
+        assert order.dtype == np.int64
+        assert order.tolist() == _nested_dissection_by_recursion(sub, np.arange(sub.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +615,8 @@ def test_boundary_values_match_per_dof_reference(name):
 def test_reduced_system_identity_with_prescribed_dof():
     rs = ReducedSystem(sp.eye(2, format="csr"), slaves=np.array([0]))
     prescribed = np.array([5.0])
-    x, _ = solve(factorize(rs.matrix), rs.reduce_rhs(np.array([7.0, 3.0]), prescribed))
+    fact = factorize(rs.matrix, np.arange(rs.matrix.shape[0]))
+    x, _ = solve(fact, rs.reduce_rhs(np.array([7.0, 3.0]), prescribed))
     assert np.allclose(rs.expand(x, prescribed), [5.0, 3.0], atol=1e-14)
 
 
@@ -571,7 +625,8 @@ def test_reduced_system_lagrange_row_matches_dense_kkt_oracle():
     rhs = np.array([1.0, 3.0])
     none = np.empty(0)
     rs = ReducedSystem(matrix, slaves=none, lag_rows=sp.csr_matrix(np.array([[1.0, 1.0]])))
-    x, _ = solve(factorize(rs.matrix), rs.reduce_rhs(rhs, none))
+    fact = factorize(rs.matrix, np.arange(rs.matrix.shape[0]))
+    x, _ = solve(fact, rs.reduce_rhs(rhs, none))
     got = rs.expand(x, none)
     kkt = np.array([[2.0, -1.0, 1.0], [-1.0, 2.0, 1.0], [1.0, 1.0, 0.0]])
     oracle = np.linalg.solve(kkt, np.array([1.0, 3.0, 0.0]))
@@ -586,7 +641,8 @@ def test_rigid_motion_constrained_traction_solve(mesh2, dofmap2):
     bd = build_constraints(mesh2, dofmap2, bench.bcs, bench.coeffs)
     u_values, _ = bd.values(0.0)
     rs = ReducedSystem(A, slaves=bd.u_dofs, lag_rows=bd.rigid_rows)
-    x, _ = solve(factorize(rs.matrix), rs.reduce_rhs(mech, u_values))
+    fact = factorize(rs.matrix, np.arange(rs.matrix.shape[0]))
+    x, _ = solve(fact, rs.reduce_rhs(mech, u_values))
     u = rs.expand(x, u_values)
     basis = rigid_motion_basis(mesh2, dofmap2)
     for row in basis:

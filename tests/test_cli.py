@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -183,6 +184,12 @@ def test_run_writes_expected_files(tmp_path, small_run_args):
     assert "gate = not applicable (theta = 1)" in log
     assert "solves = 10" in log
     assert "time-independent loads = yes" in log
+    facts = re.findall(r"^factorization = (.+): (\d+) unknowns, (\d+) L\+U nonzeros$", log, re.M)
+    assert [f[0] for f in facts] == [
+        "coupled system", "initial displacement projection", "initial mass projections"
+    ]
+    assert facts[2][1] == "9"  # the P1 mass matrix of the 2 x 2 mesh
+    assert all(int(nnz) >= int(n) > 0 for _, n, nnz in facts)
     snapshots = {p.name for p in out.glob("fields_*.vtk")}
     assert snapshots == {f"fields_{i}.vtk" for i in range(11)}
 
@@ -386,6 +393,18 @@ def test_unreachable_tolerance_exits_1_naming_the_solve(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "error: decoupled Stokes solve of the amplification estimate: linear solve residual" in err
+
+
+def test_unreachable_tolerance_names_the_initial_projection(tmp_path, capsys):
+    # test1's initial displacement is zero, so its projection passes with a
+    # zero residual; the pressure projection is the first to fail.
+    code = main([
+        "run", "--set", "benchmark=test1", "--set", "nx=4",
+        "--set", "tolerance=1e-18", "--out", str(tmp_path / "o"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: initial pressure projection: linear solve residual" in err
 
 
 def test_missing_subcommand_is_usage_error():

@@ -28,11 +28,13 @@ from porofem.stepper import (
     evaluate_gate,
     init_state,
     run,
+    step_coupled,
 )
 
 from helpers import (
     conservation_benchmark,
     initial_state,
+    jittered_mesh,
     normal_traction,
     zero_benchmark,
     zero_scalar,
@@ -523,3 +525,87 @@ def test_compatible_pure_traction_run_is_clean():
         result = run(bench, build_rect_mesh(3, 3),
                      TimeScheme(dt=0.02, n_steps=2, theta=1))
     assert np.all(np.isfinite(result.final_state.u))
+
+
+# ---------------------------------------------------------------------------
+# Factorization order and fill
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("theta", [0, 1])
+def test_factorization_orders_are_permutations_with_lagrange_rows_last(theta):
+    # Pure traction: every mechanical system carries three rigid-motion rows.
+    systems = StepSystems(
+        conservation_benchmark(), build_rect_mesh(4, 3), TimeScheme(dt=1e-3, n_steps=1, theta=theta)
+    )
+    facts = (
+        [(systems.reduced_mono, systems.fact_mono)]
+        if theta == 1
+        else [
+            (systems.reduced_stokes, systems.fact_stokes),
+            (systems.reduced_diffusion, systems.fact_diffusion),
+        ]
+    )
+    for reduced, fact in facts:
+        n = reduced.matrix.shape[0]
+        n_masters = reduced.masters.size
+        assert sorted(fact._order.tolist()) == list(range(n))
+        assert n - n_masters == reduced.n_lag
+        assert fact._order[n_masters:].tolist() == list(range(n_masters, n))
+    assert facts[0][0].n_lag == 3
+
+
+@pytest.mark.parametrize("name", ["locking", "test1"])
+def test_first_separator_decouples_reduced_coupled_matrix_on_jittered_mesh(name):
+    # The split is taken on logical grid lines, so moving the vertices off
+    # those lines leaves it exact; test1 also couples each eliminated
+    # boundary eta to its vertex's xi.
+    bench = get_benchmark(name)
+    systems = StepSystems(
+        bench, jittered_mesh(9, 6, rect=bench.rect), TimeScheme(dt=1e-4, n_steps=1, theta=1)
+    )
+    reduced = systems.reduced_mono
+    n_masters = reduced.masters.size
+    grid = systems.grid[reduced.masters]
+    # The longer side (x: 9 cells) is split at the vertex line nearest its
+    # middle, the even line 8 of 0..18.
+    line = 8
+    left = np.flatnonzero(grid[:, 0] < line)
+    right = np.flatnonzero(grid[:, 0] > line)
+    separator = np.flatnonzero(grid[:, 0] == line)
+    matrix = reduced.matrix[:n_masters, :n_masters].tocsr()
+    assert matrix[left][:, right].count_nonzero() == 0
+    assert matrix[right][:, left].count_nonzero() == 0
+    assert matrix[left][:, separator].count_nonzero() > 0
+    assert matrix[right][:, separator].count_nonzero() > 0
+    order = systems.fact_mono._order[:n_masters]
+    assert set(order[: left.size].tolist()) == set(left.tolist())
+    assert set(order[left.size : left.size + right.size].tolist()) == set(right.tolist())
+    assert set(order[-separator.size :].tolist()) == set(separator.tolist())
+
+
+def test_coupled_locking_fill_and_residual_at_nx32():
+    # Locking's nearly incompressible coupled system: COLAMD ordering gave
+    # about 3.6M L+U nonzeros here, grid nested dissection about 1.66M.
+    systems = StepSystems(
+        get_benchmark("locking"), build_rect_mesh(32, 32), TimeScheme(dt=1e-4, n_steps=1, theta=1)
+    )
+    assert systems.fact_mono.lu_nnz <= 2_500_000
+    state = step_coupled(init_state(systems), systems)
+    assert state.t == pytest.approx(1e-4)
+    assert systems.solve_reports[-1].relative_residual <= 1e-11
+
+
+def test_run_records_each_factorization():
+    scheme = TimeScheme(dt=1e-3, n_steps=1, theta=0)
+    result = run(get_benchmark("barry_mercer"), build_rect_mesh(3, 3), scheme)
+    labels = [f.label for f in result.factorizations]
+    assert labels == [
+        "Stokes system",
+        "diffusion system",
+        "initial displacement projection",
+        "initial mass projections",
+    ]
+    by_label = {f.label: f for f in result.factorizations}
+    assert by_label["initial mass projections"].unknowns == result.dofmap.n_scalar
+    assert all(f.lu_nnz >= f.unknowns > 0 for f in result.factorizations)
