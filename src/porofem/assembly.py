@@ -2,7 +2,7 @@
 
 Builds the matrices of the two-field formulation (elasticity block,
 divergence coupling, scalar mass and stiffness), load vectors including
-boundary tractions and fluxes (from quadrature tables built once per run),
+boundary tractions and fluxes (from quadrature tables built once, not per step),
 the boundary data of a problem (which dofs are constrained, built once,
 and their values at any time), and the reduction of a full linear system
 to its free unknowns.
@@ -334,7 +334,7 @@ class DomainQuadrature:
     """A triangle rule over every triangle of a mesh, tabulated once.
 
     The loads, the initial L2 projections and the error evaluation of a
-    run share one instance.
+    run share one instance, and so do all runs on one mesh.
 
     Attributes:
         rule: the reference rule.
@@ -442,7 +442,9 @@ class LoadAssembler:
     body force and the mass source over the triangles, each traction and
     each flux over the edges of its segment.  A closure that is
     zero_vector or zero_scalar contributes nothing and is dropped here, so
-    no step evaluates it.  The gravity term does not depend on time.
+    no step evaluates it.  The gravity term does not depend on time.  The
+    domain quadrature is shared with the rest of a run, and with other runs
+    on the same mesh; only the closures belong to this problem.
     """
 
     quadrature: DomainQuadrature
@@ -455,11 +457,11 @@ class LoadAssembler:
         cls,
         mesh: Mesh,
         dofmap: DofMap,
+        quadrature: DomainQuadrature,
         sources: SourceFunctions,
         bcs: BoundaryConditionSpec,
         params: MaterialParams,
     ) -> "LoadAssembler":
-        quadrature = DomainQuadrature.from_mesh(mesh, dofmap)
         mech = [(sources.f, quadrature.vector)] if _contributes(sources.f) else []
         tractions = {tag: bc.traction for tag, bc in bcs.mechanical.items()}
         mech += _edge_terms(mesh, dofmap, tractions, "vector")

@@ -29,7 +29,7 @@ from .diagnostics import DiagnosticsRecord, biot_limit_sweep, extract_rates
 from .mesh import Mesh, MeshError, build_rect_mesh
 from .model import BENCHMARK_NAMES, Benchmark, get_benchmark
 from .solver import SingularMatrixError, SolverFailureError
-from .stepper import FieldState, TimeScheme, run
+from .stepper import Discretization, FieldState, TimeScheme, run
 
 __all__ = [
     "ConfigError",
@@ -392,7 +392,7 @@ def cmd_run(config: RunConfig) -> int:
 
     result = run(
         resolved.benchmark,
-        resolved.mesh,
+        Discretization.build(resolved.mesh, resolved.benchmark.params),
         resolved.scheme,
         keep_states=config.vtk,
         compute_errors=resolved.compute_errors,
@@ -463,7 +463,7 @@ def cmd_convergence(config: RunConfig) -> int:
         mesh = build_rect_mesh(nx, nx, resolved.benchmark.rect)
         result = run(
             resolved.benchmark,
-            mesh,
+            Discretization.build(mesh, resolved.benchmark.params),
             resolved.scheme,
             keep_states=False,
             compute_errors=True,

@@ -26,7 +26,7 @@ from .assembly import (
     assemble_vector_mass,
     rigid_motion_rows,
 )
-from .elements import AffineMaps, edge_quadrature, edge_trace_p2, eval_basis, triangle_quadrature
+from .elements import edge_quadrature, edge_trace_p2, eval_basis
 # Unused here since DomainQuadrature tabulates the points, but perfbench's
 # tracer still wraps this name (perfbench/spans.py).
 from .elements import physical_points  # noqa: F401
@@ -151,9 +151,6 @@ class ConservationTracker:
 
     def __init__(self, benchmark: Benchmark, mesh: Mesh, dofmap: DofMap,
                  scalar_mass: sp.spmatrix, theta: int, initial_state) -> None:
-        self.benchmark = benchmark
-        self.mesh = mesh
-        self.dofmap = dofmap
         self.M = scalar_mass
         self.theta = theta
         self.coeffs = benchmark.coeffs
@@ -558,35 +555,7 @@ class BudgetExceededError(RuntimeError):
     """Raised when a dense diagnostic would exceed its size budget."""
 
 
-def _dg_pressure_operators(mesh: Mesh, dofmap: DofMap) -> tuple[np.ndarray, np.ndarray]:
-    """Divergence and mass operators for a discontinuous P1 pressure space.
-
-    Used only as a negative control: the P2/P1-discontinuous pair is not
-    inf-sup stable, so the estimator must collapse on it.
-    """
-    rule = triangle_quadrature(2)
-    _, ref_grads = eval_basis("P2", rule.points)
-    p1_vals, _ = eval_basis("P1", rule.points)
-    maps = AffineMaps.from_mesh(mesh)
-    grads = maps.physical_gradients(ref_grads)
-    local = np.einsum("q,qj,fqia,f->fjia", rule.weights, p1_vals, grads, maps.det, optimize=True)
-    local = local.reshape(mesh.n_triangles, 3, 12)
-    n_p = 3 * mesh.n_triangles
-    B = np.zeros((n_p, dofmap.n_u))
-    rows = 3 * np.arange(mesh.n_triangles)[:, None] + np.arange(3)[None, :]
-    cols = dofmap.triangle_u  # (F, 12); each (triangle, local row) owns a unique row
-    for k in range(3):
-        np.add.at(B, (rows[:, k][:, None], cols), local[:, k, :])
-    areas = mesh.triangle_areas()
-    m_loc = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    M = np.zeros((n_p, n_p))
-    for k in range(3):
-        for l in range(3):
-            M[rows[:, k], rows[:, l]] = areas * m_loc[k, l]
-    return B, M
-
-
-def estimate_infsup(mesh: Mesh, budget: int = 2000, discontinuous_pressure: bool = False) -> float:
+def estimate_infsup(mesh: Mesh, budget: int = 2000) -> float:
     """Dense inf-sup estimate for the P2-vector / P1 pair on a small mesh.
 
     Computes sqrt of the smallest generalized eigenvalue of the projected
@@ -597,7 +566,7 @@ def estimate_infsup(mesh: Mesh, budget: int = 2000, discontinuous_pressure: bool
         BudgetExceededError: when the dense solve would exceed the budget.
     """
     dofmap = DofMap.from_mesh(mesh)
-    n_p = 3 * mesh.n_triangles if discontinuous_pressure else dofmap.n_scalar
+    n_p = dofmap.n_scalar
     n_total = dofmap.n_u + n_p
     if n_total > budget:
         raise BudgetExceededError(
@@ -610,11 +579,8 @@ def estimate_infsup(mesh: Mesh, budget: int = 2000, discontinuous_pressure: bool
     K[:n_u, :n_u] = A
     K[:n_u, n_u:] = C.T
     K[n_u:, :n_u] = C
-    if discontinuous_pressure:
-        B, Mp = _dg_pressure_operators(mesh, dofmap)
-    else:
-        B = assemble_div(mesh, dofmap).toarray()
-        Mp = assemble_scalar_mass(mesh, dofmap).toarray()
+    B = assemble_div(mesh, dofmap).toarray()
+    Mp = assemble_scalar_mass(mesh, dofmap).toarray()
     rhs = np.zeros((n_u + 3, n_p))
     rhs[:n_u] = B.T
     X = la.solve(K, rhs)
@@ -650,33 +616,32 @@ def biot_limit_sweep(benchmark: Benchmark, c0_values: Sequence[float], mesh: Mes
 
     Re-solves the benchmark with each storage coefficient on the same mesh
     and time scheme, then reports max-over-time L2 distances of u, eta and
-    xi between consecutive c0 values.
+    xi between consecutive c0 values.  The runs share one discretization
+    (c0 enters no operator of it), and each run is compared with the one
+    before it as soon as it finishes, so only two trajectories are held.
     """
     from . import stepper  # local import: stepper depends on this module
 
-    dofmap = DofMap.from_mesh(mesh)
-    mass_u = assemble_vector_mass(mesh, dofmap)
-    mass_p = assemble_scalar_mass(mesh, dofmap)
-    trajectories = []
-    for c0 in c0_values:
-        params = replace(benchmark.params, c0=float(c0))
-        bench = get_benchmark(benchmark.name, params)
-        result = stepper.run(bench, mesh, scheme, keep_states=True, compute_errors=False)
-        trajectories.append([(s.u, s.eta, s.xi) for s in result.states])
+    disc = stepper.Discretization.build(mesh, benchmark.params)
+    mass_u = assemble_vector_mass(mesh, disc.dofmap)
 
     def l2(vec: np.ndarray, mat) -> float:
         return float(np.sqrt(max(vec @ (mat @ vec), 0.0)))
 
     rows = []
-    for (c0a, traj_a), (c0b, traj_b) in zip(
-        zip(c0_values, trajectories), zip(c0_values[1:], trajectories[1:])
-    ):
-        du = deta = dxi = 0.0
-        for (ua, ea, xa), (ub, eb, xb) in zip(traj_a, traj_b):
-            du = max(du, l2(ua - ub, mass_u))
-            deta = max(deta, l2(ea - eb, mass_p))
-            dxi = max(dxi, l2(xa - xb, mass_p))
-        rows.append(SweepRow(float(c0a), float(c0b), du, deta, dxi))
+    c0_prev = states_prev = None
+    for c0 in c0_values:
+        bench = get_benchmark(benchmark.name, replace(benchmark.params, c0=float(c0)))
+        states = stepper.run(bench, disc, scheme, keep_states=True, compute_errors=False).states
+        if states_prev is not None:
+            pairs = list(zip(states_prev, states))
+            rows.append(SweepRow(
+                float(c0_prev), float(c0),
+                max(0.0, *(l2(a.u - b.u, mass_u) for a, b in pairs)),
+                max(0.0, *(l2(a.eta - b.eta, disc.M) for a, b in pairs)),
+                max(0.0, *(l2(a.xi - b.xi, disc.M) for a, b in pairs)),
+            ))
+        c0_prev, states_prev = c0, states
     return rows
 
 

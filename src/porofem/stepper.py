@@ -23,6 +23,7 @@ import scipy.sparse as sp
 
 from .assembly import (
     DofMap,
+    DomainQuadrature,
     LoadAssembler,
     ReducedSystem,
     assemble_div,
@@ -58,6 +59,7 @@ from .solver import (
 )
 
 __all__ = [
+    "Discretization",
     "TimeScheme",
     "FactorizationRecord",
     "GateReport",
@@ -218,55 +220,88 @@ class FieldState:
         )
 
 
-class StepSystems:
-    """Assembled operators, reductions and factorizations for one run.
+@dataclass(frozen=True, eq=False)
+class Discretization:
+    """The operators and quadrature tables of one mesh, shared by every run
+    on it.  A carries mu and S the mobility K/mu_f; no other parameter and
+    no closure enters, so all runs whose benchmarks have those two values
+    (the c0 values of a sweep, say) can share one instance.
+    """
 
-    Built once per (benchmark, mesh, scheme); every step reuses the
-    factorizations and only reassembles right-hand sides and boundary
+    mesh: Mesh
+    dofmap: DofMap
+    grid: np.ndarray  # dofmap.grid_index(), which orders every factorization
+    mu: float
+    mobility: float
+    A: sp.csr_matrix
+    B: sp.csr_matrix
+    M: sp.csr_matrix
+    S: sp.csr_matrix
+    quadrature: DomainQuadrature
+
+    @classmethod
+    def build(cls, mesh: Mesh, params: MaterialParams) -> "Discretization":
+        dm = DofMap.from_mesh(mesh)
+        mobility = params.K / params.mu_f
+        return cls(
+            mesh, dm, dm.grid_index(), params.mu, mobility,
+            assemble_elasticity(mesh, dm, params.mu),
+            assemble_div(mesh, dm),
+            assemble_scalar_mass(mesh, dm),
+            assemble_scalar_stiffness(mesh, dm, mobility),
+            DomainQuadrature.from_mesh(mesh, dm),
+        )
+
+
+class StepSystems:
+    """Block matrices, reductions and factorizations for one run.
+
+    Built once per (benchmark, discretization, scheme); every step reuses
+    the factorizations and only reassembles right-hand sides and boundary
     values.  The boundary data (which dofs are constrained) and the load
-    assembler's quadrature tables are built once, at construction; each
-    step evaluates only the closures.
+    closures are set up once, at construction; each step evaluates only
+    the closures.  A discretization built for another mu or K/mu_f than
+    the benchmark's is refused with ValueError.
     """
 
     def __init__(
         self,
         benchmark: Benchmark,
-        mesh: Mesh,
+        discretization: Discretization,
         scheme: TimeScheme,
         tolerance: float = DEFAULT_TOLERANCE,
     ) -> None:
+        disc = discretization
+        prm = benchmark.params
+        if (prm.mu, prm.K / prm.mu_f) != (disc.mu, disc.mobility):
+            raise ValueError(
+                f"the discretization carries mu, K/mu_f = {disc.mu:.17g}, "
+                f"{disc.mobility:.17g}, the benchmark {prm.mu:.17g}, {prm.K / prm.mu_f:.17g}"
+            )
         self.benchmark = benchmark
-        self.mesh = mesh
+        self.discretization = disc
         self.scheme = scheme
         self.tolerance = float(tolerance)
-        self.dofmap = DofMap.from_mesh(mesh)
-        dm = self.dofmap
-        prm = benchmark.params
-        self.params = prm
+        dm = disc.dofmap
         self.coeffs = benchmark.coeffs
         k1, k2, k3 = self.coeffs.kappa1, self.coeffs.kappa2, self.coeffs.kappa3
+        A, B, M, S = disc.A, disc.B, disc.M, disc.S
 
-        self.A = assemble_elasticity(mesh, dm, prm.mu)
-        self.B = assemble_div(mesh, dm)
-        self.M = assemble_scalar_mass(mesh, dm)
-        self.S = assemble_scalar_stiffness(mesh, dm, prm.K / prm.mu_f)
-
-        self.boundary = build_constraints(mesh, dm, benchmark.bcs, self.coeffs)
+        self.boundary = build_constraints(disc.mesh, dm, benchmark.bcs, self.coeffs)
         u_dofs = self.boundary.u_dofs
         pverts = self.boundary.pressure_vertices
 
         dt = scheme.dt
         self.solve_reports: list[LinearSolveReport] = []
         self.factorizations: list[FactorizationRecord] = []
-        self.grid = dm.grid_index()
         self.last_loads: Optional[tuple[np.ndarray, np.ndarray]] = None
 
         if scheme.theta == 1:
             mono = sp.bmat(
                 [
-                    [self.A, -self.B.T, None],
-                    [self.B, k3 * self.M, -k1 * self.M],
-                    [None, k1 * self.S, self.M / dt + k2 * self.S],
+                    [A, -B.T, None],
+                    [B, k3 * M, -k1 * M],
+                    [None, k1 * S, M / dt + k2 * S],
                 ],
                 format="csr",
             )
@@ -286,7 +321,7 @@ class StepSystems:
                 coupling=coupling,
                 lag_rows=self.boundary.rigid_rows_padded(dm.n_monolithic),
             )
-            self.fact_mono = self._factorize(self.reduced_mono, self.grid, "coupled system")
+            self.fact_mono = self._factorize(self.reduced_mono, disc.grid, "coupled system")
         else:
             if k3 == 0.0 and _normal_component_fully_prescribed(benchmark.bcs):
                 raise ValueError(
@@ -296,28 +331,25 @@ class StepSystems:
                     "determines xi only up to a constant; use the coupled "
                     "scheme (theta = 1) or a positive storage coefficient"
                 )
-            saddle = sp.bmat(
-                [[self.A, -self.B.T], [self.B, k3 * self.M]], format="csr"
-            )
+            saddle = sp.bmat([[A, -B.T], [B, k3 * M]], format="csr")
             self.reduced_stokes = ReducedSystem(
                 saddle,
                 slaves=u_dofs,
                 lag_rows=self.boundary.rigid_rows_padded(dm.n_step1),
             )
             self.fact_stokes = self._factorize(
-                self.reduced_stokes, self.grid[: dm.n_step1], "Stokes system"
+                self.reduced_stokes, disc.grid[: dm.n_step1], "Stokes system"
             )
 
-            diffusion = (self.M / dt + k2 * self.S).tocsr()
+            diffusion = (M / dt + k2 * S).tocsr()
             self.reduced_diffusion = ReducedSystem(diffusion, slaves=pverts)
             self.fact_diffusion = self._factorize(
-                self.reduced_diffusion, self.grid[dm.xi_offset : dm.eta_offset],
+                self.reduced_diffusion, disc.grid[dm.xi_offset : dm.eta_offset],
                 "diffusion system",
             )
 
-        # Built after the factorizations, so its tables do not add to their
-        # memory peak.
-        self.loads = LoadAssembler.build(mesh, dm, benchmark.sources, benchmark.bcs, prm)
+        self.loads = LoadAssembler.build(disc.mesh, dm, disc.quadrature, benchmark.sources,
+                                         benchmark.bcs, prm)
 
     def boundary_values(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Dirichlet displacement values and pressure data at time t."""
@@ -371,7 +403,7 @@ class StepSystems:
         """
         if self.scheme.theta != 0:
             raise ValueError("amplification estimate applies to theta = 0 only")
-        dm = self.dofmap
+        dm = self.discretization.dofmap
         mech, flow = np.zeros(dm.n_u), np.zeros(dm.n_scalar)
         u_values = np.zeros(self.boundary.u_dofs.size)
         p_data = np.zeros(self.boundary.pressure_vertices.size)
@@ -388,11 +420,6 @@ class StepSystems:
             vec = new / norm
         tail = ratios[-5:]
         return float(np.exp(np.mean(np.log(tail))))
-
-
-def _interleave(values: np.ndarray) -> np.ndarray:
-    """(n, 2) nodal vector field -> interleaved dof vector of length 2n."""
-    return np.asarray(values, dtype=float).reshape(-1)
 
 
 _NORMAL_COMPONENT = {
@@ -416,8 +443,8 @@ def _normal_component_fully_prescribed(bcs) -> bool:
 
 
 def init_state(systems: StepSystems) -> FieldState:
-    """Discrete initial data, from the operators, boundary data and
-    quadrature tables of a run's StepSystems.
+    """Discrete initial data, from the discretization and boundary data of
+    a run's StepSystems.
 
     The displacement is the elliptic projection of the initial field: it
     matches the strain energy of the nodal interpolant, satisfies the t=0
@@ -428,25 +455,24 @@ def init_state(systems: StepSystems) -> FieldState:
     exactly.
     """
     benchmark = systems.benchmark
-    dm = systems.dofmap
-    A, M, boundary = systems.A, systems.M, systems.boundary
-    quadrature = systems.loads.quadrature
+    disc = systems.discretization
+    dm, A, M, boundary = disc.dofmap, disc.A, disc.M, systems.boundary
 
-    coords = systems.mesh.p2_node_coords()
-    u_interp = _interleave(benchmark.u0(coords, 0.0))
+    coords = disc.mesh.p2_node_coords()
+    u_interp = np.asarray(benchmark.u0(coords, 0.0), dtype=float).reshape(-1)  # interleaved
     u_values, _ = boundary.values(0.0)
     label = "initial displacement projection"
     system = ReducedSystem(A, slaves=boundary.u_dofs, lag_rows=boundary.rigid_rows)
-    fact = systems._factorize(system, systems.grid[: dm.n_u], label)
+    fact = systems._factorize(system, disc.grid[: dm.n_u], label)
     u0 = systems._solve(system, fact, A @ u_interp, u_values, label)
 
     none = np.empty(0)
     mass = ReducedSystem(M, slaves=none)
     mass_fact = systems._factorize(
-        mass, systems.grid[dm.xi_offset : dm.eta_offset], "initial mass projections"
+        mass, disc.grid[dm.xi_offset : dm.eta_offset], "initial mass projections"
     )
-    p_load = assemble_domain_load(quadrature, benchmark.p0, 0.0, space="scalar")
-    q_load = assemble_domain_load(quadrature, benchmark.div_u0, 0.0, space="scalar")
+    p_load = assemble_domain_load(disc.quadrature, benchmark.p0, 0.0, space="scalar")
+    q_load = assemble_domain_load(disc.quadrature, benchmark.div_u0, 0.0, space="scalar")
     p0 = systems._solve(mass, mass_fact, p_load, none, "initial pressure projection")
     q0 = systems._solve(mass, mass_fact, q_load, none, "initial divergence projection")
 
@@ -456,13 +482,14 @@ def init_state(systems: StepSystems) -> FieldState:
 
 def step_coupled(state: FieldState, systems: StepSystems) -> FieldState:
     """One monolithic (theta = 1) step from state.t to state.t + dt."""
-    dm = systems.dofmap
+    disc = systems.discretization
+    dm = disc.dofmap
     dt = systems.scheme.dt
     t_next = state.t + dt
 
     mech, flow = systems.assemble_rhs(t_next)
     rhs = np.concatenate(
-        [mech, np.zeros(dm.n_scalar), systems.M @ state.eta / dt + flow]
+        [mech, np.zeros(dm.n_scalar), disc.M @ state.eta / dt + flow]
     )
     u_values, p_data = systems.boundary_values(t_next)
     slave_values = np.concatenate([u_values, p_data / systems.coeffs.kappa2])
@@ -487,15 +514,16 @@ def _decoupled_solves(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The decoupled step map: the Stokes solve with eta lagged at eta_prev,
     then the diffusion solve for the new eta.  Returns (u, xi, eta)."""
-    dm = systems.dofmap
+    disc = systems.discretization
+    dm = disc.dofmap
     k1, k2 = systems.coeffs.kappa1, systems.coeffs.kappa2
-    rhs1 = np.concatenate([mech, k1 * (systems.M @ eta_prev)])
+    rhs1 = np.concatenate([mech, k1 * (disc.M @ eta_prev)])
     x1 = systems._solve(
         systems.reduced_stokes, systems.fact_stokes, rhs1, u_values,
         f"decoupled Stokes {label}",
     )
     xi = x1[dm.n_u :]
-    rhs2 = systems.M @ eta_prev / systems.scheme.dt + flow - k1 * (systems.S @ xi)
+    rhs2 = disc.M @ eta_prev / systems.scheme.dt + flow - k1 * (disc.S @ xi)
     eta_values = (p_data - k1 * xi[systems.boundary.pressure_vertices]) / k2
     eta = systems._solve(
         systems.reduced_diffusion, systems.fact_diffusion, rhs2, eta_values,
@@ -525,9 +553,8 @@ class RunResult:
     """
 
     benchmark: Benchmark
-    mesh: Mesh
+    discretization: Discretization
     scheme: TimeScheme
-    dofmap: DofMap
     states: list[FieldState]
     records: list[DiagnosticsRecord]
     energy: list[EnergyRecord]
@@ -551,7 +578,7 @@ class RunResult:
 
 def run(
     benchmark: Benchmark,
-    mesh: Mesh,
+    discretization: Discretization,
     scheme: TimeScheme,
     *,
     keep_states: bool = False,
@@ -565,10 +592,12 @@ def run(
     (where the boundary conditions make them applicable), and, when exact
     closures are available and errors are requested, instantaneous error
     norms.  The coefficient identities for p and q are enforced to 1e-14
-    after every step.
+    after every step, and every step's loads are compared with t = 0's
+    and, for pure traction, checked against the rigid motions.
     """
-    systems = StepSystems(benchmark, mesh, scheme, tolerance=tolerance)
-    dofmap = systems.dofmap
+    disc = discretization
+    systems = StepSystems(benchmark, disc, scheme, tolerance=tolerance)
+    mesh, dofmap = disc.mesh, disc.dofmap
     coeffs = systems.coeffs
 
     gate = None
@@ -596,31 +625,34 @@ def run(
     state = init_state(systems)
 
     mech0, flow0 = assemble_load(systems.loads, state.t)
-    mech_end, flow_end = assemble_load(systems.loads, state.t + scheme.T)
-    time_independent = bool(
-        np.allclose(mech0, mech_end, rtol=1e-12, atol=1e-14)
-        and np.allclose(flow0, flow_end, rtol=1e-12, atol=1e-14)
-    )
+    # The loads are steady while every step's equal t = 0's.  A pure-traction
+    # load must do no work on rigid motions, else the continuous problem has
+    # no solution and the multiplier silently absorbs the imbalance; the
+    # first step whose load does is named, once.
+    time_independent = True
+    rigid = rigid_motion_basis(mesh, dofmap) if systems.boundary.rigid_rows is not None else None
 
-    if systems.boundary.rigid_rows is not None:
-        # Pure-traction mechanics: the load must do no work on rigid
-        # motions, else the continuous problem has no solution and the
-        # multiplier silently absorbs the imbalance.
-        basis = rigid_motion_basis(mesh, dofmap)
-        scale = np.linalg.norm(mech0) * np.linalg.norm(basis, axis=1)
-        worst = float(np.max(np.abs(basis @ mech0) / np.maximum(1.0, scale)))
-        if worst > 1e-10:
-            warnings.warn(
-                f"pure-traction load is incompatible with rigid motions "
-                f"(relative imbalance {worst:.3e})",
-                stacklevel=2,
-            )
+    def check_loads(n: int, t: float, mech: np.ndarray, flow: np.ndarray) -> None:
+        nonlocal time_independent, rigid
+        time_independent = time_independent and bool(
+            np.allclose(mech0, mech, rtol=1e-12, atol=1e-14)
+            and np.allclose(flow0, flow, rtol=1e-12, atol=1e-14)
+        )
+        if rigid is not None:
+            scale = np.linalg.norm(mech) * np.linalg.norm(rigid, axis=1)
+            worst = float(np.max(np.abs(rigid @ mech) / np.maximum(1.0, scale)))
+            if worst > 1e-10:
+                warnings.warn(
+                    f"pure-traction load is incompatible with rigid motions from "
+                    f"step {n} (t={t:.6g}) on (relative imbalance {worst:.3e})",
+                    stacklevel=3,
+                )
+                rigid = None
 
-    auditor = EnergyAuditor(
-        systems.A, systems.M, systems.S, mech0, flow0, coeffs, scheme.theta, scheme.dt
-    )
+    check_loads(0, state.t, mech0, flow0)
+    auditor = EnergyAuditor(disc.A, disc.M, disc.S, mech0, flow0, coeffs, scheme.theta, scheme.dt)
     auditor.ingest(state)
-    tracker = ConservationTracker(benchmark, mesh, dofmap, systems.M, scheme.theta, state)
+    tracker = ConservationTracker(benchmark, mesh, dofmap, disc.M, scheme.theta, state)
     first_step_report = len(systems.solve_reports)
 
     want_errors = (
@@ -628,7 +660,7 @@ def run(
         or (compute_errors == "auto" and benchmark.exact_u is not None and benchmark.exact_p is not None)
     )
     evaluator = (
-        ErrorEvaluator(benchmark, mesh, dofmap, systems.loads.quadrature)
+        ErrorEvaluator(benchmark, mesh, dofmap, disc.quadrature)
         if want_errors else None
     )
     times: list[float] = []
@@ -662,6 +694,7 @@ def run(
         erec = auditor.ingest(state)
         energy.append(erec)
         mech, flow = systems.last_loads
+        check_loads(n, state.t, mech, flow)
         refs = tracker.advance(state, scheme.dt, mech, flow)
         conservation.append(refs)
         errs = observe_errors(state)
@@ -691,9 +724,8 @@ def run(
     max_residual = max((r.relative_residual for r in reports), default=0.0)
     return RunResult(
         benchmark=benchmark,
-        mesh=mesh,
+        discretization=disc,
         scheme=scheme,
-        dofmap=dofmap,
         states=states,
         records=records,
         energy=energy,

@@ -21,7 +21,7 @@ from porofem.model import (
     MechanicalBC,
     SourceFunctions,
 )
-from porofem.stepper import FieldState, StepSystems, TimeScheme, init_state
+from porofem.stepper import Discretization, FieldState, StepSystems, TimeScheme, init_state
 
 _OUTWARD = {
     BoundarySegment.RIGHT: (1.0, 0.0),
@@ -49,7 +49,8 @@ def jittered_mesh(nx: int, ny: int, rect=(0.0, 0.0, 1.0, 1.0), seed: int = 0) ->
 
 def initial_state(benchmark: Benchmark, mesh: Mesh) -> FieldState:
     """The initial state of a one-step coupled run of benchmark on mesh."""
-    return init_state(StepSystems(benchmark, mesh, TimeScheme(dt=1e-3, n_steps=1, theta=1)))
+    disc = Discretization.build(mesh, benchmark.params)
+    return init_state(StepSystems(benchmark, disc, TimeScheme(dt=1e-3, n_steps=1, theta=1)))
 
 
 def zero_vector(x: np.ndarray, t: float) -> np.ndarray:

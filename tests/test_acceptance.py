@@ -24,7 +24,7 @@ from porofem.diagnostics import (
 from porofem.elements import eval_basis, edge_quadrature, triangle_quadrature
 from porofem.mesh import build_rect_mesh
 from porofem.model import MaterialParams, derive_kappas, get_benchmark
-from porofem.stepper import TimeScheme, run
+from porofem.stepper import Discretization, TimeScheme, run
 
 from conftest import record_acceptance
 from helpers import conservation_benchmark
@@ -53,7 +53,8 @@ def test_criterion_1_convergence_orders():
     hs, p_linf, p_l2h1, u_h1 = [], [], [], []
     for nx in (8, 16, 32, 64):
         mesh = build_rect_mesh(nx, nx)
-        result = run(bench, mesh, scheme, keep_states=False, compute_errors=True)
+        disc = Discretization.build(mesh, bench.params)
+        result = run(bench, disc, scheme, keep_states=False, compute_errors=True)
         hs.append(mesh.h)
         p_linf.append(result.errors.variables["p"].linf_l2)
         p_l2h1.append(result.errors.variables["p"].l2_h1)
@@ -83,15 +84,15 @@ def test_criterion_1_convergence_orders():
 
 def test_criterion_2_energy_identity():
     bench = get_benchmark("locking")
-    mesh = build_rect_mesh(8, 8)
+    disc = Discretization.build(build_rect_mesh(8, 8), bench.params)
 
-    res1 = run(bench, mesh, TimeScheme(dt=1e-4, n_steps=10, theta=1),
+    res1 = run(bench, disc, TimeScheme(dt=1e-4, n_steps=10, theta=1),
                keep_states=False, compute_errors=False)
     J0 = res1.energy[0].J
     worst1 = max(abs(rec.residual) for rec in res1.energy)
     bound1 = 1e-8 * max(1.0, abs(J0))
 
-    res0 = run(bench, mesh, TimeScheme(dt=1e-4, n_steps=10, theta=0),
+    res0 = run(bench, disc, TimeScheme(dt=1e-4, n_steps=10, theta=0),
                keep_states=False, compute_errors=False)
     J0_dec = res0.energy[0].J
     worst_slack = max(rec.hat_slack for rec in res0.energy)
@@ -121,14 +122,15 @@ def test_criterion_2_energy_identity():
 def test_criterion_3_conservation():
     # pure-Neumann flow AND pure-traction mechanics: all identities apply
     bench = conservation_benchmark()
-    result = run(bench, build_rect_mesh(4, 4),
+    result = run(bench, Discretization.build(build_rect_mesh(4, 4), bench.params),
                  TimeScheme(dt=0.02, n_steps=5, theta=1), compute_errors=False)
     eta_res = max(rec.C_eta_res for rec in result.records)
     xi_res = max(rec.C_xi_res for rec in result.records)
     flux_res = max(rec.flux_res for rec in result.records)
 
     # pure-Neumann flow only (clamped side): the eta identity still applies
-    locking = run(get_benchmark("locking"), build_rect_mesh(4, 4),
+    locking_bench = get_benchmark("locking")
+    locking = run(locking_bench, Discretization.build(build_rect_mesh(4, 4), locking_bench.params),
                   TimeScheme(dt=1e-4, n_steps=5, theta=1), compute_errors=False)
     eta_res_neumann = max(rec.C_eta_res for rec in locking.records)
     not_applicable = all(
@@ -175,10 +177,10 @@ def test_criterion_4_reformulation_round_trip():
 
     # state consistency after every step, both schemes
     bench = get_benchmark("test1")
-    mesh = build_rect_mesh(4, 4)
+    disc = Discretization.build(build_rect_mesh(4, 4), bench.params)
     worst_state = 0.0
     for theta in (1, 0):
-        result = run(bench, mesh, TimeScheme(dt=1e-4, n_steps=5, theta=theta),
+        result = run(bench, disc, TimeScheme(dt=1e-4, n_steps=5, theta=theta),
                      keep_states=True, compute_errors=False)
         for state in result.states:
             worst_state = max(worst_state, *check_state_consistency(state, bench.coeffs))
@@ -201,12 +203,13 @@ def test_criterion_4_reformulation_round_trip():
 def test_criterion_5_no_locking():
     bench = get_benchmark("locking")
     mesh = build_rect_mesh(20, 20)
+    disc = Discretization.build(mesh, bench.params)
 
-    res1 = run(bench, mesh, TimeScheme(dt=1e-4, n_steps=10, theta=1),
+    res1 = run(bench, disc, TimeScheme(dt=1e-4, n_steps=10, theta=1),
                keep_states=True, compute_errors=False)
     ind1 = locking_scan(res1.states[-1], mesh, bench)
 
-    res0 = run(bench, mesh, TimeScheme(dt=1e-4, n_steps=10, theta=0),
+    res0 = run(bench, disc, TimeScheme(dt=1e-4, n_steps=10, theta=0),
                keep_states=True, compute_errors=False)
     ind0 = locking_scan(res0.states[-1], mesh, bench)
 
@@ -216,8 +219,9 @@ def test_criterion_5_no_locking():
         c0=bench.params.c0, K=1.0, mu_f=bench.params.mu_f,
     )
     degraded = get_benchmark("locking", degraded_params)
+    degraded_disc = Discretization.build(mesh, degraded.params)
     with pytest.warns(UserWarning, match="gate"):
-        res_bad = run(degraded, mesh, TimeScheme(dt=2.5e-4, n_steps=4, theta=0),
+        res_bad = run(degraded, degraded_disc, TimeScheme(dt=2.5e-4, n_steps=4, theta=0),
                       keep_states=True, compute_errors=False)
     ind_bad = locking_scan(res_bad.states[-1], mesh, degraded)
 
@@ -336,7 +340,8 @@ def test_criterion_8_barry_mercer_smoke():
     bench = get_benchmark("barry_mercer")
     mesh = build_rect_mesh(32, 32)
     scheme = TimeScheme.from_final_time(T=bench.T, dt=0.01, theta=1)
-    result = run(bench, mesh, scheme, keep_states=True, compute_errors=False)
+    disc = Discretization.build(mesh, bench.params)
+    result = run(bench, disc, scheme, keep_states=True, compute_errors=False)
 
     finite = all(
         np.all(np.isfinite(s.u)) and np.all(np.isfinite(s.p))

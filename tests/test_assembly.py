@@ -53,7 +53,7 @@ from porofem.model import (
     get_benchmark,
 )
 from porofem.solver import factorize, solve
-from porofem.stepper import TimeScheme, run
+from porofem.stepper import Discretization, TimeScheme, run
 
 from helpers import conservation_benchmark, jittered_mesh
 
@@ -69,7 +69,8 @@ def dofmap2(mesh2):
 
 
 def _loads(mesh, dofmap, bench) -> LoadAssembler:
-    return LoadAssembler.build(mesh, dofmap, bench.sources, bench.bcs, bench.params)
+    quadrature = DomainQuadrature.from_mesh(mesh, dofmap)
+    return LoadAssembler.build(mesh, dofmap, quadrature, bench.sources, bench.bcs, bench.params)
 
 
 def _interleave(values: np.ndarray) -> np.ndarray:
@@ -485,10 +486,11 @@ def test_load_tables_are_built_once_per_run(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(porofem.assembly, "physical_points", counting)
+    bench = get_benchmark("test1")
     counts = []
     for n_steps in (2, 6):
         calls.clear()
-        run(get_benchmark("test1"), build_rect_mesh(3, 3),
+        run(bench, Discretization.build(build_rect_mesh(3, 3), bench.params),
             TimeScheme(dt=1e-4, n_steps=n_steps, theta=1))
         counts.append(len(calls))
     assert counts[0] == counts[1] == 1

@@ -296,17 +296,28 @@ def test_vtk_grammar(tmp_path, small_run_args):
 
 
 def test_byte_identical_reruns(tmp_path, small_run_args, monkeypatch):
-    dirs = []
-    for name in ("a", "b"):
-        workdir = tmp_path / name
-        workdir.mkdir()
-        monkeypatch.chdir(workdir)
-        assert main(small_run_args) == 0  # default out directory "out"
-        dirs.append(workdir / "out")
-    first = sorted(p.name for p in dirs[0].iterdir())
-    assert first == sorted(p.name for p in dirs[1].iterdir())
-    for name in first:
-        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+    # The sweep folds each member run into its rows as the run ends, so a
+    # rerun must reproduce sweep.csv byte for byte too.
+    sweep_args = [
+        "sweep",
+        "--set", "benchmark=locking",
+        "--set", "nx=2",
+        "--set", "dt=1e-4",
+        "--set", "T=3e-4",
+        "--set", "c0_list=1e-2,1e-4,0",
+    ]
+    for args in (small_run_args, sweep_args):
+        dirs = []
+        for name in ("a", "b"):
+            workdir = tmp_path / args[0] / name
+            workdir.mkdir(parents=True)
+            monkeypatch.chdir(workdir)
+            assert main(args) == 0  # default out directory "out"
+            dirs.append(workdir / "out")
+        first = sorted(p.name for p in dirs[0].iterdir())
+        assert first == sorted(p.name for p in dirs[1].iterdir())
+        for name in first:
+            assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
 
 def test_config_file_and_set_precedence(tmp_path):

@@ -3,11 +3,16 @@ vanishing-storage sweep."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg as la
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import porofem.assembly
+import porofem.stepper
 from porofem.assembly import (
     DofMap,
     DomainQuadrature,
@@ -16,6 +21,8 @@ from porofem.assembly import (
     assemble_load,
     assemble_scalar_mass,
     assemble_scalar_stiffness,
+    assemble_vector_mass,
+    rigid_motion_rows,
 )
 from porofem.diagnostics import (
     BudgetExceededError,
@@ -23,6 +30,7 @@ from porofem.diagnostics import (
     ConservedQuantities,
     EnergyAuditor,
     ErrorEvaluator,
+    SweepRow,
     biot_limit_sweep,
     boundary_flux,
     boundary_flux_functional,
@@ -42,7 +50,7 @@ from porofem.elements import (
 )
 from porofem.mesh import BoundarySegment, build_rect_mesh
 from porofem.model import MaterialParams, get_benchmark
-from porofem.stepper import FieldState, TimeScheme, run
+from porofem.stepper import Discretization, FieldState, TimeScheme, run
 
 from helpers import conservation_benchmark, initial_state, jittered_mesh, zero_benchmark
 
@@ -70,7 +78,8 @@ def _audit(states, theta, dt, bench, mesh):
     A = assemble_elasticity(mesh, dofmap, prm.mu)
     M = assemble_scalar_mass(mesh, dofmap)
     S = assemble_scalar_stiffness(mesh, dofmap, prm.K / prm.mu_f)
-    loads = LoadAssembler.build(mesh, dofmap, bench.sources, bench.bcs, prm)
+    quadrature = DomainQuadrature.from_mesh(mesh, dofmap)
+    loads = LoadAssembler.build(mesh, dofmap, quadrature, bench.sources, bench.bcs, prm)
     mech, flow = assemble_load(loads, states[0].t)
     auditor = EnergyAuditor(A, M, S, mech, flow, bench.coeffs, theta, dt)
     return [rec for rec in map(auditor.ingest, states) if rec is not None]
@@ -86,7 +95,8 @@ def test_energy_audit_short_trajectory_is_empty():
 def test_energy_audit_zero_run():
     bench = zero_benchmark()
     mesh = build_rect_mesh(3, 3)
-    result = run(bench, mesh, TimeScheme(dt=1e-3, n_steps=3, theta=1),
+    disc = Discretization.build(mesh, bench.params)
+    result = run(bench, disc, TimeScheme(dt=1e-3, n_steps=3, theta=1),
                  keep_states=True)
     records = _audit(result.states, 1, 1e-3, bench, mesh)
     assert len(records) == 3
@@ -98,7 +108,8 @@ def test_energy_audit_zero_run():
 def test_energy_audit_matches_run_records(theta):
     bench = get_benchmark("locking")
     mesh = build_rect_mesh(6, 6)
-    result = run(bench, mesh, TimeScheme(dt=1e-4, n_steps=6, theta=theta),
+    disc = Discretization.build(mesh, bench.params)
+    result = run(bench, disc, TimeScheme(dt=1e-4, n_steps=6, theta=theta),
                  keep_states=True, compute_errors=False)
     records = _audit(result.states, theta, 1e-4, bench, mesh)
     assert len(records) == len(result.energy)
@@ -112,7 +123,8 @@ def test_energy_audit_matches_run_records(theta):
 def test_energy_level_indexing():
     bench = get_benchmark("locking")
     mesh = build_rect_mesh(4, 4)
-    result = run(bench, mesh, TimeScheme(dt=1e-4, n_steps=4, theta=1),
+    disc = Discretization.build(mesh, bench.params)
+    result = run(bench, disc, TimeScheme(dt=1e-4, n_steps=4, theta=1),
                  compute_errors=False)
     levels = [rec.level for rec in result.energy]
     assert levels == [0, 1, 2, 3]
@@ -130,7 +142,7 @@ def test_conserved_references_match_hand_recursion():
     # gives work <f1, x> = 2*|domain| = 2; C_eta(t) = 1.3 t; hence at t = 0.1
     # C_xi = (0.5*0.13 - 2)/(2 + 0.25) = -0.86, C_q = C_u = 0.28, C_p = -0.3.
     bench = conservation_benchmark()
-    result = run(bench, build_rect_mesh(4, 4),
+    result = run(bench, Discretization.build(build_rect_mesh(4, 4), bench.params),
                  TimeScheme(dt=0.02, n_steps=5, theta=1), keep_states=True)
     refs = result.conservation[-1]
     assert refs.c_eta == pytest.approx(0.13, rel=1e-12)
@@ -147,7 +159,7 @@ def test_conserved_references_use_lagged_eta_for_decoupled_scheme():
     # Same fixture with theta = 0: the xi identity pairs with eta at the
     # previous level, so at t = 0.1 the reference is (0.65*0.08 - 2)/2.25.
     bench = conservation_benchmark()
-    result = run(bench, build_rect_mesh(4, 4),
+    result = run(bench, Discretization.build(build_rect_mesh(4, 4), bench.params),
                  TimeScheme(dt=0.02, n_steps=5, theta=0), keep_states=True)
     refs = result.conservation[-1]
     expected = (0.65 * 0.08 - 2.0) / 2.25
@@ -180,7 +192,8 @@ def test_conservation_residuals_follow_applicability(eta_applicable, traction_ap
 
 
 def test_run_records_carry_conservation_residuals():
-    result = run(conservation_benchmark(), build_rect_mesh(2, 2),
+    bench = conservation_benchmark()
+    result = run(bench, Discretization.build(build_rect_mesh(2, 2), bench.params),
                  TimeScheme(dt=0.05, n_steps=2, theta=1))
     for record, refs in zip(result.records, result.conservation):
         assert record.t == refs.t
@@ -315,7 +328,8 @@ def test_error_evaluator_matches_reference_formula(name):
     bench = get_benchmark(name)
     mesh = jittered_mesh(6, 6, rect=bench.rect)
     dofmap = DofMap.from_mesh(mesh)
-    result = run(bench, mesh, TimeScheme(dt=bench.default_dt, n_steps=3, theta=1),
+    disc = Discretization.build(mesh, bench.params)
+    result = run(bench, disc, TimeScheme(dt=bench.default_dt, n_steps=3, theta=1),
                  compute_errors=False)
     state = result.final_state
     quadrature = DomainQuadrature.from_mesh(mesh, dofmap)
@@ -447,12 +461,50 @@ def test_infsup_estimate_healthy_and_slowly_varying():
         assert b > 0.9 * values[0]  # ...but never by more than a few percent
 
 
+def _discontinuous_pressure_infsup(mesh) -> float:
+    """The pencil of estimate_infsup for the P2-vector / discontinuous-P1
+    pair, which is not inf-sup stable: a negative control for the
+    estimator."""
+    dofmap = DofMap.from_mesh(mesh)
+    n_u = dofmap.n_u
+    n_p = 3 * mesh.n_triangles
+    # Divergence and mass against three independent P1 functions per
+    # triangle; each (triangle, local function) owns one pressure row.
+    rule = triangle_quadrature(2)
+    _, ref_grads = eval_basis("P2", rule.points)
+    p1_vals, _ = eval_basis("P1", rule.points)
+    maps = AffineMaps.from_mesh(mesh)
+    grads = maps.physical_gradients(ref_grads)
+    local = np.einsum("q,qj,fqia,f->fjia", rule.weights, p1_vals, grads, maps.det, optimize=True)
+    local = local.reshape(mesh.n_triangles, 3, 12)
+    rows = 3 * np.arange(mesh.n_triangles)[:, None] + np.arange(3)[None, :]
+    B = np.zeros((n_p, n_u))
+    for k in range(3):
+        np.add.at(B, (rows[:, k][:, None], dofmap.triangle_u), local[:, k, :])
+    m_loc = (np.ones((3, 3)) + np.eye(3)) / 12.0
+    Mp = np.zeros((n_p, n_p))
+    for k in range(3):
+        for l in range(3):
+            Mp[rows[:, k], rows[:, l]] = mesh.triangle_areas() * m_loc[k, l]
+    # The pencil (B A^+ B^T, M_p) over mean-zero pressures, with A^+ the
+    # rigid-motion-orthogonal inverse of the elasticity form.
+    C = rigid_motion_rows(mesh, dofmap)
+    K = np.zeros((n_u + 3, n_u + 3))
+    K[:n_u, :n_u] = assemble_elasticity(mesh, dofmap, 1.0).toarray()
+    K[:n_u, n_u:] = C.T
+    K[n_u:, :n_u] = C
+    rhs = np.zeros((n_u + 3, n_p))
+    rhs[:n_u] = B.T
+    G = B @ la.solve(K, rhs)[:n_u]
+    G = 0.5 * (G + G.T)
+    W = la.null_space((Mp @ np.ones(n_p))[None, :])
+    eigs = la.eigh(W.T @ G @ W, W.T @ Mp @ W, eigvals_only=True)
+    return float(np.sqrt(max(eigs[0], 0.0)))
+
+
 def test_infsup_collapses_for_unstable_pair():
     stable = [estimate_infsup(build_rect_mesh(n, n)) for n in (2, 4)]
-    unstable = [
-        estimate_infsup(build_rect_mesh(n, n), discontinuous_pressure=True)
-        for n in (2, 4)
-    ]
+    unstable = [_discontinuous_pressure_infsup(build_rect_mesh(n, n)) for n in (2, 4)]
     assert unstable[0] < 0.5 * stable[0]
     assert unstable[1] < 0.55 * unstable[0]  # keeps collapsing under refinement
 
@@ -489,6 +541,58 @@ def test_sweep_distances_decrease_for_unit_materials():
     # the storage coefficient enters linearly below the crossover, so the
     # contraction is roughly the c0 ratio
     assert rows[1].dist_xi < 0.05 * rows[0].dist_xi
+
+
+def test_sweep_rows_match_independent_runs_bit_for_bit():
+    # The sweep shares one discretization and folds each run as it ends;
+    # rows must equal those from separate runs on fresh discretizations.
+    base = get_benchmark("test1")
+    mesh = build_rect_mesh(4, 4)
+    scheme = TimeScheme(dt=1e-4, n_steps=3, theta=1)
+    c0_values = [1.0, 1e-2, 1e-4]
+    rows = biot_limit_sweep(base, c0_values, mesh, scheme)
+
+    dofmap = DofMap.from_mesh(mesh)
+    mass_u = assemble_vector_mass(mesh, dofmap)
+    mass_p = assemble_scalar_mass(mesh, dofmap)
+
+    def l2(vec, mat):
+        return float(np.sqrt(max(vec @ (mat @ vec), 0.0)))
+
+    runs = []
+    for c0 in c0_values:
+        bench = get_benchmark("test1", dataclasses.replace(base.params, c0=c0))
+        disc = Discretization.build(build_rect_mesh(4, 4), bench.params)
+        runs.append(run(bench, disc, scheme, keep_states=True, compute_errors=False).states)
+    expected = []
+    for c0a, c0b, a, b in zip(c0_values, c0_values[1:], runs, runs[1:]):
+        expected.append(SweepRow(
+            c0a, c0b,
+            max(l2(sa.u - sb.u, mass_u) for sa, sb in zip(a, b)),
+            max(l2(sa.eta - sb.eta, mass_p) for sa, sb in zip(a, b)),
+            max(l2(sa.xi - sb.xi, mass_p) for sa, sb in zip(a, b)),
+        ))
+    assert rows == expected
+    assert all(row.dist_u > 0.0 for row in rows)
+
+
+def test_sweep_assembles_the_mesh_operators_once(monkeypatch):
+    calls = []
+
+    def counting(module, attr):
+        original = getattr(module, attr)
+
+        def wrapper(*args, **kwargs):
+            calls.append(attr)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, wrapper)
+
+    counting(porofem.stepper, "assemble_elasticity")
+    counting(porofem.assembly, "physical_points")
+    biot_limit_sweep(get_benchmark("locking"), [1e-2, 1e-4, 1e-6], build_rect_mesh(3, 3),
+                     TimeScheme(dt=1e-4, n_steps=2, theta=1))
+    assert sorted(calls) == ["assemble_elasticity", "physical_points"]
 
 
 def test_sweep_rows_carry_the_pair():

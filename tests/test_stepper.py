@@ -23,6 +23,7 @@ from porofem.model import (
 )
 from porofem.solver import SolverFailureError
 from porofem.stepper import (
+    Discretization,
     StepSystems,
     TimeScheme,
     evaluate_gate,
@@ -124,13 +125,14 @@ def test_gate_violation_warns_but_run_completes():
     mesh = build_rect_mesh(2, 2)
     scheme = TimeScheme(dt=10.0, n_steps=1, theta=0)
     with pytest.warns(UserWarning, match="gate"):
-        result = run(bench, mesh, scheme)
+        result = run(bench, Discretization.build(mesh, bench.params), scheme)
     assert result.gate is not None and not result.gate.satisfied
     assert np.max(np.abs(result.final_state.u)) == 0.0
 
 
 def test_coupled_run_has_no_gate():
-    result = run(zero_benchmark(), build_rect_mesh(2, 2),
+    bench = zero_benchmark()
+    result = run(bench, Discretization.build(build_rect_mesh(2, 2), bench.params),
                  TimeScheme(dt=1e-3, n_steps=1, theta=1))
     assert result.gate is None
 
@@ -162,7 +164,7 @@ def test_init_state_identities_hold_exactly():
 
 def test_init_state_solves_at_the_run_tolerance():
     bench = get_benchmark("test1")
-    systems = StepSystems(bench, build_rect_mesh(4, 4),
+    systems = StepSystems(bench, Discretization.build(build_rect_mesh(4, 4), bench.params),
                           TimeScheme(dt=1e-3, n_steps=1, theta=1), tolerance=1e-18)
     with pytest.raises(SolverFailureError):
         init_state(systems)
@@ -188,9 +190,10 @@ def test_init_state_pressure_projection_second_order():
 
 @pytest.mark.parametrize("theta", [0, 1])
 def test_zero_data_stays_zero(theta):
+    bench = zero_benchmark()
     result = run(
-        zero_benchmark(),
-        build_rect_mesh(3, 3),
+        bench,
+        Discretization.build(build_rect_mesh(3, 3), bench.params),
         TimeScheme(dt=1e-3, n_steps=4, theta=theta),
         keep_states=True,
     )
@@ -206,7 +209,7 @@ def test_polynomial_solution_is_exact_in_space_and_time():
     bench = get_benchmark("polynomial")
     mesh = build_rect_mesh(4, 4)
     scheme = TimeScheme(dt=1e-3, n_steps=10, theta=1)
-    result = run(bench, mesh, scheme, keep_states=True)
+    result = run(bench, Discretization.build(mesh, bench.params), scheme, keep_states=True)
     coords = mesh.p2_node_coords()
     tol = 1e-10
     for state in result.states:
@@ -230,7 +233,8 @@ def test_decoupled_boundary_elimination_instability_is_detected():
     bench = get_benchmark("polynomial")
     mesh = build_rect_mesh(4, 4)
     with pytest.warns(UserWarning, match="amplifies"):
-        result = run(bench, mesh, TimeScheme(dt=1e-3, n_steps=8, theta=0),
+        result = run(bench, Discretization.build(mesh, bench.params),
+                     TimeScheme(dt=1e-3, n_steps=8, theta=0),
                      keep_states=True, compute_errors=False)
     rho = result.decoupled_amplification
     assert rho is not None and rho > 1.5
@@ -240,7 +244,8 @@ def test_decoupled_boundary_elimination_instability_is_detected():
         assert np.max(np.abs(state.u - u_exact)) <= 1e-7
     # Stable configurations carry the estimate without warning: the same
     # elimination with unit storage has gain below one.
-    stable = run(get_benchmark("test1"), mesh,
+    unit = get_benchmark("test1")
+    stable = run(unit, Discretization.build(mesh, unit.params),
                  TimeScheme(dt=2e-4, n_steps=1, theta=0), compute_errors=False)
     assert stable.decoupled_amplification is not None
     assert stable.decoupled_amplification < 1.0
@@ -250,12 +255,12 @@ def test_decoupled_matches_coupled_to_first_order_in_dt():
     # The two schemes differ only through the lagged eta, so their gap at
     # the final time must shrink linearly with the step size.
     bench = get_benchmark("test1")
-    mesh = build_rect_mesh(8, 8)
+    disc = Discretization.build(build_rect_mesh(8, 8), bench.params)
     gaps = []
     for dt, n in ((1e-4, 10), (5e-5, 20)):
         finals = []
         for theta in (0, 1):
-            result = run(bench, mesh, TimeScheme(dt=dt, n_steps=n, theta=theta),
+            result = run(bench, disc, TimeScheme(dt=dt, n_steps=n, theta=theta),
                          compute_errors=False)
             finals.append(result.final_state)
         gaps.append(np.max(np.abs(finals[0].xi - finals[1].xi)))
@@ -267,7 +272,8 @@ def test_decoupled_matches_coupled_to_first_order_in_dt():
 def test_pressure_boundary_data_enforced_at_new_time(theta):
     bench = get_benchmark("test1")
     mesh = build_rect_mesh(4, 4)
-    result = run(bench, mesh, TimeScheme(dt=2e-4, n_steps=5, theta=theta),
+    disc = Discretization.build(mesh, bench.params)
+    result = run(bench, disc, TimeScheme(dt=2e-4, n_steps=5, theta=theta),
                  keep_states=True, compute_errors=False)
     k1, k2 = bench.coeffs.kappa1, bench.coeffs.kappa2
     boundary = mesh.vertices_on_boundary()
@@ -280,7 +286,8 @@ def test_pressure_boundary_data_enforced_at_new_time(theta):
 def test_displacement_dirichlet_enforced_at_new_time():
     bench = get_benchmark("test1")
     mesh = build_rect_mesh(4, 4)
-    result = run(bench, mesh, TimeScheme(dt=2e-4, n_steps=3, theta=1),
+    disc = Discretization.build(mesh, bench.params)
+    result = run(bench, disc, TimeScheme(dt=2e-4, n_steps=3, theta=1),
                  keep_states=True, compute_errors=False)
     coords = mesh.p2_node_coords()
     left = np.flatnonzero(np.abs(coords[:, 0]) <= 1e-14)
@@ -291,7 +298,7 @@ def test_displacement_dirichlet_enforced_at_new_time():
 
 def test_state_identities_hold_along_trajectory():
     bench = get_benchmark("test1")
-    result = run(bench, build_rect_mesh(4, 4),
+    result = run(bench, Discretization.build(build_rect_mesh(4, 4), bench.params),
                  TimeScheme(dt=2e-4, n_steps=5, theta=0),
                  keep_states=True, compute_errors=False)
     for state in result.states:
@@ -307,7 +314,8 @@ def test_state_identities_hold_along_trajectory():
 def test_conserved_quantities_tracked_to_rounding():
     bench = conservation_benchmark()
     mesh = build_rect_mesh(4, 4)
-    result = run(bench, mesh, TimeScheme(dt=0.02, n_steps=5, theta=1),
+    disc = Discretization.build(mesh, bench.params)
+    result = run(bench, disc, TimeScheme(dt=0.02, n_steps=5, theta=1),
                  keep_states=True)
     assert result.errors is None  # no exact closures on this fixture
     for record in result.records:
@@ -322,7 +330,7 @@ def test_conserved_quantities_tracked_to_rounding():
 
 def test_conservation_residuals_marked_inapplicable_with_dirichlet_bcs():
     bench = get_benchmark("test1")
-    result = run(bench, build_rect_mesh(3, 3),
+    result = run(bench, Discretization.build(build_rect_mesh(3, 3), bench.params),
                  TimeScheme(dt=2e-4, n_steps=2, theta=1), compute_errors=False)
     refs = result.conservation[-1]
     assert not refs.eta_applicable
@@ -341,7 +349,8 @@ def test_conservation_residuals_marked_inapplicable_with_dirichlet_bcs():
 def test_energy_identity_machine_exact_for_steady_loads():
     bench = get_benchmark("locking")
     mesh = build_rect_mesh(8, 8)
-    result = run(bench, mesh, TimeScheme(dt=1e-4, n_steps=10, theta=1),
+    disc = Discretization.build(mesh, bench.params)
+    result = run(bench, disc, TimeScheme(dt=1e-4, n_steps=10, theta=1),
                  compute_errors=False)
     j0 = result.energy[0].J
     scale = max(1.0, abs(j0))
@@ -353,7 +362,8 @@ def test_energy_identity_machine_exact_for_steady_loads():
 def test_decoupled_energy_identity_and_inequality():
     bench = get_benchmark("locking")
     mesh = build_rect_mesh(8, 8)
-    result = run(bench, mesh, TimeScheme(dt=1e-4, n_steps=10, theta=0),
+    disc = Discretization.build(mesh, bench.params)
+    result = run(bench, disc, TimeScheme(dt=1e-4, n_steps=10, theta=0),
                  compute_errors=False)
     assert result.gate is not None and result.gate.satisfied
     j0 = result.energy[0].J
@@ -370,7 +380,8 @@ def test_decoupled_energy_identity_and_inequality():
 
 
 def test_zero_step_run():
-    result = run(zero_benchmark(), build_rect_mesh(2, 2),
+    bench = zero_benchmark()
+    result = run(bench, Discretization.build(build_rect_mesh(2, 2), bench.params),
                  TimeScheme(dt=1e-3, n_steps=0, theta=1))
     assert len(result.states) == 1
     assert result.records == [] and result.energy == [] and result.conservation == []
@@ -388,10 +399,11 @@ def test_pure_traction_boundary_data_built_once(monkeypatch):
 
     for module in (porofem.assembly, porofem.diagnostics):
         monkeypatch.setattr(module, "assemble_vector_mass", counting)
+    bench = conservation_benchmark()
     counts = []
     for n_steps in (2, 6):
         calls.clear()
-        run(conservation_benchmark(), build_rect_mesh(2, 2),
+        run(bench, Discretization.build(build_rect_mesh(2, 2), bench.params),
             TimeScheme(dt=0.02, n_steps=n_steps, theta=1))
         counts.append(len(calls))
     # Once per run, for the rigid rows of the boundary data.
@@ -407,7 +419,9 @@ def test_run_builds_boundary_data_once(monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(porofem.stepper, "build_constraints", counting)
-    run(get_benchmark("test1"), build_rect_mesh(3, 3), TimeScheme(dt=1e-4, n_steps=2, theta=1))
+    bench = get_benchmark("test1")
+    run(bench, Discretization.build(build_rect_mesh(3, 3), bench.params),
+        TimeScheme(dt=1e-4, n_steps=2, theta=1))
     assert len(calls) == 1
 
 
@@ -415,7 +429,8 @@ def test_run_builds_boundary_data_once(monkeypatch):
 def test_init_state_reuses_step_systems(name, monkeypatch):
     bench = conservation_benchmark() if name == "conservation" else get_benchmark(name)
     mesh = build_rect_mesh(4, 4, rect=bench.rect)
-    systems = StepSystems(bench, mesh, TimeScheme(dt=1e-3, n_steps=1, theta=1))
+    disc = Discretization.build(mesh, bench.params)
+    systems = StepSystems(bench, disc, TimeScheme(dt=1e-3, n_steps=1, theta=1))
     calls = []
 
     def counting(module, attr):
@@ -442,7 +457,8 @@ def test_init_state_reuses_step_systems(name, monkeypatch):
 
 @pytest.mark.parametrize("keep,expected", [(False, 2), (True, 6)])
 def test_state_retention(keep, expected):
-    result = run(zero_benchmark(), build_rect_mesh(2, 2),
+    bench = zero_benchmark()
+    result = run(bench, Discretization.build(build_rect_mesh(2, 2), bench.params),
                  TimeScheme(dt=1e-3, n_steps=5, theta=1), keep_states=keep)
     assert len(result.states) == expected
     assert result.final_state.t == pytest.approx(5e-3)
@@ -451,8 +467,9 @@ def test_state_retention(keep, expected):
 def test_solve_counts_per_scheme():
     bench = zero_benchmark()
     mesh = build_rect_mesh(2, 2)
-    r1 = run(bench, mesh, TimeScheme(dt=1e-3, n_steps=4, theta=1))
-    r0 = run(bench, mesh, TimeScheme(dt=1e-3, n_steps=4, theta=0))
+    disc = Discretization.build(mesh, bench.params)
+    r1 = run(bench, disc, TimeScheme(dt=1e-3, n_steps=4, theta=1))
+    r0 = run(bench, disc, TimeScheme(dt=1e-3, n_steps=4, theta=0))
     assert r1.solve_count == 4  # one monolithic solve per step
     assert r0.solve_count == 8  # Stokes + diffusion per step
     assert r1.max_solver_residual <= 1e-10
@@ -460,20 +477,38 @@ def test_solve_counts_per_scheme():
 
 
 def test_time_independence_flag():
-    steady = run(get_benchmark("locking"), build_rect_mesh(3, 3),
+    locking, test1 = get_benchmark("locking"), get_benchmark("test1")
+    steady = run(locking, Discretization.build(build_rect_mesh(3, 3), locking.params),
                  TimeScheme(dt=1e-4, n_steps=1, theta=1), compute_errors=False)
-    varying = run(get_benchmark("test1"), build_rect_mesh(3, 3),
+    varying = run(test1, Discretization.build(build_rect_mesh(3, 3), test1.params),
                   TimeScheme(dt=2e-4, n_steps=1, theta=1), compute_errors=False)
     assert steady.time_independent_loads is True
     assert varying.time_independent_loads is False
 
 
+def test_load_periodic_over_the_run_is_not_steady():
+    # sin(2 pi t / T) vanishes at t = 0 and at t = T, but not in between:
+    # the flag must follow the loads the steps used, not the two ends.
+    bench = zero_benchmark()
+    period = 4e-3
+
+    def pulsing(x: np.ndarray, t: float) -> np.ndarray:
+        return np.full(x.shape[0], np.sin(2.0 * np.pi * t / period))
+
+    pulsed = dataclasses.replace(
+        bench, sources=dataclasses.replace(bench.sources, phi=pulsing)
+    )
+    result = run(pulsed, Discretization.build(build_rect_mesh(2, 2), pulsed.params),
+                 TimeScheme(dt=1e-3, n_steps=4, theta=1))
+    assert result.time_independent_loads is False
+
+
 def test_error_reporting_modes():
     bench = get_benchmark("test1")
-    mesh = build_rect_mesh(3, 3)
     scheme = TimeScheme(dt=2e-4, n_steps=2, theta=1)
-    auto = run(bench, mesh, scheme)
-    off = run(bench, mesh, scheme, compute_errors=False)
+    disc = Discretization.build(build_rect_mesh(3, 3), bench.params)
+    auto = run(bench, disc, scheme)
+    off = run(bench, disc, scheme, compute_errors=False)
     assert auto.errors is not None
     assert set(auto.errors.variables) >= {"u", "p"}
     assert off.errors is None
@@ -493,8 +528,55 @@ def test_incompatible_pure_traction_load_warns():
     )
     bcs = BoundaryConditionSpec(mechanical=mechanical, flow=bench.bcs.flow)
     bad = dataclasses.replace(bench, bcs=bcs)
+    disc = Discretization.build(build_rect_mesh(2, 2), bad.params)
     with pytest.warns(UserWarning, match="incompatible"):
-        run(bad, build_rect_mesh(2, 2), TimeScheme(dt=1e-2, n_steps=1, theta=1))
+        run(bad, disc, TimeScheme(dt=1e-2, n_steps=1, theta=1))
+
+
+def test_pure_traction_load_checked_at_every_step():
+    # Traction t * n on the top side only: balanced at t = 0, where it
+    # vanishes, and a net upward pull at every later step.
+    bench = conservation_benchmark(phi_const=0.0, flux_bottom=0.0)
+    pull = normal_traction(BoundarySegment.TOP)
+
+    def growing(x: np.ndarray, t: float) -> np.ndarray:
+        return t * pull(x, t)
+
+    mechanical = {
+        tag: MechanicalBC(traction=zero_vector) for tag in BoundarySegment
+    }
+    mechanical[BoundarySegment.TOP] = MechanicalBC(traction=growing)
+    bcs = BoundaryConditionSpec(mechanical=mechanical, flow=bench.bcs.flow)
+    bad = dataclasses.replace(bench, bcs=bcs)
+    disc = Discretization.build(build_rect_mesh(2, 2), bad.params)
+    with pytest.warns(UserWarning, match="incompatible") as caught:
+        run(bad, disc, TimeScheme(dt=1e-2, n_steps=3, theta=1))
+    incompatible = [w for w in caught if "incompatible" in str(w.message)]
+    assert len(incompatible) == 1
+    assert "step 1 " in str(incompatible[0].message)
+
+
+@pytest.mark.parametrize("field", ["mu", "K", "mu_f"])
+def test_step_systems_reject_a_discretization_of_other_coefficients(field):
+    bench = get_benchmark("test1")
+    other = dataclasses.replace(bench.params, **{field: 2.0 * getattr(bench.params, field)})
+    disc = Discretization.build(build_rect_mesh(2, 2), other)
+    with pytest.raises(ValueError, match="discretization carries mu"):
+        StepSystems(bench, disc, TimeScheme(dt=1e-4, n_steps=1, theta=1))
+    with pytest.raises(ValueError, match="discretization carries mu"):
+        run(bench, disc, TimeScheme(dt=1e-4, n_steps=1, theta=1))
+
+
+def test_step_systems_accept_a_discretization_of_other_storage():
+    # c0, lam and alpha enter no operator of the discretization.
+    bench = get_benchmark("test1")
+    other = dataclasses.replace(bench.params, c0=0.5, lam=3.0, alpha=0.5)
+    disc = Discretization.build(build_rect_mesh(2, 2), other)
+    result = run(bench, disc, TimeScheme(dt=1e-4, n_steps=1, theta=1))
+    reference = run(bench, Discretization.build(build_rect_mesh(2, 2), bench.params),
+                    TimeScheme(dt=1e-4, n_steps=1, theta=1))
+    assert np.array_equal(result.final_state.u, reference.final_state.u)
+    assert np.array_equal(result.final_state.p, reference.final_state.p)
 
 
 def test_decoupled_rejects_singular_enclosed_zero_storage_problem():
@@ -508,11 +590,11 @@ def test_decoupled_rejects_singular_enclosed_zero_storage_problem():
     bcs = BoundaryConditionSpec(mechanical=mechanical, flow=bench.bcs.flow)
     params = dataclasses.replace(bench.params, c0=0.0)
     enclosed = dataclasses.replace(bench, bcs=bcs, params=params)
-    mesh = build_rect_mesh(2, 2)
+    disc = Discretization.build(build_rect_mesh(2, 2), enclosed.params)
     with pytest.raises(ValueError, match="singular"):
-        run(enclosed, mesh, TimeScheme(dt=1e-3, n_steps=1, theta=0))
+        run(enclosed, disc, TimeScheme(dt=1e-3, n_steps=1, theta=0))
     # The coupled scheme handles the same problem without complaint.
-    result = run(enclosed, mesh, TimeScheme(dt=1e-3, n_steps=1, theta=1))
+    result = run(enclosed, disc, TimeScheme(dt=1e-3, n_steps=1, theta=1))
     assert np.max(np.abs(result.final_state.u)) == 0.0
 
 
@@ -522,7 +604,7 @@ def test_compatible_pure_traction_run_is_clean():
     bench = conservation_benchmark()
     with _warnings.catch_warnings():
         _warnings.simplefilter("error")
-        result = run(bench, build_rect_mesh(3, 3),
+        result = run(bench, Discretization.build(build_rect_mesh(3, 3), bench.params),
                      TimeScheme(dt=0.02, n_steps=2, theta=1))
     assert np.all(np.isfinite(result.final_state.u))
 
@@ -535,8 +617,10 @@ def test_compatible_pure_traction_run_is_clean():
 @pytest.mark.parametrize("theta", [0, 1])
 def test_factorization_orders_are_permutations_with_lagrange_rows_last(theta):
     # Pure traction: every mechanical system carries three rigid-motion rows.
+    bench = conservation_benchmark()
     systems = StepSystems(
-        conservation_benchmark(), build_rect_mesh(4, 3), TimeScheme(dt=1e-3, n_steps=1, theta=theta)
+        bench, Discretization.build(build_rect_mesh(4, 3), bench.params),
+        TimeScheme(dt=1e-3, n_steps=1, theta=theta),
     )
     facts = (
         [(systems.reduced_mono, systems.fact_mono)]
@@ -561,12 +645,11 @@ def test_first_separator_decouples_reduced_coupled_matrix_on_jittered_mesh(name)
     # those lines leaves it exact; test1 also couples each eliminated
     # boundary eta to its vertex's xi.
     bench = get_benchmark(name)
-    systems = StepSystems(
-        bench, jittered_mesh(9, 6, rect=bench.rect), TimeScheme(dt=1e-4, n_steps=1, theta=1)
-    )
+    disc = Discretization.build(jittered_mesh(9, 6, rect=bench.rect), bench.params)
+    systems = StepSystems(bench, disc, TimeScheme(dt=1e-4, n_steps=1, theta=1))
     reduced = systems.reduced_mono
     n_masters = reduced.masters.size
-    grid = systems.grid[reduced.masters]
+    grid = disc.grid[reduced.masters]
     # The longer side (x: 9 cells) is split at the vertex line nearest its
     # middle, the even line 8 of 0..18.
     line = 8
@@ -587,8 +670,10 @@ def test_first_separator_decouples_reduced_coupled_matrix_on_jittered_mesh(name)
 def test_coupled_locking_fill_and_residual_at_nx32():
     # Locking's nearly incompressible coupled system: COLAMD ordering gave
     # about 3.6M L+U nonzeros here, grid nested dissection about 1.66M.
+    bench = get_benchmark("locking")
     systems = StepSystems(
-        get_benchmark("locking"), build_rect_mesh(32, 32), TimeScheme(dt=1e-4, n_steps=1, theta=1)
+        bench, Discretization.build(build_rect_mesh(32, 32), bench.params),
+        TimeScheme(dt=1e-4, n_steps=1, theta=1),
     )
     assert systems.fact_mono.lu_nnz <= 2_500_000
     state = step_coupled(init_state(systems), systems)
@@ -598,7 +683,8 @@ def test_coupled_locking_fill_and_residual_at_nx32():
 
 def test_run_records_each_factorization():
     scheme = TimeScheme(dt=1e-3, n_steps=1, theta=0)
-    result = run(get_benchmark("barry_mercer"), build_rect_mesh(3, 3), scheme)
+    bench = get_benchmark("barry_mercer")
+    result = run(bench, Discretization.build(build_rect_mesh(3, 3), bench.params), scheme)
     labels = [f.label for f in result.factorizations]
     assert labels == [
         "Stokes system",
@@ -607,5 +693,5 @@ def test_run_records_each_factorization():
         "initial mass projections",
     ]
     by_label = {f.label: f for f in result.factorizations}
-    assert by_label["initial mass projections"].unknowns == result.dofmap.n_scalar
+    assert by_label["initial mass projections"].unknowns == result.discretization.dofmap.n_scalar
     assert all(f.lu_nnz >= f.unknowns > 0 for f in result.factorizations)
