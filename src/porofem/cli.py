@@ -18,7 +18,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import astuple, dataclass, fields, replace
+import warnings
+from dataclasses import asdict, astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -28,7 +29,7 @@ from .assembly import SingularConstraintsError
 from .diagnostics import DiagnosticsRecord, biot_limit_sweep, extract_rates
 from .mesh import Mesh, MeshError, build_rect_mesh
 from .model import BENCHMARK_NAMES, Benchmark, get_benchmark
-from .solver import SingularMatrixError, SolverFailureError
+from .solver import DEFAULT_TOLERANCE, SingularMatrixError, SolverFailureError
 from .stepper import Discretization, FieldState, TimeScheme, run
 
 __all__ = [
@@ -71,46 +72,44 @@ class RunConfig:
     out: str = "out"
     snapshot_every: Optional[int] = None
     c_stab: Optional[float] = None
-    tolerance: float = 1e-10
+    tolerance: float = DEFAULT_TOLERANCE
     errors: str = "auto"
     vtk: bool = True
     nx_list: tuple[int, ...] = (8, 16, 32, 64)
     c0_list: tuple[float, ...] = (1e-2, 1e-4, 1e-6)
 
 
-def _parse_benchmark(text: str) -> str:
-    if text not in BENCHMARK_NAMES:
-        raise ValueError(f"expected one of {', '.join(BENCHMARK_NAMES)}")
-    return text
+def _number(kind: type, low: int, strict: bool = False) -> Callable[[str], object]:
+    """Parser of kind(text) in [low, inf), or in (low, inf) when strict."""
 
-
-def _parse_int(minimum: Optional[int] = None) -> Callable[[str], int]:
-    def parse(text: str) -> int:
-        value = int(text)
-        if minimum is not None and value < minimum:
-            raise ValueError(f"must be >= {minimum}")
+    def parse(text: str):
+        value = kind(text)
+        if not low <= value < math.inf or (strict and value == low):
+            raise ValueError(f"must be in {'(' if strict else '['}{low}, inf)")
         return value
 
     return parse
 
 
-def _parse_float(positive: bool = False) -> Callable[[str], float]:
-    def parse(text: str) -> float:
-        value = float(text)
-        if not math.isfinite(value):
-            raise ValueError("must be finite")
-        if positive and value <= 0.0:
-            raise ValueError("must be positive")
-        return value
+def _list_of(parse: Callable[[str], object]) -> Callable[[str], tuple]:
+    """Parser of a nonempty comma-separated list, each entry by parse."""
+
+    def parse_list(text: str) -> tuple:
+        values = tuple(parse(s.strip()) for s in text.split(",") if s.strip())
+        if not values:
+            raise ValueError("empty list")
+        return values
+
+    return parse_list
+
+
+def _choice(*options: str) -> Callable[[str], str]:
+    def parse(text: str) -> str:
+        if text not in options:
+            raise ValueError(f"expected one of {', '.join(options)}")
+        return text
 
     return parse
-
-
-def _parse_nonneg_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value) or value < 0.0:
-        raise ValueError("must be finite and nonnegative")
-    return value
 
 
 def _parse_theta(text: str) -> int:
@@ -129,53 +128,31 @@ def _parse_bool(text: str) -> bool:
     raise ValueError("must be on/off")
 
 
-def _parse_errors_mode(text: str) -> str:
-    if text not in ("auto", "on", "off"):
-        raise ValueError("must be auto, on or off")
-    return text
-
-
-def _parse_int_list(text: str) -> tuple[int, ...]:
-    items = [s.strip() for s in text.split(",") if s.strip()]
-    if not items:
-        raise ValueError("empty list")
-    values = tuple(int(s) for s in items)
-    if any(v < 1 for v in values):
-        raise ValueError("entries must be >= 1")
-    return values
-
-
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    items = [s.strip() for s in text.split(",") if s.strip()]
-    if not items:
-        raise ValueError("empty list")
-    values = tuple(float(s) for s in items)
-    if any(not math.isfinite(v) or v < 0.0 for v in values):
-        raise ValueError("entries must be finite and nonnegative")
-    return values
-
+_COUNT = _number(int, 1)
+_POSITIVE = _number(float, 0, strict=True)
+_NONNEGATIVE = _number(float, 0)
 
 _PARSERS: dict[str, Callable[[str], object]] = {
-    "benchmark": _parse_benchmark,
-    "nx": _parse_int(1),
-    "ny": _parse_int(1),
-    "dt": _parse_float(positive=True),
-    "T": _parse_nonneg_float,
+    "benchmark": _choice(*BENCHMARK_NAMES),
+    "nx": _COUNT,
+    "ny": _COUNT,
+    "dt": _POSITIVE,
+    "T": _NONNEGATIVE,
     "theta": _parse_theta,
-    "lam": _parse_nonneg_float,
-    "mu": _parse_float(positive=True),
-    "alpha": _parse_float(positive=True),
-    "c0": _parse_nonneg_float,
-    "K": _parse_float(positive=True),
-    "mu_f": _parse_float(positive=True),
+    "lam": _NONNEGATIVE,
+    "mu": _POSITIVE,
+    "alpha": _POSITIVE,
+    "c0": _NONNEGATIVE,
+    "K": _POSITIVE,
+    "mu_f": _POSITIVE,
     "out": str,
-    "snapshot_every": _parse_int(1),
-    "c_stab": _parse_float(positive=True),
-    "tolerance": _parse_float(positive=True),
-    "errors": _parse_errors_mode,
+    "snapshot_every": _COUNT,
+    "c_stab": _POSITIVE,
+    "tolerance": _POSITIVE,
+    "errors": _choice("auto", "on", "off"),
     "vtk": _parse_bool,
-    "nx_list": _parse_int_list,
-    "c0_list": _parse_float_list,
+    "nx_list": _list_of(_COUNT),
+    "c0_list": _list_of(_NONNEGATIVE),
 }
 
 
@@ -184,8 +161,6 @@ def _apply_setting(values: dict, key: str, text: str, where: str) -> None:
         raise ConfigError(f"{where}: unknown key {key!r}")
     try:
         values[key] = _PARSERS[key](text)
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(f"{where}: invalid value for {key}: {text!r} ({exc})") from exc
 
@@ -239,10 +214,9 @@ class ResolvedRun:
     mesh: Mesh
     scheme: TimeScheme
     snapshot_every: int
-    compute_errors: object  # True / False / "auto"
 
 
-def _resolve(config: RunConfig) -> ResolvedRun:
+def _resolve(config: RunConfig, command: str = "run") -> ResolvedRun:
     base = get_benchmark(config.benchmark)
     overrides = {
         key: getattr(config, key)
@@ -261,23 +235,21 @@ def _resolve(config: RunConfig) -> ResolvedRun:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if config.errors == "on" and (benchmark.exact_u is None or benchmark.exact_p is None):
-        raise ConfigError(
-            f"errors = on: benchmark {config.benchmark!r} has no exact solution "
-            "to measure errors against"
-        )
+    if not benchmark.has_exact_solution:
+        if config.errors == "on":
+            raise ConfigError(
+                f"errors = on: benchmark {config.benchmark!r} has no exact solution "
+                "to measure errors against"
+            )
+        if command == "convergence":
+            raise ConfigError(
+                f"benchmark {config.benchmark!r} has no exact solution; "
+                "a convergence study needs one"
+            )
     snapshot = config.snapshot_every
     if snapshot is None:
         snapshot = max(1, math.ceil(scheme.n_steps / 10))
-    modes = {"auto": "auto", "on": True, "off": False}
-    return ResolvedRun(
-        config=config,
-        benchmark=benchmark,
-        mesh=mesh,
-        scheme=scheme,
-        snapshot_every=snapshot,
-        compute_errors=modes[config.errors],
-    )
+    return ResolvedRun(config, benchmark, mesh, scheme, snapshot)
 
 
 # --------------------------------------------------------------------------
@@ -312,35 +284,25 @@ def write_vtk(path: Path, mesh: Mesh, state: FieldState) -> None:
     """
     n_v = mesh.n_vertices
     n_f = mesh.n_triangles
+    u = state.u[: 2 * n_v]
     lines = [
         "# vtk DataFile Version 2.0",
         "poroelastic fields",
         "ASCII",
         "DATASET UNSTRUCTURED_GRID",
         f"POINTS {n_v} double",
+        *map("{:.17g} {:.17g} 0".format, *mesh.vertices.T.tolist()),
+        f"CELLS {n_f} {4 * n_f}",
+        *map("3 {} {} {}".format, *mesh.triangles.T.tolist()),
+        f"CELL_TYPES {n_f}",
+        *["5"] * n_f,
+        f"POINT_DATA {n_v}",
+        "VECTORS displacement double",
+        *map("{:.17g} {:.17g} 0".format, u[0::2].tolist(), u[1::2].tolist()),
     ]
-    for x, y in mesh.vertices:
-        lines.append(f"{x:.17g} {y:.17g} 0")
-    lines.append(f"CELLS {n_f} {4 * n_f}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"3 {a} {b} {c}")
-    lines.append(f"CELL_TYPES {n_f}")
-    lines.extend(["5"] * n_f)
-    lines.append(f"POINT_DATA {n_v}")
-    lines.append("VECTORS displacement double")
-    ux = state.u[0 : 2 * n_v : 2]
-    uy = state.u[1 : 2 * n_v : 2]
-    for vx, vy in zip(ux, uy):
-        lines.append(f"{vx:.17g} {vy:.17g} 0")
-    for name, vec in (
-        ("pressure", state.p),
-        ("xi", state.xi),
-        ("eta", state.eta),
-        ("q", state.q),
-    ):
-        lines.append(f"SCALARS {name} double")
-        lines.append("LOOKUP_TABLE default")
-        lines.extend(f"{v:.17g}" for v in vec[:n_v])
+    for name, vec in zip(("pressure", "xi", "eta", "q"), (state.p, state.xi, state.eta, state.q)):
+        lines += [f"SCALARS {name} double", "LOOKUP_TABLE default"]
+        lines += map("{:.17g}".format, vec[:n_v].tolist())
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -384,18 +346,15 @@ def _echo_config(resolved: ResolvedRun, command: str) -> list[str]:
     return lines
 
 
-def cmd_run(config: RunConfig) -> int:
-    """Integrate one benchmark and serialize its diagnostics and fields."""
-    resolved = _resolve(config)
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+def cmd_run(resolved: ResolvedRun, out_dir: Path) -> list[str]:
+    """Integrate one benchmark; write its diagnostics and field snapshots."""
+    config = resolved.config
     result = run(
         resolved.benchmark,
         Discretization.build(resolved.mesh, resolved.benchmark.params),
         resolved.scheme,
         keep_states=config.vtk,
-        compute_errors=resolved.compute_errors,
+        compute_errors=config.errors != "off",
         c_stab=config.c_stab,
         tolerance=config.tolerance,
     )
@@ -413,7 +372,7 @@ def cmd_run(config: RunConfig) -> int:
             write_vtk(out_dir / name, resolved.mesh, result.states[step])
             snapshot_files.append(name)
 
-    log = _echo_config(resolved, "run")
+    log = []
     if result.gate is not None:
         log.append(f"gate = {result.gate.describe()}")
     else:
@@ -439,26 +398,23 @@ def cmd_run(config: RunConfig) -> int:
         log.append(f"max |energy residual| = {worst:.17g}")
     if snapshot_files:
         log.append("snapshots = " + ", ".join(snapshot_files))
-    _write_text(out_dir / "run.log", "\n".join(log) + "\n")
-    return 0
+    return log
 
 
-def cmd_convergence(config: RunConfig) -> int:
+# rates.csv columns after h: (column, variable, norm of VariableNorms).
+_RATE_COLUMNS = (
+    ("err_p_LinfL2", "p", "linf_l2"),
+    ("err_p_L2H1", "p", "l2_h1"),
+    ("err_u_LinfL2", "u", "linf_l2"),
+    ("err_u_L2H1", "u", "l2_h1"),
+)
+
+
+def cmd_convergence(resolved: ResolvedRun, out_dir: Path) -> list[str]:
     """Refinement study writing per-mesh errors and log2 rates."""
-    resolved = _resolve(config)
-    if resolved.benchmark.exact_u is None or resolved.benchmark.exact_p is None:
-        raise ConfigError(
-            f"benchmark {config.benchmark!r} has no exact solution; "
-            "a convergence study needs one"
-        )
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
+    config = resolved.config
     hs: list[float] = []
-    err_p_linf: list[float] = []
-    err_p_l2h1: list[float] = []
-    err_u_linf: list[float] = []
-    err_u_l2h1: list[float] = []
+    reports = []
     for nx in config.nx_list:
         mesh = build_rect_mesh(nx, nx, resolved.benchmark.rect)
         result = run(
@@ -466,90 +422,47 @@ def cmd_convergence(config: RunConfig) -> int:
             Discretization.build(mesh, resolved.benchmark.params),
             resolved.scheme,
             keep_states=False,
-            compute_errors=True,
             c_stab=config.c_stab,
             tolerance=config.tolerance,
         )
-        report = result.errors
         hs.append(mesh.h)
-        err_p_linf.append(report.variables["p"].linf_l2)
-        err_p_l2h1.append(report.variables["p"].l2_h1)
-        err_u_linf.append(report.variables["u"].linf_l2)
-        err_u_l2h1.append(report.variables["u"].l2_h1)
+        reports.append(result.errors)
 
-    def rates_for(errs: list[float]) -> tuple[list[Optional[float]], bool]:
+    header, columns = ["h"], [hs]
+    at_tolerance = False
+    for column, variable, norm in _RATE_COLUMNS:
+        errs = [getattr(report.variables[variable], norm) for report in reports]
         rates = extract_rates(hs, errs)
-        flagged = False
         for i in range(1, len(errs)):
             if errs[i] <= _RATE_FLOOR or errs[i - 1] <= _RATE_FLOOR:
                 rates[i] = None
-                flagged = True
-        return rates, flagged
+                at_tolerance = True
+        header += [column, "rate"]
+        columns += [errs, rates]
+    _write_csv(out_dir / "rates.csv", header, list(zip(*columns)))
 
-    rp_linf, f1 = rates_for(err_p_linf)
-    rp_l2h1, f2 = rates_for(err_p_l2h1)
-    ru_linf, f3 = rates_for(err_u_linf)
-    ru_l2h1, f4 = rates_for(err_u_l2h1)
-    at_tolerance = f1 or f2 or f3 or f4
-
-    header = (
-        "h",
-        "err_p_LinfL2",
-        "rate",
-        "err_p_L2H1",
-        "rate",
-        "err_u_LinfL2",
-        "rate",
-        "err_u_L2H1",
-        "rate",
-    )
-    rows = []
-    for i in range(len(hs)):
-        rows.append(
-            [
-                hs[i],
-                err_p_linf[i],
-                rp_linf[i],
-                err_p_l2h1[i],
-                rp_l2h1[i],
-                err_u_linf[i],
-                ru_linf[i],
-                err_u_l2h1[i],
-                ru_l2h1[i],
-            ]
-        )
-    _write_csv(out_dir / "rates.csv", header, rows)
-
-    log = _echo_config(resolved, "convergence")
-    log.append("meshes = " + ",".join(str(nx) for nx in config.nx_list))
+    log = ["meshes = " + ",".join(str(nx) for nx in config.nx_list)]
     if at_tolerance:
         log.append(
             "note: errors at solver tolerance; affected rates are meaningless "
             "and left blank"
         )
-    _write_text(out_dir / "run.log", "\n".join(log) + "\n")
-    return 0
+    return log
 
 
-def cmd_sweep(config: RunConfig) -> int:
+def cmd_sweep(resolved: ResolvedRun, out_dir: Path) -> list[str]:
     """Vanishing-storage sweep writing pairwise trajectory distances."""
-    resolved = _resolve(config)
-    out_dir = Path(config.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    rows = biot_limit_sweep(
-        resolved.benchmark, list(config.c0_list), resolved.mesh, resolved.scheme
-    )
+    c0_list = resolved.config.c0_list
+    rows = biot_limit_sweep(resolved.benchmark, list(c0_list), resolved.mesh, resolved.scheme)
     _write_csv(
         out_dir / "sweep.csv",
         ("c0_a", "c0_b", "dist_u", "dist_eta", "dist_xi"),
         [[r.c0_a, r.c0_b, r.dist_u, r.dist_eta, r.dist_xi] for r in rows],
     )
+    return ["c0 values = " + ",".join(f"{c:.17g}" for c in c0_list)]
 
-    log = _echo_config(resolved, "sweep")
-    log.append("c0 values = " + ",".join(f"{c:.17g}" for c in config.c0_list))
-    _write_text(out_dir / "run.log", "\n".join(log) + "\n")
-    return 0
+
+_COMMANDS = {"run": cmd_run, "convergence": cmd_convergence, "sweep": cmd_sweep}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -580,12 +493,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if args.config is not None:
-        text = Path(args.config).read_text(encoding="utf-8")
-        base = parse_config(text)
-        values = {
-            f.name: getattr(base, f.name)
-            for f in fields(base)
-        }
+        values = asdict(parse_config(Path(args.config).read_text(encoding="utf-8")))
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set {item!r}: expected KEY=VALUE")
@@ -597,15 +505,31 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """Entry point; returns a process exit status."""
+    """Entry point; returns a process exit status.
+
+    Every command resolves its configuration, creates the output directory,
+    writes its own files and returns its log lines; run.log is the echoed
+    configuration followed by those lines.  Warnings print as
+    ``warning: <message>`` while the command runs.
+    """
     parser = _build_parser()
     args = parser.parse_args(argv)
-    commands = {"run": cmd_run, "convergence": cmd_convergence, "sweep": cmd_sweep}
+    show_source = warnings.formatwarning
+    warnings.formatwarning = _format_warning
     try:
-        config = _load_config(args)
-        return commands[args.command](config)
-    except ConfigError as exc:
+        resolved = _resolve(_load_config(args), args.command)
+        out_dir = Path(resolved.config.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        log = _echo_config(resolved, args.command)
+        log += _COMMANDS[args.command](resolved, out_dir)
+        _write_text(out_dir / "run.log", "\n".join(log) + "\n")
+        return 0
+    except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (SolverFailureError, SingularMatrixError, SingularConstraintsError, MeshError) as exc:
@@ -614,3 +538,5 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = show_source

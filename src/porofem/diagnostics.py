@@ -24,9 +24,10 @@ from .assembly import (
     assemble_elasticity,
     assemble_scalar_mass,
     assemble_vector_mass,
+    _edge_rule,
     rigid_motion_rows,
 )
-from .elements import edge_quadrature, edge_trace_p2, eval_basis
+from .elements import eval_basis
 # Unused here since DomainQuadrature tabulates the points, but perfbench's
 # tracer still wraps this name (perfbench/spans.py).
 from .elements import physical_points  # noqa: F401
@@ -121,21 +122,12 @@ def boundary_flux_functional(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
     u . n is linear in the displacement coefficients, so the flux of any
     state is one dot product with g.
     """
-    rule = edge_quadrature(5)
-    trace_integrals = rule.weights @ edge_trace_p2(rule.points[:, 1])  # (3,)
-    dofs, weights = [], []
+    g = np.zeros(dofmap.n_u)
     for tag in BoundarySegment:
         normal = mesh.outward_normal(tag)
-        eids = mesh.edges_with_tag(tag)
-        nodes = np.column_stack([mesh.edges[eids, 0], mesh.edges[eids, 1], mesh.edge_nodes[eids]])
-        va = mesh.vertices[mesh.edges[eids, 0]]
-        vb = mesh.vertices[mesh.edges[eids, 1]]
-        length = np.linalg.norm(vb - va, axis=1)
-        per_node = length[:, None] * trace_integrals  # (ne, 3)
-        for comp in (0, 1):
-            dofs.append(2 * nodes.ravel() + comp)
-            weights.append(normal[comp] * per_node.ravel())
-    return np.bincount(np.concatenate(dofs), np.concatenate(weights), dofmap.n_u)
+        rule = _edge_rule(mesh, dofmap, tag, "vector")
+        g += rule.integrate(lambda x, t: np.broadcast_to(normal, x.shape), 0.0)
+    return g
 
 
 def boundary_flux(mesh: Mesh, dofmap: DofMap, u: np.ndarray) -> float:
@@ -374,7 +366,7 @@ class ErrorEvaluator:
         dofmap: DofMap,
         quadrature: DomainQuadrature,
     ) -> None:
-        if benchmark.exact_u is None or benchmark.exact_p is None:
+        if not benchmark.has_exact_solution:
             raise ValueError("benchmark carries no exact solution closures")
         self.benchmark = benchmark
         self.mesh = mesh

@@ -273,6 +273,11 @@ class Benchmark:
     def coeffs(self) -> DerivedCoeffs:
         return derive_kappas(self.params)
 
+    @property
+    def has_exact_solution(self) -> bool:
+        """Whether both exact closures, u and p, are given."""
+        return self.exact_u is not None and self.exact_p is not None
+
 
 def _test1_defaults() -> MaterialParams:
     return MaterialParams(lam=1.0, mu=1.0, alpha=1.0, c0=1.0, K=1.0, mu_f=1.0)

@@ -582,7 +582,7 @@ def run(
     scheme: TimeScheme,
     *,
     keep_states: bool = False,
-    compute_errors="auto",
+    compute_errors: bool = True,
     c_stab: Optional[float] = None,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> RunResult:
@@ -655,13 +655,9 @@ def run(
     tracker = ConservationTracker(benchmark, mesh, dofmap, disc.M, scheme.theta, state)
     first_step_report = len(systems.solve_reports)
 
-    want_errors = (
-        compute_errors is True
-        or (compute_errors == "auto" and benchmark.exact_u is not None and benchmark.exact_p is not None)
-    )
     evaluator = (
         ErrorEvaluator(benchmark, mesh, dofmap, disc.quadrature)
-        if want_errors else None
+        if compute_errors and benchmark.has_exact_solution else None
     )
     times: list[float] = []
     history: dict[str, list[float]] = {}

@@ -9,6 +9,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +22,11 @@ from porofem.cli import (
     config_text,
     main,
     parse_config,
+    write_vtk,
 )
+from porofem.stepper import FieldState
+
+from helpers import jittered_mesh
 
 
 def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -71,6 +76,12 @@ def test_parse_config_reads_comments_and_blanks():
         ("nx_list = \n", "invalid value for nx_list"),
         ("c0_list = 1e-2,-3\n", "invalid value for c0_list"),
         ("nx = 4\nnx = x\n", "line 2: invalid value for nx"),
+        ("T = -1\n", "invalid value for T"),
+        ("ny = 0\n", "invalid value for ny"),
+        ("mu = 0\n", "invalid value for mu"),
+        ("tolerance = 0\n", "invalid value for tolerance"),
+        ("c0 = nan\n", "invalid value for c0"),
+        ("nx_list = 2,0\n", "invalid value for nx_list"),
     ],
 )
 def test_parse_config_reports_offending_line(text, fragment):
@@ -133,7 +144,6 @@ def test_resolve_fills_benchmark_defaults():
     assert resolved.scheme.theta == bench.default_theta
     assert resolved.scheme.T == pytest.approx(bench.T)
     assert resolved.snapshot_every >= 1
-    assert resolved.compute_errors == "auto"
 
 
 def test_resolve_applies_material_overrides():
@@ -252,6 +262,47 @@ def test_run_log_reports_decoupled_amplification(tmp_path):
     log = (out / "run.log").read_text()
     assert "decoupled boundary-elimination amplification" in log
     assert "UNSTABLE (use theta=1)" in log
+
+
+def _reference_vtk_text(mesh, state) -> str:
+    """write_vtk's text as an element-by-element f-string formatter writes it."""
+    n_v, n_f = mesh.n_vertices, mesh.n_triangles
+    lines = ["# vtk DataFile Version 2.0", "poroelastic fields", "ASCII",
+             "DATASET UNSTRUCTURED_GRID", f"POINTS {n_v} double"]
+    for x, y in mesh.vertices:
+        lines.append(f"{x:.17g} {y:.17g} 0")
+    lines.append(f"CELLS {n_f} {4 * n_f}")
+    for a, b, c in mesh.triangles:
+        lines.append(f"3 {a} {b} {c}")
+    lines.append(f"CELL_TYPES {n_f}")
+    lines.extend(["5"] * n_f)
+    lines.append(f"POINT_DATA {n_v}")
+    lines.append("VECTORS displacement double")
+    for vx, vy in zip(state.u[0 : 2 * n_v : 2], state.u[1 : 2 * n_v : 2]):
+        lines.append(f"{vx:.17g} {vy:.17g} 0")
+    for name, vec in (("pressure", state.p), ("xi", state.xi), ("eta", state.eta), ("q", state.q)):
+        lines.append(f"SCALARS {name} double")
+        lines.append("LOOKUP_TABLE default")
+        lines.extend(f"{v:.17g}" for v in vec[:n_v])
+    return "\n".join(lines) + "\n"
+
+
+def test_write_vtk_matches_elementwise_formatting(tmp_path):
+    mesh = jittered_mesh(5, 3, rect=(-1.0, 0.0, 2.0, 1.0 / 3.0))
+    rng = np.random.default_rng(7)
+    extremes = np.array([-0.0, 1e-300, 1e300, -1e300, 5e-324, 1.0 / 3.0])
+
+    def field(n: int) -> np.ndarray:
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+        values[: extremes.size] = extremes
+        return rng.permutation(values)
+
+    n_v, n_nodes = mesh.n_vertices, mesh.n_vertices + mesh.n_edges
+    p = field(n_v)
+    state = FieldState(t=0.5, u=field(2 * n_nodes), xi=field(n_v), eta=field(n_v),
+                       eta_theta=p, p=p, q=field(n_v))
+    write_vtk(tmp_path / "f.vtk", mesh, state)
+    assert (tmp_path / "f.vtk").read_bytes() == _reference_vtk_text(mesh, state).encode()
 
 
 def test_vtk_grammar(tmp_path, small_run_args):
@@ -378,6 +429,22 @@ def test_errors_on_without_exact_solution_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "errors = on" in err and "no exact solution" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "settings, cause",
+    [
+        (["c0=0", "theta=0"], "decoupled scheme is singular"),
+        (["lam=0"], "requires kappa2 > 0"),
+    ],
+)
+def test_impossible_scheme_exits_2_naming_the_cause(tmp_path, capsys, settings, cause):
+    args = ["run", "--set", "benchmark=barry_mercer", "--set", "nx=2"]
+    for item in settings:
+        args += ["--set", item]
+    assert main(args + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and cause in err
 
 
 def test_out_directory_collision_exits_1(tmp_path, capsys):
@@ -537,3 +604,29 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "run.log").exists()
+
+
+def test_warnings_print_as_one_line_without_source(tmp_path):
+    src = str(Path(porofem.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "porofem", "run",
+            "--set", "benchmark=polynomial",
+            "--set", "nx=2",
+            "--set", "dt=1e-3",
+            "--set", "T=2e-3",
+            "--set", "theta=0",
+            "--set", "vtk=off",
+            "--out", str(tmp_path / "o"),
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines and all(line.startswith("warning: ") for line in lines)
+    assert any("amplifies errors" in line for line in lines)
