@@ -227,11 +227,11 @@ def _resolve(config: RunConfig, command: str = "run") -> ResolvedRun:
     try:
         benchmark = get_benchmark(config.benchmark, params)
         ny = config.ny if config.ny is not None else config.nx
-        mesh = build_rect_mesh(config.nx, ny, benchmark.rect)
+        mesh = build_rect_mesh(config.nx, ny)
         scheme = TimeScheme.from_final_time(
             T=config.T if config.T is not None else benchmark.T,
             dt=config.dt if config.dt is not None else benchmark.default_dt,
-            theta=config.theta if config.theta is not None else benchmark.default_theta,
+            theta=config.theta if config.theta is not None else 1,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -416,7 +416,7 @@ def cmd_convergence(resolved: ResolvedRun, out_dir: Path) -> list[str]:
     hs: list[float] = []
     reports = []
     for nx in config.nx_list:
-        mesh = build_rect_mesh(nx, nx, resolved.benchmark.rect)
+        mesh = build_rect_mesh(nx, nx)
         result = run(
             resolved.benchmark,
             Discretization.build(mesh, resolved.benchmark.params),

@@ -32,7 +32,7 @@ from .elements import eval_basis
 # tracer still wraps this name (perfbench/spans.py).
 from .elements import physical_points  # noqa: F401
 from .mesh import BoundarySegment, Mesh
-from .model import Benchmark, DerivedCoeffs, get_benchmark
+from .model import Benchmark, DerivedCoeffs, get_benchmark, xieta_from_pq
 
 __all__ = [
     "ConservedQuantities",
@@ -124,9 +124,8 @@ def boundary_flux_functional(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
     """
     g = np.zeros(dofmap.n_u)
     for tag in BoundarySegment:
-        normal = mesh.outward_normal(tag)
         rule = _edge_rule(mesh, dofmap, tag, "vector")
-        g += rule.integrate(lambda x, t: np.broadcast_to(normal, x.shape), 0.0)
+        g += rule.integrate(lambda x, t: np.broadcast_to(tag.normal, x.shape), 0.0)
     return g
 
 
@@ -344,11 +343,9 @@ class VariableNorms:
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Error norms per variable plus the per-step history used to form them."""
+    """Space-time error norms per variable."""
 
     variables: dict[str, VariableNorms]
-    times: list[float]
-    history: dict[str, list[float]]
 
 
 class ErrorEvaluator:
@@ -421,10 +418,8 @@ class ErrorEvaluator:
             gpe = np.asarray(bm.exact_grad_p(self.flat, t)).reshape(f, q, 2)
             out["p_H1"] = np.sqrt(self._norm2((p_grads - gpe) ** 2))
         if bm.exact_grad_u is not None:
-            prm = bm.params
             qe = ge[..., 0, 0] + ge[..., 1, 1]  # exact div u
-            xi_e = prm.alpha * pe - prm.lam * qe
-            eta_e = prm.c0 * pe + prm.alpha * qe
+            xi_e, eta_e = xieta_from_pq(pe, qe, bm.params)
             xi_vals = state.xi[triangles] @ self.p1_values
             eta_vals = state.eta[triangles] @ self.p1_values
             out["xi_L2"] = np.sqrt(self._norm2((xi_vals - xi_e) ** 2))
@@ -452,11 +447,7 @@ def summarize_error_history(times: Sequence[float], history: Mapping[str, Sequen
             vals = np.asarray(history[h1_key][1:])
             l2h1 = float(np.sqrt(np.sum(dts * vals**2)))
         variables[var] = VariableNorms(linf_l2=linf, l2_h1=l2h1)
-    return ErrorReport(
-        variables=variables,
-        times=list(times),
-        history={k: list(v) for k, v in history.items()},
-    )
+    return ErrorReport(variables=variables)
 
 
 def extract_rates(hs: Sequence[float], errors: Sequence[float]) -> list[Optional[float]]:
@@ -502,8 +493,14 @@ class LockingIndicator:
 
 
 def locking_scan(state, mesh: Mesh, benchmark: Benchmark) -> LockingIndicator:
-    """Count strict interior extrema of p along the vertical line x1 = 0.5."""
+    """Count strict interior extrema of p along the vertical line x1 = 0.5.
+
+    Raises:
+        ValueError: when no mesh vertex lies on the line (an odd nx).
+    """
     on_line = np.flatnonzero(np.abs(mesh.vertices[:, 0] - 0.5) <= 1e-12)
+    if on_line.size == 0:
+        raise ValueError("no mesh vertex lies on the line x1 = 0.5 that the locking scan reads")
     order = np.argsort(mesh.vertices[on_line, 1])
     verts = on_line[order]
     ys = mesh.vertices[verts, 1]
@@ -524,9 +521,9 @@ def locking_scan(state, mesh: Mesh, benchmark: Benchmark) -> LockingIndicator:
             continue
         pts = mesh.vertices[np.unique(mesh.edges[eids].ravel())]
         scale = max(scale, float(np.max(np.abs(bc.value(pts, state.t)))))
-    if scale == 0.0 and vals.size:
+    if scale == 0.0:
         scale = float(np.max(np.abs(vals)))
-    min_value = float(np.min(vals)) if vals.size else 0.0
+    min_value = float(np.min(vals))
     undershoot = max(0.0, -min_value) / max(scale, 1e-30)
     return LockingIndicator(
         ys=ys,

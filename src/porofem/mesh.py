@@ -8,7 +8,7 @@ enumeration stays simple.  Boundary edges carry one of four segment tags
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import IntEnum
 
 import numpy as np
@@ -36,6 +36,19 @@ class BoundarySegment(IntEnum):
     BOTTOM = 2  # y = y_min
     LEFT = 3    # x = x_min
     TOP = 4     # y = y_max
+
+    @property
+    def normal(self) -> tuple[float, float]:
+        """Unit outward normal of this side."""
+        return _NORMALS[self]
+
+
+_NORMALS = {
+    BoundarySegment.RIGHT: (1.0, 0.0),
+    BoundarySegment.BOTTOM: (0.0, -1.0),
+    BoundarySegment.LEFT: (-1.0, 0.0),
+    BoundarySegment.TOP: (0.0, 1.0),
+}
 
 
 @dataclass(frozen=True)
@@ -112,16 +125,6 @@ class Mesh:
         """Sorted vertex indices lying on any boundary edge."""
         eids = self.boundary_edges
         return np.unique(self.edges[eids].ravel())
-
-    def outward_normal(self, tag: BoundarySegment) -> np.ndarray:
-        """Unit outward normal of the rectangle side carrying the tag."""
-        normals = {
-            BoundarySegment.RIGHT: (1.0, 0.0),
-            BoundarySegment.BOTTOM: (0.0, -1.0),
-            BoundarySegment.LEFT: (-1.0, 0.0),
-            BoundarySegment.TOP: (0.0, 1.0),
-        }
-        return np.array(normals[BoundarySegment(tag)])
 
 
 def build_rect_mesh(
@@ -234,15 +237,4 @@ def classify_boundary(mesh: Mesh) -> Mesh:
     tags[boundary[on_left]] = int(BoundarySegment.LEFT)
     tags[boundary[on_top]] = int(BoundarySegment.TOP)
 
-    return Mesh(
-        vertices=mesh.vertices,
-        triangles=mesh.triangles,
-        edges=mesh.edges,
-        edge_nodes=mesh.edge_nodes,
-        triangle_edges=mesh.triangle_edges,
-        edge_tags=tags,
-        rect=mesh.rect,
-        nx=mesh.nx,
-        ny=mesh.ny,
-        h=mesh.h,
-    )
+    return replace(mesh, edge_tags=tags)

@@ -45,13 +45,6 @@ __all__ = [
 ScalarClosure = Callable[[np.ndarray, float], np.ndarray]
 VectorClosure = Callable[[np.ndarray, float], np.ndarray]
 
-ALL_SEGMENTS = (
-    BoundarySegment.RIGHT,
-    BoundarySegment.BOTTOM,
-    BoundarySegment.LEFT,
-    BoundarySegment.TOP,
-)
-
 
 def zero_scalar(x: np.ndarray, t: float) -> np.ndarray:
     return np.zeros(x.shape[0])
@@ -210,7 +203,7 @@ class BoundaryConditionSpec:
     flow: Mapping[BoundarySegment, FlowBC]
 
     def __post_init__(self) -> None:
-        for seg in ALL_SEGMENTS:
+        for seg in BoundarySegment:
             if seg not in self.mechanical:
                 raise ValueError(f"missing mechanical condition on segment {seg.name}")
             if seg not in self.flow:
@@ -241,7 +234,7 @@ class Benchmark:
 
     Attributes:
         name: one of "test1", "barry_mercer", "locking", "polynomial".
-        rect: domain corners (x_min, y_min, x_max, y_max).
+            Every benchmark is posed on the unit square.
         T: final time.
         params: material constants.
         bcs: boundary conditions.
@@ -250,11 +243,10 @@ class Benchmark:
         exact_u, exact_p: optional exact solution closures.
         exact_grad_u: optional closure returning (n, 2, 2) arrays du_i/dx_j.
         exact_grad_p: optional closure returning (n, 2) arrays.
-        default_dt, default_theta: time-stepping defaults for the CLI.
+        default_dt: time-step default for the CLI.
     """
 
     name: str
-    rect: tuple[float, float, float, float]
     T: float
     params: MaterialParams
     bcs: BoundaryConditionSpec
@@ -267,7 +259,6 @@ class Benchmark:
     exact_grad_u: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
     exact_grad_p: Optional[VectorClosure] = None
     default_dt: float = 1e-5
-    default_theta: int = 1
 
     @property
     def coeffs(self) -> DerivedCoeffs:
@@ -279,10 +270,6 @@ class Benchmark:
         return self.exact_u is not None and self.exact_p is not None
 
 
-def _test1_defaults() -> MaterialParams:
-    return MaterialParams(lam=1.0, mu=1.0, alpha=1.0, c0=1.0, K=1.0, mu_f=1.0)
-
-
 def benchmark_test1(params: Optional[MaterialParams] = None) -> Benchmark:
     """Manufactured smooth solution on the unit square, T = 0.001.
 
@@ -292,7 +279,7 @@ def benchmark_test1(params: Optional[MaterialParams] = None) -> Benchmark:
     on the whole boundary; u1 is Dirichlet on the vertical sides and u2 on
     the horizontal sides, with the traction driving the free components.
     """
-    prm = params if params is not None else _test1_defaults()
+    prm = params if params is not None else MaterialParams()
     lam, mu, alpha = prm.lam, prm.mu, prm.alpha
     c0, K, mu_f = prm.c0, prm.K, prm.mu_f
 
@@ -322,8 +309,8 @@ def benchmark_test1(params: Optional[MaterialParams] = None) -> Benchmark:
         s = x[:, 0] + x[:, 1]
         return (c0 + 2.0 * K / mu_f) * np.sin(s) * np.exp(t) + alpha * s
 
-    def traction_for(normal: np.ndarray) -> VectorClosure:
-        n1, n2 = float(normal[0]), float(normal[1])
+    def traction_for(normal: tuple[float, float]) -> VectorClosure:
+        n1, n2 = normal
 
         def f1(x: np.ndarray, t: float) -> np.ndarray:
             s = x[:, 0] + x[:, 1]
@@ -340,47 +327,28 @@ def benchmark_test1(params: Optional[MaterialParams] = None) -> Benchmark:
     def u2_data(x: np.ndarray, t: float) -> np.ndarray:
         return 0.5 * t * x[:, 1] ** 2
 
-    normals = {
-        BoundarySegment.RIGHT: np.array([1.0, 0.0]),
-        BoundarySegment.BOTTOM: np.array([0.0, -1.0]),
-        BoundarySegment.LEFT: np.array([-1.0, 0.0]),
-        BoundarySegment.TOP: np.array([0.0, 1.0]),
-    }
+    # The vertical sides are those whose normal lies along x1.
     mechanical = {
-        BoundarySegment.RIGHT: MechanicalBC(
-            dirichlet=(u1_data, None), traction=traction_for(normals[BoundarySegment.RIGHT])
-        ),
-        BoundarySegment.LEFT: MechanicalBC(
-            dirichlet=(u1_data, None), traction=traction_for(normals[BoundarySegment.LEFT])
-        ),
-        BoundarySegment.BOTTOM: MechanicalBC(
-            dirichlet=(None, u2_data), traction=traction_for(normals[BoundarySegment.BOTTOM])
-        ),
-        BoundarySegment.TOP: MechanicalBC(
-            dirichlet=(None, u2_data), traction=traction_for(normals[BoundarySegment.TOP])
-        ),
+        seg: MechanicalBC(
+            dirichlet=(u1_data, None) if seg.normal[0] else (None, u2_data),
+            traction=traction_for(seg.normal),
+        )
+        for seg in BoundarySegment
     }
-    flow = {seg: FlowBC(kind="pressure", value=exact_p) for seg in ALL_SEGMENTS}
-
-    def p0(x: np.ndarray, t: float = 0.0) -> np.ndarray:
-        return np.sin(x[:, 0] + x[:, 1])
+    flow = {seg: FlowBC(kind="pressure", value=exact_p) for seg in BoundarySegment}
 
     return Benchmark(
         name="test1",
-        rect=(0.0, 0.0, 1.0, 1.0),
         T=1e-3,
         params=prm,
         bcs=BoundaryConditionSpec(mechanical=mechanical, flow=flow),
         sources=SourceFunctions(f=body_force, phi=mass_source),
-        u0=zero_vector,
-        p0=p0,
-        div_u0=zero_scalar,
+        p0=exact_p,
         exact_u=exact_u,
         exact_p=exact_p,
         exact_grad_u=exact_grad_u,
         exact_grad_p=exact_grad_p,
         default_dt=1e-5,
-        default_theta=1,
     )
 
 
@@ -393,7 +361,7 @@ def benchmark_barry_mercer(params: Optional[MaterialParams] = None) -> Benchmark
     is free with traction (0, alpha*p_D), which makes the effective
     stress vanish on the boundary.
     """
-    prm = params if params is not None else _test1_defaults()
+    prm = params if params is not None else MaterialParams()
     alpha = prm.alpha
 
     def p2(x: np.ndarray, t: float) -> np.ndarray:
@@ -404,14 +372,11 @@ def benchmark_barry_mercer(params: Optional[MaterialParams] = None) -> Benchmark
         vals = alpha * p2(x, t)
         return np.column_stack([np.zeros_like(vals), vals])
 
-    def zero_comp(x: np.ndarray, t: float) -> np.ndarray:
-        return np.zeros(x.shape[0])
-
     mechanical = {
-        BoundarySegment.RIGHT: MechanicalBC(dirichlet=(zero_comp, None), traction=zero_vector),
-        BoundarySegment.LEFT: MechanicalBC(dirichlet=(zero_comp, None), traction=zero_vector),
-        BoundarySegment.BOTTOM: MechanicalBC(dirichlet=(None, zero_comp), traction=traction_bottom),
-        BoundarySegment.TOP: MechanicalBC(dirichlet=(None, zero_comp), traction=zero_vector),
+        BoundarySegment.RIGHT: MechanicalBC(dirichlet=(zero_scalar, None), traction=zero_vector),
+        BoundarySegment.LEFT: MechanicalBC(dirichlet=(zero_scalar, None), traction=zero_vector),
+        BoundarySegment.BOTTOM: MechanicalBC(dirichlet=(None, zero_scalar), traction=traction_bottom),
+        BoundarySegment.TOP: MechanicalBC(dirichlet=(None, zero_scalar), traction=zero_vector),
     }
     flow = {
         BoundarySegment.RIGHT: FlowBC(kind="pressure", value=zero_scalar),
@@ -422,13 +387,11 @@ def benchmark_barry_mercer(params: Optional[MaterialParams] = None) -> Benchmark
 
     return Benchmark(
         name="barry_mercer",
-        rect=(0.0, 0.0, 1.0, 1.0),
         T=1.0,
         params=prm,
         bcs=BoundaryConditionSpec(mechanical=mechanical, flow=flow),
         sources=SourceFunctions(f=zero_vector, phi=zero_scalar),
         default_dt=0.01,
-        default_theta=1,
     )
 
 
@@ -448,31 +411,26 @@ def benchmark_locking(params: Optional[MaterialParams] = None) -> Benchmark:
     else:
         prm = params
 
-    def zero_comp(x: np.ndarray, t: float) -> np.ndarray:
-        return np.zeros(x.shape[0])
-
     def traction_top(x: np.ndarray, t: float) -> np.ndarray:
         out = np.zeros((x.shape[0], 2))
         out[:, 1] = -1.0
         return out
 
     mechanical = {
-        BoundarySegment.LEFT: MechanicalBC(dirichlet=(zero_comp, zero_comp)),
+        BoundarySegment.LEFT: MechanicalBC(dirichlet=(zero_scalar, zero_scalar)),
         BoundarySegment.RIGHT: MechanicalBC(traction=zero_vector),
         BoundarySegment.BOTTOM: MechanicalBC(traction=zero_vector),
         BoundarySegment.TOP: MechanicalBC(traction=traction_top),
     }
-    flow = {seg: FlowBC(kind="flux", value=zero_scalar) for seg in ALL_SEGMENTS}
+    flow = {seg: FlowBC(kind="flux", value=zero_scalar) for seg in BoundarySegment}
 
     return Benchmark(
         name="locking",
-        rect=(0.0, 0.0, 1.0, 1.0),
         T=1e-3,
         params=prm,
         bcs=BoundaryConditionSpec(mechanical=mechanical, flow=flow),
         sources=SourceFunctions(f=zero_vector, phi=zero_scalar),
         default_dt=1e-4,
-        default_theta=1,
     )
 
 
@@ -491,10 +449,7 @@ def benchmark_polynomial(params: Optional[MaterialParams] = None) -> Benchmark:
     free side keeps the decoupled scheme's Stokes block nonsingular when
     c0 = 0 (otherwise constant xi would be in its kernel).
     """
-    if params is None:
-        prm = MaterialParams(lam=1.0, mu=1.0, alpha=1.0, c0=0.0, K=1.0, mu_f=1.0)
-    else:
-        prm = params
+    prm = params if params is not None else MaterialParams(c0=0.0)
     mu, alpha, c0 = prm.mu, prm.alpha, prm.c0
 
     def exact_u(x: np.ndarray, t: float) -> np.ndarray:
@@ -538,47 +493,38 @@ def benchmark_polynomial(params: Optional[MaterialParams] = None) -> Benchmark:
         return out
 
     mechanical = {
-        seg: MechanicalBC(dirichlet=(u1_data, u2_data)) for seg in ALL_SEGMENTS
+        seg: MechanicalBC(dirichlet=(u1_data, u2_data)) for seg in BoundarySegment
     }
     mechanical[BoundarySegment.RIGHT] = MechanicalBC(traction=traction_right)
-    flow = {seg: FlowBC(kind="pressure", value=exact_p) for seg in ALL_SEGMENTS}
-
-    def u0(x: np.ndarray, t: float = 0.0) -> np.ndarray:
-        return exact_u(x, 0.0)
-
-    def p0(x: np.ndarray, t: float = 0.0) -> np.ndarray:
-        return exact_p(x, 0.0)
+    flow = {seg: FlowBC(kind="pressure", value=exact_p) for seg in BoundarySegment}
 
     return Benchmark(
         name="polynomial",
-        rect=(0.0, 0.0, 1.0, 1.0),
         T=0.01,
         params=prm,
         bcs=BoundaryConditionSpec(mechanical=mechanical, flow=flow),
         sources=SourceFunctions(f=body_force, phi=mass_source),
-        u0=u0,
-        p0=p0,
-        div_u0=zero_scalar,
+        u0=exact_u,
+        p0=exact_p,
         exact_u=exact_u,
         exact_p=exact_p,
         exact_grad_u=exact_grad_u,
         exact_grad_p=exact_grad_p,
         default_dt=1e-3,
-        default_theta=1,
     )
 
 
-BENCHMARK_NAMES = ("test1", "barry_mercer", "locking", "polynomial")
+_FACTORIES = {
+    "test1": benchmark_test1,
+    "barry_mercer": benchmark_barry_mercer,
+    "locking": benchmark_locking,
+    "polynomial": benchmark_polynomial,
+}
+BENCHMARK_NAMES = tuple(_FACTORIES)
 
 
 def get_benchmark(name: str, params: Optional[MaterialParams] = None) -> Benchmark:
     """Look up a benchmark constructor by name."""
-    factories = {
-        "test1": benchmark_test1,
-        "barry_mercer": benchmark_barry_mercer,
-        "locking": benchmark_locking,
-        "polynomial": benchmark_polynomial,
-    }
-    if name not in factories:
+    if name not in _FACTORIES:
         raise ValueError(f"unknown benchmark {name!r}; expected one of {BENCHMARK_NAMES}")
-    return factories[name](params)
+    return _FACTORIES[name](params)

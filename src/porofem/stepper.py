@@ -422,14 +422,6 @@ class StepSystems:
         return float(np.exp(np.mean(np.log(tail))))
 
 
-_NORMAL_COMPONENT = {
-    BoundarySegment.LEFT: 0,
-    BoundarySegment.RIGHT: 0,
-    BoundarySegment.BOTTOM: 1,
-    BoundarySegment.TOP: 1,
-}
-
-
 def _normal_component_fully_prescribed(bcs) -> bool:
     """True when u . n is Dirichlet on every boundary side.
 
@@ -437,8 +429,10 @@ def _normal_component_fully_prescribed(bcs) -> bool:
     flux, so constant xi lies in the kernel of the divergence coupling.
     """
     return all(
-        bcs.mechanical[seg].dirichlet[comp] is not None
-        for seg, comp in _NORMAL_COMPONENT.items()
+        closure is not None
+        for seg in BoundarySegment
+        for closure, n in zip(bcs.mechanical[seg].dirichlet, seg.normal)
+        if n
     )
 
 

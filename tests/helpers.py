@@ -23,14 +23,6 @@ from porofem.model import (
 )
 from porofem.stepper import Discretization, FieldState, StepSystems, TimeScheme, init_state
 
-_OUTWARD = {
-    BoundarySegment.RIGHT: (1.0, 0.0),
-    BoundarySegment.BOTTOM: (0.0, -1.0),
-    BoundarySegment.LEFT: (-1.0, 0.0),
-    BoundarySegment.TOP: (0.0, 1.0),
-}
-
-
 def jittered_mesh(nx: int, ny: int, rect=(0.0, 0.0, 1.0, 1.0), seed: int = 0) -> Mesh:
     """A structured mesh with every vertex moved by up to 0.2 cell widths,
     boundary vertices along their side and corners not at all, so that
@@ -63,7 +55,7 @@ def zero_scalar(x: np.ndarray, t: float) -> np.ndarray:
 
 def normal_traction(tag: BoundarySegment, scale: float = 1.0):
     """Traction f1 = scale * n on one side; globally self-equilibrated."""
-    n1, n2 = _OUTWARD[tag]
+    n1, n2 = tag.normal
 
     def closure(x: np.ndarray, t: float) -> np.ndarray:
         out = np.empty((x.shape[0], 2))
@@ -106,7 +98,6 @@ def conservation_benchmark(
     flow[BoundarySegment.BOTTOM] = FlowBC(kind="flux", value=flux_b)
     return Benchmark(
         name="conservation_fixture",
-        rect=(0.0, 0.0, 1.0, 1.0),
         T=T,
         params=MaterialParams(lam=lam, mu=mu, alpha=alpha, c0=c0, K=1.0, mu_f=1.0),
         bcs=BoundaryConditionSpec(mechanical=mechanical, flow=flow),
@@ -123,7 +114,6 @@ def zero_benchmark(theta_friendly: bool = True) -> Benchmark:
     flow = {tag: FlowBC(kind="flux", value=zero_scalar) for tag in BoundarySegment}
     return Benchmark(
         name="zero_fixture",
-        rect=(0.0, 0.0, 1.0, 1.0),
         T=1e-2,
         params=MaterialParams(lam=1.0, mu=1.0, alpha=1.0, c0=0.5, K=1.0, mu_f=1.0),
         bcs=BoundaryConditionSpec(mechanical=mechanical, flow=flow),

@@ -450,7 +450,7 @@ _LOAD_CASES = {
 @pytest.mark.parametrize("case", sorted(_LOAD_CASES))
 def test_tabulated_load_matches_reference_formula(case):
     bench = _LOAD_CASES[case]()
-    mesh = jittered_mesh(6, 5, rect=bench.rect)
+    mesh = jittered_mesh(6, 5)
     dofmap = DofMap.from_mesh(mesh)
     loads = _loads(mesh, dofmap, bench)
     for t in (0.0, bench.T / 3.0, bench.T):

@@ -141,7 +141,7 @@ def test_resolve_fills_benchmark_defaults():
     bench = resolved.benchmark
     assert resolved.mesh.nx == 4 and resolved.mesh.ny == 4
     assert resolved.scheme.dt == pytest.approx(bench.default_dt)
-    assert resolved.scheme.theta == bench.default_theta
+    assert resolved.scheme.theta == 1
     assert resolved.scheme.T == pytest.approx(bench.T)
     assert resolved.snapshot_every >= 1
 

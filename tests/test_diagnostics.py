@@ -240,7 +240,7 @@ def _reference_boundary_flux(mesh, u):
     traces = edge_trace_p2(rule.points[:, 1])
     total = 0.0
     for tag in BoundarySegment:
-        normal = mesh.outward_normal(tag)
+        normal = tag.normal
         eids = mesh.edges_with_tag(tag)
         nodes = np.column_stack([mesh.edges[eids, 0], mesh.edges[eids, 1], mesh.edge_nodes[eids]])
         un = u[2 * nodes] * normal[0] + u[2 * nodes + 1] * normal[1]
@@ -326,7 +326,7 @@ def _reference_errors(bench, mesh, dofmap, state):
 @pytest.mark.parametrize("name", ["test1", "polynomial"])
 def test_error_evaluator_matches_reference_formula(name):
     bench = get_benchmark(name)
-    mesh = jittered_mesh(6, 6, rect=bench.rect)
+    mesh = jittered_mesh(6, 6)
     dofmap = DofMap.from_mesh(mesh)
     disc = Discretization.build(mesh, bench.params)
     result = run(bench, disc, TimeScheme(dt=bench.default_dt, n_steps=3, theta=1),
@@ -432,6 +432,15 @@ def test_locking_scan_checkerboard_counts_all_interior_extrema():
     # no pressure-Dirichlet data: the scale falls back to the line itself
     assert ind.scale == pytest.approx(1.0)
     assert ind.undershoot == pytest.approx(1.0)
+
+
+def test_locking_scan_rejects_a_mesh_without_vertices_on_its_line():
+    # With nx odd, x1 = 0.5 runs through cells only: an empty scan would
+    # read as "no locking".
+    mesh = build_rect_mesh(5, 4)
+    bench = get_benchmark("locking")
+    with pytest.raises(ValueError, match="x1 = 0.5"):
+        locking_scan(_scalar_state(mesh, np.zeros(mesh.n_vertices)), mesh, bench)
 
 
 def test_locking_scan_scale_from_boundary_pressure_data():

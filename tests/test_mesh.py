@@ -18,6 +18,8 @@ from porofem.mesh import (
     classify_boundary,
 )
 
+from helpers import jittered_mesh
+
 
 def test_smallest_split_counts():
     mesh = build_rect_mesh(1, 1)
@@ -90,11 +92,21 @@ def test_segment_geometry_matches_tags():
 
 
 def test_outward_normals():
-    mesh = build_rect_mesh(2, 2)
-    assert np.allclose(mesh.outward_normal(BoundarySegment.RIGHT), (1.0, 0.0))
-    assert np.allclose(mesh.outward_normal(BoundarySegment.LEFT), (-1.0, 0.0))
-    assert np.allclose(mesh.outward_normal(BoundarySegment.BOTTOM), (0.0, -1.0))
-    assert np.allclose(mesh.outward_normal(BoundarySegment.TOP), (0.0, 1.0))
+    # Each tagged edge's side normal is perpendicular to the edge and points
+    # away from the vertex of its triangle opposite the edge.
+    for mesh in (
+        build_rect_mesh(3, 5, rect=(-1.0, 2.0, 3.0, 2.5)),
+        jittered_mesh(5, 4, rect=(0.0, -1.0, 2.0, 0.5)),
+    ):
+        tri, local = np.nonzero(np.isin(mesh.triangle_edges, mesh.boundary_edges))
+        edges = mesh.triangle_edges[tri, local]
+        assert sorted(edges) == sorted(mesh.boundary_edges)
+        a = mesh.vertices[mesh.edges[edges, 0]]
+        b = mesh.vertices[mesh.edges[edges, 1]]
+        opposite = mesh.vertices[mesh.triangles[tri, local]]
+        normals = np.array([BoundarySegment(tag).normal for tag in mesh.edge_tags[edges]])
+        assert np.allclose(np.einsum("ij,ij->i", normals, b - a), 0.0, atol=1e-12)
+        assert np.all(np.einsum("ij,ij->i", normals, a - opposite) > 0.0)
 
 
 def test_midpoint_nodes_average_endpoints():

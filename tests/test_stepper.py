@@ -428,7 +428,7 @@ def test_run_builds_boundary_data_once(monkeypatch):
 @pytest.mark.parametrize("name", ["test1", "conservation"])
 def test_init_state_reuses_step_systems(name, monkeypatch):
     bench = conservation_benchmark() if name == "conservation" else get_benchmark(name)
-    mesh = build_rect_mesh(4, 4, rect=bench.rect)
+    mesh = build_rect_mesh(4, 4)
     disc = Discretization.build(mesh, bench.params)
     systems = StepSystems(bench, disc, TimeScheme(dt=1e-3, n_steps=1, theta=1))
     calls = []
@@ -645,7 +645,7 @@ def test_first_separator_decouples_reduced_coupled_matrix_on_jittered_mesh(name)
     # those lines leaves it exact; test1 also couples each eliminated
     # boundary eta to its vertex's xi.
     bench = get_benchmark(name)
-    disc = Discretization.build(jittered_mesh(9, 6, rect=bench.rect), bench.params)
+    disc = Discretization.build(jittered_mesh(9, 6), bench.params)
     systems = StepSystems(bench, disc, TimeScheme(dt=1e-4, n_steps=1, theta=1))
     reduced = systems.reduced_mono
     n_masters = reduced.masters.size
