@@ -246,6 +246,11 @@ def _resolve(config: RunConfig, command: str = "run") -> ResolvedRun:
                 f"benchmark {config.benchmark!r} has no exact solution; "
                 "a convergence study needs one"
             )
+    if command == "convergence" and scheme.n_steps == 0:
+        raise ConfigError(
+            f"T = {scheme.T:.17g} gives no time step; a convergence study needs "
+            "at least one for its L2-in-time H1 errors"
+        )
     snapshot = config.snapshot_every
     if snapshot is None:
         snapshot = max(1, math.ceil(scheme.n_steps / 10))
@@ -431,7 +436,7 @@ def cmd_convergence(resolved: ResolvedRun, out_dir: Path) -> list[str]:
     header, columns = ["h"], [hs]
     at_tolerance = False
     for column, variable, norm in _RATE_COLUMNS:
-        errs = [getattr(report.variables[variable], norm) for report in reports]
+        errs = [getattr(report[variable], norm) for report in reports]
         rates = extract_rates(hs, errs)
         for i in range(1, len(errs)):
             if errs[i] <= _RATE_FLOOR or errs[i - 1] <= _RATE_FLOOR:

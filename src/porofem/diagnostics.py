@@ -37,12 +37,10 @@ from .model import Benchmark, DerivedCoeffs, get_benchmark, xieta_from_pq
 __all__ = [
     "ConservedQuantities",
     "ConservationTracker",
-    "boundary_flux",
     "boundary_flux_functional",
     "EnergyRecord",
     "EnergyAuditor",
     "VariableNorms",
-    "ErrorReport",
     "ErrorEvaluator",
     "summarize_error_history",
     "extract_rates",
@@ -68,11 +66,10 @@ class ConservedQuantities:
 
     The references follow the recursions
         C_eta(t_{n+1}) = C_eta(t_n) + dt[(phi,1) + <phi1,1>],
-        C_xi = [mu*k1*C_eta(t_lag) - (f,x) - <f1,x>]/(d + mu*k3),
-        C_q = k1*C_eta(t) - k3*C_xi,  C_u = k1*C_eta(t_lag) - k3*C_xi,
-        C_p = k1*C_xi + k2*C_eta(t_lag),
-    where t_lag = t_{n-1+theta} matches the lag of the scheme's stored p
-    and of the divergence equation.
+        C_xi = [mu*k1*C_eta(t_lag) - (f,x) - <f1,x>]/(2 + mu*k3),
+        C_u = k1*C_eta(t_lag) - k3*C_xi,
+    where t_lag = t_{n-1+theta} matches the lag of the divergence equation;
+    C_u is the reference for the boundary flux of u.
 
     The residual properties are relative, |measured - reference| /
     max(1, |reference|), and None where the identity does not apply to the
@@ -84,13 +81,9 @@ class ConservedQuantities:
     t: float
     c_eta: float
     c_xi: float
-    c_q: float
-    c_p: float
     c_u: float
     eta_measured: float
     xi_measured: float
-    q_measured: float
-    p_measured: float
     flux_measured: float
     eta_applicable: bool
     traction_applicable: bool
@@ -129,11 +122,6 @@ def boundary_flux_functional(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
     return g
 
 
-def boundary_flux(mesh: Mesh, dofmap: DofMap, u: np.ndarray) -> float:
-    """The boundary integral of u . n over the whole boundary."""
-    return float(boundary_flux_functional(mesh, dofmap) @ u)
-
-
 class ConservationTracker:
     """Advances the reference recursions alongside a run and measures states.
 
@@ -146,7 +134,6 @@ class ConservationTracker:
         self.theta = theta
         self.coeffs = benchmark.coeffs
         self.mu = benchmark.params.mu
-        self.dim = 2
         coords = mesh.p2_node_coords()
         self.x_pairing = coords.ravel()  # interpolant of the position field
         self.flux_functional = boundary_flux_functional(mesh, dofmap)
@@ -157,15 +144,6 @@ class ConservationTracker:
     def _integral(self, vec: np.ndarray) -> float:
         return float((self.M @ vec).sum())
 
-    def _measure(self, state) -> dict[str, float]:
-        return {
-            "eta": self._integral(state.eta),
-            "xi": self._integral(state.xi),
-            "q": self._integral(state.q),
-            "p": self._integral(state.p),
-            "flux": float(self.flux_functional @ state.u),
-        }
-
     def advance(self, state, dt: float, mech_load: np.ndarray, flow_load: np.ndarray) -> ConservedQuantities:
         """Push the references forward by one step and measure the new state.
 
@@ -173,25 +151,21 @@ class ConservationTracker:
         stepper used for this step (evaluated at the new time), so that the
         references use the same quadrature as the scheme itself.
         """
-        k1, k2, k3 = self.coeffs.kappa1, self.coeffs.kappa2, self.coeffs.kappa3
+        k1, k3 = self.coeffs.kappa1, self.coeffs.kappa3
         c_eta_prev = self._c_eta
         self._c_eta = c_eta_prev + dt * float(flow_load.sum())
         c_eta_lag = self._c_eta if self.theta == 1 else c_eta_prev
         work = float(mech_load @ self.x_pairing)
-        c_xi = (self.mu * k1 * c_eta_lag - work) / (self.dim + self.mu * k3)
-        m = self._measure(state)
+        # 2 is the space dimension: the divergence of the position field.
+        c_xi = (self.mu * k1 * c_eta_lag - work) / (2 + self.mu * k3)
         return ConservedQuantities(
             t=state.t,
             c_eta=self._c_eta,
             c_xi=c_xi,
-            c_q=k1 * self._c_eta - k3 * c_xi,
-            c_p=k1 * c_xi + k2 * c_eta_lag,
             c_u=k1 * c_eta_lag - k3 * c_xi,
-            eta_measured=m["eta"],
-            xi_measured=m["xi"],
-            q_measured=m["q"],
-            p_measured=m["p"],
-            flux_measured=m["flux"],
+            eta_measured=self._integral(state.eta),
+            xi_measured=self._integral(state.xi),
+            flux_measured=float(self.flux_functional @ state.u),
             eta_applicable=self.eta_applicable,
             traction_applicable=self.traction_applicable,
         )
@@ -249,7 +223,7 @@ class EnergyAuditor:
         self.coeffs = coeffs
         self.theta = theta
         self.dt = dt
-        self._count = 0
+        self._level = -1
         self._prev = None
         self._j0: Optional[float] = None
         self._s_cum = 0.0
@@ -264,32 +238,41 @@ class EnergyAuditor:
         )
         return 0.5 * quad - float(self.mech_load @ state.u)
 
-    def ingest(self, state) -> Optional[EnergyRecord]:
-        """Feed the next state (starting from the initial one); returns the
-        energy record once a full level is available, i.e. from the second
-        call onward."""
-        self._count += 1
-        if self._count == 1:
-            self._prev = state
-            return None
+    def ingest(self, state) -> EnergyRecord:
+        """Feed the state of the next time step; returns its energy record.
+
+        The first state fed sets J^0 and is level 0; each later one is the
+        next level.  The initial state of a run is not fed.
+        """
+        j = self._energy(state)
+        prev, self._prev = self._prev, state
+        self._level += 1
+        if prev is None:
+            self._j0 = j
+        else:
+            self._dissipate(prev, state)
+        decoupled = self.theta == 0
+        return EnergyRecord(
+            level=self._level,
+            t=state.t,
+            J=j,
+            s_cum=self._s_cum,
+            residual=j + self._s_cum - self._j0,
+            s_hat_cum=self._s_hat_cum if decoupled else None,
+            hat_slack=j + self._s_hat_cum - self._j0 if decoupled else None,
+        )
+
+    def _dissipate(self, prev, state) -> None:
+        """Add the step from prev to state to S (and, for theta = 0, S_hat)."""
         k1, k2, k3 = self.coeffs.kappa1, self.coeffs.kappa2, self.coeffs.kappa3
         dt = self.dt
-        j = self._energy(state)
-        if self._count == 2:
-            self._j0 = j
-            self._prev = state
-            return EnergyRecord(
-                level=0, t=state.t, J=j, s_cum=0.0, residual=0.0,
-                s_hat_cum=0.0 if self.theta == 0 else None,
-                hat_slack=0.0 if self.theta == 0 else None,
-            )
-        prev = self._prev
         d_u = (state.u - prev.u) / dt
         d_xi = (state.xi - prev.xi) / dt
         d_eta_theta = (state.eta_theta - prev.eta_theta) / dt
         p_new = state.p
+        s_p = self.S @ p_new
         du_a_du = d_u @ (self.A @ d_u)
-        p_s_p = p_new @ (self.S @ p_new)
+        p_s_p = p_new @ s_p
         d_eta_m = d_eta_theta @ (self.M @ d_eta_theta)
         d_xi_m = d_xi @ (self.M @ d_xi)
         source_work = float(self.flow_load @ p_new)
@@ -301,11 +284,7 @@ class EnergyAuditor:
             - source_work
         )
         if self.theta == 0:
-            term -= k1 * dt * float(d_xi @ (self.S @ p_new))
-        self._s_cum += dt * term
-        hat_cum = None
-        slack = None
-        if self.theta == 0:
+            term -= k1 * dt * float(d_xi @ s_p)
             hat_term = (
                 0.25 * dt * du_a_du
                 + 0.5 * p_s_p
@@ -314,18 +293,7 @@ class EnergyAuditor:
                 - source_work
             )
             self._s_hat_cum += dt * hat_term
-            hat_cum = self._s_hat_cum
-            slack = j + hat_cum - self._j0
-        self._prev = state
-        return EnergyRecord(
-            level=self._count - 2,
-            t=state.t,
-            J=j,
-            s_cum=self._s_cum,
-            residual=j + self._s_cum - self._j0,
-            s_hat_cum=hat_cum,
-            hat_slack=slack,
-        )
+        self._s_cum += dt * term
 
 
 # --------------------------------------------------------------------------
@@ -339,13 +307,6 @@ class VariableNorms:
 
     linf_l2: float
     l2_h1: Optional[float]
-
-
-@dataclass(frozen=True)
-class ErrorReport:
-    """Space-time error norms per variable."""
-
-    variables: dict[str, VariableNorms]
 
 
 class ErrorEvaluator:
@@ -427,8 +388,8 @@ class ErrorEvaluator:
         return out
 
 
-def summarize_error_history(times: Sequence[float], history: Mapping[str, Sequence[float]]) -> ErrorReport:
-    """Collapse per-level errors into space-time norms.
+def summarize_error_history(times: Sequence[float], history: Mapping[str, Sequence[float]]) -> dict[str, VariableNorms]:
+    """Collapse per-level errors into space-time norms, per variable.
 
     L-infinity-in-time of the L2 error is taken over all levels including
     the initial one; the L2-in-time H1 norm is the dt-weighted sum over
@@ -447,7 +408,7 @@ def summarize_error_history(times: Sequence[float], history: Mapping[str, Sequen
             vals = np.asarray(history[h1_key][1:])
             l2h1 = float(np.sqrt(np.sum(dts * vals**2)))
         variables[var] = VariableNorms(linf_l2=linf, l2_h1=l2h1)
-    return ErrorReport(variables=variables)
+    return variables
 
 
 def extract_rates(hs: Sequence[float], errors: Sequence[float]) -> list[Optional[float]]:
@@ -544,7 +505,10 @@ class BudgetExceededError(RuntimeError):
     """Raised when a dense diagnostic would exceed its size budget."""
 
 
-def estimate_infsup(mesh: Mesh, budget: int = 2000) -> float:
+_INFSUP_BUDGET = 2000  # largest n_u + n_p the dense inf-sup estimate accepts
+
+
+def estimate_infsup(mesh: Mesh) -> float:
     """Dense inf-sup estimate for the P2-vector / P1 pair on a small mesh.
 
     Computes sqrt of the smallest generalized eigenvalue of the projected
@@ -552,14 +516,14 @@ def estimate_infsup(mesh: Mesh, budget: int = 2000) -> float:
     rigid-motion-orthogonal inverse of the unconstrained elasticity form.
 
     Raises:
-        BudgetExceededError: when the dense solve would exceed the budget.
+        BudgetExceededError: when n_u + n_p exceeds _INFSUP_BUDGET.
     """
     dofmap = DofMap.from_mesh(mesh)
     n_p = dofmap.n_scalar
     n_total = dofmap.n_u + n_p
-    if n_total > budget:
+    if n_total > _INFSUP_BUDGET:
         raise BudgetExceededError(
-            f"{n_total} dofs exceed the dense diagnostic budget of {budget}"
+            f"{n_total} dofs exceed the dense diagnostic budget of {_INFSUP_BUDGET}"
         )
     A = assemble_elasticity(mesh, dofmap, 1.0).toarray()
     C = rigid_motion_rows(mesh, dofmap)

@@ -239,7 +239,8 @@ class Benchmark:
         params: material constants.
         bcs: boundary conditions.
         sources: body force and mass source.
-        u0, p0: initial data closures (div_u0 is the divergence of u0).
+        u0, p0: initial data closures; u0 must be divergence-free (the
+            initial q is zero).
         exact_u, exact_p: optional exact solution closures.
         exact_grad_u: optional closure returning (n, 2, 2) arrays du_i/dx_j.
         exact_grad_p: optional closure returning (n, 2) arrays.
@@ -253,7 +254,6 @@ class Benchmark:
     sources: SourceFunctions
     u0: VectorClosure = zero_vector
     p0: ScalarClosure = zero_scalar
-    div_u0: ScalarClosure = zero_scalar
     exact_u: Optional[VectorClosure] = None
     exact_p: Optional[ScalarClosure] = None
     exact_grad_u: Optional[Callable[[np.ndarray, float], np.ndarray]] = None

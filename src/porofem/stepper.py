@@ -43,7 +43,7 @@ from .diagnostics import (
     EnergyRecord,
     ConservedQuantities,
     ErrorEvaluator,
-    ErrorReport,
+    VariableNorms,
     check_state_consistency,
     summarize_error_history,
 )
@@ -443,10 +443,10 @@ def init_state(systems: StepSystems) -> FieldState:
     The displacement is the elliptic projection of the initial field: it
     matches the strain energy of the nodal interpolant, satisfies the t=0
     Dirichlet values, and (for pure-traction problems) is orthogonal to the
-    rigid motions.  The initial pressure and divergence are L2 projections;
-    eta and xi follow coefficientwise from the change of variables, and the
-    stored p, q are re-derived from them so the state identities hold
-    exactly.
+    rigid motions.  The initial pressure is an L2 projection, and q0 = 0
+    since u0 is divergence-free (Benchmark.u0).  eta and xi follow
+    coefficientwise from the change of variables, and the stored p, q are
+    re-derived from them so the state identities hold exactly.
     """
     benchmark = systems.benchmark
     disc = systems.discretization
@@ -466,11 +466,9 @@ def init_state(systems: StepSystems) -> FieldState:
         mass, disc.grid[dm.xi_offset : dm.eta_offset], "initial mass projections"
     )
     p_load = assemble_domain_load(disc.quadrature, benchmark.p0, 0.0, space="scalar")
-    q_load = assemble_domain_load(disc.quadrature, benchmark.div_u0, 0.0, space="scalar")
     p0 = systems._solve(mass, mass_fact, p_load, none, "initial pressure projection")
-    q0 = systems._solve(mass, mass_fact, q_load, none, "initial divergence projection")
 
-    xi0, eta0 = xieta_from_pq(p0, q0, benchmark.params)
+    xi0, eta0 = xieta_from_pq(p0, np.zeros_like(p0), benchmark.params)
     return FieldState.derive(0.0, u0, xi0, eta0, eta0, systems.coeffs)
 
 
@@ -553,7 +551,7 @@ class RunResult:
     records: list[DiagnosticsRecord]
     energy: list[EnergyRecord]
     conservation: list[ConservedQuantities]
-    errors: Optional[ErrorReport]
+    errors: Optional[dict[str, VariableNorms]]
     gate: Optional[GateReport]
     time_independent_loads: bool
     max_solver_residual: float
@@ -645,7 +643,6 @@ def run(
 
     check_loads(0, state.t, mech0, flow0)
     auditor = EnergyAuditor(disc.A, disc.M, disc.S, mech0, flow0, coeffs, scheme.theta, scheme.dt)
-    auditor.ingest(state)
     tracker = ConservationTracker(benchmark, mesh, dofmap, disc.M, scheme.theta, state)
     first_step_report = len(systems.solve_reports)
 

@@ -105,7 +105,7 @@ def conservation_benchmark(
     )
 
 
-def zero_benchmark(theta_friendly: bool = True) -> Benchmark:
+def zero_benchmark() -> Benchmark:
     """Zero data everywhere: clamped left side, zero flux, zero sources."""
     mechanical = {tag: MechanicalBC(traction=zero_vector) for tag in BoundarySegment}
     mechanical[BoundarySegment.LEFT] = MechanicalBC(

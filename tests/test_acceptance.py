@@ -56,9 +56,9 @@ def test_criterion_1_convergence_orders():
         disc = Discretization.build(mesh, bench.params)
         result = run(bench, disc, scheme, keep_states=False, compute_errors=True)
         hs.append(mesh.h)
-        p_linf.append(result.errors.variables["p"].linf_l2)
-        p_l2h1.append(result.errors.variables["p"].l2_h1)
-        u_h1.append(result.errors.variables["u"].l2_h1)
+        p_linf.append(result.errors["p"].linf_l2)
+        p_l2h1.append(result.errors["p"].l2_h1)
+        u_h1.append(result.errors["u"].l2_h1)
     rate_p_linf = extract_rates(hs, p_linf)[-1]
     rate_p_l2h1 = extract_rates(hs, p_l2h1)[-1]
     rate_u_h1 = extract_rates(hs, u_h1)[-1]

@@ -506,6 +506,20 @@ def test_convergence_rejects_benchmark_without_exact_solution(tmp_path, capsys):
     assert "no exact solution" in capsys.readouterr().err
 
 
+def test_convergence_rejects_zero_steps(tmp_path, capsys):
+    # T = 0 leaves no stepped level for the L2-in-time H1 norm to sum over.
+    code = main([
+        "convergence",
+        "--set", "benchmark=test1",
+        "--set", "nx_list=2,4",
+        "--set", "T=0",
+        "--out", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert "no time step" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_convergence_flags_solver_tolerance_errors(tmp_path):
     # the in-space-exact benchmark yields errors at solver tolerance on any
     # mesh, so every rate must be blanked and the log must say why

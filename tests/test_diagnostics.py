@@ -32,7 +32,6 @@ from porofem.diagnostics import (
     ErrorEvaluator,
     SweepRow,
     biot_limit_sweep,
-    boundary_flux,
     boundary_flux_functional,
     check_state_consistency,
     estimate_infsup,
@@ -71,8 +70,9 @@ def _scalar_state(mesh, p_values, t=0.0):
 
 def _audit(states, theta, dt, bench, mesh):
     """The energy identity evaluated along a trajectory by an EnergyAuditor
-    built from freshly assembled operators and the loads at the first
-    state's time, independent of the run that produced the states."""
+    built from freshly assembled operators and the loads at the initial
+    state's time, independent of the run that produced the states; the
+    auditor is fed the stepped states."""
     dofmap = DofMap.from_mesh(mesh)
     prm = bench.params
     A = assemble_elasticity(mesh, dofmap, prm.mu)
@@ -82,14 +82,7 @@ def _audit(states, theta, dt, bench, mesh):
     loads = LoadAssembler.build(mesh, dofmap, quadrature, bench.sources, bench.bcs, prm)
     mech, flow = assemble_load(loads, states[0].t)
     auditor = EnergyAuditor(A, M, S, mech, flow, bench.coeffs, theta, dt)
-    return [rec for rec in map(auditor.ingest, states) if rec is not None]
-
-
-def test_energy_audit_short_trajectory_is_empty():
-    mesh = build_rect_mesh(2, 2)
-    bench = zero_benchmark()
-    state = initial_state(bench, mesh)
-    assert _audit([state], 1, 1e-3, bench, mesh) == []
+    return [auditor.ingest(state) for state in states[1:]]
 
 
 def test_energy_audit_zero_run():
@@ -140,15 +133,13 @@ def test_energy_level_indexing():
 def test_conserved_references_match_hand_recursion():
     # lam=2, mu=1, alpha=1, c0=0.5 -> kappa = (1/2, 1, 1/4); traction f1 = n
     # gives work <f1, x> = 2*|domain| = 2; C_eta(t) = 1.3 t; hence at t = 0.1
-    # C_xi = (0.5*0.13 - 2)/(2 + 0.25) = -0.86, C_q = C_u = 0.28, C_p = -0.3.
+    # C_xi = (0.5*0.13 - 2)/(2 + 0.25) = -0.86, C_u = 0.5*0.13 + 0.25*0.86 = 0.28.
     bench = conservation_benchmark()
     result = run(bench, Discretization.build(build_rect_mesh(4, 4), bench.params),
                  TimeScheme(dt=0.02, n_steps=5, theta=1), keep_states=True)
     refs = result.conservation[-1]
     assert refs.c_eta == pytest.approx(0.13, rel=1e-12)
     assert refs.c_xi == pytest.approx(-0.86, rel=1e-12)
-    assert refs.c_q == pytest.approx(0.28, rel=1e-12)
-    assert refs.c_p == pytest.approx(-0.30, rel=1e-12)
     assert refs.c_u == pytest.approx(0.28, rel=1e-12)
     assert refs.eta_measured == pytest.approx(0.13, rel=1e-10)
     assert refs.xi_measured == pytest.approx(-0.86, rel=1e-10)
@@ -181,9 +172,8 @@ def test_conservation_residuals_follow_applicability(eta_applicable, traction_ap
     # Relative to max(1, |reference|): eta 0.5 off a reference 2, xi 0.1
     # off a reference below 1 in size, flux 1.5 off a reference -3.
     refs = ConservedQuantities(
-        t=0.1, c_eta=2.0, c_xi=-0.5, c_q=7.0, c_p=7.0, c_u=-3.0,
-        eta_measured=2.5, xi_measured=-0.4, q_measured=0.0, p_measured=0.0,
-        flux_measured=-4.5,
+        t=0.1, c_eta=2.0, c_xi=-0.5, c_u=-3.0,
+        eta_measured=2.5, xi_measured=-0.4, flux_measured=-4.5,
         eta_applicable=eta_applicable, traction_applicable=traction_applicable,
     )
     got = (refs.eta_res, refs.xi_res, refs.flux_res)
@@ -224,18 +214,19 @@ def test_boundary_flux_of_simple_fields():
     position = np.empty(dofmap.n_u)
     position[0::2] = coords[:, 0]
     position[1::2] = coords[:, 1]
-    assert boundary_flux(mesh, dofmap, position) == pytest.approx(2.0, rel=1e-12)
+    g = boundary_flux_functional(mesh, dofmap)
+    assert g @ position == pytest.approx(2.0, rel=1e-12)
     constant = np.empty(dofmap.n_u)
     constant[0::2] = 3.0
     constant[1::2] = -7.0
-    assert boundary_flux(mesh, dofmap, constant) == pytest.approx(0.0, abs=1e-13)
+    assert g @ constant == pytest.approx(0.0, abs=1e-13)
     quadratic = np.zeros(dofmap.n_u)
     quadratic[0::2] = coords[:, 0] ** 2
-    assert boundary_flux(mesh, dofmap, quadratic) == pytest.approx(1.0, rel=1e-12)
+    assert g @ quadratic == pytest.approx(1.0, rel=1e-12)
 
 
 def _reference_boundary_flux(mesh, u):
-    """Per-call edge quadrature of u . n, the formula boundary_flux replaced."""
+    """Per-call edge quadrature of u . n, independent of the functional."""
     rule = edge_quadrature(5)
     traces = edge_trace_p2(rule.points[:, 1])
     total = 0.0
@@ -260,7 +251,6 @@ def test_boundary_flux_functional_matches_edge_quadrature():
         u = rng.standard_normal(dofmap.n_u)
         want = _reference_boundary_flux(mesh, u)
         assert g @ u == pytest.approx(want, rel=1e-13, abs=1e-13)
-        assert boundary_flux(mesh, dofmap, u) == g @ u
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +349,8 @@ def test_error_norms_trajectory():
     state = initial_state(bench, mesh)
     errs = ErrorEvaluator(bench, mesh, dofmap, DomainQuadrature.from_mesh(mesh, dofmap)).evaluate(state)
     report = summarize_error_history([state.t], {key: [val] for key, val in errs.items()})
-    assert report.variables["u"].linf_l2 <= 1e-10
-    assert report.variables["u"].l2_h1 is None  # single level: no time norm
+    assert report["u"].linf_l2 <= 1e-10
+    assert report["u"].l2_h1 is None  # single level: no time norm
 
 
 def test_summarize_error_history_hand_example():
@@ -369,8 +359,8 @@ def test_summarize_error_history_hand_example():
     times = [0.0, 0.5]
     history = {"u_L2": [3.0, 1.0], "u_H1": [100.0, 2.0]}
     report = summarize_error_history(times, history)
-    assert report.variables["u"].linf_l2 == pytest.approx(3.0)
-    assert report.variables["u"].l2_h1 == pytest.approx(np.sqrt(0.5 * 4.0))
+    assert report["u"].linf_l2 == pytest.approx(3.0)
+    assert report["u"].l2_h1 == pytest.approx(np.sqrt(0.5 * 4.0))
 
 
 def test_extract_rates_recovers_synthetic_order():
@@ -519,8 +509,9 @@ def test_infsup_collapses_for_unstable_pair():
 
 
 def test_infsup_budget_guard():
-    with pytest.raises(BudgetExceededError, match="budget"):
-        estimate_infsup(build_rect_mesh(8, 8), budget=500)
+    # 16 x 16 cells: 2,178 P2-vector and 289 P1 unknowns, over the 2,000 budget.
+    with pytest.raises(BudgetExceededError, match="2467 dofs exceed .* budget of 2000"):
+        estimate_infsup(build_rect_mesh(16, 16))
 
 
 # ---------------------------------------------------------------------------

@@ -220,8 +220,8 @@ def test_polynomial_solution_is_exact_in_space_and_time():
         assert np.max(np.abs(state.p - p_exact)) <= tol
     report = result.errors
     assert report is not None
-    assert report.variables["u"].linf_l2 <= tol
-    assert report.variables["p"].linf_l2 <= tol
+    assert report["u"].linf_l2 <= tol
+    assert report["p"].linf_l2 <= tol
 
 
 def test_decoupled_boundary_elimination_instability_is_detected():
@@ -510,7 +510,7 @@ def test_error_reporting_modes():
     auto = run(bench, disc, scheme)
     off = run(bench, disc, scheme, compute_errors=False)
     assert auto.errors is not None
-    assert set(auto.errors.variables) >= {"u", "p"}
+    assert set(auto.errors) >= {"u", "p"}
     assert off.errors is None
     assert off.records[-1].err_u_L2 is None
     assert auto.records[-1].err_u_L2 is not None

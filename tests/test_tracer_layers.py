@@ -1,0 +1,33 @@
+"""Every layer the benchmark tracer (perfbench/spans.py) names is reached.
+
+A traced benchmark run reports a layer that no call reaches as zero, which
+reads as "free" rather than "not measured".  This test takes spans.py as
+test_tracer_targets loads it (by path, unchanged), wraps its layer targets
+and runs three small CLI commands that between them take every path the
+benchmark workloads take: a coupled run with exact errors, a decoupled run
+with pressure data, and a c0 sweep.
+"""
+
+from __future__ import annotations
+
+import porofem.cli
+
+from test_tracer_targets import spans
+
+
+def test_every_layer_span_is_recorded(tmp_path):
+    commands = [
+        ["run", "--set", "benchmark=test1", "--set", "nx=2", "--set", "T=2e-5"],
+        ["run", "--set", "benchmark=barry_mercer", "--set", "theta=0", "--set", "nx=2"],
+        ["sweep", "--set", "benchmark=locking", "--set", "nx=2", "--set", "c0_list=1e-2,1e-4"],
+    ]
+    tracer = spans.Tracer()
+    try:
+        tracer.patch(spans.LAYER_TARGETS)
+        for i, argv in enumerate(commands):
+            assert porofem.cli.main(argv + ["--out", str(tmp_path / str(i))]) == 0
+    finally:
+        tracer.restore()
+    expected = {name for _, _, name in spans.LAYER_TARGETS}
+    recorded = {span[0] for span in tracer.spans}
+    assert sorted(expected - recorded) == []
