@@ -207,11 +207,12 @@ def config_text(config: RunConfig) -> str:
 
 @dataclass(frozen=True)
 class ResolvedRun:
-    """A RunConfig with benchmark defaults filled in."""
+    """A RunConfig with benchmark defaults filled in; no mesh for a
+    convergence study, which builds its own nx_list squares."""
 
     config: RunConfig
     benchmark: Benchmark
-    mesh: Mesh
+    mesh: Optional[Mesh]
     scheme: TimeScheme
     snapshot_every: int
 
@@ -224,10 +225,15 @@ def _resolve(config: RunConfig, command: str = "run") -> ResolvedRun:
         if getattr(config, key) is not None
     }
     params = replace(base.params, **overrides) if overrides else base.params
+    if command == "convergence" and config.ny is not None:
+        raise ConfigError(
+            f"ny = {config.ny}: a convergence study runs on the nx_list squares "
+            "(ny = nx on each), so ny cannot be set"
+        )
     try:
         benchmark = get_benchmark(config.benchmark, params)
         ny = config.ny if config.ny is not None else config.nx
-        mesh = build_rect_mesh(config.nx, ny)
+        mesh = build_rect_mesh(config.nx, ny) if command != "convergence" else None
         scheme = TimeScheme.from_final_time(
             T=config.T if config.T is not None else benchmark.T,
             dt=config.dt if config.dt is not None else benchmark.default_dt,
@@ -326,8 +332,10 @@ def _echo_config(resolved: ResolvedRun, command: str) -> list[str]:
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         lines.append(f"{f.name} = {_format_value(value) if value is not None else '(default)'}")
+    mesh = resolved.mesh
     lines.append(f"resolved benchmark = {bench.name}")
-    lines.append(f"resolved ny = {resolved.mesh.ny}")
+    if mesh is not None:
+        lines.append(f"resolved ny = {mesh.ny}")
     lines.append(f"resolved dt = {resolved.scheme.dt:.17g}")
     lines.append(f"resolved T = {resolved.scheme.T:.17g}")
     lines.append(f"resolved theta = {resolved.scheme.theta}")
@@ -343,11 +351,12 @@ def _echo_config(resolved: ResolvedRun, command: str) -> list[str]:
         "kappa1/kappa2/kappa3 = "
         + "/".join(f"{v:.17g}" for v in (coeffs.kappa1, coeffs.kappa2, coeffs.kappa3))
     )
-    lines.append(f"mesh h = {resolved.mesh.h:.17g}")
-    lines.append(
-        f"mesh sizes = {resolved.mesh.n_vertices} vertices, "
-        f"{resolved.mesh.n_triangles} triangles, {resolved.mesh.n_edges} edges"
-    )
+    if mesh is not None:
+        lines.append(f"mesh h = {mesh.h:.17g}")
+        lines.append(
+            f"mesh sizes = {mesh.n_vertices} vertices, "
+            f"{mesh.n_triangles} triangles, {mesh.n_edges} edges"
+        )
     return lines
 
 

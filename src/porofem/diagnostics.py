@@ -72,37 +72,30 @@ class ConservedQuantities:
     C_u is the reference for the boundary flux of u.
 
     The residual properties are relative, |measured - reference| /
-    max(1, |reference|), and None where the identity does not apply to the
-    run's boundary conditions (skipped, not failed): the eta identity needs
-    a pure-Neumann flow boundary; the xi and flux identities additionally
-    need pure-traction mechanics.
+    max(1, |reference|).  The xi and flux identities hold only for
+    pure-traction mechanics; elsewhere their references and measurements
+    are None, and so are their residuals.
     """
 
     t: float
     c_eta: float
-    c_xi: float
-    c_u: float
     eta_measured: float
-    xi_measured: float
-    flux_measured: float
-    eta_applicable: bool
-    traction_applicable: bool
+    c_xi: Optional[float] = None
+    c_u: Optional[float] = None
+    xi_measured: Optional[float] = None
+    flux_measured: Optional[float] = None
 
     @property
-    def eta_res(self) -> Optional[float]:
-        return _rel(self.eta_measured, self.c_eta) if self.eta_applicable else None
+    def eta_res(self) -> float:
+        return _rel(self.eta_measured, self.c_eta)
 
     @property
     def xi_res(self) -> Optional[float]:
-        if not (self.eta_applicable and self.traction_applicable):
-            return None
-        return _rel(self.xi_measured, self.c_xi)
+        return None if self.xi_measured is None else _rel(self.xi_measured, self.c_xi)
 
     @property
     def flux_res(self) -> Optional[float]:
-        if not (self.eta_applicable and self.traction_applicable):
-            return None
-        return _rel(self.flux_measured, self.c_u)
+        return None if self.flux_measured is None else _rel(self.flux_measured, self.c_u)
 
 
 def _rel(measured: float, ref: float) -> float:
@@ -125,20 +118,24 @@ def boundary_flux_functional(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
 class ConservationTracker:
     """Advances the reference recursions alongside a run and measures states.
 
-    The recursions start from the integral of eta in the initial state.
+    The identities need a pure-Neumann flow boundary; a tracker for any
+    other benchmark is refused with ValueError.  The xi and flux identities
+    are tracked only when the mechanics are pure traction as well.  The
+    recursions start from the integral of eta in the initial state.
     """
 
     def __init__(self, benchmark: Benchmark, mesh: Mesh, dofmap: DofMap,
                  scalar_mass: sp.spmatrix, theta: int, initial_state) -> None:
+        if not benchmark.bcs.is_pure_neumann_flow():
+            raise ValueError(f"{benchmark.name}: conservation needs a pure-Neumann flow boundary")
         self.M = scalar_mass
         self.theta = theta
         self.coeffs = benchmark.coeffs
         self.mu = benchmark.params.mu
-        coords = mesh.p2_node_coords()
-        self.x_pairing = coords.ravel()  # interpolant of the position field
-        self.flux_functional = boundary_flux_functional(mesh, dofmap)
-        self.eta_applicable = benchmark.bcs.is_pure_neumann_flow()
-        self.traction_applicable = self.eta_applicable and benchmark.bcs.is_pure_traction()
+        self.flux_functional = self.x_pairing = None
+        if benchmark.bcs.is_pure_traction():
+            self.flux_functional = boundary_flux_functional(mesh, dofmap)
+            self.x_pairing = mesh.p2_node_coords().ravel()  # interpolant of the position field
         self._c_eta = self._integral(initial_state.eta)
 
     def _integral(self, vec: np.ndarray) -> float:
@@ -154,20 +151,21 @@ class ConservationTracker:
         k1, k3 = self.coeffs.kappa1, self.coeffs.kappa3
         c_eta_prev = self._c_eta
         self._c_eta = c_eta_prev + dt * float(flow_load.sum())
+        eta_measured = self._integral(state.eta)
+        if self.flux_functional is None:
+            return ConservedQuantities(state.t, self._c_eta, eta_measured)
         c_eta_lag = self._c_eta if self.theta == 1 else c_eta_prev
         work = float(mech_load @ self.x_pairing)
         # 2 is the space dimension: the divergence of the position field.
         c_xi = (self.mu * k1 * c_eta_lag - work) / (2 + self.mu * k3)
         return ConservedQuantities(
-            t=state.t,
-            c_eta=self._c_eta,
+            state.t,
+            self._c_eta,
+            eta_measured,
             c_xi=c_xi,
             c_u=k1 * c_eta_lag - k3 * c_xi,
-            eta_measured=self._integral(state.eta),
             xi_measured=self._integral(state.xi),
             flux_measured=float(self.flux_functional @ state.u),
-            eta_applicable=self.eta_applicable,
-            traction_applicable=self.traction_applicable,
         )
 
 
@@ -388,24 +386,26 @@ class ErrorEvaluator:
         return out
 
 
-def summarize_error_history(times: Sequence[float], history: Mapping[str, Sequence[float]]) -> dict[str, VariableNorms]:
+def summarize_error_history(levels: Sequence[tuple[float, Mapping[str, float]]]) -> dict[str, VariableNorms]:
     """Collapse per-level errors into space-time norms, per variable.
 
-    L-infinity-in-time of the L2 error is taken over all levels including
-    the initial one; the L2-in-time H1 norm is the dt-weighted sum over
+    levels holds (t, ErrorEvaluator.evaluate errors) for each time level,
+    the initial one first.  L-infinity-in-time of the L2 error is taken
+    over all levels; the L2-in-time H1 norm is the dt-weighted sum over
     the stepped levels.
     """
-    dts = np.diff(times)
+    dts = np.diff([t for t, _ in levels])
+    keys = levels[0][1]
     variables: dict[str, VariableNorms] = {}
     for var in ("u", "p", "xi", "eta"):
         l2_key = f"{var}_L2"
-        if l2_key not in history:
+        if l2_key not in keys:
             continue
-        linf = float(np.max(history[l2_key]))
+        linf = float(np.max([errs[l2_key] for _, errs in levels]))
         h1_key = f"{var}_H1"
         l2h1 = None
-        if h1_key in history and len(times) > 1:
-            vals = np.asarray(history[h1_key][1:])
+        if h1_key in keys and len(levels) > 1:
+            vals = np.asarray([errs[h1_key] for _, errs in levels[1:]])
             l2h1 = float(np.sqrt(np.sum(dts * vals**2)))
         variables[var] = VariableNorms(linf_l2=linf, l2_h1=l2h1)
     return variables

@@ -294,7 +294,6 @@ class StepSystems:
         dt = scheme.dt
         self.solve_reports: list[LinearSolveReport] = []
         self.factorizations: list[FactorizationRecord] = []
-        self.last_loads: Optional[tuple[np.ndarray, np.ndarray]] = None
 
         if scheme.theta == 1:
             mono = sp.bmat(
@@ -354,11 +353,6 @@ class StepSystems:
     def boundary_values(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Dirichlet displacement values and pressure data at time t."""
         return self.boundary.values(t)
-
-    def assemble_rhs(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        mech, flow = assemble_load(self.loads, t)
-        self.last_loads = (mech, flow)
-        return mech, flow
 
     def _factorize(self, reduced: ReducedSystem, grid: np.ndarray, label: str) -> Factorization:
         """Factorization of a reduced system in nested-dissection order of
@@ -472,14 +466,16 @@ def init_state(systems: StepSystems) -> FieldState:
     return FieldState.derive(0.0, u0, xi0, eta0, eta0, systems.coeffs)
 
 
-def step_coupled(state: FieldState, systems: StepSystems) -> FieldState:
-    """One monolithic (theta = 1) step from state.t to state.t + dt."""
+def step_coupled(
+    state: FieldState, systems: StepSystems, mech: np.ndarray, flow: np.ndarray
+) -> FieldState:
+    """One monolithic (theta = 1) step from state.t to state.t + dt, with
+    the loads mech, flow assembled at state.t + dt."""
     disc = systems.discretization
     dm = disc.dofmap
     dt = systems.scheme.dt
     t_next = state.t + dt
 
-    mech, flow = systems.assemble_rhs(t_next)
     rhs = np.concatenate(
         [mech, np.zeros(dm.n_scalar), disc.M @ state.eta / dt + flow]
     )
@@ -524,11 +520,12 @@ def _decoupled_solves(
     return x1[: dm.n_u], xi, eta
 
 
-def step_decoupled(state: FieldState, systems: StepSystems) -> FieldState:
+def step_decoupled(
+    state: FieldState, systems: StepSystems, mech: np.ndarray, flow: np.ndarray
+) -> FieldState:
     """One decoupled (theta = 0) step: Stokes solve with lagged eta, then
-    the diffusion solve for the new eta."""
+    the diffusion solve for the new eta; mech, flow as for step_coupled."""
     t_next = state.t + systems.scheme.dt
-    mech, flow = systems.assemble_rhs(t_next)
     u_values, p_data = systems.boundary_values(t_next)
     u, xi, eta = _decoupled_solves(
         systems, state.eta, mech, flow, u_values, p_data, f"step to t={t_next:.6g}"
@@ -541,12 +538,10 @@ class RunResult:
     """A completed time integration with its diagnostics stream.
 
     states holds the full trajectory when keep_states was set, otherwise
-    just the initial and (when stepped) final states.
+    just the initial and (when stepped) final states.  conservation is
+    empty unless the flow boundary is pure Neumann (ConservationTracker).
     """
 
-    benchmark: Benchmark
-    discretization: Discretization
-    scheme: TimeScheme
     states: list[FieldState]
     records: list[DiagnosticsRecord]
     energy: list[EnergyRecord]
@@ -568,6 +563,23 @@ class RunResult:
         return self.states[-1]
 
 
+def _check_rigid_balance(
+    rigid: np.ndarray, n: int, t: float, mech: np.ndarray
+) -> Optional[np.ndarray]:
+    """The rigid-motion rows to check later loads against, or None once a
+    load doing work on a rigid motion has been named (warned once)."""
+    scale = np.linalg.norm(mech) * np.linalg.norm(rigid, axis=1)
+    worst = float(np.max(np.abs(rigid @ mech) / np.maximum(1.0, scale)))
+    if worst <= 1e-10:
+        return rigid
+    warnings.warn(
+        f"pure-traction load is incompatible with rigid motions from "
+        f"step {n} (t={t:.6g}) on (relative imbalance {worst:.3e})",
+        stacklevel=3,
+    )
+    return None
+
+
 def run(
     benchmark: Benchmark,
     discretization: Discretization,
@@ -581,11 +593,11 @@ def run(
     """Integrate a benchmark over [0, T] and collect per-step diagnostics.
 
     Every step records the energy identity level, conservation residuals
-    (where the boundary conditions make them applicable), and, when exact
-    closures are available and errors are requested, instantaneous error
-    norms.  The coefficient identities for p and q are enforced to 1e-14
-    after every step, and every step's loads are compared with t = 0's
-    and, for pure traction, checked against the rigid motions.
+    (for a pure-Neumann flow boundary), and, when exact closures are
+    available and errors are requested, instantaneous error norms.  The
+    coefficient identities for p and q are enforced to 1e-14 after every
+    step, and every step's loads are compared with t = 0's and, for pure
+    traction, checked against the rigid motions.
     """
     disc = discretization
     systems = StepSystems(benchmark, disc, scheme, tolerance=tolerance)
@@ -622,47 +634,21 @@ def run(
     # no solution and the multiplier silently absorbs the imbalance; the
     # first step whose load does is named, once.
     time_independent = True
-    rigid = rigid_motion_basis(mesh, dofmap) if systems.boundary.rigid_rows is not None else None
-
-    def check_loads(n: int, t: float, mech: np.ndarray, flow: np.ndarray) -> None:
-        nonlocal time_independent, rigid
-        time_independent = time_independent and bool(
-            np.allclose(mech0, mech, rtol=1e-12, atol=1e-14)
-            and np.allclose(flow0, flow, rtol=1e-12, atol=1e-14)
-        )
-        if rigid is not None:
-            scale = np.linalg.norm(mech) * np.linalg.norm(rigid, axis=1)
-            worst = float(np.max(np.abs(rigid @ mech) / np.maximum(1.0, scale)))
-            if worst > 1e-10:
-                warnings.warn(
-                    f"pure-traction load is incompatible with rigid motions from "
-                    f"step {n} (t={t:.6g}) on (relative imbalance {worst:.3e})",
-                    stacklevel=3,
-                )
-                rigid = None
-
-    check_loads(0, state.t, mech0, flow0)
+    rigid = None
+    if systems.boundary.rigid_rows is not None:
+        rigid = _check_rigid_balance(rigid_motion_basis(mesh, dofmap), 0, state.t, mech0)
     auditor = EnergyAuditor(disc.A, disc.M, disc.S, mech0, flow0, coeffs, scheme.theta, scheme.dt)
-    tracker = ConservationTracker(benchmark, mesh, dofmap, disc.M, scheme.theta, state)
+    tracker = (
+        ConservationTracker(benchmark, mesh, dofmap, disc.M, scheme.theta, state)
+        if benchmark.bcs.is_pure_neumann_flow() else None
+    )
     first_step_report = len(systems.solve_reports)
 
     evaluator = (
         ErrorEvaluator(benchmark, mesh, dofmap, disc.quadrature)
         if compute_errors and benchmark.has_exact_solution else None
     )
-    times: list[float] = []
-    history: dict[str, list[float]] = {}
-
-    def observe_errors(st: FieldState) -> dict[str, float]:
-        if evaluator is None:
-            return {}
-        errs = evaluator.evaluate(st)
-        times.append(st.t)
-        for key, val in errs.items():
-            history.setdefault(key, []).append(val)
-        return errs
-
-    observe_errors(state)
+    error_levels = [(state.t, evaluator.evaluate(state))] if evaluator is not None else []
 
     states = [state]
     records: list[DiagnosticsRecord] = []
@@ -671,7 +657,8 @@ def run(
     step_fn = step_coupled if scheme.theta == 1 else step_decoupled
 
     for n in range(1, scheme.n_steps + 1):
-        state = step_fn(state, systems)
+        mech, flow = assemble_load(systems.loads, state.t + scheme.dt)
+        state = step_fn(state, systems, mech, flow)
         p_res, q_res = check_state_consistency(state, coeffs)
         if max(p_res, q_res) > _CONSISTENCY_TOL:
             raise RuntimeError(
@@ -680,39 +667,33 @@ def run(
             )
         erec = auditor.ingest(state)
         energy.append(erec)
-        mech, flow = systems.last_loads
-        check_loads(n, state.t, mech, flow)
-        refs = tracker.advance(state, scheme.dt, mech, flow)
-        conservation.append(refs)
-        errs = observe_errors(state)
-        records.append(
-            DiagnosticsRecord(
-                step=n,
-                t=state.t,
-                J=erec.J,
-                S_cum=erec.s_cum,
-                energy_residual=erec.residual,
-                C_eta_res=refs.eta_res,
-                C_xi_res=refs.xi_res,
-                flux_res=refs.flux_res,
-                err_u_L2=errs.get("u_L2"),
-                err_u_H1=errs.get("u_H1"),
-                err_p_L2=errs.get("p_L2"),
-                err_p_H1=errs.get("p_H1"),
-            )
+        time_independent = time_independent and bool(
+            np.allclose(mech0, mech, rtol=1e-12, atol=1e-14)
+            and np.allclose(flow0, flow, rtol=1e-12, atol=1e-14)
         )
+        if rigid is not None:
+            rigid = _check_rigid_balance(rigid, n, state.t, mech)
+        cells = {}
+        if tracker is not None:
+            refs = tracker.advance(state, scheme.dt, mech, flow)
+            conservation.append(refs)
+            cells.update(C_eta_res=refs.eta_res, C_xi_res=refs.xi_res, flux_res=refs.flux_res)
+        if evaluator is not None:
+            errs = evaluator.evaluate(state)
+            error_levels.append((state.t, errs))
+            cells.update({f"err_{key}": errs.get(key) for key in ("u_L2", "u_H1", "p_L2", "p_H1")})
+        records.append(DiagnosticsRecord(
+            step=n, t=state.t, J=erec.J, S_cum=erec.s_cum, energy_residual=erec.residual, **cells
+        ))
         if keep_states:
             states.append(state)
     if not keep_states and scheme.n_steps > 0:
         states.append(state)
 
-    errors = summarize_error_history(times, history) if evaluator is not None else None
+    errors = summarize_error_history(error_levels) if evaluator is not None else None
     reports = systems.solve_reports[first_step_report:]
     max_residual = max((r.relative_residual for r in reports), default=0.0)
     return RunResult(
-        benchmark=benchmark,
-        discretization=disc,
-        scheme=scheme,
         states=states,
         records=records,
         energy=energy,

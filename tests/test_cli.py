@@ -520,6 +520,39 @@ def test_convergence_rejects_zero_steps(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def test_convergence_rejects_ny(tmp_path, capsys):
+    # The study's meshes are the nx_list squares; a set ny would be ignored.
+    code = main([
+        "convergence",
+        "--set", "benchmark=test1",
+        "--set", "nx_list=2,4",
+        "--set", "ny=3",
+        "--set", "T=2e-5",
+        "--out", str(tmp_path / "o"),
+    ])
+    assert code == 2
+    assert "nx_list squares" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_convergence_log_describes_no_single_mesh(tmp_path):
+    # nx = 8 is in the echoed configuration, but no 8 by 8 mesh is built:
+    # the log names only the nx_list meshes.
+    out = tmp_path / "o"
+    code = main([
+        "convergence",
+        "--set", "benchmark=test1",
+        "--set", "nx_list=2,4",
+        "--set", "T=2e-5",
+        "--out", str(out),
+    ])
+    assert code == 0
+    lines = (out / "run.log").read_text().splitlines()
+    assert "meshes = 2,4" in lines
+    for prefix in ("resolved ny =", "mesh h =", "mesh sizes ="):
+        assert not any(line.startswith(prefix) for line in lines), prefix
+
+
 def test_convergence_flags_solver_tolerance_errors(tmp_path):
     # the in-space-exact benchmark yields errors at solver tolerance on any
     # mesh, so every rate must be blanked and the log must say why

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import porofem.assembly
+import porofem.diagnostics
 import porofem.stepper
 from porofem.assembly import (
     DofMap,
@@ -48,10 +49,22 @@ from porofem.elements import (
     triangle_quadrature,
 )
 from porofem.mesh import BoundarySegment, build_rect_mesh
-from porofem.model import MaterialParams, get_benchmark
+from porofem.model import (
+    BoundaryConditionSpec,
+    FlowBC,
+    MaterialParams,
+    MechanicalBC,
+    get_benchmark,
+)
 from porofem.stepper import Discretization, FieldState, TimeScheme, run
 
-from helpers import conservation_benchmark, initial_state, jittered_mesh, zero_benchmark
+from helpers import (
+    conservation_benchmark,
+    initial_state,
+    jittered_mesh,
+    zero_benchmark,
+    zero_scalar,
+)
 
 
 def _scalar_state(mesh, p_values, t=0.0):
@@ -159,26 +172,69 @@ def test_conserved_references_use_lagged_eta_for_decoupled_scheme():
 
 
 @pytest.mark.parametrize(
-    "eta_applicable, traction_applicable, expected",
+    "neumann_flow, traction, expected",
     [
         (True, True, (0.25, 0.1, 0.5)),
         (True, False, (0.25, None, None)),
-        (False, True, (None, None, None)),
-        (False, False, (None, None, None)),
+        (False, True, None),
+        (False, False, None),
     ],
     ids=["both", "eta-only", "traction-only", "neither"],
 )
-def test_conservation_residuals_follow_applicability(eta_applicable, traction_applicable, expected):
+def test_conservation_residuals_follow_applicability(neumann_flow, traction, expected):
+    # The conservation fixture with a clamped left side (not pure traction)
+    # and a pressure-Dirichlet top side (not pure-Neumann flow).
+    bench = conservation_benchmark()
+    mechanical, flow = dict(bench.bcs.mechanical), dict(bench.bcs.flow)
+    if not traction:
+        mechanical[BoundarySegment.LEFT] = MechanicalBC(dirichlet=(zero_scalar, zero_scalar))
+    if not neumann_flow:
+        flow[BoundarySegment.TOP] = FlowBC(kind="pressure", value=zero_scalar)
+    bench = dataclasses.replace(bench, bcs=BoundaryConditionSpec(mechanical, flow))
+    mesh = build_rect_mesh(2, 2)
+    dofmap = DofMap.from_mesh(mesh)
+    ones = np.ones(dofmap.n_scalar)
+    state = FieldState.derive(0.0, np.zeros(dofmap.n_u), ones, ones, ones, bench.coeffs)
+    args = (bench, mesh, dofmap, assemble_scalar_mass(mesh, dofmap), 1, state)
+    if expected is None:
+        with pytest.raises(ValueError, match="pure-Neumann flow"):
+            ConservationTracker(*args)
+        return
+    measured = ConservationTracker(*args).advance(state, 0.1, np.zeros(dofmap.n_u), ones)
+    assert (measured.xi_measured is None) == (measured.flux_measured is None) == (not traction)
+    assert (measured.c_xi is None) == (measured.c_u is None) == (not traction)
+
     # Relative to max(1, |reference|): eta 0.5 off a reference 2, xi 0.1
     # off a reference below 1 in size, flux 1.5 off a reference -3.
-    refs = ConservedQuantities(
-        t=0.1, c_eta=2.0, c_xi=-0.5, c_u=-3.0,
-        eta_measured=2.5, xi_measured=-0.4, flux_measured=-4.5,
-        eta_applicable=eta_applicable, traction_applicable=traction_applicable,
-    )
+    xi_and_flux = dict(c_xi=-0.5, c_u=-3.0, xi_measured=-0.4, flux_measured=-4.5)
+    refs = ConservedQuantities(t=0.1, c_eta=2.0, eta_measured=2.5, **(xi_and_flux if traction else {}))
     got = (refs.eta_res, refs.xi_res, refs.flux_res)
     for value, want in zip(got, expected):
         assert value == (None if want is None else pytest.approx(want, rel=1e-12))
+
+
+def test_conservation_tracker_builds_only_what_locking_reads(monkeypatch):
+    # Pressure data on test1's boundary: no identity applies, no tracker.
+    bench = get_benchmark("test1")
+    mesh = build_rect_mesh(2, 2)
+    dofmap = DofMap.from_mesh(mesh)
+    state = initial_state(bench, mesh)
+    with pytest.raises(ValueError, match="pure-Neumann flow"):
+        ConservationTracker(bench, mesh, dofmap, assemble_scalar_mass(mesh, dofmap), 1, state)
+
+    # locking has pure-Neumann flow but a clamped side: eta only, and the
+    # flux functional is never built.
+    def refuse(*args):
+        raise AssertionError("boundary flux functional built for a clamped benchmark")
+
+    monkeypatch.setattr(porofem.diagnostics, "boundary_flux_functional", refuse)
+    bench = get_benchmark("locking")
+    result = run(bench, Discretization.build(build_rect_mesh(4, 4), bench.params),
+                 TimeScheme(dt=1e-4, n_steps=3, theta=1))
+    assert len(result.conservation) == 3
+    for record in result.records:
+        assert record.C_eta_res is not None and record.C_eta_res <= 1e-10
+        assert record.C_xi_res is None and record.flux_res is None
 
 
 def test_run_records_carry_conservation_residuals():
@@ -348,7 +404,7 @@ def test_error_norms_trajectory():
     dofmap = DofMap.from_mesh(mesh)
     state = initial_state(bench, mesh)
     errs = ErrorEvaluator(bench, mesh, dofmap, DomainQuadrature.from_mesh(mesh, dofmap)).evaluate(state)
-    report = summarize_error_history([state.t], {key: [val] for key, val in errs.items()})
+    report = summarize_error_history([(state.t, errs)])
     assert report["u"].linf_l2 <= 1e-10
     assert report["u"].l2_h1 is None  # single level: no time norm
 
@@ -356,9 +412,8 @@ def test_error_norms_trajectory():
 def test_summarize_error_history_hand_example():
     # Two levels dt = 0.5 apart; the H1 time norm is sqrt(dt * e1^2) over
     # the stepped level only, the Linf norm is the max over all levels.
-    times = [0.0, 0.5]
-    history = {"u_L2": [3.0, 1.0], "u_H1": [100.0, 2.0]}
-    report = summarize_error_history(times, history)
+    levels = [(0.0, {"u_L2": 3.0, "u_H1": 100.0}), (0.5, {"u_L2": 1.0, "u_H1": 2.0})]
+    report = summarize_error_history(levels)
     assert report["u"].linf_l2 == pytest.approx(3.0)
     assert report["u"].l2_h1 == pytest.approx(np.sqrt(0.5 * 4.0))
 

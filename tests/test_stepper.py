@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import porofem.assembly
 import porofem.diagnostics
 import porofem.stepper
-from porofem.assembly import DofMap, DomainQuadrature
+from porofem.assembly import DofMap, DomainQuadrature, assemble_load
 from porofem.diagnostics import ErrorEvaluator, check_state_consistency
 from porofem.mesh import BoundarySegment, build_rect_mesh
 from porofem.model import (
@@ -30,6 +30,7 @@ from porofem.stepper import (
     init_state,
     run,
     step_coupled,
+    step_decoupled,
 )
 
 from helpers import (
@@ -328,17 +329,22 @@ def test_conserved_quantities_tracked_to_rounding():
     assert final_refs.c_eta == pytest.approx(0.13, rel=1e-12)
 
 
-def test_conservation_residuals_marked_inapplicable_with_dirichlet_bcs():
-    bench = get_benchmark("test1")
-    result = run(bench, Discretization.build(build_rect_mesh(3, 3), bench.params),
-                 TimeScheme(dt=2e-4, n_steps=2, theta=1), compute_errors=False)
-    refs = result.conservation[-1]
-    assert not refs.eta_applicable
-    assert not refs.traction_applicable
-    for record in result.records:
-        assert record.C_eta_res is None
-        assert record.C_xi_res is None
-        assert record.flux_res is None
+def test_conservation_residuals_marked_inapplicable_with_dirichlet_bcs(monkeypatch):
+    # Pressure data on part of the boundary: no tracker is built, and the
+    # conservation columns stay empty.
+    def refuse(*args):
+        raise AssertionError("conservation tracker built for pressure-Dirichlet data")
+
+    monkeypatch.setattr(porofem.stepper, "ConservationTracker", refuse)
+    for name, theta in (("test1", 1), ("barry_mercer", 0)):
+        bench = get_benchmark(name)
+        result = run(bench, Discretization.build(build_rect_mesh(3, 3), bench.params),
+                     TimeScheme(dt=2e-4, n_steps=2, theta=theta), compute_errors=False)
+        assert result.conservation == []
+        for record in result.records:
+            assert record.C_eta_res is None
+            assert record.C_xi_res is None
+            assert record.flux_res is None
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +682,7 @@ def test_coupled_locking_fill_and_residual_at_nx32():
         TimeScheme(dt=1e-4, n_steps=1, theta=1),
     )
     assert systems.fact_mono.lu_nnz <= 2_500_000
-    state = step_coupled(init_state(systems), systems)
+    state = step_coupled(init_state(systems), systems, *assemble_load(systems.loads, 1e-4))
     assert state.t == pytest.approx(1e-4)
     assert systems.solve_reports[-1].relative_residual <= 1e-11
 
@@ -684,7 +690,8 @@ def test_coupled_locking_fill_and_residual_at_nx32():
 def test_run_records_each_factorization():
     scheme = TimeScheme(dt=1e-3, n_steps=1, theta=0)
     bench = get_benchmark("barry_mercer")
-    result = run(bench, Discretization.build(build_rect_mesh(3, 3), bench.params), scheme)
+    disc = Discretization.build(build_rect_mesh(3, 3), bench.params)
+    result = run(bench, disc, scheme)
     labels = [f.label for f in result.factorizations]
     assert labels == [
         "Stokes system",
@@ -693,5 +700,26 @@ def test_run_records_each_factorization():
         "initial mass projections",
     ]
     by_label = {f.label: f for f in result.factorizations}
-    assert by_label["initial mass projections"].unknowns == result.discretization.dofmap.n_scalar
+    assert by_label["initial mass projections"].unknowns == disc.dofmap.n_scalar
     assert all(f.lu_nnz >= f.unknowns > 0 for f in result.factorizations)
+
+
+@pytest.mark.parametrize("name, theta", [("test1", 1), ("barry_mercer", 0)])
+def test_hand_loop_of_steps_reproduces_run(name, theta):
+    # The step functions take the loads of the new time; a loop that
+    # assembles them reproduces run() bit for bit.
+    bench = get_benchmark(name)
+    disc = Discretization.build(build_rect_mesh(4, 4), bench.params)
+    scheme = TimeScheme(dt=bench.default_dt, n_steps=3, theta=theta)
+    result = run(bench, disc, scheme, keep_states=True)
+    systems = StepSystems(bench, disc, scheme)
+    step = step_coupled if theta == 1 else step_decoupled
+    states = [init_state(systems)]
+    for _ in range(scheme.n_steps):
+        t_next = states[-1].t + scheme.dt
+        states.append(step(states[-1], systems, *assemble_load(systems.loads, t_next)))
+    assert len(result.states) == len(states) == 4
+    for got, want in zip(states, result.states):
+        assert got.t == want.t
+        for field in ("u", "xi", "eta", "eta_theta", "p", "q"):
+            assert np.array_equal(getattr(got, field), getattr(want, field)), field
