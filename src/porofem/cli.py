@@ -8,7 +8,8 @@ Subcommands:
     sweep        vanishing-storage (c0) sweep; writes sweep.csv and run.log.
 
 Configuration is plain ``key = value`` text ('#' starts a comment); every
-value can also be supplied as ``--set key=value``.  All numeric output is
+value can also be supplied as ``--set key=value``.  Each command reads its
+own keys (``_COMMANDS``) and refuses the others.  All numeric output is
 serialized with 17 significant digits and LF line endings, so identical
 configurations produce byte-identical files.
 """
@@ -19,9 +20,9 @@ import argparse
 import math
 import sys
 import warnings
-from dataclasses import asdict, astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -91,13 +92,14 @@ def _number(kind: type, low: int, strict: bool = False) -> Callable[[str], objec
     return parse
 
 
-def _list_of(parse: Callable[[str], object]) -> Callable[[str], tuple]:
-    """Parser of a nonempty comma-separated list, each entry by parse."""
+def _list_of(parse: Callable[[str], object], least: int = 1) -> Callable[[str], tuple]:
+    """Parser of a comma-separated list of at least `least` entries, each
+    entry by parse."""
 
     def parse_list(text: str) -> tuple:
         values = tuple(parse(s.strip()) for s in text.split(",") if s.strip())
-        if not values:
-            raise ValueError("empty list")
+        if len(values) < least:
+            raise ValueError(f"expected at least {least} values" if values else "empty list")
         return values
 
     return parse_list
@@ -152,7 +154,8 @@ _PARSERS: dict[str, Callable[[str], object]] = {
     "errors": _choice("auto", "on", "off"),
     "vtk": _parse_bool,
     "nx_list": _list_of(_COUNT),
-    "c0_list": _list_of(_NONNEGATIVE),
+    # A sweep compares consecutive c0 values; one value compares nothing.
+    "c0_list": _list_of(_NONNEGATIVE, least=2),
 }
 
 
@@ -165,6 +168,18 @@ def _apply_setting(values: dict, key: str, text: str, where: str) -> None:
         raise ConfigError(f"{where}: invalid value for {key}: {text!r} ({exc})") from exc
 
 
+def _lines(text: str) -> Iterator[tuple[str, str, str]]:
+    """(key, value text, "line N") of each setting in configuration text."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected key = value, got {raw.strip()!r}")
+        key, _, value = line.partition("=")
+        yield key.strip(), value.strip(), f"line {lineno}"
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse key=value configuration text into a RunConfig.
 
@@ -173,14 +188,8 @@ def parse_config(text: str) -> RunConfig:
             lines, or out-of-domain values.
     """
     values: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value, got {raw.strip()!r}")
-        key, _, value = line.partition("=")
-        _apply_setting(values, key.strip(), value.strip(), f"line {lineno}")
+    for key, value, where in _lines(text):
+        _apply_setting(values, key, value, where)
     return RunConfig(**values)
 
 
@@ -207,8 +216,8 @@ def config_text(config: RunConfig) -> str:
 
 @dataclass(frozen=True)
 class ResolvedRun:
-    """A RunConfig with benchmark defaults filled in; no mesh for a
-    convergence study, which builds its own nx_list squares."""
+    """A RunConfig with benchmark defaults filled in; no mesh for a command
+    that does not read nx (a convergence study builds its nx_list squares)."""
 
     config: RunConfig
     benchmark: Benchmark
@@ -225,15 +234,10 @@ def _resolve(config: RunConfig, command: str = "run") -> ResolvedRun:
         if getattr(config, key) is not None
     }
     params = replace(base.params, **overrides) if overrides else base.params
-    if command == "convergence" and config.ny is not None:
-        raise ConfigError(
-            f"ny = {config.ny}: a convergence study runs on the nx_list squares "
-            "(ny = nx on each), so ny cannot be set"
-        )
     try:
         benchmark = get_benchmark(config.benchmark, params)
         ny = config.ny if config.ny is not None else config.nx
-        mesh = build_rect_mesh(config.nx, ny) if command != "convergence" else None
+        mesh = build_rect_mesh(config.nx, ny) if "nx" in _COMMANDS[command].keys else None
         scheme = TimeScheme.from_final_time(
             T=config.T if config.T is not None else benchmark.T,
             dt=config.dt if config.dt is not None else benchmark.default_dt,
@@ -324,12 +328,16 @@ def _snapshot_steps(n_steps: int, every: int) -> list[int]:
 
 
 def _echo_config(resolved: ResolvedRun, command: str) -> list[str]:
+    """The run.log lines of the command's keys and what they resolved to."""
     cfg = resolved.config
     bench = resolved.benchmark
     prm = bench.params
     coeffs = bench.coeffs
+    keys = _COMMANDS[command].keys
     lines = [f"command = {command}"]
     for f in fields(cfg):
+        if f.name not in keys:
+            continue
         value = getattr(cfg, f.name)
         lines.append(f"{f.name} = {_format_value(value) if value is not None else '(default)'}")
     mesh = resolved.mesh
@@ -340,17 +348,21 @@ def _echo_config(resolved: ResolvedRun, command: str) -> list[str]:
     lines.append(f"resolved T = {resolved.scheme.T:.17g}")
     lines.append(f"resolved theta = {resolved.scheme.theta}")
     lines.append(f"resolved n_steps = {resolved.scheme.n_steps}")
-    lines.append(f"resolved snapshot_every = {resolved.snapshot_every}")
+    if "snapshot_every" in keys:
+        lines.append(f"resolved snapshot_every = {resolved.snapshot_every}")
     lines.append(
         "material lam/mu/alpha/c0/K/mu_f = "
         + "/".join(
             f"{v:.17g}" for v in (prm.lam, prm.mu, prm.alpha, prm.c0, prm.K, prm.mu_f)
         )
     )
-    lines.append(
-        "kappa1/kappa2/kappa3 = "
-        + "/".join(f"{v:.17g}" for v in (coeffs.kappa1, coeffs.kappa2, coeffs.kappa3))
-    )
+    # The kappas follow from c0; a command that does not read c0 (the sweep
+    # sets it per member) runs with none of the base benchmark's.
+    if "c0" in keys:
+        lines.append(
+            "kappa1/kappa2/kappa3 = "
+            + "/".join(f"{v:.17g}" for v in (coeffs.kappa1, coeffs.kappa2, coeffs.kappa3))
+        )
     if mesh is not None:
         lines.append(f"mesh h = {mesh.h:.17g}")
         lines.append(
@@ -467,7 +479,10 @@ def cmd_convergence(resolved: ResolvedRun, out_dir: Path) -> list[str]:
 def cmd_sweep(resolved: ResolvedRun, out_dir: Path) -> list[str]:
     """Vanishing-storage sweep writing pairwise trajectory distances."""
     c0_list = resolved.config.c0_list
-    rows = biot_limit_sweep(resolved.benchmark, list(c0_list), resolved.mesh, resolved.scheme)
+    rows = biot_limit_sweep(
+        resolved.benchmark, list(c0_list), resolved.mesh, resolved.scheme,
+        tolerance=resolved.config.tolerance,
+    )
     _write_csv(
         out_dir / "sweep.csv",
         ("c0_a", "c0_b", "dist_u", "dist_eta", "dist_xi"),
@@ -476,7 +491,36 @@ def cmd_sweep(resolved: ResolvedRun, out_dir: Path) -> list[str]:
     return ["c0 values = " + ",".join(f"{c:.17g}" for c in c0_list)]
 
 
-_COMMANDS = {"run": cmd_run, "convergence": cmd_convergence, "sweep": cmd_sweep}
+@dataclass(frozen=True)
+class _Command:
+    """A subcommand: what it does, its help text and the keys it reads."""
+
+    function: Callable[[ResolvedRun, Path], list[str]]
+    help: str
+    keys: frozenset[str]
+
+
+_KEYS = frozenset(_PARSERS)
+
+# Every key a command is given is one it reads; _load_config refuses the
+# rest, and _echo_config echoes only these.
+_COMMANDS = {
+    "run": _Command(
+        cmd_run,
+        "integrate one benchmark and write fields + diagnostics",
+        _KEYS - {"nx_list", "c0_list"},
+    ),
+    "convergence": _Command(
+        cmd_convergence,
+        "mesh-refinement error study on the nx_list squares",
+        _KEYS - {"nx", "ny", "c0_list", "snapshot_every", "vtk", "errors"},
+    ),
+    "sweep": _Command(
+        cmd_sweep,
+        "storage-coefficient limit sweep over c0_list",
+        _KEYS - {"c0", "c_stab", "nx_list", "snapshot_every", "vtk", "errors"},
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -486,12 +530,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "(displacement/pseudo-pressure reformulation).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("run", "integrate one benchmark and write fields + diagnostics"),
-        ("convergence", "mesh-refinement error study"),
-        ("sweep", "storage-coefficient (c0) limit sweep"),
-    ):
-        p = sub.add_parser(name, help=doc)
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--config", type=str, default=None, help="path to key=value config file")
         p.add_argument("--out", type=str, default=None, help="output directory (overrides config)")
         p.add_argument(
@@ -505,14 +545,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
+    """The file's lines, then each --set, refusing any key the command does
+    not read."""
+    command = _COMMANDS[args.command]
     values: dict = {}
+
+    def apply(key: str, text: str, where: str) -> None:
+        _apply_setting(values, key, text, where)
+        if key not in command.keys:
+            raise ConfigError(
+                f"{where}: {args.command} ({command.help}) does not read {key!r}"
+            )
+
     if args.config is not None:
-        values = asdict(parse_config(Path(args.config).read_text(encoding="utf-8")))
+        for key, text, where in _lines(Path(args.config).read_text(encoding="utf-8")):
+            apply(key, text, where)
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set {item!r}: expected KEY=VALUE")
         key, _, value = item.partition("=")
-        _apply_setting(values, key.strip(), value.strip(), f"--set {item}")
+        apply(key.strip(), value.strip(), f"--set {item}")
     config = RunConfig(**values)
     if args.out is not None:
         config = replace(config, out=args.out)
@@ -540,7 +592,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         out_dir = Path(resolved.config.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         log = _echo_config(resolved, args.command)
-        log += _COMMANDS[args.command](resolved, out_dir)
+        log += _COMMANDS[args.command].function(resolved, out_dir)
         _write_text(out_dir / "run.log", "\n".join(log) + "\n")
         return 0
     except ValueError as exc:

@@ -33,6 +33,7 @@ from .elements import eval_basis
 from .elements import physical_points  # noqa: F401
 from .mesh import BoundarySegment, Mesh
 from .model import Benchmark, DerivedCoeffs, get_benchmark, xieta_from_pq
+from .solver import DEFAULT_TOLERANCE
 
 __all__ = [
     "ConservedQuantities",
@@ -564,7 +565,7 @@ class SweepRow:
 
 
 def biot_limit_sweep(benchmark: Benchmark, c0_values: Sequence[float], mesh: Mesh,
-                     scheme) -> list[SweepRow]:
+                     scheme, tolerance: float = DEFAULT_TOLERANCE) -> list[SweepRow]:
     """Pairwise L-infinity(L2) distances between runs with decreasing c0.
 
     Re-solves the benchmark with each storage coefficient on the same mesh
@@ -572,6 +573,7 @@ def biot_limit_sweep(benchmark: Benchmark, c0_values: Sequence[float], mesh: Mes
     xi between consecutive c0 values.  The runs share one discretization
     (c0 enters no operator of it), and each run is compared with the one
     before it as soon as it finishes, so only two trajectories are held.
+    `tolerance` bounds every linear solve of every run, as in `run`.
     """
     from . import stepper  # local import: stepper depends on this module
 
@@ -585,7 +587,9 @@ def biot_limit_sweep(benchmark: Benchmark, c0_values: Sequence[float], mesh: Mes
     c0_prev = states_prev = None
     for c0 in c0_values:
         bench = get_benchmark(benchmark.name, replace(benchmark.params, c0=float(c0)))
-        states = stepper.run(bench, disc, scheme, keep_states=True, compute_errors=False).states
+        states = stepper.run(
+            bench, disc, scheme, keep_states=True, compute_errors=False, tolerance=tolerance
+        ).states
         if states_prev is not None:
             pairs = list(zip(states_prev, states))
             rows.append(SweepRow(

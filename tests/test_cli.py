@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import re
 import subprocess
@@ -15,9 +16,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import porofem
+from porofem import cli
 from porofem.cli import (
     ConfigError,
     RunConfig,
+    _build_parser,
+    _load_config,
     _resolve,
     config_text,
     main,
@@ -75,6 +79,8 @@ def test_parse_config_reads_comments_and_blanks():
         ("vtk = maybe\n", "invalid value for vtk"),
         ("nx_list = \n", "invalid value for nx_list"),
         ("c0_list = 1e-2,-3\n", "invalid value for c0_list"),
+        # a sweep compares consecutive c0 values; one value compares nothing
+        ("c0_list = 1e-2\n", "invalid value for c0_list: '1e-2' (expected at least 2 values)"),
         ("nx = 4\nnx = x\n", "line 2: invalid value for nx"),
         ("T = -1\n", "invalid value for T"),
         ("ny = 0\n", "invalid value for ny"),
@@ -387,6 +393,72 @@ def test_config_file_and_set_precedence(tmp_path):
     assert f"out = {out}" in log
 
 
+# A valid value for every key, and the keys each command does not read.
+VALID = {
+    "benchmark": "test1", "nx": "4", "ny": "3", "dt": "1e-5", "T": "2e-5", "theta": "1",
+    "lam": "1", "mu": "1", "alpha": "1", "c0": "0.5", "K": "1", "mu_f": "1",
+    "out": "o", "snapshot_every": "1", "c_stab": "0.25", "tolerance": "1e-10",
+    "errors": "off", "vtk": "off", "nx_list": "2,4", "c0_list": "1,0.1",
+}
+UNREAD = {
+    "run": {"nx_list", "c0_list"},
+    "convergence": {"nx", "ny", "c0_list", "snapshot_every", "vtk", "errors"},
+    "sweep": {"c0", "c_stab", "nx_list", "snapshot_every", "vtk", "errors"},
+}
+
+
+@pytest.mark.parametrize("via", ["set", "config"])
+@pytest.mark.parametrize(
+    "command, key", [(c, k) for c, keys in UNREAD.items() for k in sorted(keys)]
+)
+def test_command_refuses_keys_it_does_not_read(tmp_path, capsys, command, key, via):
+    out = tmp_path / "o"
+    args = [command, "--set", "benchmark=test1", "--out", str(out)]
+    if via == "set":
+        args += ["--set", f"{key}={VALID[key]}"]
+    else:
+        config = tmp_path / "case.cfg"
+        config.write_text(f"{key} = {VALID[key]}\n")
+        args += ["--config", str(config)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert f"{command} (" in err and f"does not read {key!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", sorted(UNREAD))
+def test_config_file_of_read_keys_runs_and_is_echoed(tmp_path, monkeypatch, command):
+    # Every key the command reads is accepted from a file, and run.log echoes
+    # exactly those keys; the kappas are echoed only where c0 is read.
+    monkeypatch.chdir(tmp_path)
+    read = [key for key in VALID if key not in UNREAD[command]]
+    config = tmp_path / "case.cfg"
+    config.write_text("".join(f"{key} = {VALID[key]}\n" for key in read))
+    args = _build_parser().parse_args([command, "--config", str(config)])
+    assert _load_config(args) == parse_config(config.read_text())
+    assert main([command, "--config", str(config)]) == 0
+    lines = (tmp_path / "o" / "run.log").read_text().splitlines()
+    echoed = lines[1 : lines.index("resolved benchmark = test1")]
+    assert [line.partition(" = ")[0] for line in echoed] == read
+    assert ("resolved snapshot_every = 1" in lines) == (command == "run")
+    kappas = [line for line in lines if line.startswith("kappa1/kappa2/kappa3 = ")]
+    assert len(kappas) == (command != "sweep")
+
+
+def test_kappa_line_follows_the_key_table(tmp_path, monkeypatch):
+    # The sweep's log has no kappas (it sets c0 per member) because its table
+    # entry leaves out c0, not because of its name.
+    sweep = cli._COMMANDS["sweep"]
+    monkeypatch.setitem(cli._COMMANDS, "sweep", replace(sweep, keys=sweep.keys | {"c0"}))
+    out = tmp_path / "o"
+    assert main([
+        "sweep", "--set", "benchmark=locking", "--set", "nx=2", "--set", "T=2e-4",
+        "--set", "c0_list=1,0.1", "--out", str(out),
+    ]) == 0
+    assert "kappa1/kappa2/kappa3 = " in (out / "run.log").read_text()
+
+
 # ---------------------------------------------------------------------------
 # exit codes and error channels
 # ---------------------------------------------------------------------------
@@ -623,6 +695,44 @@ def test_sweep_writes_pairwise_distances(tmp_path):
     assert float(rows[0][1]) == pytest.approx(1e-4)
     assert all(float(c) > 0 for c in rows[0][2:])
     assert "c0 values = 0.01,0.0001" in (out / "run.log").read_text()
+
+
+def test_sweep_tolerance_bounds_every_member_solve(tmp_path, capsys):
+    code = main([
+        "sweep", "--set", "benchmark=locking", "--set", "nx=2", "--set", "c0_list=1,0.1",
+        "--set", "tolerance=1e-18", "--set", "T=2e-4", "--out", str(tmp_path / "o"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: coupled step to t=0.0001: linear solve residual" in err
+
+
+# ---------------------------------------------------------------------------
+# benchmark workloads
+# ---------------------------------------------------------------------------
+
+
+def _load_workloads():
+    """perfbench/workloads.py, loaded by path and unchanged."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = _load_workloads().WORKLOADS
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_workload_arguments_are_read_by_their_command(name):
+    # A key table edit that refused a workload's key would fail that
+    # benchmark run with exit 2; this resolves each seed's arguments
+    # without solving anything.
+    for seed in (1, 2, 3):
+        args = _build_parser().parse_args(WORKLOADS[name].argv(seed))
+        _resolve(_load_config(args), args.command)
 
 
 # ---------------------------------------------------------------------------
