@@ -573,11 +573,6 @@ def _gather(sources, pick: np.ndarray, t: float) -> np.ndarray:
     return vals[pick]
 
 
-def _segment_vertices(mesh: Mesh, tag: BoundarySegment) -> np.ndarray:
-    eids = mesh.edges_with_tag(tag)
-    return np.unique(mesh.edges[eids].ravel())
-
-
 def build_constraints(
     mesh: Mesh,
     dofmap: DofMap,
@@ -603,7 +598,7 @@ def build_constraints(
     for tag in sorted(bcs.flow, key=int):
         bc = bcs.flow[tag]
         if bc.kind == "pressure":
-            verts = _segment_vertices(mesh, tag)
+            verts = mesh.vertices_on_segment(tag)
             p_sources.append((bc.value, mesh.vertices[verts]))
             p_keys.append(verts)
 

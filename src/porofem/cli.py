@@ -22,13 +22,13 @@ import sys
 import warnings
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .assembly import SingularConstraintsError
 from .diagnostics import DiagnosticsRecord, biot_limit_sweep, extract_rates
-from .mesh import Mesh, MeshError, build_rect_mesh
+from .mesh import Mesh, build_rect_mesh
 from .model import BENCHMARK_NAMES, Benchmark, get_benchmark
 from .solver import DEFAULT_TOLERANCE, SingularMatrixError, SolverFailureError
 from .stepper import Discretization, FieldState, TimeScheme, run
@@ -36,8 +36,6 @@ from .stepper import Discretization, FieldState, TimeScheme, run
 __all__ = [
     "ConfigError",
     "RunConfig",
-    "parse_config",
-    "config_text",
     "cmd_run",
     "cmd_convergence",
     "cmd_sweep",
@@ -168,31 +166,6 @@ def _apply_setting(values: dict, key: str, text: str, where: str) -> None:
         raise ConfigError(f"{where}: invalid value for {key}: {text!r} ({exc})") from exc
 
 
-def _lines(text: str) -> Iterator[tuple[str, str, str]]:
-    """(key, value text, "line N") of each setting in configuration text."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected key = value, got {raw.strip()!r}")
-        key, _, value = line.partition("=")
-        yield key.strip(), value.strip(), f"line {lineno}"
-
-
-def parse_config(text: str) -> RunConfig:
-    """Parse key=value configuration text into a RunConfig.
-
-    Raises:
-        ConfigError: naming the offending line for unknown keys, malformed
-            lines, or out-of-domain values.
-    """
-    values: dict = {}
-    for key, value, where in _lines(text):
-        _apply_setting(values, key, value, where)
-    return RunConfig(**values)
-
-
 def _format_value(value) -> str:
     if isinstance(value, bool):
         return "on" if value else "off"
@@ -201,17 +174,6 @@ def _format_value(value) -> str:
     if isinstance(value, tuple):
         return ",".join(_format_value(v) for v in value)
     return str(value)
-
-
-def config_text(config: RunConfig) -> str:
-    """Canonical serialization; parse_config round-trips it losslessly."""
-    lines = []
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if value is None:
-            continue
-        lines.append(f"{f.name} = {_format_value(value)}")
-    return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -245,6 +207,17 @@ def _resolve(config: RunConfig, command: str = "run") -> ResolvedRun:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # A key that another key's value leaves unread is refused like one its
+    # command does not read.
+    if config.c_stab is not None and scheme.theta == 1:
+        raise ConfigError(
+            f"c_stab = {config.c_stab:.17g}: theta = 1 runs no step-size gate; "
+            "c_stab is read only with theta = 0"
+        )
+    if config.snapshot_every is not None and not config.vtk:
+        raise ConfigError(
+            f"snapshot_every = {config.snapshot_every}: vtk = off writes no snapshots"
+        )
     if not benchmark.has_exact_solution:
         if config.errors == "on":
             raise ConfigError(
@@ -348,16 +321,17 @@ def _echo_config(resolved: ResolvedRun, command: str) -> list[str]:
     lines.append(f"resolved T = {resolved.scheme.T:.17g}")
     lines.append(f"resolved theta = {resolved.scheme.theta}")
     lines.append(f"resolved n_steps = {resolved.scheme.n_steps}")
-    if "snapshot_every" in keys:
+    if "snapshot_every" in keys and cfg.vtk:
         lines.append(f"resolved snapshot_every = {resolved.snapshot_every}")
+    # A command that does not read c0 (the sweep sets it per member) runs
+    # with neither the base benchmark's c0 nor the kappas that follow from it.
+    material = ["lam", "mu", "alpha", "c0", "K", "mu_f"]
+    if "c0" not in keys:
+        material.remove("c0")
     lines.append(
-        "material lam/mu/alpha/c0/K/mu_f = "
-        + "/".join(
-            f"{v:.17g}" for v in (prm.lam, prm.mu, prm.alpha, prm.c0, prm.K, prm.mu_f)
-        )
+        f"material {'/'.join(material)} = "
+        + "/".join(f"{getattr(prm, n):.17g}" for n in material)
     )
-    # The kappas follow from c0; a command that does not read c0 (the sweep
-    # sets it per member) runs with none of the base benchmark's.
     if "c0" in keys:
         lines.append(
             "kappa1/kappa2/kappa3 = "
@@ -558,8 +532,15 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             )
 
     if args.config is not None:
-        for key, text, where in _lines(Path(args.config).read_text(encoding="utf-8")):
-            apply(key, text, where)
+        lines = Path(args.config).read_text(encoding="utf-8").splitlines()
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if "=" not in line:
+                raise ConfigError(f"line {lineno}: expected key = value, got {raw.strip()!r}")
+            key, _, value = line.partition("=")
+            apply(key.strip(), value.strip(), f"line {lineno}")
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set {item!r}: expected KEY=VALUE")
@@ -598,7 +579,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (SolverFailureError, SingularMatrixError, SingularConstraintsError, MeshError) as exc:
+    except (SolverFailureError, SingularMatrixError, SingularConstraintsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

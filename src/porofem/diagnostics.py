@@ -28,9 +28,6 @@ from .assembly import (
     rigid_motion_rows,
 )
 from .elements import eval_basis
-# Unused here since DomainQuadrature tabulates the points, but perfbench's
-# tracer still wraps this name (perfbench/spans.py).
-from .elements import physical_points  # noqa: F401
 from .mesh import BoundarySegment, Mesh
 from .model import Benchmark, DerivedCoeffs, get_benchmark, xieta_from_pq
 from .solver import DEFAULT_TOLERANCE
@@ -478,10 +475,7 @@ def locking_scan(state, mesh: Mesh, benchmark: Benchmark) -> LockingIndicator:
         bc = benchmark.bcs.flow[tag]
         if bc.kind != "pressure":
             continue
-        eids = mesh.edges_with_tag(tag)
-        if eids.size == 0:
-            continue
-        pts = mesh.vertices[np.unique(mesh.edges[eids].ravel())]
+        pts = mesh.vertices[mesh.vertices_on_segment(tag)]
         scale = max(scale, float(np.max(np.abs(bc.value(pts, state.t)))))
     if scale == 0.0:
         scale = float(np.max(np.abs(vals)))

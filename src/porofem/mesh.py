@@ -3,12 +3,13 @@
 The mesh splits every grid cell into two triangles along the same diagonal
 direction, so node ordering is reproducible and the quadratic edge-node
 enumeration stays simple.  Boundary edges carry one of four segment tags
-(right, bottom, left, top side of the rectangle).
+(right, bottom, left, top side of the rectangle), read from the grid
+indices of their endpoints.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -16,17 +17,8 @@ import numpy as np
 __all__ = [
     "BoundarySegment",
     "Mesh",
-    "MeshError",
     "build_rect_mesh",
-    "classify_boundary",
 ]
-
-# Tolerance for deciding that an edge midpoint lies on a rectangle side.
-_SIDE_TOL = 1e-12
-
-
-class MeshError(RuntimeError):
-    """Internal consistency failure while building or tagging a mesh."""
 
 
 class BoundarySegment(IntEnum):
@@ -63,7 +55,6 @@ class Mesh:
             (equal to V + edge index).
         triangle_edges: (F, 3) edge index opposite each local vertex.
         edge_tags: (E,) segment tag per edge, 0 for interior edges.
-        rect: (x_min, y_min, x_max, y_max) of the meshed rectangle.
         nx, ny: cell counts used to build the grid.
         h: mesh size, the maximum edge length (the cell diagonal).
     """
@@ -74,7 +65,6 @@ class Mesh:
     edge_nodes: np.ndarray
     triangle_edges: np.ndarray
     edge_tags: np.ndarray
-    rect: tuple[float, float, float, float]
     nx: int
     ny: int
     h: float
@@ -120,6 +110,10 @@ class Mesh:
         eids = self.edges_with_tag(tag)
         nodes = np.concatenate([self.edges[eids].ravel(), self.edge_nodes[eids]])
         return np.unique(nodes)
+
+    def vertices_on_segment(self, tag: BoundarySegment) -> np.ndarray:
+        """Sorted vertex indices on one side."""
+        return np.unique(self.edges[self.edges_with_tag(tag)].ravel())
 
     def vertices_on_boundary(self) -> np.ndarray:
         """Sorted vertex indices lying on any boundary edge."""
@@ -190,51 +184,26 @@ def build_rect_mesh(
     lengths = np.linalg.norm(vertices[edges[:, 1]] - vertices[edges[:, 0]], axis=1)
     h = float(lengths.max())
 
-    mesh = Mesh(
+    # Vertex k sits at grid position (k mod (nx+1), k div (nx+1)); an edge
+    # lies on a side exactly when both its endpoints do.
+    i, j = edges % (nx + 1), edges // (nx + 1)
+    edge_tags = np.zeros(edges.shape[0], dtype=np.int64)
+    for tag, on_side in (
+        (BoundarySegment.RIGHT, i == nx),
+        (BoundarySegment.BOTTOM, j == 0),
+        (BoundarySegment.LEFT, i == 0),
+        (BoundarySegment.TOP, j == ny),
+    ):
+        edge_tags[on_side.all(axis=1)] = int(tag)
+
+    return Mesh(
         vertices=vertices,
         triangles=triangles,
         edges=edges,
         edge_nodes=edge_nodes,
         triangle_edges=triangle_edges,
-        edge_tags=np.zeros(edges.shape[0], dtype=np.int64),
-        rect=(x_min, y_min, x_max, y_max),
+        edge_tags=edge_tags,
         nx=nx,
         ny=ny,
         h=h,
     )
-    return classify_boundary(mesh)
-
-
-def classify_boundary(mesh: Mesh) -> Mesh:
-    """Tag every boundary edge by the rectangle side its midpoint lies on.
-
-    An edge is on the boundary when it belongs to exactly one triangle.
-
-    Returns:
-        A new Mesh with edge_tags populated.
-
-    Raises:
-        MeshError: if some boundary edge midpoint lies on no side within
-            the 1e-12 coordinate tolerance.
-    """
-    counts = np.zeros(mesh.n_edges, dtype=np.int64)
-    np.add.at(counts, mesh.triangle_edges.ravel(), 1)
-    boundary = np.nonzero(counts == 1)[0]
-
-    x_min, y_min, x_max, y_max = mesh.rect
-    mids = 0.5 * (mesh.vertices[mesh.edges[boundary, 0]] + mesh.vertices[mesh.edges[boundary, 1]])
-    tags = np.zeros(mesh.n_edges, dtype=np.int64)
-    on_right = np.abs(mids[:, 0] - x_max) <= _SIDE_TOL
-    on_bottom = np.abs(mids[:, 1] - y_min) <= _SIDE_TOL
-    on_left = np.abs(mids[:, 0] - x_min) <= _SIDE_TOL
-    on_top = np.abs(mids[:, 1] - y_max) <= _SIDE_TOL
-    matched = on_right | on_bottom | on_left | on_top
-    if not matched.all():
-        bad = boundary[~matched][0]
-        raise MeshError(f"boundary edge {bad} lies on no rectangle side")
-    tags[boundary[on_right]] = int(BoundarySegment.RIGHT)
-    tags[boundary[on_bottom]] = int(BoundarySegment.BOTTOM)
-    tags[boundary[on_left]] = int(BoundarySegment.LEFT)
-    tags[boundary[on_top]] = int(BoundarySegment.TOP)
-
-    return replace(mesh, edge_tags=tags)

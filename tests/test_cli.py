@@ -23,9 +23,7 @@ from porofem.cli import (
     _build_parser,
     _load_config,
     _resolve,
-    config_text,
     main,
-    parse_config,
     write_vtk,
 )
 from porofem.stepper import FieldState
@@ -45,8 +43,29 @@ def _read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
 # ---------------------------------------------------------------------------
 
 
-def test_parse_config_reads_comments_and_blanks():
-    cfg = parse_config(
+def _argv(command: str, settings=(), config=None) -> list[str]:
+    """A command line of a --config file and a --set of each setting."""
+    argv = [command] + (["--config", str(config)] if config is not None else [])
+    for item in settings:
+        argv += ["--set", item]
+    return argv
+
+
+def _load(command: str, settings=(), config=None) -> RunConfig:
+    return _load_config(_build_parser().parse_args(_argv(command, settings, config)))
+
+
+def _load_file(tmp_path: Path, command: str, text: str) -> RunConfig:
+    config = tmp_path / "case.cfg"
+    config.write_text(text)
+    return _load(command, config=config)
+
+
+def test_parse_config_reads_comments_and_blanks(tmp_path):
+    # One file per command, since no command reads both nx and nx_list.
+    cfg = _load_file(
+        tmp_path,
+        "run",
         """
         # a comment
         benchmark = locking
@@ -54,13 +73,21 @@ def test_parse_config_reads_comments_and_blanks():
         dt = 2.5e-4
 
         vtk = off
-        nx_list = 2, 4,8
-        """
+        """,
     )
     assert cfg.benchmark == "locking"
     assert cfg.nx == 5
     assert cfg.dt == pytest.approx(2.5e-4)
     assert cfg.vtk is False
+    cfg = _load_file(
+        tmp_path,
+        "convergence",
+        """
+        # a comment
+
+        nx_list = 2, 4,8   # trailing comment
+        """,
+    )
     assert cfg.nx_list == (2, 4, 8)
 
 
@@ -90,36 +117,44 @@ def test_parse_config_reads_comments_and_blanks():
         ("nx_list = 2,0\n", "invalid value for nx_list"),
     ],
 )
-def test_parse_config_reports_offending_line(text, fragment):
+def test_parse_config_reports_offending_line(tmp_path, text, fragment):
+    # Each file goes to a command that reads its keys.
+    command = "sweep" if "c0_list" in text else "convergence" if "nx_list" in text else "run"
     with pytest.raises(ConfigError) as info:
-        parse_config(text)
+        _load_file(tmp_path, command, text)
     assert fragment in str(info.value)
 
 
-def test_config_round_trip_is_lossless():
-    cfg = RunConfig(
-        benchmark="barry_mercer",
-        nx=12,
-        ny=7,
-        dt=1.0 / 3.0,
-        T=0.7,
-        theta=0,
-        lam=1.2345678901234567e5,
-        mu=3.0,
-        alpha=0.9,
-        c0=1e-6,
-        K=2.0,
-        mu_f=1.5,
-        out="some/dir",
-        snapshot_every=3,
-        c_stab=0.25,
-        tolerance=1e-9,
-        errors="off",
-        vtk=False,
-        nx_list=(2, 4, 8, 16),
-        c0_list=(1e-1, 1e-3),
-    )
-    assert parse_config(config_text(cfg)) == cfg
+# A value for every key run reads, floats among them that need all 17
+# significant digits to come back bit-exact.
+RUN_SETTINGS = {
+    "benchmark": "barry_mercer", "nx": "3", "ny": "2", "dt": repr(1.0 / 3.0),
+    "T": repr(2.0 / 3.0), "theta": "0", "lam": "1.2345678901234567e5", "mu": "3",
+    "alpha": "0.9", "c0": "1e-6", "K": "2", "mu_f": "1.5", "out": "o",
+    "snapshot_every": "3", "c_stab": "2.5", "tolerance": "1e-9", "errors": "off",
+    "vtk": "on",
+}
+
+
+def _echoed_settings(log_lines: list[str]) -> list[str]:
+    """KEY=VALUE of each run.log line that echoes a key run reads."""
+    keys = cli._COMMANDS["run"].keys
+    pairs = (line.partition(" = ") for line in log_lines)
+    return [f"{key}={value}" for key, _, value in pairs if key in keys]
+
+
+@pytest.mark.filterwarnings("ignore:decoupled scheme amplifies errors")
+def test_run_log_round_trip_is_lossless(tmp_path, monkeypatch):
+    # Every key the echo writes reads back through _load_config unchanged.
+    monkeypatch.chdir(tmp_path)
+    assert set(RUN_SETTINGS) == cli._COMMANDS["run"].keys
+    settings = [f"{key}={value}" for key, value in RUN_SETTINGS.items()]
+    config = _load("run", settings)
+    assert config.dt == 1.0 / 3.0 and config.lam == 1.2345678901234567e5
+    assert main(_argv("run", settings)) == 0
+    echoed = _echoed_settings((tmp_path / "o" / "run.log").read_text().splitlines())
+    assert len(echoed) == len(RUN_SETTINGS)
+    assert _load("run", echoed) == config
 
 
 @settings(max_examples=50, deadline=None)
@@ -128,18 +163,15 @@ def test_config_round_trip_is_lossless():
     c0=st.floats(min_value=0.0, max_value=1e9, allow_nan=False),
     nx=st.integers(min_value=1, max_value=10**6),
 )
-def test_config_round_trip_property(dt, c0, nx):
-    cfg = RunConfig(dt=dt, c0=c0, nx=nx)
-    back = parse_config(config_text(cfg))
+def test_run_log_round_trip_property(dt, c0, nx):
+    resolved = _resolve(_load("run", [f"{k}={v}" for k, v in RUN_SETTINGS.items()]))
+    config = replace(resolved.config, dt=dt, c0=c0, nx=nx)
+    lines = cli._echo_config(replace(resolved, config=config), "run")
+    back = _load("run", _echoed_settings(lines))
     assert back.dt == dt  # 17 significant digits: bit-exact
     assert back.c0 == c0
     assert back.nx == nx
-
-
-def test_config_text_omits_unset_optionals():
-    text = config_text(RunConfig())
-    assert "dt" not in text.split()
-    assert "benchmark = test1" in text
+    assert back == config
 
 
 def test_resolve_fills_benchmark_defaults():
@@ -226,6 +258,7 @@ def test_run_hundred_rows_without_snapshots(tmp_path):
     _, rows = _read_csv(out / "diagnostics.csv")
     assert len(rows) == 100
     assert not list(out.glob("*.vtk"))
+    assert "resolved snapshot_every" not in (out / "run.log").read_text()
     times = [float(r[1]) for r in rows]
     assert times[0] == pytest.approx(1e-4)
     assert times[-1] == pytest.approx(1e-2)
@@ -393,12 +426,13 @@ def test_config_file_and_set_precedence(tmp_path):
     assert f"out = {out}" in log
 
 
-# A valid value for every key, and the keys each command does not read.
+# A valid value for every key, and the keys each command does not read;
+# theta = 0 and vtk = on, since c_stab and snapshot_every are read only then.
 VALID = {
-    "benchmark": "test1", "nx": "4", "ny": "3", "dt": "1e-5", "T": "2e-5", "theta": "1",
+    "benchmark": "test1", "nx": "4", "ny": "3", "dt": "1e-5", "T": "2e-5", "theta": "0",
     "lam": "1", "mu": "1", "alpha": "1", "c0": "0.5", "K": "1", "mu_f": "1",
     "out": "o", "snapshot_every": "1", "c_stab": "0.25", "tolerance": "1e-10",
-    "errors": "off", "vtk": "off", "nx_list": "2,4", "c0_list": "1,0.1",
+    "errors": "off", "vtk": "on", "nx_list": "2,4", "c0_list": "1,0.1",
 }
 UNREAD = {
     "run": {"nx_list", "c0_list"},
@@ -427,6 +461,7 @@ def test_command_refuses_keys_it_does_not_read(tmp_path, capsys, command, key, v
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:decoupled scheme amplifies errors")
 @pytest.mark.parametrize("command", sorted(UNREAD))
 def test_config_file_of_read_keys_runs_and_is_echoed(tmp_path, monkeypatch, command):
     # Every key the command reads is accepted from a file, and run.log echoes
@@ -435,8 +470,7 @@ def test_config_file_of_read_keys_runs_and_is_echoed(tmp_path, monkeypatch, comm
     read = [key for key in VALID if key not in UNREAD[command]]
     config = tmp_path / "case.cfg"
     config.write_text("".join(f"{key} = {VALID[key]}\n" for key in read))
-    args = _build_parser().parse_args([command, "--config", str(config)])
-    assert _load_config(args) == parse_config(config.read_text())
+    assert _load(command, config=config) == _load(command, [f"{key}={VALID[key]}" for key in read])
     assert main([command, "--config", str(config)]) == 0
     lines = (tmp_path / "o" / "run.log").read_text().splitlines()
     echoed = lines[1 : lines.index("resolved benchmark = test1")]
@@ -456,7 +490,51 @@ def test_kappa_line_follows_the_key_table(tmp_path, monkeypatch):
         "sweep", "--set", "benchmark=locking", "--set", "nx=2", "--set", "T=2e-4",
         "--set", "c0_list=1,0.1", "--out", str(out),
     ]) == 0
-    assert "kappa1/kappa2/kappa3 = " in (out / "run.log").read_text()
+    log = (out / "run.log").read_text()
+    assert "kappa1/kappa2/kappa3 = " in log
+    assert "material lam/mu/alpha/c0/K/mu_f = " in log
+
+
+def test_sweep_log_echoes_no_base_c0(tmp_path):
+    # Each member runs with one value of c0_list, none with the base
+    # benchmark's c0, so the material line leaves c0 out.
+    out = tmp_path / "o"
+    assert main([
+        "sweep", "--set", "benchmark=locking", "--set", "nx=2", "--set", "T=2e-4",
+        "--set", "c0_list=1,0.1", "--out", str(out),
+    ]) == 0
+    lines = (out / "run.log").read_text().splitlines()
+    [material] = [line for line in lines if line.startswith("material ")]
+    names, _, values = material.partition(" = ")
+    assert names == "material lam/mu/alpha/K/mu_f"
+    assert len(values.split("/")) == 5
+
+
+@pytest.mark.parametrize(
+    "command, settings, keys",
+    [
+        ("run", ["vtk=off", "snapshot_every=1"], ("snapshot_every", "vtk")),
+        ("run", ["theta=1", "c_stab=0.25"], ("c_stab", "theta")),
+        ("run", ["c_stab=0.25"], ("c_stab", "theta")),  # theta resolves to 1
+        ("convergence", ["theta=1", "c_stab=0.25"], ("c_stab", "theta")),
+        ("convergence", ["c_stab=0.25"], ("c_stab", "theta")),
+    ],
+    ids=[
+        "run-snapshot_every-vtk_off", "run-c_stab-theta_1", "run-c_stab-theta_default",
+        "convergence-c_stab-theta_1", "convergence-c_stab-theta_default",
+    ],
+)
+def test_key_left_unread_by_another_keys_value_exits_2(tmp_path, capsys, command, settings, keys):
+    out = tmp_path / "o"
+    mesh = "nx_list=2,4" if command == "convergence" else "nx=2"
+    args = [command, "--set", "benchmark=test1", "--set", mesh, "--set", "T=2e-5"]
+    for item in settings:
+        args += ["--set", item]
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ")
+    assert all(f"{key} = " in err for key in keys)
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,6 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "porofem"
 
-# (module file, name) pairs imported on purpose without a use.
-EXEMPT = {
-    # The benchmark's tracer wraps porofem.diagnostics.physical_points at
-    # the name it is looked up under (perfbench/spans.py), so the name has to
-    # resolve there until that target is dropped.
-    ("diagnostics.py", "physical_points"),
-}
-
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
     """Name bound by each import statement, with its line number."""
@@ -66,7 +58,7 @@ def unused_imports(source: str, module: str = "<source>") -> list[str]:
     return [
         f"{module}:{line}: {name}"
         for name, line in sorted(_imported_names(tree).items(), key=lambda item: item[1])
-        if name not in used and (module, name) not in EXEMPT
+        if name not in used
     ]
 
 

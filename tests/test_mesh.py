@@ -10,13 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from porofem.mesh import (
-    BoundarySegment,
-    Mesh,
-    MeshError,
-    build_rect_mesh,
-    classify_boundary,
-)
+from porofem.mesh import BoundarySegment, Mesh, build_rect_mesh
 
 from helpers import jittered_mesh
 
@@ -176,13 +170,25 @@ def test_degenerate_rectangle_rejected():
         build_rect_mesh(2, 2, rect=(0.0, 0.0, 0.0, 1.0))
 
 
-def test_classify_boundary_rejects_off_side_edge():
-    mesh = build_rect_mesh(2, 2)
-    vertices = mesh.vertices.copy()
-    vertices[0] = (0.37, 0.21)
-    tampered = dataclasses.replace(mesh, vertices=vertices)
-    with pytest.raises(MeshError):
-        classify_boundary(tampered)
+def test_thin_rectangle_tags_each_side_apart():
+    # Every boundary edge of a 1e-12 wide rectangle lies within 1e-12 of
+    # three sides; the tags come from grid indices, not from coordinates.
+    mesh = build_rect_mesh(2, 2, rect=(0.0, 0.0, 1e-12, 1.0))
+    for tag in BoundarySegment:
+        assert len(mesh.edges_with_tag(tag)) == 2
+    assert np.all(mesh.vertices[mesh.vertices_on_segment(BoundarySegment.LEFT), 0] == 0.0)
+    assert np.all(mesh.vertices[mesh.vertices_on_segment(BoundarySegment.RIGHT), 0] == 1e-12)
+    assert np.all(mesh.vertices[mesh.vertices_on_segment(BoundarySegment.BOTTOM), 1] == 0.0)
+
+
+def test_vertices_on_segment_are_the_tagged_edges_endpoints():
+    mesh = build_rect_mesh(3, 2, rect=(-1.0, 0.0, 2.0, 1.0 / 3.0))
+    for tag in BoundarySegment:
+        verts = mesh.vertices_on_segment(tag)
+        n_cells = 3 if tag in (BoundarySegment.BOTTOM, BoundarySegment.TOP) else 2
+        assert len(verts) == n_cells + 1
+        assert np.array_equal(verts, np.unique(mesh.edges[mesh.edges_with_tag(tag)]))
+        assert np.isin(verts, mesh.nodes_on_segment(tag)).all()
 
 
 def test_mesh_is_immutable_record():

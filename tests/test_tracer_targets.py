@@ -26,6 +26,10 @@ STALE_LAYER_TARGETS = [
     # Retired when ConservationTracker began taking the initial state in its
     # constructor, which removed start().
     "porofem.diagnostics:ConservationTracker.start",
+    # Retired when diagnostics dropped this import, which it kept unused for
+    # the tracer alone; elements.points is still recorded through
+    # porofem.assembly.physical_points.
+    "porofem.diagnostics.physical_points",
 ]
 
 
