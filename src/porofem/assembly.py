@@ -57,6 +57,7 @@ __all__ = [
     "assemble_load",
     "rigid_motion_basis",
     "rigid_motion_rows",
+    "boundary_flux_functional",
     "BoundaryData",
     "build_constraints",
     "ReducedSystem",
@@ -513,6 +514,19 @@ def rigid_motion_rows(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
     """
     mass = assemble_vector_mass(mesh, dofmap)
     return mass.dot(rigid_motion_basis(mesh, dofmap).T).T
+
+
+def boundary_flux_functional(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
+    """The vector g with g @ u = the boundary integral of u . n.
+
+    u . n is linear in the displacement coefficients, so the flux of any
+    state is one dot product with g.
+    """
+    g = np.zeros(dofmap.n_u)
+    for tag in BoundarySegment:
+        rule = _edge_rule(mesh, dofmap, tag, "vector")
+        g += rule.integrate(lambda x, t: np.broadcast_to(tag.normal, x.shape), 0.0)
+    return g
 
 
 @dataclass(frozen=True, eq=False)

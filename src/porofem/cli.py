@@ -20,7 +20,7 @@ import argparse
 import math
 import sys
 import warnings
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -31,7 +31,7 @@ from .diagnostics import DiagnosticsRecord, biot_limit_sweep, extract_rates
 from .mesh import Mesh, build_rect_mesh
 from .model import BENCHMARK_NAMES, Benchmark, get_benchmark
 from .solver import DEFAULT_TOLERANCE, SingularMatrixError, SolverFailureError
-from .stepper import Discretization, FieldState, TimeScheme, run
+from .stepper import UNSTABLE_AMPLIFICATION, Discretization, FieldState, TimeScheme, run
 
 __all__ = [
     "ConfigError",
@@ -50,32 +50,6 @@ _RATE_FLOOR = 1e-9
 
 class ConfigError(ValueError):
     """A configuration line or override that cannot be applied."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Typed run configuration; None means 'use the benchmark's default'."""
-
-    benchmark: str = "test1"
-    nx: int = 8
-    ny: Optional[int] = None
-    dt: Optional[float] = None
-    T: Optional[float] = None
-    theta: Optional[int] = None
-    lam: Optional[float] = None
-    mu: Optional[float] = None
-    alpha: Optional[float] = None
-    c0: Optional[float] = None
-    K: Optional[float] = None
-    mu_f: Optional[float] = None
-    out: str = "out"
-    snapshot_every: Optional[int] = None
-    c_stab: Optional[float] = None
-    tolerance: float = DEFAULT_TOLERANCE
-    errors: str = "auto"
-    vtk: bool = True
-    nx_list: tuple[int, ...] = (8, 16, 32, 64)
-    c0_list: tuple[float, ...] = (1e-2, 1e-4, 1e-6)
 
 
 def _number(kind: type, low: int, strict: bool = False) -> Callable[[str], object]:
@@ -132,28 +106,44 @@ _COUNT = _number(int, 1)
 _POSITIVE = _number(float, 0, strict=True)
 _NONNEGATIVE = _number(float, 0)
 
-_PARSERS: dict[str, Callable[[str], object]] = {
-    "benchmark": _choice(*BENCHMARK_NAMES),
-    "nx": _COUNT,
-    "ny": _COUNT,
-    "dt": _POSITIVE,
-    "T": _NONNEGATIVE,
-    "theta": _parse_theta,
-    "lam": _NONNEGATIVE,
-    "mu": _POSITIVE,
-    "alpha": _POSITIVE,
-    "c0": _NONNEGATIVE,
-    "K": _POSITIVE,
-    "mu_f": _POSITIVE,
-    "out": str,
-    "snapshot_every": _COUNT,
-    "c_stab": _POSITIVE,
-    "tolerance": _POSITIVE,
-    "errors": _choice("auto", "on", "off"),
-    "vtk": _parse_bool,
-    "nx_list": _list_of(_COUNT),
+
+def _key(default, parse: Callable[[str], object]):
+    """A RunConfig field settable as a config key, read by parse."""
+    return field(default=default, metadata={"parse": parse})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Typed run configuration; None means 'use the benchmark's default'.
+
+    Each field is a config key and carries the parser of its text.
+    """
+
+    benchmark: str = _key("test1", _choice(*BENCHMARK_NAMES))
+    nx: int = _key(8, _COUNT)
+    ny: Optional[int] = _key(None, _COUNT)
+    dt: Optional[float] = _key(None, _POSITIVE)
+    T: Optional[float] = _key(None, _NONNEGATIVE)
+    theta: Optional[int] = _key(None, _parse_theta)
+    lam: Optional[float] = _key(None, _NONNEGATIVE)
+    mu: Optional[float] = _key(None, _POSITIVE)
+    alpha: Optional[float] = _key(None, _POSITIVE)
+    c0: Optional[float] = _key(None, _NONNEGATIVE)
+    K: Optional[float] = _key(None, _POSITIVE)
+    mu_f: Optional[float] = _key(None, _POSITIVE)
+    out: str = _key("out", str)
+    snapshot_every: Optional[int] = _key(None, _COUNT)
+    c_stab: Optional[float] = _key(None, _POSITIVE)
+    tolerance: float = _key(DEFAULT_TOLERANCE, _POSITIVE)
+    errors: str = _key("auto", _choice("auto", "on", "off"))
+    vtk: bool = _key(True, _parse_bool)
+    nx_list: tuple[int, ...] = _key((8, 16, 32, 64), _list_of(_COUNT))
     # A sweep compares consecutive c0 values; one value compares nothing.
-    "c0_list": _list_of(_NONNEGATIVE, least=2),
+    c0_list: tuple[float, ...] = _key((1e-2, 1e-4, 1e-6), _list_of(_NONNEGATIVE, least=2))
+
+
+_PARSERS: dict[str, Callable[[str], object]] = {
+    f.name: f.metadata["parse"] for f in fields(RunConfig)
 }
 
 
@@ -164,16 +154,6 @@ def _apply_setting(values: dict, key: str, text: str, where: str) -> None:
         values[key] = _PARSERS[key](text)
     except ValueError as exc:
         raise ConfigError(f"{where}: invalid value for {key}: {text!r} ({exc})") from exc
-
-
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "on" if value else "off"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    if isinstance(value, tuple):
-        return ",".join(_format_value(v) for v in value)
-    return str(value)
 
 
 @dataclass(frozen=True)
@@ -198,6 +178,9 @@ def _resolve(config: RunConfig, command: str = "run") -> ResolvedRun:
     params = replace(base.params, **overrides) if overrides else base.params
     try:
         benchmark = get_benchmark(config.benchmark, params)
+        # A sweep member's material bounds are checked here, before any output.
+        for c0 in config.c0_list if "c0_list" in _COMMANDS[command].keys else ():
+            replace(params, c0=c0)
         ny = config.ny if config.ny is not None else config.nx
         mesh = build_rect_mesh(config.nx, ny) if "nx" in _COMMANDS[command].keys else None
         scheme = TimeScheme.from_final_time(
@@ -211,7 +194,7 @@ def _resolve(config: RunConfig, command: str = "run") -> ResolvedRun:
     # command does not read.
     if config.c_stab is not None and scheme.theta == 1:
         raise ConfigError(
-            f"c_stab = {config.c_stab:.17g}: theta = 1 runs no step-size gate; "
+            f"c_stab = {_fmt(config.c_stab)}: theta = 1 runs no step-size gate; "
             "c_stab is read only with theta = 0"
         )
     if config.snapshot_every is not None and not config.vtk:
@@ -231,7 +214,7 @@ def _resolve(config: RunConfig, command: str = "run") -> ResolvedRun:
             )
     if command == "convergence" and scheme.n_steps == 0:
         raise ConfigError(
-            f"T = {scheme.T:.17g} gives no time step; a convergence study needs "
+            f"T = {_fmt(scheme.T)} gives no time step; a convergence study needs "
             "at least one for its L2-in-time H1 errors"
         )
     snapshot = config.snapshot_every
@@ -246,12 +229,17 @@ def _resolve(config: RunConfig, command: str = "run") -> ResolvedRun:
 
 
 def _fmt(value) -> str:
-    """CSV cell: empty for None, 17 significant digits for floats."""
+    """A CSV cell or run.log value: empty for None, on/off for a bool, the
+    entries of a tuple joined by commas, 17 significant digits for a float."""
     if value is None:
         return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return f"{float(value):.17g}"
+    if isinstance(value, bool):
+        return "on" if value else "off"
+    if isinstance(value, tuple):
+        return ",".join(map(_fmt, value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.17g}"
+    return str(value)
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -312,13 +300,13 @@ def _echo_config(resolved: ResolvedRun, command: str) -> list[str]:
         if f.name not in keys:
             continue
         value = getattr(cfg, f.name)
-        lines.append(f"{f.name} = {_format_value(value) if value is not None else '(default)'}")
+        lines.append(f"{f.name} = {_fmt(value) if value is not None else '(default)'}")
     mesh = resolved.mesh
     lines.append(f"resolved benchmark = {bench.name}")
     if mesh is not None:
         lines.append(f"resolved ny = {mesh.ny}")
-    lines.append(f"resolved dt = {resolved.scheme.dt:.17g}")
-    lines.append(f"resolved T = {resolved.scheme.T:.17g}")
+    lines.append(f"resolved dt = {_fmt(resolved.scheme.dt)}")
+    lines.append(f"resolved T = {_fmt(resolved.scheme.T)}")
     lines.append(f"resolved theta = {resolved.scheme.theta}")
     lines.append(f"resolved n_steps = {resolved.scheme.n_steps}")
     if "snapshot_every" in keys and cfg.vtk:
@@ -330,15 +318,15 @@ def _echo_config(resolved: ResolvedRun, command: str) -> list[str]:
         material.remove("c0")
     lines.append(
         f"material {'/'.join(material)} = "
-        + "/".join(f"{getattr(prm, n):.17g}" for n in material)
+        + "/".join(_fmt(getattr(prm, n)) for n in material)
     )
     if "c0" in keys:
         lines.append(
             "kappa1/kappa2/kappa3 = "
-            + "/".join(f"{v:.17g}" for v in (coeffs.kappa1, coeffs.kappa2, coeffs.kappa3))
+            + "/".join(map(_fmt, (coeffs.kappa1, coeffs.kappa2, coeffs.kappa3)))
         )
     if mesh is not None:
-        lines.append(f"mesh h = {mesh.h:.17g}")
+        lines.append(f"mesh h = {_fmt(mesh.h)}")
         lines.append(
             f"mesh sizes = {mesh.n_vertices} vertices, "
             f"{mesh.n_triangles} triangles, {mesh.n_edges} edges"
@@ -379,7 +367,7 @@ def cmd_run(resolved: ResolvedRun, out_dir: Path) -> list[str]:
         log.append("gate = not applicable (theta = 1)")
     if result.decoupled_amplification is not None:
         rho = result.decoupled_amplification
-        verdict = "UNSTABLE (use theta=1)" if rho > 1.000001 else "stable"
+        verdict = "UNSTABLE (use theta=1)" if rho > UNSTABLE_AMPLIFICATION else "stable"
         log.append(
             f"decoupled boundary-elimination amplification = {rho:.6g} -> {verdict}"
         )
@@ -392,10 +380,10 @@ def cmd_run(resolved: ResolvedRun, out_dir: Path) -> list[str]:
             f"{fact.lu_nnz} L+U nonzeros"
         )
     log.append(f"solves = {result.solve_count}")
-    log.append(f"max solver residual = {result.max_solver_residual:.17g}")
+    log.append(f"max solver residual = {_fmt(result.max_solver_residual)}")
     if result.records:
         worst = max(abs(r.energy_residual) for r in result.records)
-        log.append(f"max |energy residual| = {worst:.17g}")
+        log.append(f"max |energy residual| = {_fmt(worst)}")
     if snapshot_files:
         log.append("snapshots = " + ", ".join(snapshot_files))
     return log
@@ -462,7 +450,7 @@ def cmd_sweep(resolved: ResolvedRun, out_dir: Path) -> list[str]:
         ("c0_a", "c0_b", "dist_u", "dist_eta", "dist_xi"),
         [[r.c0_a, r.c0_b, r.dist_u, r.dist_eta, r.dist_xi] for r in rows],
     )
-    return ["c0 values = " + ",".join(f"{c:.17g}" for c in c0_list)]
+    return ["c0 values = " + _fmt(c0_list)]
 
 
 @dataclass(frozen=True)

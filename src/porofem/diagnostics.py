@@ -24,18 +24,17 @@ from .assembly import (
     assemble_elasticity,
     assemble_scalar_mass,
     assemble_vector_mass,
-    _edge_rule,
+    boundary_flux_functional,
     rigid_motion_rows,
 )
 from .elements import eval_basis
-from .mesh import BoundarySegment, Mesh
+from .mesh import Mesh
 from .model import Benchmark, DerivedCoeffs, get_benchmark, xieta_from_pq
 from .solver import DEFAULT_TOLERANCE
 
 __all__ = [
     "ConservedQuantities",
     "ConservationTracker",
-    "boundary_flux_functional",
     "EnergyRecord",
     "EnergyAuditor",
     "VariableNorms",
@@ -98,19 +97,6 @@ class ConservedQuantities:
 
 def _rel(measured: float, ref: float) -> float:
     return abs(measured - ref) / max(1.0, abs(ref))
-
-
-def boundary_flux_functional(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
-    """The vector g with g @ u = the boundary integral of u . n.
-
-    u . n is linear in the displacement coefficients, so the flux of any
-    state is one dot product with g.
-    """
-    g = np.zeros(dofmap.n_u)
-    for tag in BoundarySegment:
-        rule = _edge_rule(mesh, dofmap, tag, "vector")
-        g += rule.integrate(lambda x, t: np.broadcast_to(tag.normal, x.shape), 0.0)
-    return g
 
 
 class ConservationTracker:

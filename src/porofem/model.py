@@ -62,7 +62,8 @@ class MaterialParams:
         lam: first Lame constant (Pa), nonnegative.
         mu: shear modulus (Pa), positive.
         alpha: pressure/volumetric-strain coupling constant, positive.
-        c0: constrained specific storage coefficient (1/Pa), nonnegative.
+        c0: constrained specific storage coefficient (1/Pa), nonnegative;
+            alpha^2 + lam*c0 must be finite and positive.
         K: scalar permeability (m^2); stands for the isotropic tensor K*I.
         mu_f: solvent viscosity (Pa*s), positive.
         rho_f: fluid density.
@@ -95,6 +96,13 @@ class MaterialParams:
             raise ValueError(f"K must be positive, got {self.K}")
         if self.mu_f <= 0.0:
             raise ValueError(f"mu_f must be positive, got {self.mu_f}")
+        # Every kappa divides by this; alpha**2 would raise on overflow.
+        denom = self.alpha * self.alpha + self.lam * self.c0
+        if not 0.0 < denom < np.inf:
+            raise ValueError(
+                f"alpha*alpha + lam*c0 must be finite and positive, got {denom} "
+                f"(alpha = {self.alpha}, lam = {self.lam}, c0 = {self.c0})"
+            )
 
     @property
     def rho_g(self) -> np.ndarray:
@@ -114,14 +122,10 @@ class DerivedCoeffs:
 def derive_kappas(params: MaterialParams) -> DerivedCoeffs:
     """Compute the reformulation coefficients from material constants.
 
-    kappa1 = alpha/(alpha^2 + lam*c0), kappa2 = lam/(...), kappa3 = c0/(...).
-
-    Raises:
-        ValueError: when alpha^2 + lam*c0 is not positive.
+    kappa1 = alpha/(alpha^2 + lam*c0), kappa2 = lam/(...), kappa3 = c0/(...);
+    MaterialParams holds the sum finite and positive.
     """
-    denom = params.alpha**2 + params.lam * params.c0
-    if denom <= 0.0:
-        raise ValueError("degenerate parameters: alpha^2 + lam*c0 must be positive")
+    denom = params.alpha * params.alpha + params.lam * params.c0
     return DerivedCoeffs(
         kappa1=params.alpha / denom,
         kappa2=params.lam / denom,
@@ -270,6 +274,15 @@ class Benchmark:
         return self.exact_u is not None and self.exact_p is not None
 
 
+def _component(closure: VectorClosure, k: int) -> ScalarClosure:
+    """Component k of a vector closure, as a scalar closure."""
+
+    def value(x: np.ndarray, t: float) -> np.ndarray:
+        return closure(x, t)[:, k]
+
+    return value
+
+
 def benchmark_test1(params: Optional[MaterialParams] = None) -> Benchmark:
     """Manufactured smooth solution on the unit square, T = 0.001.
 
@@ -321,16 +334,11 @@ def benchmark_test1(params: Optional[MaterialParams] = None) -> Benchmark:
 
         return f1
 
-    def u1_data(x: np.ndarray, t: float) -> np.ndarray:
-        return 0.5 * t * x[:, 0] ** 2
-
-    def u2_data(x: np.ndarray, t: float) -> np.ndarray:
-        return 0.5 * t * x[:, 1] ** 2
-
     # The vertical sides are those whose normal lies along x1.
+    u1, u2 = _component(exact_u, 0), _component(exact_u, 1)
     mechanical = {
         seg: MechanicalBC(
-            dirichlet=(u1_data, None) if seg.normal[0] else (None, u2_data),
+            dirichlet=(u1, None) if seg.normal[0] else (None, u2),
             traction=traction_for(seg.normal),
         )
         for seg in BoundarySegment
@@ -479,12 +487,6 @@ def benchmark_polynomial(params: Optional[MaterialParams] = None) -> Benchmark:
     def mass_source(x: np.ndarray, t: float) -> np.ndarray:
         return c0 * (x[:, 0] - 2.0 * x[:, 1])
 
-    def u1_data(x: np.ndarray, t: float) -> np.ndarray:
-        return (1.0 + t) * x[:, 1] ** 2
-
-    def u2_data(x: np.ndarray, t: float) -> np.ndarray:
-        return -(1.0 + t) * x[:, 0] ** 2
-
     def traction_right(x: np.ndarray, t: float) -> np.ndarray:
         # (sigma - alpha p I) n with sigma = mu eps(u) (div u = 0), n = e1.
         out = np.empty((x.shape[0], 2))
@@ -492,9 +494,8 @@ def benchmark_polynomial(params: Optional[MaterialParams] = None) -> Benchmark:
         out[:, 1] = (1.0 + t) * mu * (x[:, 1] - 1.0)
         return out
 
-    mechanical = {
-        seg: MechanicalBC(dirichlet=(u1_data, u2_data)) for seg in BoundarySegment
-    }
+    dirichlet = (_component(exact_u, 0), _component(exact_u, 1))
+    mechanical = {seg: MechanicalBC(dirichlet=dirichlet) for seg in BoundarySegment}
     mechanical[BoundarySegment.RIGHT] = MechanicalBC(traction=traction_right)
     flow = {seg: FlowBC(kind="pressure", value=exact_p) for seg in BoundarySegment}
 

@@ -71,6 +71,7 @@ __all__ = [
     "step_decoupled",
     "RunResult",
     "run",
+    "UNSTABLE_AMPLIFICATION",
 ]
 
 # Tightest coefficient-identity tolerance the scheme must maintain per step.
@@ -80,6 +81,10 @@ _CONSISTENCY_TOL = 1e-14
 # factor is the geometric mean of the last five ratios.
 _AMPLIFICATION_ITERS = 25
 
+# A decoupled amplification estimate above this is a step that amplifies
+# errors: run() warns and run.log's verdict reads UNSTABLE.
+UNSTABLE_AMPLIFICATION = 1.000001
+
 
 @dataclass(frozen=True)
 class TimeScheme:
@@ -87,7 +92,7 @@ class TimeScheme:
 
     Attributes:
         dt: time step, positive.
-        n_steps: number of steps, nonnegative.
+        n_steps: number of steps, an integer in [0, 2**63 - 1].
         theta: coupling weight; 1 solves the Stokes and diffusion problems
             together, 0 decouples them by lagging eta.
         T: final time; must equal n_steps * dt to relative 1e-12.
@@ -99,14 +104,17 @@ class TimeScheme:
     T: float = -1.0
 
     def __post_init__(self) -> None:
-        for name in ("dt", "n_steps", "T"):
+        for name in ("dt", "T"):
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        if not (isinstance(self.n_steps, (int, np.integer)) and 0 <= self.n_steps < 2**63):
+            raise ValueError(
+                f"n_steps must be finite, a nonnegative integer at most 2**63 - 1, "
+                f"got {self.n_steps:.6g}"
+            )
         if self.dt <= 0.0:
             raise ValueError(f"time step must be positive, got {self.dt}")
-        if self.n_steps < 0:
-            raise ValueError(f"step count must be nonnegative, got {self.n_steps}")
         if self.theta not in (0, 1):
             raise ValueError(f"coupling weight theta must be 0 or 1, got {self.theta}")
         if self.T < 0.0:
@@ -123,8 +131,9 @@ class TimeScheme:
         if dt <= 0.0:
             raise ValueError(f"time step must be positive, got {dt}")
         ratio = T / dt
-        # A non-finite T or dt is rejected, by name, when the scheme is built.
-        n = int(round(ratio)) if np.isfinite(ratio) else 0
+        # A non-finite T or dt is rejected, by name, when the scheme is built;
+        # a T / dt past the float range, as a step count.
+        n = int(round(ratio)) if np.isfinite(ratio) else ratio
         return cls(dt=dt, n_steps=n, theta=theta, T=float(T))
 
 
@@ -616,7 +625,7 @@ def run(
             )
         if systems.boundary.pressure_vertices.size and scheme.n_steps > 0:
             amplification = systems.estimate_decoupled_amplification()
-            if amplification > 1.000001:
+            if amplification > UNSTABLE_AMPLIFICATION:
                 warnings.warn(
                     f"decoupled scheme amplifies errors by a factor of "
                     f"{amplification:.3g} per step for this problem "

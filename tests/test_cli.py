@@ -597,6 +597,42 @@ def test_impossible_scheme_exits_2_naming_the_cause(tmp_path, capsys, settings, 
     assert err.startswith("configuration error: ") and cause in err
 
 
+@pytest.mark.parametrize(
+    "command, settings, named",
+    [
+        # alpha*alpha overflows, and lam*c0 overflows: no kappa is defined.
+        ("run", ["alpha=1e200"], ["alpha*alpha + lam*c0", "alpha = 1e+200"]),
+        ("run", ["benchmark=locking", "lam=1e308", "c0=1e308", "T=2e-4"],
+         ["alpha*alpha + lam*c0", "lam = 1e+308", "c0 = 1e+308"]),
+        # alpha*alpha underflows to zero with lam = 0.
+        ("run", ["benchmark=locking", "alpha=1e-200", "lam=0", "T=2e-4"],
+         ["alpha*alpha + lam*c0", "alpha = 1e-200", "lam = 0.0"]),
+        # T / dt = 1e297 steps, past any integer step counter.
+        ("run", ["dt=1e-300", "T=1e-3"], ["n_steps", "2**63 - 1"]),
+        # T / dt overflows to inf: still a step count, not a span of zero.
+        ("run", ["dt=1e-300", "T=1e300"], ["n_steps", "got inf"]),
+        # The base c0 = 0 passes; the member with c0 = 2 overflows lam*c0.
+        ("sweep", ["benchmark=locking", "lam=1e308", "c0_list=1,2", "T=2e-4"],
+         ["alpha*alpha + lam*c0", "c0 = 2.0"]),
+    ],
+    ids=[
+        "alpha-overflow", "lam-c0-overflow", "alpha-underflow", "step-count",
+        "step-count-overflow", "sweep-member",
+    ],
+)
+def test_bad_numbers_exit_2_before_any_output(tmp_path, capsys, command, settings, named):
+    out = tmp_path / "o"
+    args = [command, "--set", "nx=2"]
+    for item in settings:
+        args += ["--set", item]
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "Traceback" not in err
+    for fragment in named:
+        assert fragment in err
+    assert not out.exists()
+
+
 def test_out_directory_collision_exits_1(tmp_path, capsys):
     blocker = tmp_path / "occupied"
     blocker.write_text("a file, not a directory\n")

@@ -1,6 +1,7 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and imports no
+other module's private (leading-underscore) name.
 
-Standard library only: the check parses each module with ast and compares
+Standard library only: the checks parse each module with ast and compare
 the names its import statements bind with the names its code reads.
 """
 
@@ -62,9 +63,25 @@ def unused_imports(source: str, module: str = "<source>") -> list[str]:
     ]
 
 
+def private_imports(source: str, module: str = "<source>") -> list[str]:
+    """Each leading-underscore name a from-import takes from another module."""
+    return [
+        f"{module}:{node.lineno}: {alias.name} from {'.' * node.level}{node.module or ''}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8"), path.name) == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_no_private_name(path):
+    assert private_imports(path.read_text(encoding="utf-8"), path.name) == []
 
 
 def test_unused_import_check_flags_and_clears():
@@ -78,3 +95,16 @@ def test_unused_import_check_flags_and_clears():
         "    return np.sqrt(x)\n"
     )
     assert unused_imports(source) == ["<source>:3: Sequence"]
+
+
+def test_private_import_check_flags_and_clears():
+    source = (
+        "from __future__ import annotations\n"
+        "from .assembly import DofMap, _edge_rule\n"
+        "from . import _version\n"
+        "import numpy as np\n"
+    )
+    assert private_imports(source) == [
+        "<source>:2: _edge_rule from .assembly",
+        "<source>:3: _version from .",
+    ]

@@ -121,6 +121,11 @@ def test_material_params_validation():
         MaterialParams(K=0.0)
     with pytest.raises(ValueError):
         MaterialParams(mu_f=0.0)
+    # Every kappa divides by alpha^2 + lam*c0: overflow and underflow of
+    # the sum are refused with the constants.
+    for values in ({"alpha": 1e200}, {"lam": 1e308, "c0": 1e308}, {"alpha": 1e-200, "lam": 0.0}):
+        with pytest.raises(ValueError, match=r"^alpha\*alpha \+ lam\*c0 must be finite and positive"):
+            MaterialParams(**values)
 
 
 @settings(max_examples=60, deadline=None)

@@ -65,6 +65,12 @@ def test_scheme_validation():
         TimeScheme(dt=0.1, n_steps=1, theta=2)
     with pytest.raises(ValueError, match="final time"):
         TimeScheme(dt=0.1, n_steps=3, theta=1, T=0.5)
+    # The step count is an int64: T / dt = 1e297 is refused, not a TypeError.
+    with pytest.raises(ValueError, match=r"^n_steps must be finite.*2\*\*63 - 1"):
+        TimeScheme(dt=0.1, n_steps=2**63, theta=1)
+    with pytest.raises(ValueError, match=r"^n_steps must be finite"):
+        TimeScheme.from_final_time(T=1e-3, dt=1e-300, theta=1)
+    assert TimeScheme(dt=0.5, n_steps=2**63 - 1, theta=1, T=0.5 * (2**63 - 1)).n_steps == 2**63 - 1
 
 
 @settings(max_examples=60, deadline=None)
