@@ -59,6 +59,7 @@ __all__ = [
     "rigid_motion_rows",
     "boundary_flux_functional",
     "BoundaryData",
+    "check_eta_elimination",
     "build_constraints",
     "ReducedSystem",
 ]
@@ -562,14 +563,6 @@ class BoundaryData:
         pressure_vertices, at time t."""
         return _gather(self._u_sources, self._u_pick, t), _gather(self._p_sources, self._p_pick, t)
 
-    def rigid_rows_padded(self, n_cols: int) -> Optional[sp.csr_matrix]:
-        """rigid_rows widened by zero columns to n_cols (layout [u | ...])."""
-        if self.rigid_rows is None:
-            return None
-        rows = self.rigid_rows
-        pad = sp.csr_matrix((rows.shape[0], n_cols - rows.shape[1]))
-        return sp.hstack([rows, pad]).tocsr()
-
 
 def _first_wins(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Sorted distinct keys and the index of each one's first listing."""
@@ -587,18 +580,25 @@ def _gather(sources, pick: np.ndarray, t: float) -> np.ndarray:
     return vals[pick]
 
 
+def check_eta_elimination(bcs: BoundaryConditionSpec, coeffs: DerivedCoeffs) -> None:
+    """Refuse, with ValueError, pressure-Dirichlet data with kappa2 = 0,
+    where the elimination of eta through xi is undefined."""
+    if coeffs.kappa2 == 0.0 and any(bc.kind == "pressure" for bc in bcs.flow.values()):
+        raise ValueError(
+            "pressure-Dirichlet data requires kappa2 > 0 (i.e. lam > 0); "
+            "the eta elimination is undefined otherwise"
+        )
+
+
 def build_constraints(
     mesh: Mesh,
     dofmap: DofMap,
     bcs: BoundaryConditionSpec,
     coeffs: DerivedCoeffs,
 ) -> BoundaryData:
-    """Boundary data of the coupled problem.
-
-    Raises:
-        ValueError: pressure-Dirichlet data with kappa2 = 0, where the
-            eta elimination is undefined.
-    """
+    """Boundary data of the coupled problem; data that check_eta_elimination
+    refuses raise its ValueError."""
+    check_eta_elimination(bcs, coeffs)
     coords = mesh.p2_node_coords()
     u_sources, u_keys = [], []
     for tag in sorted(bcs.mechanical, key=int):
@@ -618,11 +618,6 @@ def build_constraints(
 
     u_dofs, u_pick = _first_wins(u_keys)
     pverts, p_pick = _first_wins(p_keys)
-    if pverts.size and coeffs.kappa2 == 0.0:
-        raise ValueError(
-            "pressure-Dirichlet data requires kappa2 > 0 (i.e. lam > 0); "
-            "the eta elimination is undefined otherwise"
-        )
 
     rigid = None
     if bcs.is_pure_traction():
@@ -648,7 +643,8 @@ class ReducedSystem:
     shape (n_slaves, n_full), nonzero in master columns only, adds
     coupling @ x to the slaves.  Extra homogeneous constraint rows (the
     rigid-motion constraints) are enforced by Lagrange multipliers appended
-    after the reduction.
+    after the reduction; rows narrower than the system cover its leading
+    unknowns and are zero on the rest.
     """
 
     def __init__(
@@ -697,6 +693,9 @@ class ReducedSystem:
         self._lag_slave = None
         if lag_rows is not None and lag_rows.shape[0] > 0:
             lag = lag_rows.tocsr()
+            if lag.shape[1] > n_full:
+                raise ValueError("constraint rows are wider than the system")
+            lag = sp.csr_matrix((lag.data, lag.indices, lag.indptr), shape=(lag.shape[0], n_full))
             self.n_lag = lag.shape[0]
             lag_red = (lag @ self.T).tocsr()
             gram = (lag_red @ lag_red.T).toarray()

@@ -31,7 +31,9 @@ from .diagnostics import DiagnosticsRecord, biot_limit_sweep, extract_rates
 from .mesh import Mesh, build_rect_mesh
 from .model import BENCHMARK_NAMES, Benchmark, get_benchmark
 from .solver import DEFAULT_TOLERANCE, SingularMatrixError, SolverFailureError
-from .stepper import UNSTABLE_AMPLIFICATION, Discretization, FieldState, TimeScheme, run
+from .stepper import (
+    UNSTABLE_AMPLIFICATION, Discretization, FieldState, TimeScheme, check_scheme, run,
+)
 
 __all__ = [
     "ConfigError",
@@ -178,9 +180,6 @@ def _resolve(config: RunConfig, command: str = "run") -> ResolvedRun:
     params = replace(base.params, **overrides) if overrides else base.params
     try:
         benchmark = get_benchmark(config.benchmark, params)
-        # A sweep member's material bounds are checked here, before any output.
-        for c0 in config.c0_list if "c0_list" in _COMMANDS[command].keys else ():
-            replace(params, c0=c0)
         ny = config.ny if config.ny is not None else config.nx
         mesh = build_rect_mesh(config.nx, ny) if "nx" in _COMMANDS[command].keys else None
         scheme = TimeScheme.from_final_time(
@@ -188,6 +187,14 @@ def _resolve(config: RunConfig, command: str = "run") -> ResolvedRun:
             dt=config.dt if config.dt is not None else benchmark.default_dt,
             theta=config.theta if config.theta is not None else 1,
         )
+        # Each benchmark the command steps (a sweep's members, not its base)
+        # is checked here, before any output: material bounds and scheme.
+        members = (
+            [get_benchmark(config.benchmark, replace(params, c0=c0)) for c0 in config.c0_list]
+            if "c0_list" in _COMMANDS[command].keys else [benchmark]
+        )
+        for member in members:
+            check_scheme(member, scheme.theta)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     # A key that another key's value leaves unread is refused like one its

@@ -214,12 +214,10 @@ class AffineMaps:
     """Per-triangle affine geometry of a mesh.
 
     Attributes:
-        jac: (F, 2, 2) Jacobians of the reference-to-physical maps.
         inv_jac_t: (F, 2, 2) inverse-transpose Jacobians.
         det: (F,) absolute Jacobian determinants (twice the triangle areas).
     """
 
-    jac: np.ndarray
     inv_jac_t: np.ndarray
     det: np.ndarray
 
@@ -239,7 +237,7 @@ class AffineMaps:
         inv[:, 1, 1] = jac[:, 0, 0]
         inv /= det[:, None, None]
         inv_jac_t = np.swapaxes(inv, 1, 2)
-        return cls(jac=jac, inv_jac_t=inv_jac_t, det=det)
+        return cls(inv_jac_t=inv_jac_t, det=det)
 
     def physical_gradients(self, ref_grads: np.ndarray) -> np.ndarray:
         """Push reference gradients (nq, nbf, 2) to physical space: (F, nq, nbf, 2)."""

@@ -52,7 +52,6 @@ class LinearSolveReport:
     """Outcome of one linear solve."""
 
     relative_residual: float
-    dimension: int
 
 
 class Factorization:
@@ -195,7 +194,7 @@ def solve(
     x = fact._solve_vector(rhs)
     norm_b = np.linalg.norm(rhs)
     residual = np.linalg.norm(fact.matrix @ x - rhs) / (norm_b if norm_b > 0.0 else 1.0)
-    report = LinearSolveReport(relative_residual=float(residual), dimension=n)
+    report = LinearSolveReport(relative_residual=float(residual))
     if not np.isfinite(residual) or residual > tolerance:
         raise SolverFailureError(
             f"linear solve residual {residual:.3e} exceeds tolerance {tolerance:.1e}", report

@@ -33,6 +33,7 @@ from .assembly import (
     assemble_scalar_mass,
     assemble_scalar_stiffness,
     build_constraints,
+    check_eta_elimination,
     nested_dissection,
     rigid_motion_basis,
 )
@@ -48,7 +49,7 @@ from .diagnostics import (
     summarize_error_history,
 )
 from .mesh import BoundarySegment, Mesh
-from .model import Benchmark, MaterialParams, DerivedCoeffs, xieta_from_pq
+from .model import Benchmark, MaterialParams, DerivedCoeffs, pq_from_xieta, xieta_from_pq
 from .solver import (
     DEFAULT_TOLERANCE,
     Factorization,
@@ -62,10 +63,12 @@ __all__ = [
     "Discretization",
     "TimeScheme",
     "FactorizationRecord",
+    "LinearSystem",
     "GateReport",
     "evaluate_gate",
     "FieldState",
     "StepSystems",
+    "check_scheme",
     "init_state",
     "step_coupled",
     "step_decoupled",
@@ -142,7 +145,6 @@ class GateReport:
     """Outcome of the advisory dt <= c_stab * h^2 check for theta = 0."""
 
     dt: float
-    h: float
     c_stab: float
     threshold: float
     satisfied: bool
@@ -172,7 +174,6 @@ def evaluate_gate(
     threshold = c_stab * mesh.h**2
     return GateReport(
         dt=scheme.dt,
-        h=mesh.h,
         c_stab=float(c_stab),
         threshold=float(threshold),
         satisfied=bool(scheme.dt <= threshold),
@@ -186,6 +187,15 @@ class FactorizationRecord:
     label: str
     unknowns: int
     lu_nnz: int
+
+
+@dataclass(frozen=True, eq=False)
+class LinearSystem:
+    """One prepared linear system: its reduction and the factorization of
+    the reduced matrix (StepSystems.prepare)."""
+
+    reduced: ReducedSystem
+    factorization: Factorization
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,8 +234,8 @@ class FieldState:
             xi=xi,
             eta=eta,
             eta_theta=eta_theta.copy(),
-            p=coeffs.kappa1 * xi + coeffs.kappa2 * eta_theta,
-            q=coeffs.kappa1 * eta - coeffs.kappa3 * xi,
+            p=pq_from_xieta(xi, eta_theta, coeffs)[0],
+            q=pq_from_xieta(xi, eta, coeffs)[1],
         )
 
 
@@ -270,7 +280,9 @@ class StepSystems:
     values.  The boundary data (which dofs are constrained) and the load
     closures are set up once, at construction; each step evaluates only
     the closures.  A discretization built for another mu or K/mu_f than
-    the benchmark's is refused with ValueError.
+    the benchmark's is refused with ValueError, and so is one that
+    check_scheme refuses.  Every linear system of a run, init_state's
+    projections included, is prepared by prepare and solved by solve.
     """
 
     def __init__(
@@ -296,6 +308,7 @@ class StepSystems:
         k1, k2, k3 = self.coeffs.kappa1, self.coeffs.kappa2, self.coeffs.kappa3
         A, B, M, S = disc.A, disc.B, disc.M, disc.S
 
+        check_scheme(benchmark, scheme.theta)
         self.boundary = build_constraints(disc.mesh, dm, benchmark.bcs, self.coeffs)
         u_dofs = self.boundary.u_dofs
         pverts = self.boundary.pressure_vertices
@@ -304,6 +317,7 @@ class StepSystems:
         self.solve_reports: list[LinearSolveReport] = []
         self.factorizations: list[FactorizationRecord] = []
 
+        rigid = self.boundary.rigid_rows
         if scheme.theta == 1:
             mono = sp.bmat(
                 [
@@ -323,37 +337,15 @@ class StepSystems:
                     (np.full(pverts.size, -k1 / k2), (rows, dm.xi_offset + pverts)),
                     shape=(slaves.size, dm.n_monolithic),
                 )
-            self.reduced_mono = ReducedSystem(
-                mono,
-                slaves=slaves,
-                coupling=coupling,
-                lag_rows=self.boundary.rigid_rows_padded(dm.n_monolithic),
-            )
-            self.fact_mono = self._factorize(self.reduced_mono, disc.grid, "coupled system")
+            self.coupled = self.prepare("coupled system", mono, disc.grid, slaves, coupling, rigid)
         else:
-            if k3 == 0.0 and _normal_component_fully_prescribed(benchmark.bcs):
-                raise ValueError(
-                    "decoupled scheme is singular for this problem: with zero "
-                    "storage (kappa3 = 0) and the normal displacement "
-                    "prescribed on the whole boundary, the Stokes step "
-                    "determines xi only up to a constant; use the coupled "
-                    "scheme (theta = 1) or a positive storage coefficient"
-                )
             saddle = sp.bmat([[A, -B.T], [B, k3 * M]], format="csr")
-            self.reduced_stokes = ReducedSystem(
-                saddle,
-                slaves=u_dofs,
-                lag_rows=self.boundary.rigid_rows_padded(dm.n_step1),
+            self.stokes = self.prepare(
+                "Stokes system", saddle, disc.grid[: dm.n_step1], u_dofs, lag_rows=rigid
             )
-            self.fact_stokes = self._factorize(
-                self.reduced_stokes, disc.grid[: dm.n_step1], "Stokes system"
-            )
-
-            diffusion = (M / dt + k2 * S).tocsr()
-            self.reduced_diffusion = ReducedSystem(diffusion, slaves=pverts)
-            self.fact_diffusion = self._factorize(
-                self.reduced_diffusion, disc.grid[dm.xi_offset : dm.eta_offset],
-                "diffusion system",
+            self.diffusion = self.prepare(
+                "diffusion system", (M / dt + k2 * S).tocsr(),
+                disc.grid[dm.xi_offset : dm.eta_offset], pverts,
             )
 
         self.loads = LoadAssembler.build(disc.mesh, dm, disc.quadrature, benchmark.sources,
@@ -363,34 +355,36 @@ class StepSystems:
         """Dirichlet displacement values and pressure data at time t."""
         return self.boundary.values(t)
 
-    def _factorize(self, reduced: ReducedSystem, grid: np.ndarray, label: str) -> Factorization:
-        """Factorization of a reduced system in nested-dissection order of
-        its masters' grid positions, Lagrange rows last; its size and fill
-        are recorded under the label."""
+    def prepare(
+        self, label: str, matrix: sp.spmatrix, grid: np.ndarray, slaves: np.ndarray,
+        coupling: Optional[sp.spmatrix] = None, lag_rows: Optional[sp.spmatrix] = None,
+    ) -> LinearSystem:
+        """The reduction of one system of the run (see ReducedSystem), and
+        its factorization in nested-dissection order of its masters' grid
+        positions, Lagrange rows last; its size and fill are recorded under
+        the label.  The caller keeps the returned record as long as it
+        solves with it."""
+        reduced = ReducedSystem(matrix, slaves=slaves, coupling=coupling, lag_rows=lag_rows)
         n_masters = reduced.masters.size
         order = np.concatenate(
             [nested_dissection(grid[reduced.masters]), n_masters + np.arange(reduced.n_lag)]
         )
         fact = factorize(reduced.matrix, order)
         self.factorizations.append(FactorizationRecord(label, fact.shape[0], fact.lu_nnz))
-        return fact
+        return LinearSystem(reduced, fact)
 
-    def _solve(
-        self,
-        reduced: ReducedSystem,
-        fact: Factorization,
-        rhs: np.ndarray,
-        slave_values: np.ndarray,
-        label: str,
+    def solve(
+        self, system: LinearSystem, rhs: np.ndarray, slave_values: np.ndarray, label: str
     ) -> np.ndarray:
-        """Full solution of one reduced system at the run's tolerance; the
+        """Full solution of one prepared system at the run's tolerance; the
         solve's report is recorded, and a failure names the label."""
+        reduced_rhs = system.reduced.reduce_rhs(rhs, slave_values)
         try:
-            y, report = solve(fact, reduced.reduce_rhs(rhs, slave_values), self.tolerance)
+            y, report = solve(system.factorization, reduced_rhs, self.tolerance)
         except SolverFailureError as exc:
             raise SolverFailureError(f"{label}: {exc}", exc.report) from exc
         self.solve_reports.append(report)
-        return reduced.expand(y, slave_values)
+        return system.reduced.expand(y, slave_values)
 
     def estimate_decoupled_amplification(self) -> float:
         """Per-step growth factor of the decoupled scheme's homogeneous map.
@@ -425,18 +419,28 @@ class StepSystems:
         return float(np.exp(np.mean(np.log(tail))))
 
 
-def _normal_component_fully_prescribed(bcs) -> bool:
-    """True when u . n is Dirichlet on every boundary side.
+def check_scheme(benchmark: Benchmark, theta: int) -> None:
+    """Refuse, with ValueError, a benchmark that the scheme with coupling
+    weight theta cannot step on any mesh.
 
-    In that case no discrete displacement test function carries boundary
-    flux, so constant xi lies in the kernel of the divergence coupling.
+    Pressure-Dirichlet data need kappa2 > 0 (check_eta_elimination).  With
+    zero storage (kappa3 = 0) and u . n Dirichlet on every side, no
+    displacement test function carries boundary flux, so constant xi lies
+    in the kernel of the decoupled Stokes step.
     """
-    return all(
+    check_eta_elimination(benchmark.bcs, benchmark.coeffs)
+    if theta == 0 and benchmark.coeffs.kappa3 == 0.0 and all(
         closure is not None
         for seg in BoundarySegment
-        for closure, n in zip(bcs.mechanical[seg].dirichlet, seg.normal)
+        for closure, n in zip(benchmark.bcs.mechanical[seg].dirichlet, seg.normal)
         if n
-    )
+    ):
+        raise ValueError(
+            "decoupled scheme is singular for this problem: with zero storage (kappa3 = 0) "
+            "and the normal displacement prescribed on the whole boundary, the Stokes step "
+            "determines xi only up to a constant; use the coupled scheme (theta = 1) or a "
+            "positive storage coefficient"
+        )
 
 
 def init_state(systems: StepSystems) -> FieldState:
@@ -459,17 +463,17 @@ def init_state(systems: StepSystems) -> FieldState:
     u_interp = np.asarray(benchmark.u0(coords, 0.0), dtype=float).reshape(-1)  # interleaved
     u_values, _ = boundary.values(0.0)
     label = "initial displacement projection"
-    system = ReducedSystem(A, slaves=boundary.u_dofs, lag_rows=boundary.rigid_rows)
-    fact = systems._factorize(system, disc.grid[: dm.n_u], label)
-    u0 = systems._solve(system, fact, A @ u_interp, u_values, label)
+    elastic = systems.prepare(
+        label, A, disc.grid[: dm.n_u], boundary.u_dofs, lag_rows=boundary.rigid_rows
+    )
+    u0 = systems.solve(elastic, A @ u_interp, u_values, label)
 
     none = np.empty(0)
-    mass = ReducedSystem(M, slaves=none)
-    mass_fact = systems._factorize(
-        mass, disc.grid[dm.xi_offset : dm.eta_offset], "initial mass projections"
+    mass = systems.prepare(
+        "initial mass projections", M, disc.grid[dm.xi_offset : dm.eta_offset], none
     )
     p_load = assemble_domain_load(disc.quadrature, benchmark.p0, 0.0, space="scalar")
-    p0 = systems._solve(mass, mass_fact, p_load, none, "initial pressure projection")
+    p0 = systems.solve(mass, p_load, none, "initial pressure projection")
 
     xi0, eta0 = xieta_from_pq(p0, np.zeros_like(p0), benchmark.params)
     return FieldState.derive(0.0, u0, xi0, eta0, eta0, systems.coeffs)
@@ -490,10 +494,7 @@ def step_coupled(
     )
     u_values, p_data = systems.boundary_values(t_next)
     slave_values = np.concatenate([u_values, p_data / systems.coeffs.kappa2])
-    x = systems._solve(
-        systems.reduced_mono, systems.fact_mono, rhs, slave_values,
-        f"coupled step to t={t_next:.6g}",
-    )
+    x = systems.solve(systems.coupled, rhs, slave_values, f"coupled step to t={t_next:.6g}")
     eta = x[dm.eta_offset :]
     return FieldState.derive(
         t_next, x[: dm.n_u], x[dm.xi_offset : dm.eta_offset], eta, eta, systems.coeffs
@@ -515,17 +516,11 @@ def _decoupled_solves(
     dm = disc.dofmap
     k1, k2 = systems.coeffs.kappa1, systems.coeffs.kappa2
     rhs1 = np.concatenate([mech, k1 * (disc.M @ eta_prev)])
-    x1 = systems._solve(
-        systems.reduced_stokes, systems.fact_stokes, rhs1, u_values,
-        f"decoupled Stokes {label}",
-    )
+    x1 = systems.solve(systems.stokes, rhs1, u_values, f"decoupled Stokes {label}")
     xi = x1[dm.n_u :]
     rhs2 = disc.M @ eta_prev / systems.scheme.dt + flow - k1 * (disc.S @ xi)
     eta_values = (p_data - k1 * xi[systems.boundary.pressure_vertices]) / k2
-    eta = systems._solve(
-        systems.reduced_diffusion, systems.fact_diffusion, rhs2, eta_values,
-        f"decoupled diffusion {label}",
-    )
+    eta = systems.solve(systems.diffusion, rhs2, eta_values, f"decoupled diffusion {label}")
     return x1[: dm.n_u], xi, eta
 
 

@@ -662,6 +662,19 @@ def test_reduced_system_rejects_invalid_slaves(slaves, message):
         ReducedSystem(sp.eye(3, format="csr"), slaves=np.array(slaves), coupling=coupling)
 
 
+def test_reduced_system_pads_narrow_lagrange_rows():
+    # Rows over the leading two unknowns act as rows zero on the third.
+    matrix = sp.csr_matrix(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]))
+    slaves = np.array([2])
+    narrow = ReducedSystem(matrix, slaves=slaves, lag_rows=sp.csr_matrix([[1.0, 1.0]]))
+    full = ReducedSystem(matrix, slaves=slaves, lag_rows=sp.csr_matrix([[1.0, 1.0, 0.0]]))
+    assert (narrow.matrix != full.matrix).nnz == 0
+    rhs, values = np.array([1.0, 3.0, 5.0]), np.array([0.5])
+    assert np.array_equal(narrow.reduce_rhs(rhs, values), full.reduce_rhs(rhs, values))
+    with pytest.raises(ValueError, match="wider than the system"):
+        ReducedSystem(matrix, slaves=slaves, lag_rows=sp.csr_matrix(np.ones((1, 4))))
+
+
 def test_dependent_affine_rows_rejected():
     with pytest.raises(SingularConstraintsError):
         ReducedSystem(

@@ -589,12 +589,40 @@ def test_errors_on_without_exact_solution_exits_2(tmp_path, capsys):
     ],
 )
 def test_impossible_scheme_exits_2_naming_the_cause(tmp_path, capsys, settings, cause):
+    out = tmp_path / "o"
     args = ["run", "--set", "benchmark=barry_mercer", "--set", "nx=2"]
     for item in settings:
         args += ["--set", item]
-    assert main(args + ["--out", str(tmp_path / "o")]) == 2
+    assert main(args + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and cause in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, settings, cause",
+    [
+        ("run", ["benchmark=barry_mercer", "nx=2", "theta=0", "lam=0"], "requires kappa2 > 0"),
+        ("run", ["benchmark=barry_mercer", "nx=2", "theta=0", "c0=0", "T=0.02"],
+         "decoupled scheme is singular"),
+        ("convergence", ["benchmark=test1", "lam=0", "nx_list=1,2"], "requires kappa2 > 0"),
+        # The c0 = 1 member could run; the c0 = 0 member is refused up front.
+        ("sweep", ["benchmark=barry_mercer", "nx=2", "theta=0", "T=0.02", "c0_list=1,0"],
+         "decoupled scheme is singular"),
+    ],
+    ids=["run-lam-zero", "run-zero-storage", "convergence-lam-zero", "sweep-member"],
+)
+def test_impossible_scheme_of_any_command_exits_2_before_any_output(
+    tmp_path, capsys, command, settings, cause
+):
+    out = tmp_path / "o"
+    args = [command]
+    for item in settings:
+        args += ["--set", item]
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and cause in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

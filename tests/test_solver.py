@@ -23,7 +23,6 @@ def test_hand_solved_2x2():
     x, report = solve(factorize(A, np.arange(2)), np.array([5.0, 10.0]))
     assert np.allclose(x, [1.0, 3.0], atol=1e-14)
     assert report.relative_residual <= DEFAULT_TOLERANCE
-    assert report.dimension == 2
 
 
 def test_hand_solved_saddle_point():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -467,6 +469,30 @@ def test_init_state_reuses_step_systems(name, monkeypatch):
     assert max(p_res, q_res) == 0.0
 
 
+@pytest.mark.parametrize("theta", [0, 1])
+def test_init_state_releases_its_factors(theta, monkeypatch):
+    # Step time depends on the initial factors being freed before the first
+    # step (docs/decisions.md, "Why `init_state` keeps its projection").
+    original = porofem.stepper.factorize
+    refs = []
+
+    def keeping(*args, **kwargs):
+        fact = original(*args, **kwargs)
+        refs.append(weakref.ref(fact))
+        return fact
+
+    monkeypatch.setattr(porofem.stepper, "factorize", keeping)
+    bench = get_benchmark("test1")
+    systems = StepSystems(bench, Discretization.build(build_rect_mesh(3, 3), bench.params),
+                          TimeScheme(dt=1e-3, n_steps=1, theta=theta))
+    n_step = 1 if theta == 1 else 2
+    assert len(refs) == n_step
+    init_state(systems)
+    gc.collect()
+    assert len(refs) == n_step + 2
+    assert [ref() is not None for ref in refs] == [True] * n_step + [False, False]
+
+
 @pytest.mark.parametrize("keep,expected", [(False, 2), (True, 6)])
 def test_state_retention(keep, expected):
     bench = zero_benchmark()
@@ -634,21 +660,15 @@ def test_factorization_orders_are_permutations_with_lagrange_rows_last(theta):
         bench, Discretization.build(build_rect_mesh(4, 3), bench.params),
         TimeScheme(dt=1e-3, n_steps=1, theta=theta),
     )
-    facts = (
-        [(systems.reduced_mono, systems.fact_mono)]
-        if theta == 1
-        else [
-            (systems.reduced_stokes, systems.fact_stokes),
-            (systems.reduced_diffusion, systems.fact_diffusion),
-        ]
-    )
-    for reduced, fact in facts:
+    records = [systems.coupled] if theta == 1 else [systems.stokes, systems.diffusion]
+    for record in records:
+        reduced, fact = record.reduced, record.factorization
         n = reduced.matrix.shape[0]
         n_masters = reduced.masters.size
         assert sorted(fact._order.tolist()) == list(range(n))
         assert n - n_masters == reduced.n_lag
         assert fact._order[n_masters:].tolist() == list(range(n_masters, n))
-    assert facts[0][0].n_lag == 3
+    assert records[0].reduced.n_lag == 3
 
 
 @pytest.mark.parametrize("name", ["locking", "test1"])
@@ -659,7 +679,7 @@ def test_first_separator_decouples_reduced_coupled_matrix_on_jittered_mesh(name)
     bench = get_benchmark(name)
     disc = Discretization.build(jittered_mesh(9, 6), bench.params)
     systems = StepSystems(bench, disc, TimeScheme(dt=1e-4, n_steps=1, theta=1))
-    reduced = systems.reduced_mono
+    reduced = systems.coupled.reduced
     n_masters = reduced.masters.size
     grid = disc.grid[reduced.masters]
     # The longer side (x: 9 cells) is split at the vertex line nearest its
@@ -673,7 +693,7 @@ def test_first_separator_decouples_reduced_coupled_matrix_on_jittered_mesh(name)
     assert matrix[right][:, left].count_nonzero() == 0
     assert matrix[left][:, separator].count_nonzero() > 0
     assert matrix[right][:, separator].count_nonzero() > 0
-    order = systems.fact_mono._order[:n_masters]
+    order = systems.coupled.factorization._order[:n_masters]
     assert set(order[: left.size].tolist()) == set(left.tolist())
     assert set(order[left.size : left.size + right.size].tolist()) == set(right.tolist())
     assert set(order[-separator.size :].tolist()) == set(separator.tolist())
@@ -687,7 +707,7 @@ def test_coupled_locking_fill_and_residual_at_nx32():
         bench, Discretization.build(build_rect_mesh(32, 32), bench.params),
         TimeScheme(dt=1e-4, n_steps=1, theta=1),
     )
-    assert systems.fact_mono.lu_nnz <= 2_500_000
+    assert systems.coupled.factorization.lu_nnz <= 2_500_000
     state = step_coupled(init_state(systems), systems, *assemble_load(systems.loads, 1e-4))
     assert state.t == pytest.approx(1e-4)
     assert systems.solve_reports[-1].relative_residual <= 1e-11
