@@ -6,9 +6,8 @@ xi = alpha*p - lambda*q), turning each implicit time step into a
 generalized Stokes solve plus a diffusion solve.  The two solves run
 either monolithically (theta = 1) or sequentially (theta = 0).  Built-in
 diagnostics verify the discrete energy law, conserved integrals,
-convergence rates against manufactured solutions, inf-sup stability of the
-element pair, robustness in the vanishing-storage limit, and absence of
-pressure locking.
+convergence rates against manufactured solutions, and robustness in the
+vanishing-storage limit.
 """
 
 from .mesh import BoundarySegment, Mesh, build_rect_mesh

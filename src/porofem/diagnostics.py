@@ -1,11 +1,12 @@
 """Run-time verification diagnostics for the coupled scheme.
 
-Implements the quantities the discretization is provably required to
-reproduce: conserved integrals under Neumann-type boundary conditions,
-the per-step discrete energy identity (and its inequality form for the
-decoupled scheme), error norms and convergence-rate extraction against
-exact closures, a centerline pressure-locking indicator, a dense inf-sup
-estimator for the mixed pair, and the vanishing-storage (c0 -> 0) sweep.
+Implements the quantities a run or a command reports: conserved integrals
+under Neumann-type boundary conditions, the per-step discrete energy
+identity (and its inequality form for the decoupled scheme), error norms
+and convergence-rate extraction against exact closures, and the
+vanishing-storage (c0 -> 0) sweep.  The inf-sup estimate and the
+centerline locking scan, which no command reports, live with the tests
+that certify those claims.
 """
 
 from __future__ import annotations
@@ -14,18 +15,13 @@ from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
 
 from .assembly import (
     DofMap,
     DomainQuadrature,
-    assemble_div,
-    assemble_elasticity,
-    assemble_scalar_mass,
     assemble_vector_mass,
     boundary_flux_functional,
-    rigid_motion_rows,
 )
 from .elements import eval_basis
 from .mesh import Mesh
@@ -41,10 +37,6 @@ __all__ = [
     "ErrorEvaluator",
     "summarize_error_history",
     "extract_rates",
-    "LockingIndicator",
-    "locking_scan",
-    "BudgetExceededError",
-    "estimate_infsup",
     "SweepRow",
     "biot_limit_sweep",
     "check_state_consistency",
@@ -411,121 +403,6 @@ def extract_rates(hs: Sequence[float], errors: Sequence[float]) -> list[Optional
         else:
             rates.append(float(np.log2(errors[i - 1] / errors[i])))
     return rates
-
-
-# --------------------------------------------------------------------------
-# locking indicator
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LockingIndicator:
-    """Oscillation measures of the vertex pressure along a vertical line.
-
-    The line is x1 = 0.5, the vertical centerline of the unit square.
-    undershoot is the negative excursion of the pressure relative to the
-    magnitude of the prescribed boundary pressure data (or, in a run with
-    no pressure-Dirichlet data, relative to the pressure scale on the
-    line itself).
-    """
-
-    ys: np.ndarray
-    values: np.ndarray
-    extrema_count: int
-    undershoot: float
-    min_value: float
-    scale: float
-
-
-def locking_scan(state, mesh: Mesh, benchmark: Benchmark) -> LockingIndicator:
-    """Count strict interior extrema of p along the vertical line x1 = 0.5.
-
-    Raises:
-        ValueError: when no mesh vertex lies on the line (an odd nx).
-    """
-    on_line = np.flatnonzero(np.abs(mesh.vertices[:, 0] - 0.5) <= 1e-12)
-    if on_line.size == 0:
-        raise ValueError("no mesh vertex lies on the line x1 = 0.5 that the locking scan reads")
-    order = np.argsort(mesh.vertices[on_line, 1])
-    verts = on_line[order]
-    ys = mesh.vertices[verts, 1]
-    vals = state.p[verts]
-    count = 0
-    for i in range(1, len(vals) - 1):
-        left = vals[i] - vals[i - 1]
-        right = vals[i + 1] - vals[i]
-        if left * right < 0.0:
-            count += 1
-    scale = 0.0
-    for tag in sorted(benchmark.bcs.flow, key=int):
-        bc = benchmark.bcs.flow[tag]
-        if bc.kind != "pressure":
-            continue
-        pts = mesh.vertices[mesh.vertices_on_segment(tag)]
-        scale = max(scale, float(np.max(np.abs(bc.value(pts, state.t)))))
-    if scale == 0.0:
-        scale = float(np.max(np.abs(vals)))
-    min_value = float(np.min(vals))
-    undershoot = max(0.0, -min_value) / max(scale, 1e-30)
-    return LockingIndicator(
-        ys=ys,
-        values=vals,
-        extrema_count=count,
-        undershoot=undershoot,
-        min_value=min_value,
-        scale=scale,
-    )
-
-
-# --------------------------------------------------------------------------
-# inf-sup estimator
-# --------------------------------------------------------------------------
-
-
-class BudgetExceededError(RuntimeError):
-    """Raised when a dense diagnostic would exceed its size budget."""
-
-
-_INFSUP_BUDGET = 2000  # largest n_u + n_p the dense inf-sup estimate accepts
-
-
-def estimate_infsup(mesh: Mesh) -> float:
-    """Dense inf-sup estimate for the P2-vector / P1 pair on a small mesh.
-
-    Computes sqrt of the smallest generalized eigenvalue of the projected
-    pencil (B A^+ B^T, M_p) over mean-zero pressures, where A^+ applies the
-    rigid-motion-orthogonal inverse of the unconstrained elasticity form.
-
-    Raises:
-        BudgetExceededError: when n_u + n_p exceeds _INFSUP_BUDGET.
-    """
-    dofmap = DofMap.from_mesh(mesh)
-    n_p = dofmap.n_scalar
-    n_total = dofmap.n_u + n_p
-    if n_total > _INFSUP_BUDGET:
-        raise BudgetExceededError(
-            f"{n_total} dofs exceed the dense diagnostic budget of {_INFSUP_BUDGET}"
-        )
-    A = assemble_elasticity(mesh, dofmap, 1.0).toarray()
-    C = rigid_motion_rows(mesh, dofmap)
-    n_u = dofmap.n_u
-    K = np.zeros((n_u + 3, n_u + 3))
-    K[:n_u, :n_u] = A
-    K[:n_u, n_u:] = C.T
-    K[n_u:, :n_u] = C
-    B = assemble_div(mesh, dofmap).toarray()
-    Mp = assemble_scalar_mass(mesh, dofmap).toarray()
-    rhs = np.zeros((n_u + 3, n_p))
-    rhs[:n_u] = B.T
-    X = la.solve(K, rhs)
-    G = B @ X[:n_u]
-    G = 0.5 * (G + G.T)
-    mean_row = (Mp @ np.ones(n_p))[None, :]
-    W = la.null_space(mean_row)
-    Gw = W.T @ G @ W
-    Mw = W.T @ Mp @ W
-    eigs = la.eigh(Gw, Mw, eigvals_only=True)
-    return float(np.sqrt(max(eigs[0], 0.0)))
 
 
 # --------------------------------------------------------------------------

@@ -123,14 +123,6 @@ def _triangle_rule_table() -> dict[int, tuple[np.ndarray, np.ndarray]]:
         [w1] * 3 + [w2] * 3,
     )
 
-    # 7-point degree-5 rule.
-    b1, v1 = 0.797426985353087, 0.125939180544827
-    b2, v2 = 0.059715871789770, 0.132394152788506
-    rules[5] = (
-        [(third, third, third)] + _perm3(b1, (1.0 - b1) / 2.0) + _perm3(b2, (1.0 - b2) / 2.0),
-        [0.225] + [v1] * 3 + [v2] * 3,
-    )
-
     # 12-point degree-6 rule.
     c1, u1 = 0.873821971016996, 0.050844906370207
     c2, u2 = 0.501426509658179, 0.116786275726379

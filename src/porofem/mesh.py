@@ -81,11 +81,6 @@ class Mesh:
     def n_edges(self) -> int:
         return self.edges.shape[0]
 
-    @property
-    def boundary_edges(self) -> np.ndarray:
-        """Indices of edges carrying a segment tag."""
-        return np.nonzero(self.edge_tags != 0)[0]
-
     def edge_midpoints(self) -> np.ndarray:
         """(E, 2) coordinates of edge midpoints (the quadratic nodes)."""
         return 0.5 * (self.vertices[self.edges[:, 0]] + self.vertices[self.edges[:, 1]])
@@ -93,13 +88,6 @@ class Mesh:
     def p2_node_coords(self) -> np.ndarray:
         """(V + E, 2) coordinates of all quadratic nodes: vertices then midpoints."""
         return np.vstack([self.vertices, self.edge_midpoints()])
-
-    def triangle_areas(self) -> np.ndarray:
-        """(F,) signed triangle areas (positive for counterclockwise)."""
-        p0 = self.vertices[self.triangles[:, 0]]
-        d1 = self.vertices[self.triangles[:, 1]] - p0
-        d2 = self.vertices[self.triangles[:, 2]] - p0
-        return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
     def edges_with_tag(self, tag: BoundarySegment) -> np.ndarray:
         """Indices of boundary edges lying on the given rectangle side."""
@@ -114,11 +102,6 @@ class Mesh:
     def vertices_on_segment(self, tag: BoundarySegment) -> np.ndarray:
         """Sorted vertex indices on one side."""
         return np.unique(self.edges[self.edges_with_tag(tag)].ravel())
-
-    def vertices_on_boundary(self) -> np.ndarray:
-        """Sorted vertex indices lying on any boundary edge."""
-        eids = self.boundary_edges
-        return np.unique(self.edges[eids].ravel())
 
 
 def build_rect_mesh(

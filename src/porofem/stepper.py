@@ -54,6 +54,7 @@ from .solver import (
     DEFAULT_TOLERANCE,
     Factorization,
     LinearSolveReport,
+    SingularMatrixError,
     SolverFailureError,
     factorize,
     solve,
@@ -362,14 +363,17 @@ class StepSystems:
         """The reduction of one system of the run (see ReducedSystem), and
         its factorization in nested-dissection order of its masters' grid
         positions, Lagrange rows last; its size and fill are recorded under
-        the label.  The caller keeps the returned record as long as it
-        solves with it."""
+        the label, and a failure names it.  The caller keeps the returned
+        record as long as it solves with it."""
         reduced = ReducedSystem(matrix, slaves=slaves, coupling=coupling, lag_rows=lag_rows)
         n_masters = reduced.masters.size
         order = np.concatenate(
             [nested_dissection(grid[reduced.masters]), n_masters + np.arange(reduced.n_lag)]
         )
-        fact = factorize(reduced.matrix, order)
+        try:
+            fact = factorize(reduced.matrix, order)
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(f"{label}: {exc}", exc.row) from exc
         self.factorizations.append(FactorizationRecord(label, fact.shape[0], fact.lu_nnz))
         return LinearSystem(reduced, fact)
 
@@ -557,14 +561,6 @@ class RunResult:
     factorizations: tuple[FactorizationRecord, ...]
     solve_count: int = 0
     decoupled_amplification: Optional[float] = None
-
-    @property
-    def initial_state(self) -> FieldState:
-        return self.states[0]
-
-    @property
-    def final_state(self) -> FieldState:
-        return self.states[-1]
 
 
 def _check_rigid_balance(

@@ -51,6 +51,11 @@ def _argv(command: str, settings=(), config=None) -> list[str]:
     return argv
 
 
+def _cli(command: str, out, *settings: str) -> int:
+    """main() on a command line of a --set of each setting, then --out."""
+    return main(_argv(command, settings) + ["--out", str(out)])
+
+
 def _load(command: str, settings=(), config=None) -> RunConfig:
     return _load_config(_build_parser().parse_args(_argv(command, settings, config)))
 
@@ -244,16 +249,8 @@ def test_run_writes_expected_files(tmp_path, small_run_args):
 
 def test_run_hundred_rows_without_snapshots(tmp_path):
     out = tmp_path / "o"
-    code = main([
-        "run",
-        "--set", "benchmark=locking",
-        "--set", "nx=2",
-        "--set", "dt=1e-4",
-        "--set", "T=1e-2",
-        "--set", "vtk=off",
-        "--set", "errors=off",
-        "--out", str(out),
-    ])
+    code = _cli("run", out, "benchmark=locking", "nx=2", "dt=1e-4", "T=1e-2", "vtk=off",
+                "errors=off")
     assert code == 0
     _, rows = _read_csv(out / "diagnostics.csv")
     assert len(rows) == 100
@@ -266,14 +263,7 @@ def test_run_hundred_rows_without_snapshots(tmp_path):
 
 def test_run_zero_steps_writes_header_only(tmp_path):
     out = tmp_path / "o"
-    code = main([
-        "run",
-        "--set", "benchmark=locking",
-        "--set", "nx=2",
-        "--set", "T=0",
-        "--set", "errors=off",
-        "--out", str(out),
-    ])
+    code = _cli("run", out, "benchmark=locking", "nx=2", "T=0", "errors=off")
     assert code == 0
     header, rows = _read_csv(out / "diagnostics.csv")
     assert rows == []
@@ -286,17 +276,8 @@ def test_run_zero_steps_writes_header_only(tmp_path):
 def test_run_log_reports_decoupled_amplification(tmp_path):
     out = tmp_path / "o"
     with pytest.warns(UserWarning, match="amplifies"):
-        code = main([
-            "run",
-            "--set", "benchmark=polynomial",
-            "--set", "nx=2",
-            "--set", "dt=1e-3",
-            "--set", "T=2e-3",
-            "--set", "theta=0",
-            "--set", "errors=off",
-            "--set", "vtk=off",
-            "--out", str(out),
-        ])
+        code = _cli("run", out, "benchmark=polynomial", "nx=2", "dt=1e-3", "T=2e-3", "theta=0",
+                    "errors=off", "vtk=off")
     assert code == 0
     log = (out / "run.log").read_text()
     assert "decoupled boundary-elimination amplification" in log
@@ -486,10 +467,7 @@ def test_kappa_line_follows_the_key_table(tmp_path, monkeypatch):
     sweep = cli._COMMANDS["sweep"]
     monkeypatch.setitem(cli._COMMANDS, "sweep", replace(sweep, keys=sweep.keys | {"c0"}))
     out = tmp_path / "o"
-    assert main([
-        "sweep", "--set", "benchmark=locking", "--set", "nx=2", "--set", "T=2e-4",
-        "--set", "c0_list=1,0.1", "--out", str(out),
-    ]) == 0
+    assert _cli("sweep", out, "benchmark=locking", "nx=2", "T=2e-4", "c0_list=1,0.1") == 0
     log = (out / "run.log").read_text()
     assert "kappa1/kappa2/kappa3 = " in log
     assert "material lam/mu/alpha/c0/K/mu_f = " in log
@@ -499,10 +477,7 @@ def test_sweep_log_echoes_no_base_c0(tmp_path):
     # Each member runs with one value of c0_list, none with the base
     # benchmark's c0, so the material line leaves c0 out.
     out = tmp_path / "o"
-    assert main([
-        "sweep", "--set", "benchmark=locking", "--set", "nx=2", "--set", "T=2e-4",
-        "--set", "c0_list=1,0.1", "--out", str(out),
-    ]) == 0
+    assert _cli("sweep", out, "benchmark=locking", "nx=2", "T=2e-4", "c0_list=1,0.1") == 0
     lines = (out / "run.log").read_text().splitlines()
     [material] = [line for line in lines if line.startswith("material ")]
     names, _, values = material.partition(" = ")
@@ -527,10 +502,7 @@ def test_sweep_log_echoes_no_base_c0(tmp_path):
 def test_key_left_unread_by_another_keys_value_exits_2(tmp_path, capsys, command, settings, keys):
     out = tmp_path / "o"
     mesh = "nx_list=2,4" if command == "convergence" else "nx=2"
-    args = [command, "--set", "benchmark=test1", "--set", mesh, "--set", "T=2e-5"]
-    for item in settings:
-        args += ["--set", item]
-    assert main(args + ["--out", str(out)]) == 2
+    assert _cli(command, out, "benchmark=test1", mesh, "T=2e-5", *settings) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ")
     assert all(f"{key} = " in err for key in keys)
@@ -571,10 +543,7 @@ def test_bad_config_file_line_exits_2(tmp_path, capsys):
 
 def test_errors_on_without_exact_solution_exits_2(tmp_path, capsys):
     out = tmp_path / "o"
-    code = main([
-        "run", "--set", "benchmark=locking", "--set", "nx=4", "--set", "errors=on",
-        "--out", str(out),
-    ])
+    code = _cli("run", out, "benchmark=locking", "nx=4", "errors=on")
     assert code == 2
     err = capsys.readouterr().err
     assert "errors = on" in err and "no exact solution" in err
@@ -590,10 +559,7 @@ def test_errors_on_without_exact_solution_exits_2(tmp_path, capsys):
 )
 def test_impossible_scheme_exits_2_naming_the_cause(tmp_path, capsys, settings, cause):
     out = tmp_path / "o"
-    args = ["run", "--set", "benchmark=barry_mercer", "--set", "nx=2"]
-    for item in settings:
-        args += ["--set", item]
-    assert main(args + ["--out", str(out)]) == 2
+    assert _cli("run", out, "benchmark=barry_mercer", "nx=2", *settings) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and cause in err
     assert not out.exists()
@@ -616,10 +582,7 @@ def test_impossible_scheme_of_any_command_exits_2_before_any_output(
     tmp_path, capsys, command, settings, cause
 ):
     out = tmp_path / "o"
-    args = [command]
-    for item in settings:
-        args += ["--set", item]
-    assert main(args + ["--out", str(out)]) == 2
+    assert _cli(command, out, *settings) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and cause in err
     assert not out.exists()
@@ -650,10 +613,7 @@ def test_impossible_scheme_of_any_command_exits_2_before_any_output(
 )
 def test_bad_numbers_exit_2_before_any_output(tmp_path, capsys, command, settings, named):
     out = tmp_path / "o"
-    args = [command, "--set", "nx=2"]
-    for item in settings:
-        args += ["--set", item]
-    assert main(args + ["--out", str(out)]) == 2
+    assert _cli(command, out, "nx=2", *settings) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error: ") and "Traceback" not in err
     for fragment in named:
@@ -664,13 +624,7 @@ def test_bad_numbers_exit_2_before_any_output(tmp_path, capsys, command, setting
 def test_out_directory_collision_exits_1(tmp_path, capsys):
     blocker = tmp_path / "occupied"
     blocker.write_text("a file, not a directory\n")
-    code = main([
-        "run",
-        "--set", "benchmark=locking",
-        "--set", "nx=2",
-        "--set", "T=0",
-        "--out", str(blocker),
-    ])
+    code = _cli("run", blocker, "benchmark=locking", "nx=2", "T=0")
     assert code == 1
     assert "i/o error" in capsys.readouterr().err
 
@@ -678,10 +632,8 @@ def test_out_directory_collision_exits_1(tmp_path, capsys):
 def test_unreachable_tolerance_exits_1_naming_the_solve(tmp_path, capsys):
     # No solve meets a relative residual of 1e-18; the first one of a
     # decoupled run, in the amplification estimate, fails and says so.
-    code = main([
-        "run", "--set", "benchmark=barry_mercer", "--set", "theta=0", "--set", "nx=4",
-        "--set", "tolerance=1e-18", "--out", str(tmp_path / "o"),
-    ])
+    code = _cli("run", tmp_path / "o", "benchmark=barry_mercer", "theta=0", "nx=4",
+                "tolerance=1e-18")
     assert code == 1
     err = capsys.readouterr().err
     assert "error: decoupled Stokes solve of the amplification estimate: linear solve residual" in err
@@ -690,13 +642,20 @@ def test_unreachable_tolerance_exits_1_naming_the_solve(tmp_path, capsys):
 def test_unreachable_tolerance_names_the_initial_projection(tmp_path, capsys):
     # test1's initial displacement is zero, so its projection passes with a
     # zero residual; the pressure projection is the first to fail.
-    code = main([
-        "run", "--set", "benchmark=test1", "--set", "nx=4",
-        "--set", "tolerance=1e-18", "--out", str(tmp_path / "o"),
-    ])
+    code = _cli("run", tmp_path / "o", "benchmark=test1", "nx=4", "tolerance=1e-18")
     assert code == 1
     err = capsys.readouterr().err
     assert "error: initial pressure projection: linear solve residual" in err
+
+
+def test_singular_factorization_exits_1_naming_the_system(tmp_path, capsys):
+    # A subnormal shear modulus rounds most of the elasticity block to zero
+    # and the rest to subnormals; the coupled system, the first the run
+    # factorizes, is then exactly singular.
+    code = _cli("run", tmp_path / "o", "nx=2", "T=2e-4", "mu=5e-324")
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: coupled system: matrix is numerically singular" in err
 
 
 def test_missing_subcommand_is_usage_error():
@@ -711,24 +670,14 @@ def test_missing_subcommand_is_usage_error():
 
 
 def test_convergence_rejects_benchmark_without_exact_solution(tmp_path, capsys):
-    code = main([
-        "convergence",
-        "--set", "benchmark=locking",
-        "--out", str(tmp_path / "o"),
-    ])
+    code = _cli("convergence", tmp_path / "o", "benchmark=locking")
     assert code == 2
     assert "no exact solution" in capsys.readouterr().err
 
 
 def test_convergence_rejects_zero_steps(tmp_path, capsys):
     # T = 0 leaves no stepped level for the L2-in-time H1 norm to sum over.
-    code = main([
-        "convergence",
-        "--set", "benchmark=test1",
-        "--set", "nx_list=2,4",
-        "--set", "T=0",
-        "--out", str(tmp_path / "o"),
-    ])
+    code = _cli("convergence", tmp_path / "o", "benchmark=test1", "nx_list=2,4", "T=0")
     assert code == 2
     assert "no time step" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -736,14 +685,7 @@ def test_convergence_rejects_zero_steps(tmp_path, capsys):
 
 def test_convergence_rejects_ny(tmp_path, capsys):
     # The study's meshes are the nx_list squares; a set ny would be ignored.
-    code = main([
-        "convergence",
-        "--set", "benchmark=test1",
-        "--set", "nx_list=2,4",
-        "--set", "ny=3",
-        "--set", "T=2e-5",
-        "--out", str(tmp_path / "o"),
-    ])
+    code = _cli("convergence", tmp_path / "o", "benchmark=test1", "nx_list=2,4", "ny=3", "T=2e-5")
     assert code == 2
     assert "nx_list squares" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
@@ -753,13 +695,7 @@ def test_convergence_log_describes_no_single_mesh(tmp_path):
     # nx = 8 is in the echoed configuration, but no 8 by 8 mesh is built:
     # the log names only the nx_list meshes.
     out = tmp_path / "o"
-    code = main([
-        "convergence",
-        "--set", "benchmark=test1",
-        "--set", "nx_list=2,4",
-        "--set", "T=2e-5",
-        "--out", str(out),
-    ])
+    code = _cli("convergence", out, "benchmark=test1", "nx_list=2,4", "T=2e-5")
     assert code == 0
     lines = (out / "run.log").read_text().splitlines()
     assert "meshes = 2,4" in lines
@@ -771,15 +707,8 @@ def test_convergence_flags_solver_tolerance_errors(tmp_path):
     # the in-space-exact benchmark yields errors at solver tolerance on any
     # mesh, so every rate must be blanked and the log must say why
     out = tmp_path / "o"
-    code = main([
-        "convergence",
-        "--set", "benchmark=polynomial",
-        "--set", "nx_list=2,4",
-        "--set", "dt=1e-3",
-        "--set", "T=2e-3",
-        "--set", "theta=1",
-        "--out", str(out),
-    ])
+    code = _cli("convergence", out, "benchmark=polynomial", "nx_list=2,4", "dt=1e-3", "T=2e-3",
+                "theta=1")
     assert code == 0
     header, rows = _read_csv(out / "rates.csv")
     assert header[0] == "h" and header.count("rate") == 4
@@ -796,15 +725,8 @@ def test_convergence_flags_solver_tolerance_errors(tmp_path):
 
 def test_convergence_produces_rates_for_genuine_errors(tmp_path):
     out = tmp_path / "o"
-    code = main([
-        "convergence",
-        "--set", "benchmark=test1",
-        "--set", "nx_list=2,4",
-        "--set", "dt=1e-5",
-        "--set", "T=2e-5",
-        "--set", "theta=1",
-        "--out", str(out),
-    ])
+    code = _cli("convergence", out, "benchmark=test1", "nx_list=2,4", "dt=1e-5", "T=2e-5",
+                "theta=1")
     assert code == 0
     _, rows = _read_csv(out / "rates.csv")
     assert rows[0][2] == ""  # first mesh has no rate
@@ -820,15 +742,8 @@ def test_convergence_produces_rates_for_genuine_errors(tmp_path):
 
 def test_sweep_writes_pairwise_distances(tmp_path):
     out = tmp_path / "o"
-    code = main([
-        "sweep",
-        "--set", "benchmark=locking",
-        "--set", "nx=2",
-        "--set", "dt=1e-4",
-        "--set", "T=2e-4",
-        "--set", "c0_list=1e-2,1e-4",
-        "--out", str(out),
-    ])
+    code = _cli("sweep", out, "benchmark=locking", "nx=2", "dt=1e-4", "T=2e-4",
+                "c0_list=1e-2,1e-4")
     assert code == 0
     header, rows = _read_csv(out / "sweep.csv")
     assert header == ["c0_a", "c0_b", "dist_u", "dist_eta", "dist_xi"]
@@ -840,10 +755,8 @@ def test_sweep_writes_pairwise_distances(tmp_path):
 
 
 def test_sweep_tolerance_bounds_every_member_solve(tmp_path, capsys):
-    code = main([
-        "sweep", "--set", "benchmark=locking", "--set", "nx=2", "--set", "c0_list=1,0.1",
-        "--set", "tolerance=1e-18", "--set", "T=2e-4", "--out", str(tmp_path / "o"),
-    ])
+    code = _cli("sweep", tmp_path / "o", "benchmark=locking", "nx=2", "c0_list=1,0.1",
+                "tolerance=1e-18", "T=2e-4")
     assert code == 1
     err = capsys.readouterr().err
     assert "error: coupled step to t=0.0001: linear solve residual" in err

@@ -7,7 +7,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-import scipy.linalg as la
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,10 +22,8 @@ from porofem.assembly import (
     assemble_scalar_mass,
     assemble_scalar_stiffness,
     assemble_vector_mass,
-    rigid_motion_rows,
 )
 from porofem.diagnostics import (
-    BudgetExceededError,
     ConservationTracker,
     ConservedQuantities,
     EnergyAuditor,
@@ -35,9 +32,7 @@ from porofem.diagnostics import (
     biot_limit_sweep,
     boundary_flux_functional,
     check_state_consistency,
-    estimate_infsup,
     extract_rates,
-    locking_scan,
     summarize_error_history,
 )
 from porofem.elements import (
@@ -60,8 +55,12 @@ from porofem.stepper import Discretization, FieldState, TimeScheme, run
 
 from helpers import (
     conservation_benchmark,
+    infsup_constant,
     initial_state,
     jittered_mesh,
+    locking_scan,
+    taylor_hood_infsup,
+    triangle_areas,
     zero_benchmark,
     zero_scalar,
 )
@@ -377,7 +376,7 @@ def test_error_evaluator_matches_reference_formula(name):
     disc = Discretization.build(mesh, bench.params)
     result = run(bench, disc, TimeScheme(dt=bench.default_dt, n_steps=3, theta=1),
                  compute_errors=False)
-    state = result.final_state
+    state = result.states[-1]
     quadrature = DomainQuadrature.from_mesh(mesh, dofmap)
     got = ErrorEvaluator(bench, mesh, dofmap, quadrature).evaluate(state)
     want = _reference_errors(bench, mesh, dofmap, state)
@@ -506,7 +505,7 @@ def test_locking_scan_scale_from_boundary_pressure_data():
 
 
 def test_infsup_estimate_healthy_and_slowly_varying():
-    values = [estimate_infsup(build_rect_mesh(n, n)) for n in (2, 4, 8)]
+    values = [taylor_hood_infsup(build_rect_mesh(n, n)) for n in (2, 4, 8)]
     assert values[0] == pytest.approx(0.994956, abs=1e-4)
     assert values[1] == pytest.approx(0.985241, abs=1e-4)
     assert values[2] == pytest.approx(0.976455, abs=1e-4)
@@ -516,11 +515,9 @@ def test_infsup_estimate_healthy_and_slowly_varying():
 
 
 def _discontinuous_pressure_infsup(mesh) -> float:
-    """The pencil of estimate_infsup for the P2-vector / discontinuous-P1
-    pair, which is not inf-sup stable: a negative control for the
-    estimator."""
+    """The inf-sup constant of the P2-vector / discontinuous-P1 pair, which
+    is not inf-sup stable: a negative control for the pencil."""
     dofmap = DofMap.from_mesh(mesh)
-    n_u = dofmap.n_u
     n_p = 3 * mesh.n_triangles
     # Divergence and mass against three independent P1 functions per
     # triangle; each (triangle, local function) owns one pressure row.
@@ -532,41 +529,22 @@ def _discontinuous_pressure_infsup(mesh) -> float:
     local = np.einsum("q,qj,fqia,f->fjia", rule.weights, p1_vals, grads, maps.det, optimize=True)
     local = local.reshape(mesh.n_triangles, 3, 12)
     rows = 3 * np.arange(mesh.n_triangles)[:, None] + np.arange(3)[None, :]
-    B = np.zeros((n_p, n_u))
+    B = np.zeros((n_p, dofmap.n_u))
     for k in range(3):
         np.add.at(B, (rows[:, k][:, None], dofmap.triangle_u), local[:, k, :])
     m_loc = (np.ones((3, 3)) + np.eye(3)) / 12.0
     Mp = np.zeros((n_p, n_p))
     for k in range(3):
         for l in range(3):
-            Mp[rows[:, k], rows[:, l]] = mesh.triangle_areas() * m_loc[k, l]
-    # The pencil (B A^+ B^T, M_p) over mean-zero pressures, with A^+ the
-    # rigid-motion-orthogonal inverse of the elasticity form.
-    C = rigid_motion_rows(mesh, dofmap)
-    K = np.zeros((n_u + 3, n_u + 3))
-    K[:n_u, :n_u] = assemble_elasticity(mesh, dofmap, 1.0).toarray()
-    K[:n_u, n_u:] = C.T
-    K[n_u:, :n_u] = C
-    rhs = np.zeros((n_u + 3, n_p))
-    rhs[:n_u] = B.T
-    G = B @ la.solve(K, rhs)[:n_u]
-    G = 0.5 * (G + G.T)
-    W = la.null_space((Mp @ np.ones(n_p))[None, :])
-    eigs = la.eigh(W.T @ G @ W, W.T @ Mp @ W, eigvals_only=True)
-    return float(np.sqrt(max(eigs[0], 0.0)))
+            Mp[rows[:, k], rows[:, l]] = triangle_areas(mesh) * m_loc[k, l]
+    return infsup_constant(mesh, B, Mp)
 
 
 def test_infsup_collapses_for_unstable_pair():
-    stable = [estimate_infsup(build_rect_mesh(n, n)) for n in (2, 4)]
+    stable = [taylor_hood_infsup(build_rect_mesh(n, n)) for n in (2, 4)]
     unstable = [_discontinuous_pressure_infsup(build_rect_mesh(n, n)) for n in (2, 4)]
     assert unstable[0] < 0.5 * stable[0]
     assert unstable[1] < 0.55 * unstable[0]  # keeps collapsing under refinement
-
-
-def test_infsup_budget_guard():
-    # 16 x 16 cells: 2,178 P2-vector and 289 P1 unknowns, over the 2,000 budget.
-    with pytest.raises(BudgetExceededError, match="2467 dofs exceed .* budget of 2000"):
-        estimate_infsup(build_rect_mesh(16, 16))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from porofem.mesh import BoundarySegment, Mesh, build_rect_mesh
 
-from helpers import jittered_mesh
+from helpers import jittered_mesh, triangle_areas
 
 
 def test_smallest_split_counts():
@@ -20,7 +20,7 @@ def test_smallest_split_counts():
     assert mesh.n_vertices == 4
     assert mesh.n_triangles == 2
     assert mesh.n_edges == 5
-    assert len(mesh.boundary_edges) == 4
+    assert np.count_nonzero(mesh.edge_tags) == 4
 
 
 def test_two_by_two_counts_and_euler():
@@ -44,7 +44,7 @@ def test_refinement_halves_h_exactly():
 
 def test_areas_positive_and_sum_to_rectangle():
     mesh = build_rect_mesh(5, 3, rect=(-1.0, 2.0, 3.0, 4.0))
-    areas = mesh.triangle_areas()
+    areas = triangle_areas(mesh)
     assert np.all(areas > 0.0)
     assert float(areas.sum()) == pytest.approx(4.0 * 2.0, rel=1e-12)
 
@@ -57,7 +57,7 @@ def test_boundary_tags_partition_one_edge_per_side_1x1():
 
 def test_boundary_tag_counts_4x4():
     mesh = build_rect_mesh(4, 4)
-    assert len(mesh.boundary_edges) == 16
+    assert np.count_nonzero(mesh.edge_tags) == 16
     for tag in BoundarySegment:
         assert len(mesh.edges_with_tag(tag)) == 4
 
@@ -92,9 +92,10 @@ def test_outward_normals():
         build_rect_mesh(3, 5, rect=(-1.0, 2.0, 3.0, 2.5)),
         jittered_mesh(5, 4, rect=(0.0, -1.0, 2.0, 0.5)),
     ):
-        tri, local = np.nonzero(np.isin(mesh.triangle_edges, mesh.boundary_edges))
+        tagged = np.flatnonzero(mesh.edge_tags)
+        tri, local = np.nonzero(np.isin(mesh.triangle_edges, tagged))
         edges = mesh.triangle_edges[tri, local]
-        assert sorted(edges) == sorted(mesh.boundary_edges)
+        assert sorted(edges) == sorted(tagged)
         a = mesh.vertices[mesh.edges[edges, 0]]
         b = mesh.vertices[mesh.edges[edges, 1]]
         opposite = mesh.vertices[mesh.triangles[tri, local]]
@@ -135,13 +136,13 @@ def test_structural_invariants_property(nx, ny, x0, y0, w, h):
     mesh = build_rect_mesh(nx, ny, rect=(x0, y0, x0 + w, y0 + h))
     assert mesh.n_vertices == (nx + 1) * (ny + 1)
     assert mesh.n_triangles == 2 * nx * ny
-    assert len(mesh.boundary_edges) == 2 * (nx + ny)
+    assert np.count_nonzero(mesh.edge_tags) == 2 * (nx + ny)
     assert mesh.n_vertices - mesh.n_edges + mesh.n_triangles == 1
-    areas = mesh.triangle_areas()
+    areas = triangle_areas(mesh)
     assert np.all(areas > 0.0)
     assert float(areas.sum()) == pytest.approx(w * h, rel=1e-12)
     tagged = sum(len(mesh.edges_with_tag(tag)) for tag in BoundarySegment)
-    assert tagged == len(mesh.boundary_edges)
+    assert tagged == np.count_nonzero(mesh.edge_tags)
     assert int((mesh.edge_tags == 0).sum()) == mesh.n_edges - tagged
 
 
@@ -155,7 +156,8 @@ def test_nodes_on_segment_lie_on_that_side():
 
 def test_vertices_on_boundary_count():
     mesh = build_rect_mesh(4, 4)
-    assert len(mesh.vertices_on_boundary()) == 2 * (4 + 4)
+    sides = [mesh.vertices_on_segment(tag) for tag in BoundarySegment]
+    assert len(np.unique(np.concatenate(sides))) == 2 * (4 + 4)
 
 
 def test_invalid_cell_counts_rejected():

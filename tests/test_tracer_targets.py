@@ -30,6 +30,10 @@ STALE_LAYER_TARGETS = [
     # the tracer alone; elements.points is still recorded through
     # porofem.assembly.physical_points.
     "porofem.diagnostics.physical_points",
+    # Retired when the inf-sup estimate, the only user of this import, moved
+    # into the tests; assembly.operators is still recorded through
+    # porofem.stepper.assemble_scalar_mass.
+    "porofem.diagnostics.assemble_scalar_mass",
 ]
 
 
