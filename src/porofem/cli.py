@@ -32,7 +32,8 @@ from .mesh import Mesh, build_rect_mesh
 from .model import BENCHMARK_NAMES, Benchmark, get_benchmark
 from .solver import DEFAULT_TOLERANCE, SingularMatrixError, SolverFailureError
 from .stepper import (
-    UNSTABLE_AMPLIFICATION, Discretization, FieldState, TimeScheme, check_scheme, run,
+    UNSTABLE_AMPLIFICATION, Discretization, FactorizationRecord, FieldState, RunResult,
+    TimeScheme, check_scheme, run,
 )
 
 __all__ = [
@@ -341,6 +342,21 @@ def _echo_config(resolved: ResolvedRun, command: str) -> list[str]:
     return lines
 
 
+def _factorization_lines(records: Sequence[FactorizationRecord]) -> list[str]:
+    return [
+        f"factorization = {fact.label}: {fact.unknowns} unknowns, {fact.lu_nnz} L+U nonzeros"
+        for fact in records
+    ]
+
+
+def _solver_log(result: RunResult) -> list[str]:
+    """The run.log lines of a run's factorizations and its step solves."""
+    return _factorization_lines(result.factorizations) + [
+        f"solves = {result.solve_count}",
+        f"max solver residual = {_fmt(result.max_solver_residual)}",
+    ]
+
+
 def cmd_run(resolved: ResolvedRun, out_dir: Path) -> list[str]:
     """Integrate one benchmark; write its diagnostics and field snapshots."""
     config = resolved.config
@@ -381,13 +397,7 @@ def cmd_run(resolved: ResolvedRun, out_dir: Path) -> list[str]:
     log.append(f"time-independent loads = {'yes' if result.time_independent_loads else 'no'}")
     if not result.time_independent_loads:
         log.append("note: energy identity columns are informational (loads vary in time)")
-    for fact in result.factorizations:
-        log.append(
-            f"factorization = {fact.label}: {fact.unknowns} unknowns, "
-            f"{fact.lu_nnz} L+U nonzeros"
-        )
-    log.append(f"solves = {result.solve_count}")
-    log.append(f"max solver residual = {_fmt(result.max_solver_residual)}")
+    log += _solver_log(result)
     if result.records:
         worst = max(abs(r.energy_residual) for r in result.records)
         log.append(f"max |energy residual| = {_fmt(worst)}")
@@ -457,7 +467,11 @@ def cmd_sweep(resolved: ResolvedRun, out_dir: Path) -> list[str]:
         ("c0_a", "c0_b", "dist_u", "dist_eta", "dist_xi"),
         [[r.c0_a, r.c0_b, r.dist_u, r.dist_eta, r.dist_xi] for r in rows],
     )
-    return ["c0 values = " + _fmt(c0_list)]
+    log = ["c0 values = " + _fmt(c0_list)] + _factorization_lines(rows.projections)
+    for c0, result in rows.members:
+        log.append(f"member c0 = {_fmt(c0)}")
+        log += _solver_log(result)
+    return log
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ __all__ = [
     "summarize_error_history",
     "extract_rates",
     "SweepRow",
+    "SweepRows",
     "biot_limit_sweep",
     "check_state_consistency",
     "DiagnosticsRecord",
@@ -421,32 +422,53 @@ class SweepRow:
     dist_xi: float
 
 
+class SweepRows(list):
+    """A sweep's SweepRow list, in c0 order, with the linear algebra behind
+    them: `projections`, the factorizations of the initial projections its
+    members share, and `members`, each member's c0 and RunResult (states
+    dropped), whose factorizations and solves are that member's own."""
+
+    def __init__(self, rows: Sequence[SweepRow], projections: tuple, members: tuple) -> None:
+        super().__init__(rows)
+        self.projections = projections
+        self.members = members
+
+
 def biot_limit_sweep(benchmark: Benchmark, c0_values: Sequence[float], mesh: Mesh,
-                     scheme, tolerance: float = DEFAULT_TOLERANCE) -> list[SweepRow]:
+                     scheme, tolerance: float = DEFAULT_TOLERANCE) -> SweepRows:
     """Pairwise L-infinity(L2) distances between runs with decreasing c0.
 
     Re-solves the benchmark with each storage coefficient on the same mesh
     and time scheme, then reports max-over-time L2 distances of u, eta and
     xi between consecutive c0 values.  The runs share one discretization
-    (c0 enters no operator of it), and each run is compared with the one
-    before it as soon as it finishes, so only two trajectories are held.
-    `tolerance` bounds every linear solve of every run, as in `run`.
+    (c0 enters no operator of it), and their initial projections, which c0
+    enters only through the data, are solved from one factor of A and one
+    of M before the first run factorizes its step systems.  Each run is
+    compared with the one before it as soon as it finishes, so only two
+    trajectories are held.  `tolerance` bounds every linear solve of every
+    run, as in `run`.
     """
     from . import stepper  # local import: stepper depends on this module
 
     disc = stepper.Discretization.build(mesh, benchmark.params)
+    benchmarks = [
+        get_benchmark(benchmark.name, replace(benchmark.params, c0=float(c0))) for c0 in c0_values
+    ]
+    projections = stepper.LinearSolves(tolerance)
+    initial = stepper.init_state(benchmarks, disc, projections)
     mass_u = assemble_vector_mass(mesh, disc.dofmap)
 
     def l2(vec: np.ndarray, mat) -> float:
         return float(np.sqrt(max(vec @ (mat @ vec), 0.0)))
 
-    rows = []
+    rows, members = [], []
     c0_prev = states_prev = None
-    for c0 in c0_values:
-        bench = get_benchmark(benchmark.name, replace(benchmark.params, c0=float(c0)))
-        states = stepper.run(
-            bench, disc, scheme, keep_states=True, compute_errors=False, tolerance=tolerance
-        ).states
+    for c0, bench, start in zip(c0_values, benchmarks, initial):
+        result = stepper.run(
+            bench, disc, scheme, keep_states=True, compute_errors=False, tolerance=tolerance,
+            initial=start,
+        )
+        states = result.states
         if states_prev is not None:
             pairs = list(zip(states_prev, states))
             rows.append(SweepRow(
@@ -455,8 +477,9 @@ def biot_limit_sweep(benchmark: Benchmark, c0_values: Sequence[float], mesh: Mes
                 max(0.0, *(l2(a.eta - b.eta, disc.M) for a, b in pairs)),
                 max(0.0, *(l2(a.xi - b.xi, disc.M) for a, b in pairs)),
             ))
+        members.append((float(c0), replace(result, states=[])))
         c0_prev, states_prev = c0, states
-    return rows
+    return SweepRows(rows, tuple(projections.factorizations), tuple(members))
 
 
 # --------------------------------------------------------------------------

@@ -103,6 +103,28 @@ class MaterialParams:
                 f"alpha*alpha + lam*c0 must be finite and positive, got {denom} "
                 f"(alpha = {self.alpha}, lam = {self.lam}, c0 = {self.c0})"
             )
+        # The step systems multiply these scales with one another, and the
+        # pressure-Dirichlet elimination divides by kappa2: each stays at most
+        # 2**510, and a positive kappa2 at least 2**-510, so that a product or
+        # a quotient of two is finite and nonzero.
+        coeffs = derive_kappas(self)
+        kappa = ("alpha", "lam", "c0")
+        for name, value, inputs in (
+            ("kappa1 = alpha/(alpha*alpha + lam*c0)", coeffs.kappa1, kappa),
+            ("kappa2 = lam/(alpha*alpha + lam*c0)", coeffs.kappa2, kappa),
+            ("kappa3 = c0/(alpha*alpha + lam*c0)", coeffs.kappa3, kappa),
+            ("K/mu_f", self.K / self.mu_f, ("K", "mu_f")),
+        ):
+            if value > 2.0**510:
+                fault = "exceeds 2**510"
+            elif name.startswith("kappa2") and 0.0 < value < 2.0**-510:
+                fault = "is positive but below 2**-510"
+            else:
+                continue
+            raise ValueError(
+                f"{name} {fault}, got {value:.6g} ("
+                + ", ".join(f"{n} = {getattr(self, n)}" for n in inputs) + ")"
+            )
 
     @property
     def rho_g(self) -> np.ndarray:

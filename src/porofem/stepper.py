@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
 from .assembly import (
+    BoundaryData,
     DofMap,
     DomainQuadrature,
     LoadAssembler,
@@ -65,6 +66,8 @@ __all__ = [
     "TimeScheme",
     "FactorizationRecord",
     "LinearSystem",
+    "LinearSolves",
+    "InitialData",
     "GateReport",
     "evaluate_gate",
     "FieldState",
@@ -273,17 +276,64 @@ class Discretization:
         )
 
 
-class StepSystems:
+class LinearSolves:
+    """The one path from a matrix to a solution: prepare reduces and
+    factorizes a system, solve solves it at one tolerance.  The size and
+    fill of every factorization and the report of every solve are
+    recorded.  The caller keeps a prepared system as long as it solves
+    with it; nothing here holds a factor.
+    """
+
+    def __init__(self, tolerance: float = DEFAULT_TOLERANCE) -> None:
+        self.tolerance = float(tolerance)
+        self.solve_reports: list[LinearSolveReport] = []
+        self.factorizations: list[FactorizationRecord] = []
+
+    def prepare(
+        self, label: str, matrix: sp.spmatrix, grid: np.ndarray, slaves: np.ndarray,
+        coupling: Optional[sp.spmatrix] = None, lag_rows: Optional[sp.spmatrix] = None,
+    ) -> LinearSystem:
+        """The reduction of one system (see ReducedSystem), and its
+        factorization in nested-dissection order of its masters' grid
+        positions, Lagrange rows last; its size and fill are recorded under
+        the label, and a failure names it."""
+        reduced = ReducedSystem(matrix, slaves=slaves, coupling=coupling, lag_rows=lag_rows)
+        n_masters = reduced.masters.size
+        order = np.concatenate(
+            [nested_dissection(grid[reduced.masters]), n_masters + np.arange(reduced.n_lag)]
+        )
+        try:
+            fact = factorize(reduced.matrix, order)
+        except SingularMatrixError as exc:
+            raise SingularMatrixError(f"{label}: {exc}", exc.row) from exc
+        self.factorizations.append(FactorizationRecord(label, fact.shape[0], fact.lu_nnz))
+        return LinearSystem(reduced, fact)
+
+    def solve(
+        self, system: LinearSystem, rhs: np.ndarray, slave_values: np.ndarray, label: str
+    ) -> np.ndarray:
+        """Full solution of one prepared system at the tolerance; the
+        solve's report is recorded, and a failure names the label."""
+        reduced_rhs = system.reduced.reduce_rhs(rhs, slave_values)
+        try:
+            y, report = solve(system.factorization, reduced_rhs, self.tolerance)
+        except SolverFailureError as exc:
+            raise SolverFailureError(f"{label}: {exc}", exc.report) from exc
+        self.solve_reports.append(report)
+        return system.reduced.expand(y, slave_values)
+
+
+class StepSystems(LinearSolves):
     """Block matrices, reductions and factorizations for one run.
 
-    Built once per (benchmark, discretization, scheme); every step reuses
-    the factorizations and only reassembles right-hand sides and boundary
-    values.  The boundary data (which dofs are constrained) and the load
-    closures are set up once, at construction; each step evaluates only
-    the closures.  A discretization built for another mu or K/mu_f than
-    the benchmark's is refused with ValueError, and so is one that
-    check_scheme refuses.  Every linear system of a run, init_state's
-    projections included, is prepared by prepare and solved by solve.
+    Built once per (benchmark, discretization, scheme), on the boundary
+    data init_state built for the run; every step reuses the
+    factorizations and only reassembles right-hand sides and boundary
+    values.  The load closures are set up once, at construction; each step
+    evaluates only the closures.  A discretization built for another mu or
+    K/mu_f than the benchmark's is refused with ValueError, and so is one
+    that check_scheme refuses.  Every system is prepared and solved
+    through LinearSolves.
     """
 
     def __init__(
@@ -291,8 +341,10 @@ class StepSystems:
         benchmark: Benchmark,
         discretization: Discretization,
         scheme: TimeScheme,
+        boundary: BoundaryData,
         tolerance: float = DEFAULT_TOLERANCE,
     ) -> None:
+        super().__init__(tolerance)
         disc = discretization
         prm = benchmark.params
         if (prm.mu, prm.K / prm.mu_f) != (disc.mu, disc.mobility):
@@ -303,22 +355,18 @@ class StepSystems:
         self.benchmark = benchmark
         self.discretization = disc
         self.scheme = scheme
-        self.tolerance = float(tolerance)
         dm = disc.dofmap
         self.coeffs = benchmark.coeffs
         k1, k2, k3 = self.coeffs.kappa1, self.coeffs.kappa2, self.coeffs.kappa3
         A, B, M, S = disc.A, disc.B, disc.M, disc.S
 
         check_scheme(benchmark, scheme.theta)
-        self.boundary = build_constraints(disc.mesh, dm, benchmark.bcs, self.coeffs)
-        u_dofs = self.boundary.u_dofs
-        pverts = self.boundary.pressure_vertices
+        self.boundary = boundary
+        u_dofs = boundary.u_dofs
+        pverts = boundary.pressure_vertices
 
         dt = scheme.dt
-        self.solve_reports: list[LinearSolveReport] = []
-        self.factorizations: list[FactorizationRecord] = []
-
-        rigid = self.boundary.rigid_rows
+        rigid = boundary.rigid_rows
         if scheme.theta == 1:
             mono = sp.bmat(
                 [
@@ -355,40 +403,6 @@ class StepSystems:
     def boundary_values(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Dirichlet displacement values and pressure data at time t."""
         return self.boundary.values(t)
-
-    def prepare(
-        self, label: str, matrix: sp.spmatrix, grid: np.ndarray, slaves: np.ndarray,
-        coupling: Optional[sp.spmatrix] = None, lag_rows: Optional[sp.spmatrix] = None,
-    ) -> LinearSystem:
-        """The reduction of one system of the run (see ReducedSystem), and
-        its factorization in nested-dissection order of its masters' grid
-        positions, Lagrange rows last; its size and fill are recorded under
-        the label, and a failure names it.  The caller keeps the returned
-        record as long as it solves with it."""
-        reduced = ReducedSystem(matrix, slaves=slaves, coupling=coupling, lag_rows=lag_rows)
-        n_masters = reduced.masters.size
-        order = np.concatenate(
-            [nested_dissection(grid[reduced.masters]), n_masters + np.arange(reduced.n_lag)]
-        )
-        try:
-            fact = factorize(reduced.matrix, order)
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(f"{label}: {exc}", exc.row) from exc
-        self.factorizations.append(FactorizationRecord(label, fact.shape[0], fact.lu_nnz))
-        return LinearSystem(reduced, fact)
-
-    def solve(
-        self, system: LinearSystem, rhs: np.ndarray, slave_values: np.ndarray, label: str
-    ) -> np.ndarray:
-        """Full solution of one prepared system at the run's tolerance; the
-        solve's report is recorded, and a failure names the label."""
-        reduced_rhs = system.reduced.reduce_rhs(rhs, slave_values)
-        try:
-            y, report = solve(system.factorization, reduced_rhs, self.tolerance)
-        except SolverFailureError as exc:
-            raise SolverFailureError(f"{label}: {exc}", exc.report) from exc
-        self.solve_reports.append(report)
-        return system.reduced.expand(y, slave_values)
 
     def estimate_decoupled_amplification(self) -> float:
         """Per-step growth factor of the decoupled scheme's homogeneous map.
@@ -447,9 +461,19 @@ def check_scheme(benchmark: Benchmark, theta: int) -> None:
         )
 
 
-def init_state(systems: StepSystems) -> FieldState:
-    """Discrete initial data, from the discretization and boundary data of
-    a run's StepSystems.
+@dataclass(frozen=True, eq=False)
+class InitialData:
+    """A run's boundary data and its initial state (init_state)."""
+
+    boundary: BoundaryData
+    state: FieldState
+
+
+def init_state(
+    benchmarks: Sequence[Benchmark], discretization: Discretization, solves: LinearSolves
+) -> list[InitialData]:
+    """Discrete initial data of runs on one discretization, each with the
+    boundary data it was projected under.
 
     The displacement is the elliptic projection of the initial field: it
     matches the strain energy of the nodal interpolant, satisfies the t=0
@@ -458,29 +482,62 @@ def init_state(systems: StepSystems) -> FieldState:
     since u0 is divergence-free (Benchmark.u0).  eta and xi follow
     coefficientwise from the change of variables, and the stored p, q are
     re-derived from them so the state identities hold exactly.
+
+    Neither projection depends on the kappas, so A is factorized once for
+    all the benchmarks and M once, each member solving with its own data;
+    benchmarks that prescribe different displacement dofs or rigid-motion
+    rows are refused with ValueError.  Both factors are dropped before
+    this returns, so neither is live while a step system is factorized.
     """
-    benchmark = systems.benchmark
-    disc = systems.discretization
-    dm, A, M, boundary = disc.dofmap, disc.A, disc.M, systems.boundary
+    disc = discretization
+    dm = disc.dofmap
+    boundaries = [build_constraints(disc.mesh, dm, b.bcs, b.coeffs) for b in benchmarks]
+    first = boundaries[0]
+    for bench, boundary in zip(benchmarks[1:], boundaries[1:]):
+        if not np.array_equal(boundary.u_dofs, first.u_dofs) or (
+            (boundary.rigid_rows is None) != (first.rigid_rows is None)
+        ):
+            raise ValueError(
+                f"benchmark {bench.name!r} prescribes other displacement dofs or rigid-motion "
+                f"rows than benchmark {benchmarks[0].name!r}; runs projected together share "
+                "one constraint set"
+            )
 
     coords = disc.mesh.p2_node_coords()
-    u_interp = np.asarray(benchmark.u0(coords, 0.0), dtype=float).reshape(-1)  # interleaved
-    u_values, _ = boundary.values(0.0)
     label = "initial displacement projection"
-    elastic = systems.prepare(
-        label, A, disc.grid[: dm.n_u], boundary.u_dofs, lag_rows=boundary.rigid_rows
+    elastic = solves.prepare(
+        label, disc.A, disc.grid[: dm.n_u], first.u_dofs, lag_rows=first.rigid_rows
     )
-    u0 = systems.solve(elastic, A @ u_interp, u_values, label)
+    u0s = [
+        solves.solve(
+            elastic,
+            disc.A @ np.asarray(bench.u0(coords, 0.0), dtype=float).reshape(-1),  # interleaved
+            boundary.values(0.0)[0],
+            label,
+        )
+        for bench, boundary in zip(benchmarks, boundaries)
+    ]
+    del elastic
 
     none = np.empty(0)
-    mass = systems.prepare(
-        "initial mass projections", M, disc.grid[dm.xi_offset : dm.eta_offset], none
+    mass = solves.prepare(
+        "initial mass projections", disc.M, disc.grid[dm.xi_offset : dm.eta_offset], none
     )
-    p_load = assemble_domain_load(disc.quadrature, benchmark.p0, 0.0, space="scalar")
-    p0 = systems.solve(mass, p_load, none, "initial pressure projection")
+    p0s = [
+        solves.solve(
+            mass, assemble_domain_load(disc.quadrature, bench.p0, 0.0, space="scalar"), none,
+            "initial pressure projection",
+        )
+        for bench in benchmarks
+    ]
 
-    xi0, eta0 = xieta_from_pq(p0, np.zeros_like(p0), benchmark.params)
-    return FieldState.derive(0.0, u0, xi0, eta0, eta0, systems.coeffs)
+    initial = []
+    for bench, boundary, u0, p0 in zip(benchmarks, boundaries, u0s, p0s):
+        xi0, eta0 = xieta_from_pq(p0, np.zeros_like(p0), bench.params)
+        initial.append(
+            InitialData(boundary, FieldState.derive(0.0, u0, xi0, eta0, eta0, bench.coeffs))
+        )
+    return initial
 
 
 def step_coupled(
@@ -580,6 +637,12 @@ def _check_rigid_balance(
     return None
 
 
+def _close(a: np.ndarray, b: np.ndarray) -> bool:
+    """np.allclose(a, b, rtol=1e-12, atol=1e-14) for finite a, b, without
+    its broadcasting and special-value passes."""
+    return bool(np.all(np.abs(a - b) <= 1e-14 + 1e-12 * np.abs(b)))
+
+
 def run(
     benchmark: Benchmark,
     discretization: Discretization,
@@ -589,6 +652,7 @@ def run(
     compute_errors: bool = True,
     c_stab: Optional[float] = None,
     tolerance: float = DEFAULT_TOLERANCE,
+    initial: Optional[InitialData] = None,
 ) -> RunResult:
     """Integrate a benchmark over [0, T] and collect per-step diagnostics.
 
@@ -598,9 +662,16 @@ def run(
     coefficient identities for p and q are enforced to 1e-14 after every
     step, and every step's loads are compared with t = 0's and, for pure
     traction, checked against the rigid motions.
+
+    The run starts from `initial` when a caller projected it together with
+    other runs' (init_state); otherwise it projects its own initial data
+    first, before it factorizes its step systems.
     """
     disc = discretization
-    systems = StepSystems(benchmark, disc, scheme, tolerance=tolerance)
+    projections = LinearSolves(tolerance)
+    if initial is None:
+        (initial,) = init_state([benchmark], disc, projections)
+    systems = StepSystems(benchmark, disc, scheme, initial.boundary, tolerance=tolerance)
     mesh, dofmap = disc.mesh, disc.dofmap
     coeffs = systems.coeffs
 
@@ -626,8 +697,7 @@ def run(
                     stacklevel=2,
                 )
 
-    state = init_state(systems)
-
+    state = initial.state
     mech0, flow0 = assemble_load(systems.loads, state.t)
     # The loads are steady while every step's equal t = 0's.  A pure-traction
     # load must do no work on rigid motions, else the continuous problem has
@@ -667,10 +737,7 @@ def run(
             )
         erec = auditor.ingest(state)
         energy.append(erec)
-        time_independent = time_independent and bool(
-            np.allclose(mech0, mech, rtol=1e-12, atol=1e-14)
-            and np.allclose(flow0, flow, rtol=1e-12, atol=1e-14)
-        )
+        time_independent = time_independent and _close(mech0, mech) and _close(flow0, flow)
         if rigid is not None:
             rigid = _check_rigid_balance(rigid, n, state.t, mech)
         cells = {}
@@ -704,5 +771,5 @@ def run(
         max_solver_residual=max_residual,
         solve_count=len(reports),
         decoupled_amplification=amplification,
-        factorizations=tuple(systems.factorizations),
+        factorizations=tuple(projections.factorizations + systems.factorizations),
     )

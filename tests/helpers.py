@@ -31,7 +31,7 @@ from porofem.model import (
     MechanicalBC,
     SourceFunctions,
 )
-from porofem.stepper import Discretization, FieldState, StepSystems, TimeScheme, init_state
+from porofem.stepper import Discretization, FieldState, LinearSolves, init_state
 
 def jittered_mesh(nx: int, ny: int, rect=(0.0, 0.0, 1.0, 1.0), seed: int = 0) -> Mesh:
     """A structured mesh with every vertex moved by up to 0.2 cell widths,
@@ -150,9 +150,9 @@ def locking_scan(state, mesh: Mesh, benchmark: Benchmark) -> LockingIndicator:
 
 
 def initial_state(benchmark: Benchmark, mesh: Mesh) -> FieldState:
-    """The initial state of a one-step coupled run of benchmark on mesh."""
+    """The initial state of a run of benchmark on mesh."""
     disc = Discretization.build(mesh, benchmark.params)
-    return init_state(StepSystems(benchmark, disc, TimeScheme(dt=1e-3, n_steps=1, theta=1)))
+    return init_state([benchmark], disc, LinearSolves())[0].state
 
 
 def zero_vector(x: np.ndarray, t: float) -> np.ndarray:

@@ -239,9 +239,9 @@ def test_run_writes_expected_files(tmp_path, small_run_args):
     assert "time-independent loads = yes" in log
     facts = re.findall(r"^factorization = (.+): (\d+) unknowns, (\d+) L\+U nonzeros$", log, re.M)
     assert [f[0] for f in facts] == [
-        "coupled system", "initial displacement projection", "initial mass projections"
+        "initial displacement projection", "initial mass projections", "coupled system"
     ]
-    assert facts[2][1] == "9"  # the P1 mass matrix of the 2 x 2 mesh
+    assert facts[1][1] == "9"  # the P1 mass matrix of the 2 x 2 mesh
     assert all(int(nnz) >= int(n) > 0 for _, n, nnz in facts)
     snapshots = {p.name for p in out.glob("fields_*.vtk")}
     assert snapshots == {f"fields_{i}.vtk" for i in range(11)}
@@ -602,13 +602,17 @@ def test_impossible_scheme_of_any_command_exits_2_before_any_output(
         ("run", ["dt=1e-300", "T=1e-3"], ["n_steps", "2**63 - 1"]),
         # T / dt overflows to inf: still a step count, not a span of zero.
         ("run", ["dt=1e-300", "T=1e300"], ["n_steps", "got inf"]),
-        # The base c0 = 0 passes; the member with c0 = 2 overflows lam*c0.
-        ("sweep", ["benchmark=locking", "lam=1e308", "c0_list=1,2", "T=2e-4"],
+        # The base c0 = 0 passes (alpha keeps kappa2 = lam/alpha**2 in range);
+        # the member with c0 = 2 overflows lam*c0.
+        ("sweep", ["benchmark=locking", "alpha=1e100", "lam=1e308", "c0_list=1,2", "T=2e-4"],
          ["alpha*alpha + lam*c0", "c0 = 2.0"]),
+        # Finite constants whose kappa2 or K/mu_f no solve can use.
+        ("run", ["T=2e-4", "c0=1e308"], ["kappa2 = ", "c0 = 1e+308"]),
+        ("run", ["T=2e-4", "mu_f=1e-300"], ["K/mu_f", "mu_f = 1e-300"]),
     ],
     ids=[
         "alpha-overflow", "lam-c0-overflow", "alpha-underflow", "step-count",
-        "step-count-overflow", "sweep-member",
+        "step-count-overflow", "sweep-member", "kappa2-underflow", "mobility-overflow",
     ],
 )
 def test_bad_numbers_exit_2_before_any_output(tmp_path, capsys, command, settings, named):
@@ -751,7 +755,21 @@ def test_sweep_writes_pairwise_distances(tmp_path):
     assert float(rows[0][0]) == pytest.approx(1e-2)
     assert float(rows[0][1]) == pytest.approx(1e-4)
     assert all(float(c) > 0 for c in rows[0][2:])
-    assert "c0 values = 0.01,0.0001" in (out / "run.log").read_text()
+    log = (out / "run.log").read_text()
+    assert "c0 values = 0.01,0.0001" in log
+    # The shared projections, then each member's own factorization, solves
+    # and residuals, in the lines of a run's log.
+    tail = log.splitlines()[log.splitlines().index("c0 values = 0.01,0.0001") + 1:]
+    assert [line.partition(" = ")[0] for line in tail] == [
+        "factorization", "factorization",
+        "member c0", "factorization", "solves", "max solver residual",
+        "member c0", "factorization", "solves", "max solver residual",
+    ]
+    assert tail[0].startswith("factorization = initial displacement projection: ")
+    assert tail[1].startswith("factorization = initial mass projections: 9 unknowns, ")
+    assert tail[2] == "member c0 = 0.01" and tail[6] == "member c0 = 0.0001"
+    assert tail[3].startswith("factorization = coupled system: ")
+    assert tail[4] == tail[8] == "solves = 2"
 
 
 def test_sweep_tolerance_bounds_every_member_solve(tmp_path, capsys):

@@ -4,6 +4,8 @@ vanishing-storage sweep."""
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -626,6 +628,37 @@ def test_sweep_assembles_the_mesh_operators_once(monkeypatch):
     biot_limit_sweep(get_benchmark("locking"), [1e-2, 1e-4, 1e-6], build_rect_mesh(3, 3),
                      TimeScheme(dt=1e-4, n_steps=2, theta=1))
     assert sorted(calls) == ["assemble_elasticity", "physical_points"]
+
+
+@pytest.mark.parametrize("c0_values", [[1e-2, 1e-4], [1e-2, 1e-4, 1e-6, 0.0]])
+def test_sweep_projects_all_members_from_two_factors(c0_values, monkeypatch):
+    # m members make m + 2 factorizations: A and M once for every member's
+    # initial projections, then each member's coupled system; both
+    # projection factors are dead when the first coupled one is made.
+    original = porofem.stepper.factorize
+    refs = []
+    alive_at_third = []
+
+    def keeping(*args, **kwargs):
+        if len(refs) == 2:
+            gc.collect()
+            alive_at_third.extend(ref() is not None for ref in refs)
+        fact = original(*args, **kwargs)
+        refs.append(weakref.ref(fact))
+        return fact
+
+    monkeypatch.setattr(porofem.stepper, "factorize", keeping)
+    rows = biot_limit_sweep(get_benchmark("locking"), c0_values, build_rect_mesh(4, 4),
+                            TimeScheme(dt=1e-4, n_steps=2, theta=1))
+    assert len(refs) == len(c0_values) + 2
+    assert alive_at_third == [False, False]
+    assert [f.label for f in rows.projections] == [
+        "initial displacement projection", "initial mass projections"
+    ]
+    assert [c0 for c0, _ in rows.members] == c0_values
+    for _, member in rows.members:
+        assert [f.label for f in member.factorizations] == ["coupled system"]
+        assert member.solve_count == 2 and member.states == []
 
 
 def test_sweep_rows_carry_the_pair():

@@ -8,6 +8,8 @@ shipped with each benchmark must agree at random space-time samples.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 import sympy as sym
@@ -126,6 +128,34 @@ def test_material_params_validation():
     for values in ({"alpha": 1e200}, {"lam": 1e308, "c0": 1e308}, {"alpha": 1e-200, "lam": 0.0}):
         with pytest.raises(ValueError, match=r"^alpha\*alpha \+ lam\*c0 must be finite and positive"):
             MaterialParams(**values)
+
+
+@pytest.mark.parametrize(
+    "values, named",
+    [
+        ({"c0": 1e308}, "kappa2 = lam/(alpha*alpha + lam*c0) is positive but below 2**-510"),
+        ({"lam": 1e-300}, "kappa2 = lam/(alpha*alpha + lam*c0) is positive but below 2**-510"),
+        ({"alpha": 1e-160, "c0": 0.0}, "kappa1 = alpha/(alpha*alpha + lam*c0) exceeds 2**510"),
+        ({"lam": 1e160, "c0": 0.0}, "kappa2 = lam/(alpha*alpha + lam*c0) exceeds 2**510"),
+        ({"lam": 0.0, "alpha": 1e-100, "c0": 1e100},
+         "kappa3 = c0/(alpha*alpha + lam*c0) exceeds 2**510"),
+        ({"mu_f": 1e-300}, "K/mu_f exceeds 2**510"),
+        ({"K": 1e300}, "K/mu_f exceeds 2**510"),
+    ],
+)
+def test_material_params_bound_the_derived_scales(values, named):
+    with pytest.raises(ValueError, match="^" + re.escape(named)):
+        MaterialParams(**values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    # Vanishing scales stay: zero kappa2 and kappa3, a tiny storage
+    # coefficient, coupling or mobility.
+    [{"lam": 0.0}, {"c0": 0.0}, {"c0": 5e-324}, {"alpha": 1e-300}, {"K": 1e-300}],
+)
+def test_material_params_keep_vanishing_scales(values):
+    MaterialParams(**values)
 
 
 @settings(max_examples=60, deadline=None)

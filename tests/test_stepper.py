@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import porofem.assembly
 import porofem.diagnostics
 import porofem.stepper
-from porofem.assembly import DofMap, DomainQuadrature, assemble_load
+from porofem.assembly import DofMap, DomainQuadrature, assemble_load, build_constraints
 from porofem.diagnostics import ErrorEvaluator, check_state_consistency
 from porofem.mesh import BoundarySegment, build_rect_mesh
 from porofem.model import (
@@ -25,6 +25,7 @@ from porofem.model import (
 from porofem.solver import SolverFailureError
 from porofem.stepper import (
     Discretization,
+    LinearSolves,
     StepSystems,
     TimeScheme,
     evaluate_gate,
@@ -43,6 +44,10 @@ from helpers import (
     zero_scalar,
     zero_vector,
 )
+
+
+def _boundary(bench, disc):
+    return build_constraints(disc.mesh, disc.dofmap, bench.bcs, bench.coeffs)
 
 
 def _interleave(values: np.ndarray) -> np.ndarray:
@@ -172,10 +177,21 @@ def test_init_state_identities_hold_exactly():
 
 def test_init_state_solves_at_the_run_tolerance():
     bench = get_benchmark("test1")
-    systems = StepSystems(bench, Discretization.build(build_rect_mesh(4, 4), bench.params),
-                          TimeScheme(dt=1e-3, n_steps=1, theta=1), tolerance=1e-18)
-    with pytest.raises(SolverFailureError):
-        init_state(systems)
+    disc = Discretization.build(build_rect_mesh(4, 4), bench.params)
+    with pytest.raises(SolverFailureError, match="initial pressure projection"):
+        init_state([bench], disc, LinearSolves(tolerance=1e-18))
+    with pytest.raises(SolverFailureError, match="initial pressure projection"):
+        run(bench, disc, TimeScheme(dt=1e-3, n_steps=1, theta=1), tolerance=1e-18)
+
+
+def test_init_state_refuses_runs_of_other_constraint_sets():
+    # test1 prescribes displacements; the pure-traction fixture has none and
+    # carries rigid-motion rows instead: no one factor of A serves both.
+    mesh = build_rect_mesh(2, 2)
+    clamped, free = get_benchmark("test1"), conservation_benchmark()
+    disc = Discretization.build(mesh, clamped.params)
+    with pytest.raises(ValueError, match="one constraint set"):
+        init_state([clamped, free], disc, LinearSolves())
 
 
 def test_init_state_pressure_projection_second_order():
@@ -442,7 +458,6 @@ def test_init_state_reuses_step_systems(name, monkeypatch):
     bench = conservation_benchmark() if name == "conservation" else get_benchmark(name)
     mesh = build_rect_mesh(4, 4)
     disc = Discretization.build(mesh, bench.params)
-    systems = StepSystems(bench, disc, TimeScheme(dt=1e-3, n_steps=1, theta=1))
     calls = []
 
     def counting(module, attr):
@@ -459,36 +474,53 @@ def test_init_state_reuses_step_systems(name, monkeypatch):
         counting(porofem.stepper, attr)
     for attr in ("assemble_vector_mass", "physical_points"):
         counting(porofem.assembly, attr)
-    state = init_state(systems)
-    # Nothing is assembled again: operators, boundary data and quadrature
-    # tables all come from the run's StepSystems.
-    assert calls == []
-    p_res, q_res = check_state_consistency(state, bench.coeffs)
+    (initial,) = init_state([bench], disc, LinearSolves())
+    StepSystems(bench, disc, TimeScheme(dt=1e-3, n_steps=1, theta=1), initial.boundary)
+    # Nothing is assembled twice: operators and quadrature tables come from
+    # the discretization, and the boundary data init_state builds (with the
+    # rigid-motion rows of the pure-traction fixture) serve the run's
+    # StepSystems.
+    rigid = ["assemble_vector_mass"] if name == "conservation" else []
+    assert calls == ["build_constraints"] + rigid
+    p_res, q_res = check_state_consistency(initial.state, bench.coeffs)
     assert max(p_res, q_res) == 0.0
 
 
 @pytest.mark.parametrize("theta", [0, 1])
 def test_init_state_releases_its_factors(theta, monkeypatch):
     # Step time depends on the initial factors being freed before the first
-    # step (docs/decisions.md, "Why `init_state` keeps its projection").
+    # step (docs/decisions.md, "Why `init_state` keeps its projection"), and
+    # the peak on their being freed before the step systems are factorized.
     original = porofem.stepper.factorize
     refs = []
+    alive_at_first_step = []
 
     def keeping(*args, **kwargs):
         fact = original(*args, **kwargs)
         refs.append(weakref.ref(fact))
         return fact
 
+    def stepping(original_step):
+        def step(*args, **kwargs):
+            if not alive_at_first_step:
+                gc.collect()
+                alive_at_first_step.extend(ref() is not None for ref in refs)
+            return original_step(*args, **kwargs)
+
+        return step
+
     monkeypatch.setattr(porofem.stepper, "factorize", keeping)
+    for name in ("step_coupled", "step_decoupled"):
+        monkeypatch.setattr(porofem.stepper, name, stepping(getattr(porofem.stepper, name)))
     bench = get_benchmark("test1")
-    systems = StepSystems(bench, Discretization.build(build_rect_mesh(3, 3), bench.params),
-                          TimeScheme(dt=1e-3, n_steps=1, theta=theta))
+    result = run(bench, Discretization.build(build_rect_mesh(3, 3), bench.params),
+                 TimeScheme(dt=1e-3, n_steps=2, theta=theta))
     n_step = 1 if theta == 1 else 2
-    assert len(refs) == n_step
-    init_state(systems)
-    gc.collect()
+    assert [f.label for f in result.factorizations][:2] == [
+        "initial displacement projection", "initial mass projections"
+    ]
     assert len(refs) == n_step + 2
-    assert [ref() is not None for ref in refs] == [True] * n_step + [False, False]
+    assert alive_at_first_step == [False, False] + [True] * n_step
 
 
 @pytest.mark.parametrize("keep,expected", [(False, 2), (True, 6)])
@@ -598,7 +630,7 @@ def test_step_systems_reject_a_discretization_of_other_coefficients(field):
     other = dataclasses.replace(bench.params, **{field: 2.0 * getattr(bench.params, field)})
     disc = Discretization.build(build_rect_mesh(2, 2), other)
     with pytest.raises(ValueError, match="discretization carries mu"):
-        StepSystems(bench, disc, TimeScheme(dt=1e-4, n_steps=1, theta=1))
+        StepSystems(bench, disc, TimeScheme(dt=1e-4, n_steps=1, theta=1), _boundary(bench, disc))
     with pytest.raises(ValueError, match="discretization carries mu"):
         run(bench, disc, TimeScheme(dt=1e-4, n_steps=1, theta=1))
 
@@ -654,9 +686,9 @@ def test_compatible_pure_traction_run_is_clean():
 def test_factorization_orders_are_permutations_with_lagrange_rows_last(theta):
     # Pure traction: every mechanical system carries three rigid-motion rows.
     bench = conservation_benchmark()
+    disc = Discretization.build(build_rect_mesh(4, 3), bench.params)
     systems = StepSystems(
-        bench, Discretization.build(build_rect_mesh(4, 3), bench.params),
-        TimeScheme(dt=1e-3, n_steps=1, theta=theta),
+        bench, disc, TimeScheme(dt=1e-3, n_steps=1, theta=theta), _boundary(bench, disc)
     )
     records = [systems.coupled] if theta == 1 else [systems.stokes, systems.diffusion]
     for record in records:
@@ -676,7 +708,9 @@ def test_first_separator_decouples_reduced_coupled_matrix_on_jittered_mesh(name)
     # boundary eta to its vertex's xi.
     bench = get_benchmark(name)
     disc = Discretization.build(jittered_mesh(9, 6), bench.params)
-    systems = StepSystems(bench, disc, TimeScheme(dt=1e-4, n_steps=1, theta=1))
+    systems = StepSystems(
+        bench, disc, TimeScheme(dt=1e-4, n_steps=1, theta=1), _boundary(bench, disc)
+    )
     reduced = systems.coupled.reduced
     n_masters = reduced.masters.size
     grid = disc.grid[reduced.masters]
@@ -701,12 +735,11 @@ def test_coupled_locking_fill_and_residual_at_nx32():
     # Locking's nearly incompressible coupled system: COLAMD ordering gave
     # about 3.6M L+U nonzeros here, grid nested dissection about 1.66M.
     bench = get_benchmark("locking")
-    systems = StepSystems(
-        bench, Discretization.build(build_rect_mesh(32, 32), bench.params),
-        TimeScheme(dt=1e-4, n_steps=1, theta=1),
-    )
+    disc = Discretization.build(build_rect_mesh(32, 32), bench.params)
+    (initial,) = init_state([bench], disc, LinearSolves())
+    systems = StepSystems(bench, disc, TimeScheme(dt=1e-4, n_steps=1, theta=1), initial.boundary)
     assert systems.coupled.factorization.lu_nnz <= 2_500_000
-    state = step_coupled(init_state(systems), systems, *assemble_load(systems.loads, 1e-4))
+    state = step_coupled(initial.state, systems, *assemble_load(systems.loads, 1e-4))
     assert state.t == pytest.approx(1e-4)
     assert systems.solve_reports[-1].relative_residual <= 1e-11
 
@@ -718,10 +751,10 @@ def test_run_records_each_factorization():
     result = run(bench, disc, scheme)
     labels = [f.label for f in result.factorizations]
     assert labels == [
-        "Stokes system",
-        "diffusion system",
         "initial displacement projection",
         "initial mass projections",
+        "Stokes system",
+        "diffusion system",
     ]
     by_label = {f.label: f for f in result.factorizations}
     assert by_label["initial mass projections"].unknowns == disc.dofmap.n_scalar
@@ -736,9 +769,10 @@ def test_hand_loop_of_steps_reproduces_run(name, theta):
     disc = Discretization.build(build_rect_mesh(4, 4), bench.params)
     scheme = TimeScheme(dt=bench.default_dt, n_steps=3, theta=theta)
     result = run(bench, disc, scheme, keep_states=True)
-    systems = StepSystems(bench, disc, scheme)
+    (initial,) = init_state([bench], disc, LinearSolves())
+    systems = StepSystems(bench, disc, scheme, initial.boundary)
     step = step_coupled if theta == 1 else step_decoupled
-    states = [init_state(systems)]
+    states = [initial.state]
     for _ in range(scheme.n_steps):
         t_next = states[-1].t + scheme.dt
         states.append(step(states[-1], systems, *assemble_load(systems.loads, t_next)))
