@@ -42,6 +42,7 @@ __all__ = [
     "cmd_run",
     "cmd_convergence",
     "cmd_sweep",
+    "vtk_grid",
     "write_vtk",
     "main",
 ]
@@ -260,15 +261,11 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> N
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def write_vtk(path: Path, mesh: Mesh, state: FieldState) -> None:
-    """Write one snapshot as legacy ASCII VTK 2.0 unstructured grid.
-
-    Quadratic displacements are downsampled to vertex values; all point
-    data lives on the vertices (cell type 5 = linear triangle).
-    """
+def vtk_grid(mesh: Mesh) -> str:
+    """The header and mesh block (POINTS, CELLS, CELL_TYPES) that every
+    snapshot of one mesh begins with; cell type 5 is the linear triangle."""
     n_v = mesh.n_vertices
     n_f = mesh.n_triangles
-    u = state.u[: 2 * n_v]
     lines = [
         "# vtk DataFile Version 2.0",
         "poroelastic fields",
@@ -280,6 +277,20 @@ def write_vtk(path: Path, mesh: Mesh, state: FieldState) -> None:
         *map("3 {} {} {}".format, *mesh.triangles.T.tolist()),
         f"CELL_TYPES {n_f}",
         *["5"] * n_f,
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def write_vtk(path: Path, grid: str, state: FieldState) -> None:
+    """Write one snapshot as legacy ASCII VTK 2.0 unstructured grid: the
+    mesh's vtk_grid, formatted once for all its snapshots, then the fields.
+
+    Quadratic displacements are downsampled to vertex values; all point
+    data lives on the vertices, one per pressure value.
+    """
+    n_v = state.p.size
+    u = state.u[: 2 * n_v]
+    lines = [
         f"POINT_DATA {n_v}",
         "VECTORS displacement double",
         *map("{:.17g} {:.17g} 0".format, u[0::2].tolist(), u[1::2].tolist()),
@@ -287,7 +298,7 @@ def write_vtk(path: Path, mesh: Mesh, state: FieldState) -> None:
     for name, vec in zip(("pressure", "xi", "eta", "q"), (state.p, state.xi, state.eta, state.q)):
         lines += [f"SCALARS {name} double", "LOOKUP_TABLE default"]
         lines += map("{:.17g}".format, vec[:n_v].tolist())
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, grid + "\n".join(lines) + "\n")
 
 
 def _snapshot_steps(n_steps: int, every: int) -> list[int]:
@@ -360,11 +371,14 @@ def _solver_log(result: RunResult) -> list[str]:
 def cmd_run(resolved: ResolvedRun, out_dir: Path) -> list[str]:
     """Integrate one benchmark; write its diagnostics and field snapshots."""
     config = resolved.config
+    snapshots = (
+        _snapshot_steps(resolved.scheme.n_steps, resolved.snapshot_every) if config.vtk else []
+    )
     result = run(
         resolved.benchmark,
         Discretization.build(resolved.mesh, resolved.benchmark.params),
         resolved.scheme,
-        keep_states=config.vtk,
+        keep_steps=snapshots,
         compute_errors=config.errors != "off",
         c_stab=config.c_stab,
         tolerance=config.tolerance,
@@ -377,11 +391,11 @@ def cmd_run(resolved: ResolvedRun, out_dir: Path) -> list[str]:
     )
 
     snapshot_files = []
-    if config.vtk:
-        for step in _snapshot_steps(resolved.scheme.n_steps, resolved.snapshot_every):
-            name = f"fields_{step}.vtk"
-            write_vtk(out_dir / name, resolved.mesh, result.states[step])
-            snapshot_files.append(name)
+    grid = vtk_grid(resolved.mesh) if snapshots else ""
+    for step, state in zip(snapshots, result.states):
+        name = f"fields_{step}.vtk"
+        write_vtk(out_dir / name, grid, state)
+        snapshot_files.append(name)
 
     log = []
     if result.gate is not None:
@@ -426,7 +440,7 @@ def cmd_convergence(resolved: ResolvedRun, out_dir: Path) -> list[str]:
             resolved.benchmark,
             Discretization.build(mesh, resolved.benchmark.params),
             resolved.scheme,
-            keep_states=False,
+            keep_steps=(),
             c_stab=config.c_stab,
             tolerance=config.tolerance,
         )

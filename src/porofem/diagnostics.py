@@ -465,8 +465,8 @@ def biot_limit_sweep(benchmark: Benchmark, c0_values: Sequence[float], mesh: Mes
     c0_prev = states_prev = None
     for c0, bench, start in zip(c0_values, benchmarks, initial):
         result = stepper.run(
-            bench, disc, scheme, keep_states=True, compute_errors=False, tolerance=tolerance,
-            initial=start,
+            bench, disc, scheme, keep_steps=range(scheme.n_steps + 1), compute_errors=False,
+            tolerance=tolerance, initial=start,
         )
         states = result.states
         if states_prev is not None:

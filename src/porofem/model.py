@@ -59,8 +59,8 @@ class MaterialParams:
     """Physical constants of the poroelastic medium.
 
     Attributes:
-        lam: first Lame constant (Pa), nonnegative.
-        mu: shear modulus (Pa), positive.
+        lam: first Lame constant (Pa), nonnegative, at most 2**510.
+        mu: shear modulus (Pa), in [2**-510, 2**510].
         alpha: pressure/volumetric-strain coupling constant, positive.
         c0: constrained specific storage coefficient (1/Pa), nonnegative;
             alpha^2 + lam*c0 must be finite and positive.
@@ -103,21 +103,24 @@ class MaterialParams:
                 f"alpha*alpha + lam*c0 must be finite and positive, got {denom} "
                 f"(alpha = {self.alpha}, lam = {self.lam}, c0 = {self.c0})"
             )
-        # The step systems multiply these scales with one another, and the
-        # pressure-Dirichlet elimination divides by kappa2: each stays at most
-        # 2**510, and a positive kappa2 at least 2**-510, so that a product or
-        # a quotient of two is finite and nonzero.
+        # The step systems multiply these scales with one another, the
+        # elastic block scales with mu, the pressure-Dirichlet elimination
+        # divides by kappa2, and lam scales the benchmarks' data: each stays
+        # at most 2**510, and a positive kappa2 or mu at least 2**-510, so
+        # that a product or a quotient of two is finite and nonzero.
         coeffs = derive_kappas(self)
         kappa = ("alpha", "lam", "c0")
-        for name, value, inputs in (
-            ("kappa1 = alpha/(alpha*alpha + lam*c0)", coeffs.kappa1, kappa),
-            ("kappa2 = lam/(alpha*alpha + lam*c0)", coeffs.kappa2, kappa),
-            ("kappa3 = c0/(alpha*alpha + lam*c0)", coeffs.kappa3, kappa),
-            ("K/mu_f", self.K / self.mu_f, ("K", "mu_f")),
+        for name, value, inputs, floored in (
+            ("kappa1 = alpha/(alpha*alpha + lam*c0)", coeffs.kappa1, kappa, False),
+            ("kappa2 = lam/(alpha*alpha + lam*c0)", coeffs.kappa2, kappa, True),
+            ("kappa3 = c0/(alpha*alpha + lam*c0)", coeffs.kappa3, kappa, False),
+            ("K/mu_f", self.K / self.mu_f, ("K", "mu_f"), False),
+            ("lam", self.lam, ("lam",), False),
+            ("mu", self.mu, ("mu",), True),
         ):
             if value > 2.0**510:
                 fault = "exceeds 2**510"
-            elif name.startswith("kappa2") and 0.0 < value < 2.0**-510:
+            elif floored and 0.0 < value < 2.0**-510:
                 fault = "is positive but below 2**-510"
             else:
                 continue

@@ -101,19 +101,69 @@ def _equilibrate(matrix: sp.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
 
     Ruiz's iteration (RAL-TR-2001-034): each sweep divides every row and
     column by the square root of its current max-norm.  The scalings are
-    rounded to powers of two, so applying them is exact.
+    rounded to powers of two, so applying them is exact.  Every column
+    must hold an entry.  A sweep reuses one buffer of the matrix's length.
     """
     n = matrix.shape[0]
     rows = matrix.indices.astype(np.intp)
-    col_counts = np.diff(matrix.indptr)
+    cols = np.repeat(np.arange(n), np.diff(matrix.indptr))
     magnitude = np.abs(matrix.data)
+    weighted = np.empty_like(magnitude)
+    row_max = np.empty(n)
     r, c = np.ones(n), np.ones(n)
     for _ in range(_RUIZ_SWEEPS):
-        row_max = np.zeros(n)
-        np.maximum.at(row_max, rows, magnitude * np.repeat(c, col_counts))
-        col_max = np.maximum.reduceat(magnitude * r.take(rows), matrix.indptr[:-1])
+        # Every index is in range; mode="clip" lets take write the buffer
+        # directly instead of through a copy.
+        np.multiply(magnitude, c.take(cols, out=weighted, mode="clip"), out=weighted)
+        row_max.fill(0.0)
+        np.maximum.at(row_max, rows, weighted)
+        np.multiply(magnitude, r.take(rows, out=weighted, mode="clip"), out=weighted)
+        col_max = np.maximum.reduceat(weighted, matrix.indptr[:-1])
         r, c = r / np.sqrt(r * row_max), c / np.sqrt(c * col_max)
     return np.exp2(np.round(np.log2(r))), np.exp2(np.round(np.log2(c)))
+
+
+def _scaled_permuted(
+    csc: sp.csc_matrix, order: np.ndarray
+) -> tuple[sp.csc_matrix, np.ndarray, np.ndarray]:
+    """SuperLU's input P Dr A Dc P^T, and the scalings r, c of A.
+
+    Entry (i, j) of A goes to (rank[i], rank[j]), where rank inverts order,
+    and explicit zeros are left out.  The result is built in place on one
+    copy of A, with 32-bit indices sorted within each column; every
+    temporary is freed when this returns, so that only A, this matrix,
+    the order and the scalings are alive while SuperLU factorizes.
+
+    Raises:
+        SingularMatrixError: naming the first row, else column, of A that
+            holds no nonzero.
+    """
+    n = csc.shape[0]
+    permuted = csc[:, order]
+    permuted.eliminate_zeros()
+    empty_rows = np.flatnonzero(np.bincount(permuted.indices, minlength=n) == 0)
+    if empty_rows.size:
+        row = int(empty_rows[0])
+        raise SingularMatrixError(f"matrix is structurally singular: row {row} is zero", row=row)
+    empty_cols = order[np.diff(permuted.indptr) == 0]
+    if empty_cols.size:
+        col = int(empty_cols.min())
+        raise SingularMatrixError(
+            f"matrix is structurally singular: column {col} is zero", row=col
+        )
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
+    permuted.indices = rank[permuted.indices]
+    permuted.indptr = permuted.indptr.astype(np.int32, copy=False)
+    permuted.has_sorted_indices = False
+    # Ruiz's sweeps are the same in any numbering: the scalings of the
+    # permuted matrix are those of A, permuted.
+    r, c = _equilibrate(permuted)
+    data = permuted.data
+    np.multiply(data, r[permuted.indices], out=data)
+    np.multiply(data, np.repeat(c, np.diff(permuted.indptr)), out=data)
+    permuted.sort_indices()
+    return permuted, r[rank], c[rank]
 
 
 def factorize(matrix: sp.spmatrix, order: np.ndarray) -> Factorization:
@@ -143,27 +193,7 @@ def factorize(matrix: sp.spmatrix, order: np.ndarray) -> Factorization:
     order = np.asarray(order, dtype=np.int64)
     if order.shape != (n,) or not np.array_equal(np.sort(order), np.arange(n)):
         raise ValueError(f"order must be a permutation of range({n})")
-    # Explicit zeros are left out here; csc may share the caller's arrays,
-    # so it is not pruned in place.
-    kept = csc.data != 0.0
-    rows = csc.indices[kept]
-    cols = np.repeat(np.arange(n), np.diff(csc.indptr))[kept]
-    empty_rows = np.flatnonzero(np.bincount(rows, minlength=n) == 0)
-    if empty_rows.size:
-        row = int(empty_rows[0])
-        raise SingularMatrixError(f"matrix is structurally singular: row {row} is zero", row=row)
-    empty_cols = np.flatnonzero(np.bincount(cols, minlength=n) == 0)
-    if empty_cols.size:
-        col = int(empty_cols[0])
-        raise SingularMatrixError(
-            f"matrix is structurally singular: column {col} is zero", row=col
-        )
-    r, c = _equilibrate(csc)
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    scaled = sp.csc_matrix(
-        (csc.data[kept] * r[rows] * c[cols], (rank[rows], rank[cols])), shape=(n, n)
-    )
+    scaled, r, c = _scaled_permuted(csc, order)
     try:
         lu = spla.splu(
             scaled,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -296,8 +296,10 @@ class LinearSolves:
         """The reduction of one system (see ReducedSystem), and its
         factorization in nested-dissection order of its masters' grid
         positions, Lagrange rows last; its size and fill are recorded under
-        the label, and a failure names it."""
+        the label, and a failure names it.  A matrix the caller does not
+        hold is freed before the factorization starts."""
         reduced = ReducedSystem(matrix, slaves=slaves, coupling=coupling, lag_rows=lag_rows)
+        del matrix
         n_masters = reduced.masters.size
         order = np.concatenate(
             [nested_dissection(grid[reduced.masters]), n_masters + np.arange(reduced.n_lag)]
@@ -367,15 +369,9 @@ class StepSystems(LinearSolves):
 
         dt = scheme.dt
         rigid = boundary.rigid_rows
+        # Each block matrix is built in the call that reduces it, so that
+        # only its reduction is alive while the reduction is factorized.
         if scheme.theta == 1:
-            mono = sp.bmat(
-                [
-                    [A, -B.T, None],
-                    [B, k3 * M, -k1 * M],
-                    [None, k1 * S, M / dt + k2 * S],
-                ],
-                format="csr",
-            )
             slaves = np.concatenate([u_dofs, dm.eta_offset + pverts])
             coupling = None
             if pverts.size:
@@ -386,11 +382,22 @@ class StepSystems(LinearSolves):
                     (np.full(pverts.size, -k1 / k2), (rows, dm.xi_offset + pverts)),
                     shape=(slaves.size, dm.n_monolithic),
                 )
-            self.coupled = self.prepare("coupled system", mono, disc.grid, slaves, coupling, rigid)
+            self.coupled = self.prepare(
+                "coupled system",
+                sp.bmat(
+                    [
+                        [A, -B.T, None],
+                        [B, k3 * M, -k1 * M],
+                        [None, k1 * S, M / dt + k2 * S],
+                    ],
+                    format="csr",
+                ),
+                disc.grid, slaves, coupling, rigid,
+            )
         else:
-            saddle = sp.bmat([[A, -B.T], [B, k3 * M]], format="csr")
             self.stokes = self.prepare(
-                "Stokes system", saddle, disc.grid[: dm.n_step1], u_dofs, lag_rows=rigid
+                "Stokes system", sp.bmat([[A, -B.T], [B, k3 * M]], format="csr"),
+                disc.grid[: dm.n_step1], u_dofs, lag_rows=rigid,
             )
             self.diffusion = self.prepare(
                 "diffusion system", (M / dt + k2 * S).tocsr(),
@@ -444,9 +451,18 @@ def check_scheme(benchmark: Benchmark, theta: int) -> None:
     Pressure-Dirichlet data need kappa2 > 0 (check_eta_elimination).  With
     zero storage (kappa3 = 0) and u . n Dirichlet on every side, no
     displacement test function carries boundary flux, so constant xi lies
-    in the kernel of the decoupled Stokes step.
+    in the kernel of the decoupled Stokes step.  The decoupled step-size
+    gate (evaluate_gate) divides by mu*K*kappa1**2, which must not vanish.
     """
     check_eta_elimination(benchmark.bcs, benchmark.coeffs)
+    prm, kappa1 = benchmark.params, benchmark.coeffs.kappa1
+    if theta == 0 and prm.mu * prm.K * kappa1**2 == 0.0:
+        raise ValueError(
+            f"decoupled scheme's step-size gate c_stab = mu_f/(2*mu*K*kappa1**2) divides by "
+            f"zero: mu*K*kappa1**2 underflows (mu = {prm.mu}, K = {prm.K}, "
+            f"kappa1 = alpha/(alpha*alpha + lam*c0) = {kappa1:.6g}); use the coupled scheme "
+            "(theta = 1)"
+        )
     if theta == 0 and benchmark.coeffs.kappa3 == 0.0 and all(
         closure is not None
         for seg in BoundarySegment
@@ -602,9 +618,9 @@ def step_decoupled(
 class RunResult:
     """A completed time integration with its diagnostics stream.
 
-    states holds the full trajectory when keep_states was set, otherwise
-    just the initial and (when stepped) final states.  conservation is
-    empty unless the flow boundary is pure Neumann (ConservationTracker).
+    states holds the states at the steps run() was asked to keep, in step
+    order.  conservation is empty unless the flow boundary is pure Neumann
+    (ConservationTracker).
     """
 
     states: list[FieldState]
@@ -648,7 +664,7 @@ def run(
     discretization: Discretization,
     scheme: TimeScheme,
     *,
-    keep_states: bool = False,
+    keep_steps: Collection[int] = (0, -1),
     compute_errors: bool = True,
     c_stab: Optional[float] = None,
     tolerance: float = DEFAULT_TOLERANCE,
@@ -663,11 +679,24 @@ def run(
     step, and every step's loads are compared with t = 0's and, for pure
     traction, checked against the rigid motions.
 
+    keep_steps names the states result.states keeps: indices into the
+    trajectory of n_steps + 1 states, negative ones counting from its end
+    as for a sequence.  The default keeps the initial and final states, and
+    range(n_steps + 1) keeps all; a state no caller reads is not held.
+
     The run starts from `initial` when a caller projected it together with
     other runs' (init_state); otherwise it projects its own initial data
     first, before it factorizes its step systems.
     """
     disc = discretization
+    levels = range(scheme.n_steps + 1)
+    try:
+        kept = {levels[k] for k in keep_steps}
+    except IndexError:
+        raise ValueError(
+            f"keep_steps must index the {len(levels)} states of the run, "
+            f"got {sorted(keep_steps)}"
+        ) from None
     projections = LinearSolves(tolerance)
     if initial is None:
         (initial,) = init_state([benchmark], disc, projections)
@@ -720,7 +749,7 @@ def run(
     )
     error_levels = [(state.t, evaluator.evaluate(state))] if evaluator is not None else []
 
-    states = [state]
+    states = [state] if 0 in kept else []
     records: list[DiagnosticsRecord] = []
     energy: list[EnergyRecord] = []
     conservation: list[ConservedQuantities] = []
@@ -752,10 +781,8 @@ def run(
         records.append(DiagnosticsRecord(
             step=n, t=state.t, J=erec.J, S_cum=erec.s_cum, energy_residual=erec.residual, **cells
         ))
-        if keep_states:
+        if n in kept:
             states.append(state)
-    if not keep_states and scheme.n_steps > 0:
-        states.append(state)
 
     errors = summarize_error_history(error_levels) if evaluator is not None else None
     reports = systems.solve_reports[first_step_report:]

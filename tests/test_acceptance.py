@@ -49,7 +49,7 @@ def test_criterion_1_convergence_orders():
     for nx in (8, 16, 32, 64):
         mesh = build_rect_mesh(nx, nx)
         disc = Discretization.build(mesh, bench.params)
-        result = run(bench, disc, scheme, keep_states=False, compute_errors=True)
+        result = run(bench, disc, scheme, compute_errors=True)
         hs.append(mesh.h)
         p_linf.append(result.errors["p"].linf_l2)
         p_l2h1.append(result.errors["p"].l2_h1)
@@ -91,9 +91,9 @@ def test_time_convergence_order_of_both_schemes(theta, nx, T, dts):
         scheme = TimeScheme.from_final_time(T=T, dt=dt, theta=theta)
         if theta == 0:  # every dt here lies above the advisory gate c_stab * h^2
             with pytest.warns(UserWarning, match="advisory step-size gate"):
-                result = run(bench, disc, scheme, keep_states=False, compute_errors=True)
+                result = run(bench, disc, scheme, compute_errors=True)
         else:
-            result = run(bench, disc, scheme, keep_states=False, compute_errors=True)
+            result = run(bench, disc, scheme, compute_errors=True)
         p_linf.append(result.errors["p"].linf_l2)
         u_l2h1.append(result.errors["u"].l2_h1)
     rate_p = extract_rates(dts, p_linf)[-1]
@@ -112,13 +112,13 @@ def test_criterion_2_energy_identity():
     disc = Discretization.build(build_rect_mesh(8, 8), bench.params)
 
     res1 = run(bench, disc, TimeScheme(dt=1e-4, n_steps=10, theta=1),
-               keep_states=False, compute_errors=False)
+               compute_errors=False)
     J0 = res1.energy[0].J
     worst1 = max(abs(rec.residual) for rec in res1.energy)
     bound1 = 1e-8 * max(1.0, abs(J0))
 
     res0 = run(bench, disc, TimeScheme(dt=1e-4, n_steps=10, theta=0),
-               keep_states=False, compute_errors=False)
+               compute_errors=False)
     J0_dec = res0.energy[0].J
     worst_slack = max(rec.hat_slack for rec in res0.energy)
     bound0 = 1e-8 * abs(J0_dec)
@@ -206,7 +206,7 @@ def test_criterion_4_reformulation_round_trip():
     worst_state = 0.0
     for theta in (1, 0):
         result = run(bench, disc, TimeScheme(dt=1e-4, n_steps=5, theta=theta),
-                     keep_states=True, compute_errors=False)
+                     keep_steps=range(6), compute_errors=False)
         for state in result.states:
             worst_state = max(worst_state, *check_state_consistency(state, bench.coeffs))
 
@@ -231,11 +231,11 @@ def test_criterion_5_no_locking():
     disc = Discretization.build(mesh, bench.params)
 
     res1 = run(bench, disc, TimeScheme(dt=1e-4, n_steps=10, theta=1),
-               keep_states=True, compute_errors=False)
+               keep_steps=range(11), compute_errors=False)
     ind1 = locking_scan(res1.states[-1], mesh, bench)
 
     res0 = run(bench, disc, TimeScheme(dt=1e-4, n_steps=10, theta=0),
-               keep_states=True, compute_errors=False)
+               keep_steps=range(11), compute_errors=False)
     ind0 = locking_scan(res0.states[-1], mesh, bench)
 
     # degraded control: decoupled scheme far above its step-size gate
@@ -247,7 +247,7 @@ def test_criterion_5_no_locking():
     degraded_disc = Discretization.build(mesh, degraded.params)
     with pytest.warns(UserWarning, match="gate"):
         res_bad = run(degraded, degraded_disc, TimeScheme(dt=2.5e-4, n_steps=4, theta=0),
-                      keep_states=True, compute_errors=False)
+                      keep_steps=range(5), compute_errors=False)
     ind_bad = locking_scan(res_bad.states[-1], mesh, degraded)
 
     ok = (
@@ -366,7 +366,8 @@ def test_criterion_8_barry_mercer_smoke():
     mesh = build_rect_mesh(32, 32)
     scheme = TimeScheme.from_final_time(T=bench.T, dt=0.01, theta=1)
     disc = Discretization.build(mesh, bench.params)
-    result = run(bench, disc, scheme, keep_states=True, compute_errors=False)
+    result = run(bench, disc, scheme, keep_steps=range(scheme.n_steps + 1),
+                 compute_errors=False)
 
     finite = all(
         np.all(np.isfinite(s.u)) and np.all(np.isfinite(s.p))

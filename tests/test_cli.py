@@ -24,6 +24,7 @@ from porofem.cli import (
     _load_config,
     _resolve,
     main,
+    vtk_grid,
     write_vtk,
 )
 from porofem.stepper import FieldState
@@ -321,7 +322,7 @@ def test_write_vtk_matches_elementwise_formatting(tmp_path):
     p = field(n_v)
     state = FieldState(t=0.5, u=field(2 * n_nodes), xi=field(n_v), eta=field(n_v),
                        eta_theta=p, p=p, q=field(n_v))
-    write_vtk(tmp_path / "f.vtk", mesh, state)
+    write_vtk(tmp_path / "f.vtk", vtk_grid(mesh), state)
     assert (tmp_path / "f.vtk").read_bytes() == _reference_vtk_text(mesh, state).encode()
 
 
@@ -575,8 +576,12 @@ def test_impossible_scheme_exits_2_naming_the_cause(tmp_path, capsys, settings, 
         # The c0 = 1 member could run; the c0 = 0 member is refused up front.
         ("sweep", ["benchmark=barry_mercer", "nx=2", "theta=0", "T=0.02", "c0_list=1,0"],
          "decoupled scheme is singular"),
+        # kappa1 = 1e-300 squares to zero in the decoupled step-size gate.
+        ("run", ["benchmark=barry_mercer", "nx=2", "theta=0", "alpha=1e-300", "T=0.02",
+                 "dt=0.01"], "mu*K*kappa1**2 underflows"),
     ],
-    ids=["run-lam-zero", "run-zero-storage", "convergence-lam-zero", "sweep-member"],
+    ids=["run-lam-zero", "run-zero-storage", "convergence-lam-zero", "sweep-member",
+         "run-vanishing-coupling"],
 )
 def test_impossible_scheme_of_any_command_exits_2_before_any_output(
     tmp_path, capsys, command, settings, cause
@@ -602,17 +607,22 @@ def test_impossible_scheme_of_any_command_exits_2_before_any_output(
         ("run", ["dt=1e-300", "T=1e-3"], ["n_steps", "2**63 - 1"]),
         # T / dt overflows to inf: still a step count, not a span of zero.
         ("run", ["dt=1e-300", "T=1e300"], ["n_steps", "got inf"]),
-        # The base c0 = 0 passes (alpha keeps kappa2 = lam/alpha**2 in range);
-        # the member with c0 = 2 overflows lam*c0.
-        ("sweep", ["benchmark=locking", "alpha=1e100", "lam=1e308", "c0_list=1,2", "T=2e-4"],
-         ["alpha*alpha + lam*c0", "c0 = 2.0"]),
+        # The base c0 = 0 passes; the member with c0 = 1e300 overflows lam*c0.
+        ("sweep", ["benchmark=locking", "lam=1e150", "c0_list=1,1e300", "T=2e-4"],
+         ["alpha*alpha + lam*c0", "c0 = 1e+300"]),
         # Finite constants whose kappa2 or K/mu_f no solve can use.
         ("run", ["T=2e-4", "c0=1e308"], ["kappa2 = ", "c0 = 1e+308"]),
         ("run", ["T=2e-4", "mu_f=1e-300"], ["K/mu_f", "mu_f = 1e-300"]),
+        # A Lame constant out of scale: test1's data scale with lam and mu,
+        # and the elastic block with mu.
+        ("run", ["T=2e-4", "lam=1e300"], ["lam exceeds 2**510", "lam = 1e+300"]),
+        ("run", ["T=2e-4", "mu=1e300"], ["mu exceeds 2**510", "mu = 1e+300"]),
+        ("run", ["T=2e-4", "mu=1e-300"], ["mu is positive but below 2**-510", "mu = 1e-300"]),
     ],
     ids=[
         "alpha-overflow", "lam-c0-overflow", "alpha-underflow", "step-count",
         "step-count-overflow", "sweep-member", "kappa2-underflow", "mobility-overflow",
+        "lam-overflow", "mu-overflow", "mu-underflow",
     ],
 )
 def test_bad_numbers_exit_2_before_any_output(tmp_path, capsys, command, settings, named):
@@ -653,10 +663,11 @@ def test_unreachable_tolerance_names_the_initial_projection(tmp_path, capsys):
 
 
 def test_singular_factorization_exits_1_naming_the_system(tmp_path, capsys):
-    # A subnormal shear modulus rounds most of the elasticity block to zero
-    # and the rest to subnormals; the coupled system, the first the run
-    # factorizes, is then exactly singular.
-    code = _cli("run", tmp_path / "o", "nx=2", "T=2e-4", "mu=5e-324")
+    # With zero storage, locking's kappa2 is lam; at lam = 3e153 the flow
+    # block M/dt + kappa2*S rounds to kappa2*S, whose kernel (the constants,
+    # for locking's all-Neumann flow boundary) makes the coupled system, the
+    # first step system the run factorizes, exactly singular.
+    code = _cli("run", tmp_path / "o", "benchmark=locking", "nx=2", "T=2e-4", "lam=3e153")
     assert code == 1
     err = capsys.readouterr().err
     assert "error: coupled system: matrix is numerically singular" in err

@@ -104,7 +104,7 @@ def test_energy_audit_zero_run():
     mesh = build_rect_mesh(3, 3)
     disc = Discretization.build(mesh, bench.params)
     result = run(bench, disc, TimeScheme(dt=1e-3, n_steps=3, theta=1),
-                 keep_states=True)
+                 keep_steps=range(4))
     records = _audit(result.states, 1, 1e-3, bench, mesh)
     assert len(records) == 3
     for rec in records:
@@ -117,7 +117,7 @@ def test_energy_audit_matches_run_records(theta):
     mesh = build_rect_mesh(6, 6)
     disc = Discretization.build(mesh, bench.params)
     result = run(bench, disc, TimeScheme(dt=1e-4, n_steps=6, theta=theta),
-                 keep_states=True, compute_errors=False)
+                 keep_steps=range(7), compute_errors=False)
     records = _audit(result.states, theta, 1e-4, bench, mesh)
     assert len(records) == len(result.energy)
     for ext, internal in zip(records, result.energy):
@@ -150,7 +150,7 @@ def test_conserved_references_match_hand_recursion():
     # C_xi = (0.5*0.13 - 2)/(2 + 0.25) = -0.86, C_u = 0.5*0.13 + 0.25*0.86 = 0.28.
     bench = conservation_benchmark()
     result = run(bench, Discretization.build(build_rect_mesh(4, 4), bench.params),
-                 TimeScheme(dt=0.02, n_steps=5, theta=1), keep_states=True)
+                 TimeScheme(dt=0.02, n_steps=5, theta=1), keep_steps=range(6))
     refs = result.conservation[-1]
     assert refs.c_eta == pytest.approx(0.13, rel=1e-12)
     assert refs.c_xi == pytest.approx(-0.86, rel=1e-12)
@@ -165,7 +165,7 @@ def test_conserved_references_use_lagged_eta_for_decoupled_scheme():
     # previous level, so at t = 0.1 the reference is (0.65*0.08 - 2)/2.25.
     bench = conservation_benchmark()
     result = run(bench, Discretization.build(build_rect_mesh(4, 4), bench.params),
-                 TimeScheme(dt=0.02, n_steps=5, theta=0), keep_states=True)
+                 TimeScheme(dt=0.02, n_steps=5, theta=0), keep_steps=range(6))
     refs = result.conservation[-1]
     expected = (0.65 * 0.08 - 2.0) / 2.25
     assert refs.c_xi == pytest.approx(expected, rel=1e-12)
@@ -598,7 +598,8 @@ def test_sweep_rows_match_independent_runs_bit_for_bit():
     for c0 in c0_values:
         bench = get_benchmark("test1", dataclasses.replace(base.params, c0=c0))
         disc = Discretization.build(build_rect_mesh(4, 4), bench.params)
-        runs.append(run(bench, disc, scheme, keep_states=True, compute_errors=False).states)
+        runs.append(run(bench, disc, scheme, keep_steps=range(scheme.n_steps + 1),
+                        compute_errors=False).states)
     expected = []
     for c0a, c0b, a, b in zip(c0_values, c0_values[1:], runs, runs[1:]):
         expected.append(SweepRow(

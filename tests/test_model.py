@@ -141,6 +141,9 @@ def test_material_params_validation():
          "kappa3 = c0/(alpha*alpha + lam*c0) exceeds 2**510"),
         ({"mu_f": 1e-300}, "K/mu_f exceeds 2**510"),
         ({"K": 1e300}, "K/mu_f exceeds 2**510"),
+        ({"lam": 1e300}, "lam exceeds 2**510"),
+        ({"mu": 1e300}, "mu exceeds 2**510"),
+        ({"mu": 1e-300}, "mu is positive but below 2**-510"),
     ],
 )
 def test_material_params_bound_the_derived_scales(values, named):

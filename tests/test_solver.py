@@ -167,3 +167,57 @@ def test_factorize_leaves_its_input_unchanged():
     assert np.array_equal(x, [1.0, 1.0])
     for arr, old in zip((A.data, A.indices, A.indptr), before):
         assert np.array_equal(arr, old)
+
+
+def _reference_superlu_input(matrix: sp.csc_matrix, order: np.ndarray) -> sp.csc_matrix:
+    """P Dr A Dc P^T as a COO matrix of the nonzeros converts it, with ten
+    Ruiz sweeps written out entry by entry and rounded to powers of two."""
+    n = matrix.shape[0]
+    kept = matrix.data != 0.0
+    rows = matrix.indices[kept].astype(np.int64)
+    cols = np.repeat(np.arange(n), np.diff(matrix.indptr))[kept]
+    magnitude = np.abs(matrix.data[kept])
+    r, c = np.ones(n), np.ones(n)
+    for _ in range(10):
+        row_max, col_max = np.zeros(n), np.zeros(n)
+        np.maximum.at(row_max, rows, magnitude * c[cols])
+        np.maximum.at(col_max, cols, magnitude * r[rows])
+        r, c = r / np.sqrt(r * row_max), c / np.sqrt(c * col_max)
+    r, c = np.exp2(np.round(np.log2(r))), np.exp2(np.round(np.log2(c)))
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    values = matrix.data[kept] * r[rows] * c[cols]
+    return sp.csc_matrix((values, (rank[rows], rank[cols])), shape=(n, n))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_superlu_input_matches_the_coo_reference(seed, monkeypatch):
+    # factorize builds SuperLU's input in place on one copy; it must be the
+    # same matrix, byte for byte, with explicit zeros, unsorted 64-bit
+    # input indices and entries spread over many decades.
+    rng = np.random.default_rng(seed)
+    n = 40
+    A = sp.random(n, n, density=0.15, random_state=rng, format="csc") + sp.identity(n, format="csc")
+    A.data *= 10.0 ** rng.integers(-150, 150, A.nnz)
+    cols = np.repeat(np.arange(n), np.diff(A.indptr))
+    off_diagonal = np.flatnonzero(A.indices != cols)
+    A.data[rng.choice(off_diagonal, off_diagonal.size // 6, replace=False)] = 0.0
+    reversed_in_columns = np.lexsort((-np.arange(A.nnz), cols))
+    A = sp.csc_matrix(
+        (A.data[reversed_in_columns], A.indices[reversed_in_columns].astype(np.int64),
+         A.indptr.astype(np.int64)),
+        shape=A.shape,
+    )
+    order = rng.permutation(n)
+    inputs = []
+    monkeypatch.setattr(
+        "porofem.solver.spla.splu", lambda scaled, **kw: inputs.append(scaled.copy()) or None
+    )
+    factorize(A, order)
+    expected = _reference_superlu_input(A, order)
+    (got,) = inputs
+    for name in ("data", "indices", "indptr"):
+        assert getattr(got, name).dtype == getattr(expected, name).dtype == (
+            np.float64 if name == "data" else np.int32
+        )
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name

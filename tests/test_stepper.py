@@ -4,17 +4,26 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import sys
 import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import porofem.assembly
 import porofem.diagnostics
+import porofem.solver
 import porofem.stepper
-from porofem.assembly import DofMap, DomainQuadrature, assemble_load, build_constraints
+from porofem.assembly import (
+    DofMap,
+    DomainQuadrature,
+    ReducedSystem,
+    assemble_load,
+    build_constraints,
+)
 from porofem.diagnostics import ErrorEvaluator, check_state_consistency
 from porofem.mesh import BoundarySegment, build_rect_mesh
 from porofem.model import (
@@ -219,7 +228,7 @@ def test_zero_data_stays_zero(theta):
         bench,
         Discretization.build(build_rect_mesh(3, 3), bench.params),
         TimeScheme(dt=1e-3, n_steps=4, theta=theta),
-        keep_states=True,
+        keep_steps=range(5),
     )
     for state in result.states:
         for vec in (state.u, state.xi, state.eta, state.p, state.q):
@@ -233,7 +242,8 @@ def test_polynomial_solution_is_exact_in_space_and_time():
     bench = get_benchmark("polynomial")
     mesh = build_rect_mesh(4, 4)
     scheme = TimeScheme(dt=1e-3, n_steps=10, theta=1)
-    result = run(bench, Discretization.build(mesh, bench.params), scheme, keep_states=True)
+    result = run(bench, Discretization.build(mesh, bench.params), scheme,
+                 keep_steps=range(scheme.n_steps + 1))
     coords = mesh.p2_node_coords()
     tol = 1e-10
     for state in result.states:
@@ -259,7 +269,7 @@ def test_decoupled_boundary_elimination_instability_is_detected():
     with pytest.warns(UserWarning, match="amplifies"):
         result = run(bench, Discretization.build(mesh, bench.params),
                      TimeScheme(dt=1e-3, n_steps=8, theta=0),
-                     keep_states=True, compute_errors=False)
+                     keep_steps=range(9), compute_errors=False)
     rho = result.decoupled_amplification
     assert rho is not None and rho > 1.5
     coords = mesh.p2_node_coords()
@@ -298,7 +308,7 @@ def test_pressure_boundary_data_enforced_at_new_time(theta):
     mesh = build_rect_mesh(4, 4)
     disc = Discretization.build(mesh, bench.params)
     result = run(bench, disc, TimeScheme(dt=2e-4, n_steps=5, theta=theta),
-                 keep_states=True, compute_errors=False)
+                 keep_steps=range(6), compute_errors=False)
     k1, k2 = bench.coeffs.kappa1, bench.coeffs.kappa2
     boundary = np.unique(mesh.edges[np.flatnonzero(mesh.edge_tags)])
     for state in result.states[1:]:
@@ -312,7 +322,7 @@ def test_displacement_dirichlet_enforced_at_new_time():
     mesh = build_rect_mesh(4, 4)
     disc = Discretization.build(mesh, bench.params)
     result = run(bench, disc, TimeScheme(dt=2e-4, n_steps=3, theta=1),
-                 keep_states=True, compute_errors=False)
+                 keep_steps=range(4), compute_errors=False)
     coords = mesh.p2_node_coords()
     left = np.flatnonzero(np.abs(coords[:, 0]) <= 1e-14)
     for state in result.states[1:]:
@@ -324,7 +334,7 @@ def test_state_identities_hold_along_trajectory():
     bench = get_benchmark("test1")
     result = run(bench, Discretization.build(build_rect_mesh(4, 4), bench.params),
                  TimeScheme(dt=2e-4, n_steps=5, theta=0),
-                 keep_states=True, compute_errors=False)
+                 keep_steps=range(6), compute_errors=False)
     for state in result.states:
         p_res, q_res = check_state_consistency(state, bench.coeffs)
         assert max(p_res, q_res) <= 1e-14
@@ -340,7 +350,7 @@ def test_conserved_quantities_tracked_to_rounding():
     mesh = build_rect_mesh(4, 4)
     disc = Discretization.build(mesh, bench.params)
     result = run(bench, disc, TimeScheme(dt=0.02, n_steps=5, theta=1),
-                 keep_states=True)
+                 keep_steps=range(6))
     assert result.errors is None  # no exact closures on this fixture
     for record in result.records:
         assert record.C_eta_res is not None and record.C_eta_res <= 1e-12
@@ -523,13 +533,97 @@ def test_init_state_releases_its_factors(theta, monkeypatch):
     assert alive_at_first_step == [False, False] + [True] * n_step
 
 
-@pytest.mark.parametrize("keep,expected", [(False, 2), (True, 6)])
-def test_state_retention(keep, expected):
+def _factorize_frame_arrays(scaled) -> list[str]:
+    """The locals of the factorize call that is about to hand `scaled` to
+    SuperLU, other than the matrix it keeps and SuperLU's input, that hold
+    an array longer than one entry per unknown."""
+    frame = sys._getframe(2)
+    assert frame.f_code.co_name == "factorize"
+    names = dict(frame.f_locals)
+    del frame
+    kept = names["matrix"]
+    allowed = [kept.data, kept.indices, kept.indptr, scaled.data, scaled.indices, scaled.indptr]
+    extra = []
+    for name, value in names.items():
+        if sp.issparse(value):
+            arrays = [value.data, value.indices, value.indptr]
+        else:
+            arrays = [value] if isinstance(value, np.ndarray) else []
+        if any(
+            a.size > kept.shape[0] + 1 and not any(np.may_share_memory(a, b) for b in allowed)
+            for a in arrays
+        ):
+            extra.append(name)
+    return extra
+
+
+@pytest.mark.parametrize("theta", [0, 1])
+def test_only_the_kept_and_scaled_matrices_are_alive_while_factorizing(theta, monkeypatch):
+    # While SuperLU runs, only the reduced matrix (kept for the residual
+    # gate), SuperLU's scaled and permuted input, the order and the
+    # scalings are alive (docs/decisions.md, "What is alive during a
+    # factorization"): the unreduced block matrix of each step system and
+    # factorize's own masks and index copies are already freed.
+    unreduced = []
+    entries = []
+    original_init = ReducedSystem.__init__
+    original_splu = porofem.solver.spla.splu
+
+    def init(self, matrix, *args, **kwargs):
+        unreduced.append(weakref.ref(matrix))
+        original_init(self, matrix, *args, **kwargs)
+
+    def splu(scaled, **kwargs):
+        gc.collect()
+        entries.append((unreduced[-1]() is None, _factorize_frame_arrays(scaled)))
+        return original_splu(scaled, **kwargs)
+
+    monkeypatch.setattr(ReducedSystem, "__init__", init)
+    monkeypatch.setattr(porofem.solver.spla, "splu", splu)
+    bench = get_benchmark("test1")
+    result = run(bench, Discretization.build(build_rect_mesh(3, 3), bench.params),
+                 TimeScheme(dt=1e-3, n_steps=1, theta=theta))
+    labels = [f.label for f in result.factorizations]
+    assert len(entries) == len(labels) == (3 if theta == 1 else 4)
+    for label, (block_freed, extra) in zip(labels, entries):
+        assert extra == [], label
+        # The projections reduce the discretization's own A and M.
+        assert block_freed == (not label.startswith("initial")), label
+
+
+@pytest.mark.parametrize(
+    "keep_steps, steps",
+    [(None, [0, 5]), (range(6), [0, 1, 2, 3, 4, 5]), ((), []), ((3, -1, 5, 0, -6), [0, 3, 5])],
+    ids=["default", "all", "none", "some"],
+)
+def test_state_retention(keep_steps, steps):
     bench = zero_benchmark()
+    kwargs = {} if keep_steps is None else {"keep_steps": keep_steps}
     result = run(bench, Discretization.build(build_rect_mesh(2, 2), bench.params),
-                 TimeScheme(dt=1e-3, n_steps=5, theta=1), keep_states=keep)
-    assert len(result.states) == expected
-    assert result.states[-1].t == pytest.approx(5e-3)
+                 TimeScheme(dt=1e-3, n_steps=5, theta=1), **kwargs)
+    assert [state.t for state in result.states] == pytest.approx([1e-3 * n for n in steps])
+
+
+def test_keep_steps_outside_the_run_are_refused():
+    bench = zero_benchmark()
+    with pytest.raises(ValueError, match="keep_steps must index the 6 states of the run"):
+        run(bench, Discretization.build(build_rect_mesh(2, 2), bench.params),
+            TimeScheme(dt=1e-3, n_steps=5, theta=1), keep_steps=(0, 6))
+
+
+@pytest.mark.parametrize("theta", [0, 1])
+def test_kept_states_are_those_of_the_full_trajectory(theta):
+    bench = get_benchmark("test1")
+    disc = Discretization.build(build_rect_mesh(4, 4), bench.params)
+    scheme = TimeScheme(dt=2e-4, n_steps=7, theta=theta)
+    full = run(bench, disc, scheme, keep_steps=range(8), compute_errors=False).states
+    kept = run(bench, disc, scheme, keep_steps=(5, -1, 2, 0), compute_errors=False).states
+    assert len(kept) == 4
+    for n, got in zip([0, 2, 5, 7], kept):
+        want = full[n]
+        assert got.t == want.t
+        for field in ("u", "xi", "eta", "eta_theta", "p", "q"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (n, field)
 
 
 def test_solve_counts_per_scheme():
@@ -768,7 +862,7 @@ def test_hand_loop_of_steps_reproduces_run(name, theta):
     bench = get_benchmark(name)
     disc = Discretization.build(build_rect_mesh(4, 4), bench.params)
     scheme = TimeScheme(dt=bench.default_dt, n_steps=3, theta=theta)
-    result = run(bench, disc, scheme, keep_states=True)
+    result = run(bench, disc, scheme, keep_steps=range(scheme.n_steps + 1))
     (initial,) = init_state([bench], disc, LinearSolves())
     systems = StepSystems(bench, disc, scheme, initial.boundary)
     step = step_coupled if theta == 1 else step_decoupled
