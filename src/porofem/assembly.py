@@ -335,7 +335,7 @@ class CellRule:
 class DomainQuadrature:
     """A triangle rule over every triangle of a mesh, tabulated once.
 
-    The loads, the initial L2 projections and the error evaluation of a
+    The loads, the initial pressure projection and the error evaluation of a
     run share one instance, and so do all runs on one mesh.
 
     Attributes:

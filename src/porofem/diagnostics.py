@@ -424,9 +424,10 @@ class SweepRow:
 
 class SweepRows(list):
     """A sweep's SweepRow list, in c0 order, with the linear algebra behind
-    them: `projections`, the factorizations of the initial projections its
-    members share, and `members`, each member's c0 and RunResult (states
-    dropped), whose factorizations and solves are that member's own."""
+    them: `projections`, the factorization of the initial pressure
+    projections its members share, and `members`, each member's c0 and
+    RunResult (states dropped), whose factorizations and solves are that
+    member's own."""
 
     def __init__(self, rows: Sequence[SweepRow], projections: tuple, members: tuple) -> None:
         super().__init__(rows)
@@ -441,12 +442,13 @@ def biot_limit_sweep(benchmark: Benchmark, c0_values: Sequence[float], mesh: Mes
     Re-solves the benchmark with each storage coefficient on the same mesh
     and time scheme, then reports max-over-time L2 distances of u, eta and
     xi between consecutive c0 values.  The runs share one discretization
-    (c0 enters no operator of it), and their initial projections, which c0
-    enters only through the data, are solved from one factor of A and one
-    of M before the first run factorizes its step systems.  Each run is
-    compared with the one before it as soon as it finishes, so only two
-    trajectories are held.  `tolerance` bounds every linear solve of every
-    run, as in `run`.
+    (c0 enters no operator of it), and their initial data are built
+    together before the first run factorizes its step systems: each
+    member's displacement is its interpolant, and the pressure projections,
+    which c0 enters only through the data, are solved from one factor of M.
+    Each run is compared with the one before it as soon as it finishes, so
+    only two trajectories are held.  `tolerance` bounds every linear solve
+    of every run, as in `run`.
     """
     from . import stepper  # local import: stepper depends on this module
 

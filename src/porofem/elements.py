@@ -232,8 +232,16 @@ class AffineMaps:
         return cls(inv_jac_t=inv_jac_t, det=det)
 
     def physical_gradients(self, ref_grads: np.ndarray) -> np.ndarray:
-        """Push reference gradients (nq, nbf, 2) to physical space: (F, nq, nbf, 2)."""
-        return np.einsum("fab,qib->fqia", self.inv_jac_t, ref_grads)
+        """Push reference gradients (nq, nbf, 2) to physical space: (F, nq, nbf, 2).
+
+        Two broadcast multiply-adds, one per reference direction b, sum
+        J[f, a, b] * ref[q, i, b] in the order einsum does; a broadcast
+        matmul is faster but rounds differently on distorted meshes.
+        """
+        J, ref = self.inv_jac_t, ref_grads
+        g = J[:, None, None, :, 0] * ref[None, :, :, None, 0]
+        g += J[:, None, None, :, 1] * ref[None, :, :, None, 1]
+        return g
 
 
 def physical_points(mesh, bary_points: np.ndarray) -> np.ndarray:

@@ -489,51 +489,49 @@ def init_state(
     benchmarks: Sequence[Benchmark], discretization: Discretization, solves: LinearSolves
 ) -> list[InitialData]:
     """Discrete initial data of runs on one discretization, each with the
-    boundary data it was projected under.
+    boundary data it starts under.
 
-    The displacement is the elliptic projection of the initial field: it
-    matches the strain energy of the nodal interpolant, satisfies the t=0
-    Dirichlet values, and (for pure-traction problems) is orthogonal to the
-    rigid motions.  The initial pressure is an L2 projection, and q0 = 0
+    The displacement is the nodal interpolant u_I of the initial field, with
+    no solve.  It is the elliptic projection of itself: the projection
+    solves A_ff x = (A u_I)_f - A_fs g, and when g, the t = 0 Dirichlet
+    values, equals u_I on the Dirichlet dofs (and, for pure-traction
+    problems, u_I is orthogonal to the rigid motions) its solution is
+    (u_I)_f.  A benchmark whose u_I breaks either condition is refused with
+    ValueError.  The initial pressure is an L2 projection, and q0 = 0
     since u0 is divergence-free (Benchmark.u0).  eta and xi follow
     coefficientwise from the change of variables, and the stored p, q are
     re-derived from them so the state identities hold exactly.
 
-    Neither projection depends on the kappas, so A is factorized once for
-    all the benchmarks and M once, each member solving with its own data;
-    benchmarks that prescribe different displacement dofs or rigid-motion
-    rows are refused with ValueError.  Both factors are dropped before
-    this returns, so neither is live while a step system is factorized.
+    The pressure projection does not depend on the kappas or the
+    constraints, so M is factorized once for all the benchmarks, each
+    solving with its own data; that factor is dropped before this returns,
+    so it is not live while a step system is factorized.
     """
     disc = discretization
     dm = disc.dofmap
-    boundaries = [build_constraints(disc.mesh, dm, b.bcs, b.coeffs) for b in benchmarks]
-    first = boundaries[0]
-    for bench, boundary in zip(benchmarks[1:], boundaries[1:]):
-        if not np.array_equal(boundary.u_dofs, first.u_dofs) or (
-            (boundary.rigid_rows is None) != (first.rigid_rows is None)
-        ):
-            raise ValueError(
-                f"benchmark {bench.name!r} prescribes other displacement dofs or rigid-motion "
-                f"rows than benchmark {benchmarks[0].name!r}; runs projected together share "
-                "one constraint set"
-            )
-
     coords = disc.mesh.p2_node_coords()
-    label = "initial displacement projection"
-    elastic = solves.prepare(
-        label, disc.A, disc.grid[: dm.n_u], first.u_dofs, lag_rows=first.rigid_rows
-    )
-    u0s = [
-        solves.solve(
-            elastic,
-            disc.A @ np.asarray(bench.u0(coords, 0.0), dtype=float).reshape(-1),  # interleaved
-            boundary.values(0.0)[0],
-            label,
-        )
-        for bench, boundary in zip(benchmarks, boundaries)
-    ]
-    del elastic
+    boundaries, u0s = [], []
+    for bench in benchmarks:
+        boundary = build_constraints(disc.mesh, dm, bench.bcs, bench.coeffs)
+        u0 = np.asarray(bench.u0(coords, 0.0), dtype=float).reshape(-1)  # interleaved
+        g = boundary.values(0.0)[0]
+        if not np.array_equal(u0[boundary.u_dofs], g):
+            gap = np.abs(u0[boundary.u_dofs] - g)
+            raise ValueError(
+                f"benchmark {bench.name!r}: the initial displacement u0(x, 0) differs from "
+                f"the t = 0 Dirichlet data at {np.count_nonzero(gap != 0)} of "
+                f"{gap.size} prescribed dofs (max |difference| {np.max(gap):.3e}); "
+                "a run starts from the interpolant of u0, which must meet that data"
+            )
+        rigid = boundary.rigid_rows @ u0 if boundary.rigid_rows is not None else np.zeros(0)
+        if np.any(rigid):
+            raise ValueError(
+                f"benchmark {bench.name!r}: the initial displacement u0(x, 0) is not "
+                f"orthogonal to the rigid motions (max |(r_i, u0)| {np.max(np.abs(rigid)):.3e}); "
+                "a pure-traction run starts from the interpolant of u0, which must be"
+            )
+        boundaries.append(boundary)
+        u0s.append(u0)
 
     none = np.empty(0)
     mass = solves.prepare(
@@ -684,8 +682,8 @@ def run(
     as for a sequence.  The default keeps the initial and final states, and
     range(n_steps + 1) keeps all; a state no caller reads is not held.
 
-    The run starts from `initial` when a caller projected it together with
-    other runs' (init_state); otherwise it projects its own initial data
+    The run starts from `initial` when a caller built it together with
+    other runs' (init_state); otherwise it builds its own initial data
     first, before it factorizes its step systems.
     """
     disc = discretization

@@ -632,18 +632,19 @@ def test_sweep_assembles_the_mesh_operators_once(monkeypatch):
 
 
 @pytest.mark.parametrize("c0_values", [[1e-2, 1e-4], [1e-2, 1e-4, 1e-6, 0.0]])
-def test_sweep_projects_all_members_from_two_factors(c0_values, monkeypatch):
-    # m members make m + 2 factorizations: A and M once for every member's
-    # initial projections, then each member's coupled system; both
-    # projection factors are dead when the first coupled one is made.
+def test_sweep_projects_all_members_from_one_factor(c0_values, monkeypatch):
+    # m members make m + 1 factorizations: M once for every member's initial
+    # pressure projection (the displacements are interpolants), then each
+    # member's coupled system; the projection factor is dead when the first
+    # coupled one is made.
     original = porofem.stepper.factorize
     refs = []
-    alive_at_third = []
+    alive_at_second = []
 
     def keeping(*args, **kwargs):
-        if len(refs) == 2:
+        if len(refs) == 1:
             gc.collect()
-            alive_at_third.extend(ref() is not None for ref in refs)
+            alive_at_second.extend(ref() is not None for ref in refs)
         fact = original(*args, **kwargs)
         refs.append(weakref.ref(fact))
         return fact
@@ -651,11 +652,9 @@ def test_sweep_projects_all_members_from_two_factors(c0_values, monkeypatch):
     monkeypatch.setattr(porofem.stepper, "factorize", keeping)
     rows = biot_limit_sweep(get_benchmark("locking"), c0_values, build_rect_mesh(4, 4),
                             TimeScheme(dt=1e-4, n_steps=2, theta=1))
-    assert len(refs) == len(c0_values) + 2
-    assert alive_at_third == [False, False]
-    assert [f.label for f in rows.projections] == [
-        "initial displacement projection", "initial mass projections"
-    ]
+    assert len(refs) == len(c0_values) + 1
+    assert alive_at_second == [False]
+    assert [f.label for f in rows.projections] == ["initial mass projections"]
     assert [c0 for c0, _ in rows.members] == c0_values
     for _, member in rows.members:
         assert [f.label for f in member.factorizations] == ["coupled system"]

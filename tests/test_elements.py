@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from porofem.elements import (
+    AffineMaps,
     edge_quadrature,
     edge_trace_p1,
     edge_trace_p2,
@@ -25,7 +26,7 @@ from porofem.elements import (
 )
 from porofem.mesh import build_rect_mesh
 
-from helpers import triangle_areas
+from helpers import jittered_mesh, triangle_areas
 
 
 def _barycentric_monomial_integral(a: int, b: int, c: int) -> float:
@@ -228,3 +229,16 @@ def test_p1_physical_gradients_constant_per_triangle():
     pts = _random_barycentric(2, seed=3)
     _, g = eval_basis("P1", pts)
     assert np.allclose(g[0], g[1], atol=1e-14)
+
+
+@pytest.mark.parametrize("degree", [6, 2, 1])
+def test_physical_gradients_match_the_einsum_contraction_bitwise(degree):
+    # The broadcast multiply-adds sum over the reference direction in the
+    # order einsum does, so every entry, signed zeros included, is the same.
+    rule = triangle_quadrature(degree)
+    for mesh in (build_rect_mesh(32, 32), jittered_mesh(9, 6), jittered_mesh(32, 32, seed=3)):
+        maps = AffineMaps.from_mesh(mesh)
+        for kind in ("P2", "P1"):
+            _, ref = eval_basis(kind, rule.points)
+            want = np.einsum("fab,qib->fqia", maps.inv_jac_t, ref)
+            assert maps.physical_gradients(ref).tobytes() == want.tobytes(), kind

@@ -193,14 +193,81 @@ def test_init_state_solves_at_the_run_tolerance():
         run(bench, disc, TimeScheme(dt=1e-3, n_steps=1, theta=1), tolerance=1e-18)
 
 
-def test_init_state_refuses_runs_of_other_constraint_sets():
+def test_init_state_starts_runs_of_other_constraint_sets_together():
     # test1 prescribes displacements; the pure-traction fixture has none and
-    # carries rigid-motion rows instead: no one factor of A serves both.
+    # carries rigid-motion rows instead.  No factor of A is shared any more,
+    # so they start together, each as it starts alone.
     mesh = build_rect_mesh(2, 2)
     clamped, free = get_benchmark("test1"), conservation_benchmark()
     disc = Discretization.build(mesh, clamped.params)
-    with pytest.raises(ValueError, match="one constraint set"):
-        init_state([clamped, free], disc, LinearSolves())
+    scheme = TimeScheme(dt=1e-3, n_steps=2, theta=1)
+    starts = init_state([clamped, free], disc, LinearSolves())
+    for bench, start in zip((clamped, free), starts):
+        alone = run(bench, disc, scheme, keep_steps=range(3), compute_errors=False)
+        together = run(bench, disc, scheme, keep_steps=range(3), compute_errors=False,
+                       initial=start)
+        assert len(alone.states) == len(together.states) == 3
+        for got, want in zip(together.states, alone.states):
+            assert got.t == want.t
+            for field in ("u", "xi", "eta", "eta_theta", "p", "q"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+
+
+@pytest.mark.filterwarnings("ignore:decoupled scheme amplifies errors")
+@pytest.mark.parametrize("theta", [0, 1])
+@pytest.mark.parametrize("name", ["test1", "barry_mercer", "locking", "polynomial"])
+def test_init_state_starts_from_the_interpolant(name, theta):
+    bench = get_benchmark(name)
+    mesh = build_rect_mesh(4, 4)
+    disc = Discretization.build(mesh, bench.params)
+    result = run(bench, disc, TimeScheme(dt=bench.default_dt, n_steps=1, theta=theta),
+                 compute_errors=False)
+    u_interp = np.asarray(bench.u0(mesh.p2_node_coords(), 0.0), dtype=float).reshape(-1)
+    assert result.states[0].u.tobytes() == u_interp.tobytes()
+    labels = [f.label for f in result.factorizations]
+    assert "initial displacement projection" not in labels
+    assert labels[0] == "initial mass projections"
+
+
+def test_init_state_refuses_an_interpolant_off_the_constraints():
+    mesh = build_rect_mesh(3, 3)
+    test1 = get_benchmark("test1")
+    late = dataclasses.replace(test1, u0=lambda x, t: test1.exact_u(x, 1.0))
+    disc = Discretization.build(mesh, test1.params)
+    with pytest.raises(ValueError, match="'test1'.*t = 0 Dirichlet data"):
+        init_state([late], disc, LinearSolves())
+
+    free = conservation_benchmark()
+
+    def translated(x: np.ndarray, t: float) -> np.ndarray:
+        return np.column_stack([np.full(x.shape[0], 0.25), np.zeros(x.shape[0])])
+
+    moved = dataclasses.replace(free, u0=translated)
+    disc = Discretization.build(mesh, free.params)
+    with pytest.raises(ValueError, match="'conservation_fixture'.*rigid motions"):
+        init_state([moved], disc, LinearSolves())
+    # A member that breaks its constraints is refused with the others.
+    with pytest.raises(ValueError, match="rigid motions"):
+        init_state([free, moved], disc, LinearSolves())
+
+
+def test_polynomial_interpolant_is_its_elliptic_projection():
+    # The interpolant replaces the elliptic projection A_ff x = (A u_I)_f -
+    # A_fs g; for polynomial's u0, which is its own Dirichlet data, the two
+    # agree to rounding.
+    bench = get_benchmark("polynomial")
+    mesh = build_rect_mesh(8, 8)
+    disc = Discretization.build(mesh, bench.params)
+    (initial,) = init_state([bench], disc, LinearSolves())
+    boundary = initial.boundary
+    solves = LinearSolves()
+    elastic = solves.prepare(
+        "elliptic projection", disc.A, disc.grid[: disc.dofmap.n_u], boundary.u_dofs,
+        lag_rows=boundary.rigid_rows,
+    )
+    u_interp = initial.state.u
+    projected = solves.solve(elastic, disc.A @ u_interp, boundary.values(0.0)[0], "projection")
+    assert np.max(np.abs(projected - u_interp)) <= 1e-13 * np.max(np.abs(u_interp))
 
 
 def test_init_state_pressure_projection_second_order():
@@ -498,9 +565,10 @@ def test_init_state_reuses_step_systems(name, monkeypatch):
 
 @pytest.mark.parametrize("theta", [0, 1])
 def test_init_state_releases_its_factors(theta, monkeypatch):
-    # Step time depends on the initial factors being freed before the first
-    # step (docs/decisions.md, "Why `init_state` keeps its projection"), and
-    # the peak on their being freed before the step systems are factorized.
+    # The peak depends on the initial pressure projection's factor being
+    # freed before the step systems are factorized, and it must be dead by
+    # the first step (docs/decisions.md, "The initial displacement is the
+    # interpolant").
     original = porofem.stepper.factorize
     refs = []
     alive_at_first_step = []
@@ -526,11 +594,9 @@ def test_init_state_releases_its_factors(theta, monkeypatch):
     result = run(bench, Discretization.build(build_rect_mesh(3, 3), bench.params),
                  TimeScheme(dt=1e-3, n_steps=2, theta=theta))
     n_step = 1 if theta == 1 else 2
-    assert [f.label for f in result.factorizations][:2] == [
-        "initial displacement projection", "initial mass projections"
-    ]
-    assert len(refs) == n_step + 2
-    assert alive_at_first_step == [False, False] + [True] * n_step
+    assert [f.label for f in result.factorizations][:1] == ["initial mass projections"]
+    assert len(refs) == n_step + 1
+    assert alive_at_first_step == [False] + [True] * n_step
 
 
 def _factorize_frame_arrays(scaled) -> list[str]:
@@ -584,10 +650,10 @@ def test_only_the_kept_and_scaled_matrices_are_alive_while_factorizing(theta, mo
     result = run(bench, Discretization.build(build_rect_mesh(3, 3), bench.params),
                  TimeScheme(dt=1e-3, n_steps=1, theta=theta))
     labels = [f.label for f in result.factorizations]
-    assert len(entries) == len(labels) == (3 if theta == 1 else 4)
+    assert len(entries) == len(labels) == (2 if theta == 1 else 3)
     for label, (block_freed, extra) in zip(labels, entries):
         assert extra == [], label
-        # The projections reduce the discretization's own A and M.
+        # The projection reduces the discretization's own M.
         assert block_freed == (not label.startswith("initial")), label
 
 
@@ -844,12 +910,7 @@ def test_run_records_each_factorization():
     disc = Discretization.build(build_rect_mesh(3, 3), bench.params)
     result = run(bench, disc, scheme)
     labels = [f.label for f in result.factorizations]
-    assert labels == [
-        "initial displacement projection",
-        "initial mass projections",
-        "Stokes system",
-        "diffusion system",
-    ]
+    assert labels == ["initial mass projections", "Stokes system", "diffusion system"]
     by_label = {f.label: f for f in result.factorizations}
     assert by_label["initial mass projections"].unknowns == disc.dofmap.n_scalar
     assert all(f.lu_nnz >= f.unknowns > 0 for f in result.factorizations)
