@@ -288,7 +288,7 @@ def write_vtk(path: Path, grid: str, state: FieldState) -> None:
     Quadratic displacements are downsampled to vertex values; all point
     data lives on the vertices, one per pressure value.
     """
-    n_v = state.p.size
+    n_v = state.xi.size
     u = state.u[: 2 * n_v]
     lines = [
         f"POINT_DATA {n_v}",
@@ -413,7 +413,8 @@ def cmd_run(resolved: ResolvedRun, out_dir: Path) -> list[str]:
         log.append("note: energy identity columns are informational (loads vary in time)")
     log += _solver_log(result)
     if result.records:
-        worst = max(abs(r.energy_residual) for r in result.records)
+        # np.max, unlike max, keeps a NaN residual from any step.
+        worst = np.max(np.abs([r.energy_residual for r in result.records]))
         log.append(f"max |energy residual| = {_fmt(worst)}")
     if snapshot_files:
         log.append("snapshots = " + ", ".join(snapshot_files))

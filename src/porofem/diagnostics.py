@@ -40,7 +40,6 @@ __all__ = [
     "SweepRow",
     "SweepRows",
     "biot_limit_sweep",
-    "check_state_consistency",
     "DiagnosticsRecord",
 ]
 
@@ -485,15 +484,8 @@ def biot_limit_sweep(benchmark: Benchmark, c0_values: Sequence[float], mesh: Mes
 
 
 # --------------------------------------------------------------------------
-# state consistency and per-step record
+# per-step record
 # --------------------------------------------------------------------------
-
-
-def check_state_consistency(state, coeffs: DerivedCoeffs) -> tuple[float, float]:
-    """Max-abs residuals of p = k1*xi + k2*eta_theta and q = k1*eta - k3*xi."""
-    p_res = np.max(np.abs(state.p - (coeffs.kappa1 * state.xi + coeffs.kappa2 * state.eta_theta)))
-    q_res = np.max(np.abs(state.q - (coeffs.kappa1 * state.eta - coeffs.kappa3 * state.xi)))
-    return float(p_res), float(q_res)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 The fixtures are small, hand-checkable problem definitions used across the
 stepper, diagnostics and acceptance tests.  Reference values quoted in the
 tests that use them are derived by hand from the conserved-quantity
-recursions.  The checks (the inf-sup pencil, the centerline locking scan
-and an independent triangle-area formula) certify claims of the method
-that no command reports, so they live here with the tests that call them.
+recursions.  The checks (the inf-sup pencil, the centerline locking scan,
+an independent triangle-area formula and the p/q identities of a state)
+certify claims of the method that no command reports, so they live here
+with the tests that call them.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from porofem.mesh import BoundarySegment, Mesh, build_rect_mesh
 from porofem.model import (
     Benchmark,
     BoundaryConditionSpec,
+    DerivedCoeffs,
     FlowBC,
     MaterialParams,
     MechanicalBC,
@@ -153,6 +155,14 @@ def initial_state(benchmark: Benchmark, mesh: Mesh) -> FieldState:
     """The initial state of a run of benchmark on mesh."""
     disc = Discretization.build(mesh, benchmark.params)
     return init_state([benchmark], disc, LinearSolves())[0].state
+
+
+def check_state_consistency(state, coeffs: DerivedCoeffs) -> tuple[float, float]:
+    """Max-abs residuals of p = k1*xi + k2*eta_theta and q = k1*eta - k3*xi,
+    the formulas written out again rather than read from pq_from_xieta."""
+    p_res = np.max(np.abs(state.p - (coeffs.kappa1 * state.xi + coeffs.kappa2 * state.eta_theta)))
+    q_res = np.max(np.abs(state.q - (coeffs.kappa1 * state.eta - coeffs.kappa3 * state.xi)))
+    return float(p_res), float(q_res)
 
 
 def zero_vector(x: np.ndarray, t: float) -> np.ndarray:

@@ -15,14 +15,19 @@ import numpy as np
 import pytest
 
 from porofem.assembly import DofMap, assemble_div, assemble_elasticity
-from porofem.diagnostics import biot_limit_sweep, check_state_consistency, extract_rates
+from porofem.diagnostics import biot_limit_sweep, extract_rates
 from porofem.elements import eval_basis, edge_quadrature, triangle_quadrature
 from porofem.mesh import build_rect_mesh
 from porofem.model import MaterialParams, derive_kappas, get_benchmark
 from porofem.stepper import Discretization, TimeScheme, run
 
 from conftest import record_acceptance
-from helpers import conservation_benchmark, locking_scan, taylor_hood_infsup
+from helpers import (
+    check_state_consistency,
+    conservation_benchmark,
+    locking_scan,
+    taylor_hood_infsup,
+)
 
 
 def _record(criterion: int, ok: bool, detail: str) -> bool:

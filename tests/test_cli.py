@@ -27,6 +27,7 @@ from porofem.cli import (
     vtk_grid,
     write_vtk,
 )
+from porofem.model import DerivedCoeffs
 from porofem.stepper import FieldState
 
 from helpers import jittered_mesh
@@ -272,6 +273,21 @@ def test_run_zero_steps_writes_header_only(tmp_path):
     assert "max |energy residual|" not in log
 
 
+def test_run_log_energy_residual_keeps_a_nan(tmp_path):
+    # Overflowing data: the residual turns NaN from step 3 on, after finite
+    # steps, and run.log's maximum reads nan rather than the largest finite
+    # value.  The overflow itself is still not refused (exit 0).
+    out = tmp_path / "o"
+    with pytest.warns(RuntimeWarning, match="(overflow|invalid value) encountered"):
+        code = _cli("run", out, "nx=2", "T=2e-4", "lam=3.3e153", "c0=0", "alpha=1e77",
+                    "vtk=off")
+    assert code == 0
+    header, rows = _read_csv(out / "diagnostics.csv")
+    residuals = [row[header.index("energy_residual")] for row in rows]
+    assert len(rows) == 20 and residuals[1] != "nan" and residuals[2] == "nan"
+    assert "max |energy residual| = nan\n" in (out / "run.log").read_text()
+
+
 def test_run_log_reports_decoupled_amplification(tmp_path):
     out = tmp_path / "o"
     with pytest.warns(UserWarning, match="amplifies"):
@@ -317,9 +333,11 @@ def test_write_vtk_matches_elementwise_formatting(tmp_path):
         return rng.permutation(values)
 
     n_v, n_nodes = mesh.n_vertices, mesh.n_vertices + mesh.n_edges
+    # kappa = (0, 1, 0) makes the pressure eta_theta and q zero.
     p = field(n_v)
     state = FieldState(t=0.5, u=field(2 * n_nodes), xi=field(n_v), eta=field(n_v),
-                       eta_theta=p, p=p, q=field(n_v))
+                       eta_theta=p, coeffs=DerivedCoeffs(0.0, 1.0, 0.0))
+    assert np.array_equal(state.p, p) and not np.any(state.q)
     write_vtk(tmp_path / "f.vtk", vtk_grid(mesh), state)
     assert (tmp_path / "f.vtk").read_bytes() == _reference_vtk_text(mesh, state).encode()
 

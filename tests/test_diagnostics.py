@@ -33,7 +33,6 @@ from porofem.diagnostics import (
     SweepRow,
     biot_limit_sweep,
     boundary_flux_functional,
-    check_state_consistency,
     extract_rates,
     summarize_error_history,
 )
@@ -48,6 +47,7 @@ from porofem.elements import (
 from porofem.mesh import BoundarySegment, build_rect_mesh
 from porofem.model import (
     BoundaryConditionSpec,
+    DerivedCoeffs,
     FlowBC,
     MaterialParams,
     MechanicalBC,
@@ -72,9 +72,10 @@ def _scalar_state(mesh, p_values, t=0.0):
     dofmap = DofMap.from_mesh(mesh)
     zeros_u = np.zeros(dofmap.n_u)
     zeros = np.zeros(dofmap.n_scalar)
+    # kappa = (0, 1, 0) makes p = eta_theta and q = 0.
     p = np.asarray(p_values, dtype=float)
-    return FieldState(t=t, u=zeros_u, xi=zeros, eta=zeros, eta_theta=zeros,
-                      p=p, q=zeros)
+    return FieldState(t=t, u=zeros_u, xi=zeros, eta=zeros, eta_theta=p,
+                      coeffs=DerivedCoeffs(0.0, 1.0, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +196,7 @@ def test_conservation_residuals_follow_applicability(neumann_flow, traction, exp
     mesh = build_rect_mesh(2, 2)
     dofmap = DofMap.from_mesh(mesh)
     ones = np.ones(dofmap.n_scalar)
-    state = FieldState.derive(0.0, np.zeros(dofmap.n_u), ones, ones, ones, bench.coeffs)
+    state = FieldState(0.0, np.zeros(dofmap.n_u), ones, ones, ones, bench.coeffs)
     args = (bench, mesh, dofmap, assemble_scalar_mass(mesh, dofmap), 1, state)
     if expected is None:
         with pytest.raises(ValueError, match="pure-Neumann flow"):
@@ -255,7 +256,7 @@ def test_tracker_starts_from_initial_state():
     mesh = build_rect_mesh(2, 2)
     dofmap = DofMap.from_mesh(mesh)
     ones = np.ones(dofmap.n_scalar)
-    state = FieldState.derive(0.0, np.zeros(dofmap.n_u), 0.0 * ones, ones, ones, bench.coeffs)
+    state = FieldState(0.0, np.zeros(dofmap.n_u), 0.0 * ones, ones, ones, bench.coeffs)
     tracker = ConservationTracker(bench, mesh, dofmap, assemble_scalar_mass(mesh, dofmap), 1, state)
     # eta = 1 integrates to |domain| = 1; with no source over the step the
     # reference stays there, and the unchanged state measures it exactly.
@@ -667,21 +668,3 @@ def test_sweep_rows_carry_the_pair():
                             TimeScheme(dt=1e-4, n_steps=1, theta=1))
     assert rows[0].c0_a == pytest.approx(1e-1)
     assert rows[0].c0_b == pytest.approx(1e-3)
-
-
-# ---------------------------------------------------------------------------
-# State consistency
-# ---------------------------------------------------------------------------
-
-
-def test_check_state_consistency_reports_violation():
-    bench = get_benchmark("test1")
-    mesh = build_rect_mesh(2, 2)
-    state = initial_state(bench, mesh)
-    good_p, good_q = check_state_consistency(state, bench.coeffs)
-    assert max(good_p, good_q) == 0.0
-    import dataclasses
-
-    broken = dataclasses.replace(state, p=state.p + 1e-3)
-    bad_p, _ = check_state_consistency(broken, bench.coeffs)
-    assert bad_p == pytest.approx(1e-3, rel=1e-10)

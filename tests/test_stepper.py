@@ -24,7 +24,7 @@ from porofem.assembly import (
     assemble_load,
     build_constraints,
 )
-from porofem.diagnostics import ErrorEvaluator, check_state_consistency
+from porofem.diagnostics import ErrorEvaluator
 from porofem.mesh import BoundarySegment, build_rect_mesh
 from porofem.model import (
     BoundaryConditionSpec,
@@ -45,6 +45,7 @@ from porofem.stepper import (
 )
 
 from helpers import (
+    check_state_consistency,
     conservation_benchmark,
     initial_state,
     jittered_mesh,
@@ -86,6 +87,11 @@ def test_scheme_validation():
     with pytest.raises(ValueError, match=r"^n_steps must be finite"):
         TimeScheme.from_final_time(T=1e-3, dt=1e-300, theta=1)
     assert TimeScheme(dt=0.5, n_steps=2**63 - 1, theta=1, T=0.5 * (2**63 - 1)).n_steps == 2**63 - 1
+    # A step count that is not a number is refused by name too.
+    with pytest.raises(ValueError, match=r"^n_steps must be finite.*got None$"):
+        TimeScheme(dt=0.1, n_steps=None, theta=1)
+    with pytest.raises(ValueError, match=r"^n_steps must be finite.*got '3'$"):
+        TimeScheme(dt=0.1, n_steps="3", theta=1)
 
 
 @settings(max_examples=60, deadline=None)
