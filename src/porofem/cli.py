@@ -27,13 +27,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .assembly import SingularConstraintsError
-from .diagnostics import DiagnosticsRecord, biot_limit_sweep, extract_rates
+from .diagnostics import DiagnosticsRecord, SweepRow, biot_limit_sweep, extract_rates
 from .mesh import Mesh, build_rect_mesh
 from .model import BENCHMARK_NAMES, Benchmark, get_benchmark
 from .solver import DEFAULT_TOLERANCE, SingularMatrixError, SolverFailureError
 from .stepper import (
-    UNSTABLE_AMPLIFICATION, Discretization, FactorizationRecord, FieldState, RunResult,
-    TimeScheme, check_scheme, run,
+    UNSTABLE_AMPLIFICATION, Discretization, FieldState, RunResult, TimeScheme, check_scheme,
+    run,
 )
 
 __all__ = [
@@ -353,16 +353,12 @@ def _echo_config(resolved: ResolvedRun, command: str) -> list[str]:
     return lines
 
 
-def _factorization_lines(records: Sequence[FactorizationRecord]) -> list[str]:
-    return [
-        f"factorization = {fact.label}: {fact.unknowns} unknowns, {fact.lu_nnz} L+U nonzeros"
-        for fact in records
-    ]
-
-
 def _solver_log(result: RunResult) -> list[str]:
     """The run.log lines of a run's factorizations and its step solves."""
-    return _factorization_lines(result.factorizations) + [
+    return [
+        f"factorization = {fact.label}: {fact.unknowns} unknowns, {fact.lu_nnz} L+U nonzeros"
+        for fact in result.factorizations
+    ] + [
         f"solves = {result.solve_count}",
         f"max solver residual = {_fmt(result.max_solver_residual)}",
     ]
@@ -479,10 +475,10 @@ def cmd_sweep(resolved: ResolvedRun, out_dir: Path) -> list[str]:
     )
     _write_csv(
         out_dir / "sweep.csv",
-        ("c0_a", "c0_b", "dist_u", "dist_eta", "dist_xi"),
-        [[r.c0_a, r.c0_b, r.dist_u, r.dist_eta, r.dist_xi] for r in rows],
+        [f.name for f in fields(SweepRow)],
+        [astuple(row) for row in rows],
     )
-    log = ["c0 values = " + _fmt(c0_list)] + _factorization_lines(rows.projections)
+    log = ["c0 values = " + _fmt(c0_list)]
     for c0, result in rows.members:
         log.append(f"member c0 = {_fmt(c0)}")
         log += _solver_log(result)

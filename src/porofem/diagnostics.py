@@ -25,7 +25,7 @@ from .assembly import (
 )
 from .elements import eval_basis
 from .mesh import Mesh
-from .model import Benchmark, DerivedCoeffs, get_benchmark, xieta_from_pq
+from .model import Benchmark, DerivedCoeffs, get_benchmark
 from .solver import DEFAULT_TOLERANCE
 
 __all__ = [
@@ -329,8 +329,7 @@ class ErrorEvaluator:
         return float(self.det @ (squares.reshape(self.n_tri, -1) @ weights))
 
     def evaluate(self, state) -> dict[str, float]:
-        """Instantaneous errors: L2 and H1-seminorm for u and p, L2 for xi
-        and eta (derived from the exact p and div u)."""
+        """Instantaneous errors: L2 and H1-seminorm for u and p."""
         bm = self.benchmark
         t = state.t
         f, q = self.n_tri, self.nq
@@ -343,8 +342,7 @@ class ErrorEvaluator:
             u_grads = np.matmul(u_by_comp, self.p2_grads).reshape(f, 2, q, 2)  # [f, c, q, a]
             ge = np.asarray(bm.exact_grad_u(self.flat, t)).reshape(f, q, 2, 2)  # [f, q, c, a]
             out["u_H1"] = np.sqrt(self._norm2((u_grads.transpose(0, 2, 1, 3) - ge) ** 2))
-        triangles = self.mesh.triangles
-        p_coef = state.p[triangles]
+        p_coef = state.p[self.mesh.triangles]
         p_vals = p_coef @ self.p1_values
         pe = np.asarray(bm.exact_p(self.flat, t)).reshape(f, q)
         out["p_L2"] = np.sqrt(self._norm2((p_vals - pe) ** 2))
@@ -352,13 +350,6 @@ class ErrorEvaluator:
             p_grads = np.matmul(p_coef[:, None, :], self.p1_grads)  # (F, 1, 2)
             gpe = np.asarray(bm.exact_grad_p(self.flat, t)).reshape(f, q, 2)
             out["p_H1"] = np.sqrt(self._norm2((p_grads - gpe) ** 2))
-        if bm.exact_grad_u is not None:
-            qe = ge[..., 0, 0] + ge[..., 1, 1]  # exact div u
-            xi_e, eta_e = xieta_from_pq(pe, qe, bm.params)
-            xi_vals = state.xi[triangles] @ self.p1_values
-            eta_vals = state.eta[triangles] @ self.p1_values
-            out["xi_L2"] = np.sqrt(self._norm2((xi_vals - xi_e) ** 2))
-            out["eta_L2"] = np.sqrt(self._norm2((eta_vals - eta_e) ** 2))
         return out
 
 
@@ -373,7 +364,7 @@ def summarize_error_history(levels: Sequence[tuple[float, Mapping[str, float]]])
     dts = np.diff([t for t, _ in levels])
     keys = levels[0][1]
     variables: dict[str, VariableNorms] = {}
-    for var in ("u", "p", "xi", "eta"):
+    for var in ("u", "p"):
         l2_key = f"{var}_L2"
         if l2_key not in keys:
             continue
@@ -422,15 +413,12 @@ class SweepRow:
 
 
 class SweepRows(list):
-    """A sweep's SweepRow list, in c0 order, with the linear algebra behind
-    them: `projections`, the factorization of the initial pressure
-    projections its members share, and `members`, each member's c0 and
-    RunResult (states dropped), whose factorizations and solves are that
-    member's own."""
+    """A sweep's SweepRow list, in c0 order, with `members`: each member's
+    c0 and RunResult (states dropped), which holds the factorizations and
+    solves of that member's standalone run."""
 
-    def __init__(self, rows: Sequence[SweepRow], projections: tuple, members: tuple) -> None:
+    def __init__(self, rows: Sequence[SweepRow], members: tuple) -> None:
         super().__init__(rows)
-        self.projections = projections
         self.members = members
 
 
@@ -441,22 +429,14 @@ def biot_limit_sweep(benchmark: Benchmark, c0_values: Sequence[float], mesh: Mes
     Re-solves the benchmark with each storage coefficient on the same mesh
     and time scheme, then reports max-over-time L2 distances of u, eta and
     xi between consecutive c0 values.  The runs share one discretization
-    (c0 enters no operator of it), and their initial data are built
-    together before the first run factorizes its step systems: each
-    member's displacement is its interpolant, and the pressure projections,
-    which c0 enters only through the data, are solved from one factor of M.
-    Each run is compared with the one before it as soon as it finishes, so
-    only two trajectories are held.  `tolerance` bounds every linear solve
-    of every run, as in `run`.
+    (c0 enters no operator of it); each is the member's standalone `run`,
+    initial data included.  Each run is compared with the one before it as
+    soon as it finishes, so only two trajectories are held.  `tolerance`
+    bounds every linear solve of every run, as in `run`.
     """
     from . import stepper  # local import: stepper depends on this module
 
     disc = stepper.Discretization.build(mesh, benchmark.params)
-    benchmarks = [
-        get_benchmark(benchmark.name, replace(benchmark.params, c0=float(c0))) for c0 in c0_values
-    ]
-    projections = stepper.LinearSolves(tolerance)
-    initial = stepper.init_state(benchmarks, disc, projections)
     mass_u = assemble_vector_mass(mesh, disc.dofmap)
 
     def l2(vec: np.ndarray, mat) -> float:
@@ -464,10 +444,11 @@ def biot_limit_sweep(benchmark: Benchmark, c0_values: Sequence[float], mesh: Mes
 
     rows, members = [], []
     c0_prev = states_prev = None
-    for c0, bench, start in zip(c0_values, benchmarks, initial):
+    for c0 in c0_values:
+        bench = get_benchmark(benchmark.name, replace(benchmark.params, c0=float(c0)))
         result = stepper.run(
             bench, disc, scheme, keep_steps=range(scheme.n_steps + 1), compute_errors=False,
-            tolerance=tolerance, initial=start,
+            tolerance=tolerance,
         )
         states = result.states
         if states_prev is not None:
@@ -480,7 +461,7 @@ def biot_limit_sweep(benchmark: Benchmark, c0_values: Sequence[float], mesh: Mes
             ))
         members.append((float(c0), replace(result, states=[])))
         c0_prev, states_prev = c0, states
-    return SweepRows(rows, tuple(projections.factorizations), tuple(members))
+    return SweepRows(rows, tuple(members))
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numbers
 import warnings
 from dataclasses import dataclass
-from typing import Collection, Optional, Sequence
+from typing import Collection, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,7 +51,9 @@ from .diagnostics import (
     summarize_error_history,
 )
 from .mesh import BoundarySegment, Mesh
-from .model import Benchmark, MaterialParams, DerivedCoeffs, pq_from_xieta, xieta_from_pq
+from .model import (
+    Benchmark, MaterialParams, DerivedCoeffs, pq_from_xieta, xieta_from_pq, zero_scalar,
+)
 from .solver import (
     DEFAULT_TOLERANCE,
     Factorization,
@@ -68,7 +70,6 @@ __all__ = [
     "FactorizationRecord",
     "LinearSystem",
     "LinearSolves",
-    "InitialData",
     "GateReport",
     "evaluate_gate",
     "FieldState",
@@ -316,14 +317,14 @@ class LinearSolves:
 class StepSystems(LinearSolves):
     """Block matrices, reductions and factorizations for one run.
 
-    Built once per (benchmark, discretization, scheme), on the boundary
-    data init_state built for the run; every step reuses the
-    factorizations and only reassembles right-hand sides and boundary
-    values.  The load closures are set up once, at construction; each step
-    evaluates only the closures.  A discretization built for another mu or
-    K/mu_f than the benchmark's is refused with ValueError, and so is one
-    that check_scheme refuses.  Every system is prepared and solved
-    through LinearSolves.
+    Built once per run, after its initial data, on the boundary data
+    init_state built for it; every step reuses the factorizations and only
+    reassembles right-hand sides and boundary values.  The load closures
+    are set up once, at construction; each step evaluates only the
+    closures.  A discretization built for another mu or K/mu_f than the
+    benchmark's is refused with ValueError, and so is one that
+    check_scheme refuses.  Every system is prepared and solved through
+    LinearSolves.
     """
 
     def __init__(
@@ -465,19 +466,11 @@ def check_scheme(benchmark: Benchmark, theta: int) -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class InitialData:
-    """A run's boundary data and its initial state (init_state)."""
-
-    boundary: BoundaryData
-    state: FieldState
-
-
 def init_state(
-    benchmarks: Sequence[Benchmark], discretization: Discretization, solves: LinearSolves
-) -> list[InitialData]:
-    """Discrete initial data of runs on one discretization, each with the
-    boundary data it starts under.
+    benchmark: Benchmark, discretization: Discretization, solves: LinearSolves
+) -> tuple[BoundaryData, FieldState]:
+    """Discrete initial data of one run, with the boundary data it starts
+    under.
 
     The displacement is the nodal interpolant u_I of the initial field, with
     no solve.  It is the elliptic projection of itself: the projection
@@ -485,61 +478,49 @@ def init_state(
     values, equals u_I on the Dirichlet dofs (and, for pure-traction
     problems, u_I is orthogonal to the rigid motions) its solution is
     (u_I)_f.  A benchmark whose u_I breaks either condition is refused with
-    ValueError.  The initial pressure is an L2 projection, and q0 = 0
-    since u0 is divergence-free (Benchmark.u0).  eta and xi follow
-    coefficientwise from the change of variables; the state derives p and
-    q back from them.
-
-    The pressure projection does not depend on the kappas or the
-    constraints, so M is factorized once for all the benchmarks, each
-    solving with its own data; that factor is dropped before this returns,
-    so it is not live while a step system is factorized.
+    ValueError.  The initial pressure is the L2 projection of p0, from a
+    factor of M that is dropped before this returns, so it is not live
+    while a step system is factorized; a p0 that is the model's
+    zero_scalar projects to zeros with no factorization, as LoadAssembler
+    drops it from the loads.  q0 = 0 since u0 is divergence-free
+    (Benchmark.u0).  eta and xi follow coefficientwise from the change of
+    variables; the state derives p and q back from them.
     """
     disc = discretization
     dm = disc.dofmap
+    boundary = build_constraints(disc.mesh, dm, benchmark.bcs, benchmark.coeffs)
     coords = disc.mesh.p2_node_coords()
-    boundaries, u0s = [], []
-    for bench in benchmarks:
-        boundary = build_constraints(disc.mesh, dm, bench.bcs, bench.coeffs)
-        u0 = np.asarray(bench.u0(coords, 0.0), dtype=float).reshape(-1)  # interleaved
-        g = boundary.values(0.0)[0]
-        if not np.array_equal(u0[boundary.u_dofs], g):
-            gap = np.abs(u0[boundary.u_dofs] - g)
-            raise ValueError(
-                f"benchmark {bench.name!r}: the initial displacement u0(x, 0) differs from "
-                f"the t = 0 Dirichlet data at {np.count_nonzero(gap != 0)} of "
-                f"{gap.size} prescribed dofs (max |difference| {np.max(gap):.3e}); "
-                "a run starts from the interpolant of u0, which must meet that data"
-            )
-        rigid = boundary.rigid_rows @ u0 if boundary.rigid_rows is not None else np.zeros(0)
-        if np.any(rigid):
-            raise ValueError(
-                f"benchmark {bench.name!r}: the initial displacement u0(x, 0) is not "
-                f"orthogonal to the rigid motions (max |(r_i, u0)| {np.max(np.abs(rigid)):.3e}); "
-                "a pure-traction run starts from the interpolant of u0, which must be"
-            )
-        boundaries.append(boundary)
-        u0s.append(u0)
+    u0 = np.asarray(benchmark.u0(coords, 0.0), dtype=float).reshape(-1)  # interleaved
+    g = boundary.values(0.0)[0]
+    if not np.array_equal(u0[boundary.u_dofs], g):
+        gap = np.abs(u0[boundary.u_dofs] - g)
+        raise ValueError(
+            f"benchmark {benchmark.name!r}: the initial displacement u0(x, 0) differs from "
+            f"the t = 0 Dirichlet data at {np.count_nonzero(gap != 0)} of "
+            f"{gap.size} prescribed dofs (max |difference| {np.max(gap):.3e}); "
+            "a run starts from the interpolant of u0, which must meet that data"
+        )
+    rigid = boundary.rigid_rows @ u0 if boundary.rigid_rows is not None else np.zeros(0)
+    if np.any(rigid):
+        raise ValueError(
+            f"benchmark {benchmark.name!r}: the initial displacement u0(x, 0) is not "
+            f"orthogonal to the rigid motions (max |(r_i, u0)| {np.max(np.abs(rigid)):.3e}); "
+            "a pure-traction run starts from the interpolant of u0, which must be"
+        )
 
-    none = np.empty(0)
-    mass = solves.prepare(
-        "initial mass projections", disc.M, disc.grid[dm.xi_offset : dm.eta_offset], none
-    )
-    p0s = [
-        solves.solve(
-            mass, assemble_domain_load(disc.quadrature, bench.p0, 0.0, space="scalar"), none,
+    if benchmark.p0 is zero_scalar:
+        p0 = np.zeros(dm.n_scalar)
+    else:
+        none = np.empty(0)
+        mass = solves.prepare(
+            "initial mass projections", disc.M, disc.grid[dm.xi_offset : dm.eta_offset], none
+        )
+        p0 = solves.solve(
+            mass, assemble_domain_load(disc.quadrature, benchmark.p0, 0.0, space="scalar"), none,
             "initial pressure projection",
         )
-        for bench in benchmarks
-    ]
-
-    initial = []
-    for bench, boundary, u0, p0 in zip(benchmarks, boundaries, u0s, p0s):
-        xi0, eta0 = xieta_from_pq(p0, np.zeros_like(p0), bench.params)
-        initial.append(
-            InitialData(boundary, FieldState(0.0, u0, xi0, eta0, eta0, bench.coeffs))
-        )
-    return initial
+    xi0, eta0 = xieta_from_pq(p0, np.zeros_like(p0), benchmark.params)
+    return boundary, FieldState(0.0, u0, xi0, eta0, eta0, benchmark.coeffs)
 
 
 def step_coupled(
@@ -578,10 +559,11 @@ def _decoupled_solves(
     disc = systems.discretization
     dm = disc.dofmap
     k1, k2 = systems.coeffs.kappa1, systems.coeffs.kappa2
-    rhs1 = np.concatenate([mech, k1 * (disc.M @ eta_prev)])
+    mass_eta = disc.M @ eta_prev
+    rhs1 = np.concatenate([mech, k1 * mass_eta])
     x1 = systems.solve(systems.stokes, rhs1, u_values, f"decoupled Stokes {label}")
     xi = x1[dm.n_u :]
-    rhs2 = disc.M @ eta_prev / systems.scheme.dt + flow - k1 * (disc.S @ xi)
+    rhs2 = mass_eta / systems.scheme.dt + flow - k1 * (disc.S @ xi)
     eta_values = (p_data - k1 * xi[systems.boundary.pressure_vertices]) / k2
     eta = systems.solve(systems.diffusion, rhs2, eta_values, f"decoupled diffusion {label}")
     return x1[: dm.n_u], xi, eta
@@ -654,7 +636,6 @@ def run(
     compute_errors: bool = True,
     c_stab: Optional[float] = None,
     tolerance: float = DEFAULT_TOLERANCE,
-    initial: Optional[InitialData] = None,
 ) -> RunResult:
     """Integrate a benchmark over [0, T] and collect per-step diagnostics.
 
@@ -669,9 +650,9 @@ def run(
     as for a sequence.  The default keeps the initial and final states, and
     range(n_steps + 1) keeps all; a state no caller reads is not held.
 
-    The run starts from `initial` when a caller built it together with
-    other runs' (init_state); otherwise it builds its own initial data
-    first, before it factorizes its step systems.
+    The run builds its initial data (init_state) first, so the factor of
+    its pressure projection is dropped before its step systems are
+    factorized.
     """
     disc = discretization
     levels = range(scheme.n_steps + 1)
@@ -683,9 +664,8 @@ def run(
             f"got {sorted(keep_steps)}"
         ) from None
     projections = LinearSolves(tolerance)
-    if initial is None:
-        (initial,) = init_state([benchmark], disc, projections)
-    systems = StepSystems(benchmark, disc, scheme, initial.boundary, tolerance=tolerance)
+    boundary, state = init_state(benchmark, disc, projections)
+    systems = StepSystems(benchmark, disc, scheme, boundary, tolerance=tolerance)
     mesh, dofmap = disc.mesh, disc.dofmap
     coeffs = systems.coeffs
 
@@ -711,7 +691,6 @@ def run(
                     stacklevel=2,
                 )
 
-    state = initial.state
     mech0, flow0 = assemble_load(systems.loads, state.t)
     # The loads are steady while every step's equal t = 0's.  A pure-traction
     # load must do no work on rigid motions, else the continuous problem has

@@ -154,7 +154,7 @@ def locking_scan(state, mesh: Mesh, benchmark: Benchmark) -> LockingIndicator:
 def initial_state(benchmark: Benchmark, mesh: Mesh) -> FieldState:
     """The initial state of a run of benchmark on mesh."""
     disc = Discretization.build(mesh, benchmark.params)
-    return init_state([benchmark], disc, LinearSolves())[0].state
+    return init_state(benchmark, disc, LinearSolves())[1]
 
 
 def check_state_consistency(state, coeffs: DerivedCoeffs) -> tuple[float, float]:

@@ -240,8 +240,8 @@ def test_run_writes_expected_files(tmp_path, small_run_args):
     assert "solves = 10" in log
     assert "time-independent loads = yes" in log
     facts = re.findall(r"^factorization = (.+): (\d+) unknowns, (\d+) L\+U nonzeros$", log, re.M)
-    assert [f[0] for f in facts] == ["initial mass projections", "coupled system"]
-    assert facts[0][1] == "9"  # the P1 mass matrix of the 2 x 2 mesh
+    # locking's p0 is zero: no mass matrix is factorized to project it.
+    assert [f[0] for f in facts] == ["coupled system"]
     assert all(int(nnz) >= int(n) > 0 for _, n, nnz in facts)
     snapshots = {p.name for p in out.glob("fields_*.vtk")}
     assert snapshots == {f"fields_{i}.vtk" for i in range(11)}
@@ -784,18 +784,16 @@ def test_sweep_writes_pairwise_distances(tmp_path):
     assert all(float(c) > 0 for c in rows[0][2:])
     log = (out / "run.log").read_text()
     assert "c0 values = 0.01,0.0001" in log
-    # The shared pressure projection, then each member's own factorization,
-    # solves and residuals, in the lines of a run's log.
+    # Each member's own factorization, solves and residuals, in the lines
+    # of a run's log; locking's zero p0 is not projected.
     tail = log.splitlines()[log.splitlines().index("c0 values = 0.01,0.0001") + 1:]
     assert [line.partition(" = ")[0] for line in tail] == [
-        "factorization",
         "member c0", "factorization", "solves", "max solver residual",
         "member c0", "factorization", "solves", "max solver residual",
     ]
-    assert tail[0].startswith("factorization = initial mass projections: 9 unknowns, ")
-    assert tail[1] == "member c0 = 0.01" and tail[5] == "member c0 = 0.0001"
-    assert tail[2].startswith("factorization = coupled system: ")
-    assert tail[3] == tail[7] == "solves = 2"
+    assert tail[0] == "member c0 = 0.01" and tail[4] == "member c0 = 0.0001"
+    assert tail[1].startswith("factorization = coupled system: ")
+    assert tail[2] == tail[6] == "solves = 2"
 
 
 def test_sweep_tolerance_bounds_every_member_solve(tmp_path, capsys):
