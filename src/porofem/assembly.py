@@ -34,7 +34,6 @@ from .mesh import BoundarySegment, Mesh
 from .model import (
     BoundaryConditionSpec,
     DerivedCoeffs,
-    MaterialParams,
     SourceFunctions,
     zero_scalar,
     zero_vector,
@@ -53,7 +52,6 @@ __all__ = [
     "DomainQuadrature",
     "LoadAssembler",
     "assemble_domain_load",
-    "assemble_gravity_load",
     "assemble_load",
     "rigid_motion_basis",
     "rigid_motion_rows",
@@ -422,20 +420,6 @@ def _sum_terms(terms, t: float, size: int) -> np.ndarray:
     return out
 
 
-def assemble_gravity_load(mesh: Mesh, dofmap: DofMap, params: MaterialParams) -> np.ndarray:
-    """Gravity contribution (K/mu_f) * (rho_f g, grad psi_i) to the flow rhs."""
-    rho_g = params.rho_g
-    if not np.any(rho_g):
-        return np.zeros(dofmap.n_scalar)
-    rule = triangle_quadrature(1)
-    _, ref_grads = eval_basis("P1", rule.points)
-    maps = AffineMaps.from_mesh(mesh)
-    # P1 gradients are constant on a triangle: grad psi_j = J^{-T} grad_ref psi_j.
-    grads = ref_grads[0] @ np.swapaxes(maps.inv_jac_t, 1, 2)  # (F, 3, 2)
-    local = (params.K / params.mu_f) * rule.weights[0] * maps.det[:, None] * (grads @ rho_g)
-    return np.bincount(mesh.triangles.ravel(), local.ravel(), dofmap.n_scalar)
-
-
 @dataclass(frozen=True, eq=False)
 class LoadAssembler:
     """Right-hand sides of one problem on one mesh, with every table built once.
@@ -444,15 +428,15 @@ class LoadAssembler:
     body force and the mass source over the triangles, each traction and
     each flux over the edges of its segment.  A closure that is
     zero_vector or zero_scalar contributes nothing and is dropped here, so
-    no step evaluates it.  The gravity term does not depend on time.  The
-    domain quadrature is shared with the rest of a run, and with other runs
+    no step evaluates it.  A constant fluid body force in Darcy's law is
+    part of the flux closures (FlowBC), not a term of its own.  The domain
+    quadrature is shared with the rest of a run, and with other runs
     on the same mesh; only the closures belong to this problem.
     """
 
     quadrature: DomainQuadrature
     mech_terms: tuple[tuple[Callable, CellRule], ...]
     flow_terms: tuple[tuple[Callable, CellRule], ...]
-    gravity: np.ndarray
 
     @classmethod
     def build(
@@ -462,7 +446,6 @@ class LoadAssembler:
         quadrature: DomainQuadrature,
         sources: SourceFunctions,
         bcs: BoundaryConditionSpec,
-        params: MaterialParams,
     ) -> "LoadAssembler":
         mech = [(sources.f, quadrature.vector)] if _contributes(sources.f) else []
         tractions = {tag: bc.traction for tag, bc in bcs.mechanical.items()}
@@ -470,12 +453,7 @@ class LoadAssembler:
         flow = [(sources.phi, quadrature.scalar)] if _contributes(sources.phi) else []
         fluxes = {tag: bc.value for tag, bc in bcs.flow.items() if bc.kind == "flux"}
         flow += _edge_terms(mesh, dofmap, fluxes, "scalar")
-        return cls(
-            quadrature=quadrature,
-            mech_terms=tuple(mech),
-            flow_terms=tuple(flow),
-            gravity=assemble_gravity_load(mesh, dofmap, params),
-        )
+        return cls(quadrature=quadrature, mech_terms=tuple(mech), flow_terms=tuple(flow))
 
 
 def assemble_load(loads: LoadAssembler, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -483,12 +461,11 @@ def assemble_load(loads: LoadAssembler, t: float) -> tuple[np.ndarray, np.ndarra
 
     Returns (rhs_mech, rhs_flow) with rhs_mech = (f, v) + <f1, v> over
     traction-carrying segments and rhs_flow = (phi, psi) + <phi1, psi> over
-    flux segments plus the gravity term (K/mu_f)(rho_f g, grad psi).
+    flux segments, phi1 the flux datum (K/mu_f) grad p . n (FlowBC).
     Entries at constrained dofs are present but ignored by the reduction.
     """
     mech = _sum_terms(loads.mech_terms, t, loads.quadrature.vector.size)
     flow = _sum_terms(loads.flow_terms, t, loads.quadrature.scalar.size)
-    flow += loads.gravity
     return mech, flow
 
 

@@ -27,13 +27,13 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .assembly import SingularConstraintsError
-from .diagnostics import DiagnosticsRecord, SweepRow, biot_limit_sweep, extract_rates
+from .diagnostics import DiagnosticsRecord, extract_rates
 from .mesh import Mesh, build_rect_mesh
 from .model import BENCHMARK_NAMES, Benchmark, get_benchmark
 from .solver import DEFAULT_TOLERANCE, SingularMatrixError, SolverFailureError
 from .stepper import (
-    UNSTABLE_AMPLIFICATION, Discretization, FieldState, RunResult, TimeScheme, check_scheme,
-    run,
+    UNSTABLE_AMPLIFICATION, Discretization, FieldState, RunResult, SweepRow, TimeScheme,
+    biot_limit_sweep, check_scheme, run,
 )
 
 __all__ = [
@@ -354,7 +354,7 @@ def _echo_config(resolved: ResolvedRun, command: str) -> list[str]:
 
 
 def _solver_log(result: RunResult) -> list[str]:
-    """The run.log lines of a run's factorizations and its step solves."""
+    """The run.log lines of a run's factorizations and of all its solves."""
     return [
         f"factorization = {fact.label}: {fact.unknowns} unknowns, {fact.lu_nnz} L+U nonzeros"
         for fact in result.factorizations
@@ -427,10 +427,12 @@ _RATE_COLUMNS = (
 
 
 def cmd_convergence(resolved: ResolvedRun, out_dir: Path) -> list[str]:
-    """Refinement study writing per-mesh errors and log2 rates."""
+    """Refinement study writing per-mesh errors and log2 rates; run.log
+    lists each mesh's factorizations and solves."""
     config = resolved.config
     hs: list[float] = []
     reports = []
+    solver_lines = []
     for nx in config.nx_list:
         mesh = build_rect_mesh(nx, nx)
         result = run(
@@ -443,6 +445,7 @@ def cmd_convergence(resolved: ResolvedRun, out_dir: Path) -> list[str]:
         )
         hs.append(mesh.h)
         reports.append(result.errors)
+        solver_lines += [f"mesh nx = {nx}", *_solver_log(result)]
 
     header, columns = ["h"], [hs]
     at_tolerance = False
@@ -457,7 +460,7 @@ def cmd_convergence(resolved: ResolvedRun, out_dir: Path) -> list[str]:
         columns += [errs, rates]
     _write_csv(out_dir / "rates.csv", header, list(zip(*columns)))
 
-    log = ["meshes = " + ",".join(str(nx) for nx in config.nx_list)]
+    log = ["meshes = " + ",".join(str(nx) for nx in config.nx_list), *solver_lines]
     if at_tolerance:
         log.append(
             "note: errors at solver tolerance; affected rates are meaningless "

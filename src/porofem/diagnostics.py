@@ -1,17 +1,19 @@
 """Run-time verification diagnostics for the coupled scheme.
 
-Implements the quantities a run or a command reports: conserved integrals
-under Neumann-type boundary conditions, the per-step discrete energy
-identity (and its inequality form for the decoupled scheme), error norms
-and convergence-rate extraction against exact closures, and the
-vanishing-storage (c0 -> 0) sweep.  The inf-sup estimate and the
-centerline locking scan, which no command reports, live with the tests
-that certify those claims.
+Measures the states of a run for what a run or a command reports:
+conserved integrals under Neumann-type boundary conditions, the per-step
+discrete energy identity (and its inequality form for the decoupled
+scheme), error norms and convergence-rate extraction against exact
+closures, and the distances between two trajectories that the
+vanishing-storage (c0 -> 0) sweep (stepper.biot_limit_sweep) reports.
+Nothing here runs a step; the inf-sup estimate and the centerline locking
+scan, which no command reports, live with the tests that certify those
+claims.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -25,8 +27,7 @@ from .assembly import (
 )
 from .elements import eval_basis
 from .mesh import Mesh
-from .model import Benchmark, DerivedCoeffs, get_benchmark
-from .solver import DEFAULT_TOLERANCE
+from .model import Benchmark, DerivedCoeffs
 
 __all__ = [
     "ConservedQuantities",
@@ -37,9 +38,7 @@ __all__ = [
     "ErrorEvaluator",
     "summarize_error_history",
     "extract_rates",
-    "SweepRow",
-    "SweepRows",
-    "biot_limit_sweep",
+    "TrajectoryDistance",
     "DiagnosticsRecord",
 ]
 
@@ -397,71 +396,28 @@ def extract_rates(hs: Sequence[float], errors: Sequence[float]) -> list[Optional
 
 
 # --------------------------------------------------------------------------
-# Biot-limit (c0 -> 0) sweep
+# distance between two trajectories
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """Distances between the runs of two consecutive storage coefficients."""
+class TrajectoryDistance:
+    """Max-over-time L2 distances of u, eta and xi between two trajectories
+    on one mesh, compared state by state (the c0 sweep's distances)."""
 
-    c0_a: float
-    c0_b: float
-    dist_u: float
-    dist_eta: float
-    dist_xi: float
+    def __init__(self, mesh: Mesh, dofmap: DofMap, scalar_mass: sp.spmatrix) -> None:
+        self.vector_mass = assemble_vector_mass(mesh, dofmap)
+        self.scalar_mass = scalar_mass
 
+    def __call__(self, states_a: Sequence, states_b: Sequence) -> tuple[float, float, float]:
+        def l2(vec: np.ndarray, mat) -> float:
+            return float(np.sqrt(max(vec @ (mat @ vec), 0.0)))
 
-class SweepRows(list):
-    """A sweep's SweepRow list, in c0 order, with `members`: each member's
-    c0 and RunResult (states dropped), which holds the factorizations and
-    solves of that member's standalone run."""
-
-    def __init__(self, rows: Sequence[SweepRow], members: tuple) -> None:
-        super().__init__(rows)
-        self.members = members
-
-
-def biot_limit_sweep(benchmark: Benchmark, c0_values: Sequence[float], mesh: Mesh,
-                     scheme, tolerance: float = DEFAULT_TOLERANCE) -> SweepRows:
-    """Pairwise L-infinity(L2) distances between runs with decreasing c0.
-
-    Re-solves the benchmark with each storage coefficient on the same mesh
-    and time scheme, then reports max-over-time L2 distances of u, eta and
-    xi between consecutive c0 values.  The runs share one discretization
-    (c0 enters no operator of it); each is the member's standalone `run`,
-    initial data included.  Each run is compared with the one before it as
-    soon as it finishes, so only two trajectories are held.  `tolerance`
-    bounds every linear solve of every run, as in `run`.
-    """
-    from . import stepper  # local import: stepper depends on this module
-
-    disc = stepper.Discretization.build(mesh, benchmark.params)
-    mass_u = assemble_vector_mass(mesh, disc.dofmap)
-
-    def l2(vec: np.ndarray, mat) -> float:
-        return float(np.sqrt(max(vec @ (mat @ vec), 0.0)))
-
-    rows, members = [], []
-    c0_prev = states_prev = None
-    for c0 in c0_values:
-        bench = get_benchmark(benchmark.name, replace(benchmark.params, c0=float(c0)))
-        result = stepper.run(
-            bench, disc, scheme, keep_steps=range(scheme.n_steps + 1), compute_errors=False,
-            tolerance=tolerance,
+        pairs = list(zip(states_a, states_b))
+        return (
+            max(0.0, *(l2(a.u - b.u, self.vector_mass) for a, b in pairs)),
+            max(0.0, *(l2(a.eta - b.eta, self.scalar_mass) for a, b in pairs)),
+            max(0.0, *(l2(a.xi - b.xi, self.scalar_mass) for a, b in pairs)),
         )
-        states = result.states
-        if states_prev is not None:
-            pairs = list(zip(states_prev, states))
-            rows.append(SweepRow(
-                float(c0_prev), float(c0),
-                max(0.0, *(l2(a.u - b.u, mass_u) for a, b in pairs)),
-                max(0.0, *(l2(a.eta - b.eta, disc.M) for a, b in pairs)),
-                max(0.0, *(l2(a.xi - b.xi, disc.M) for a, b in pairs)),
-            ))
-        members.append((float(c0), replace(result, states=[])))
-        c0_prev, states_prev = c0, states
-    return SweepRows(rows, tuple(members))
 
 
 # --------------------------------------------------------------------------

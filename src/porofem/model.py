@@ -66,8 +66,8 @@ class MaterialParams:
             alpha^2 + lam*c0 must be finite and positive.
         K: scalar permeability (m^2); stands for the isotropic tensor K*I.
         mu_f: solvent viscosity (Pa*s), positive.
-        rho_f: fluid density.
-        g: gravity vector (2,).
+
+    A constant fluid body force in Darcy's law is flux data (FlowBC).
     """
 
     lam: float = 1.0
@@ -76,13 +76,11 @@ class MaterialParams:
     c0: float = 1.0
     K: float = 1.0
     mu_f: float = 1.0
-    rho_f: float = 0.0
-    g: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self) -> None:
-        for name in ("lam", "mu", "alpha", "c0", "K", "mu_f", "rho_f", "g"):
+        for name in ("lam", "mu", "alpha", "c0", "K", "mu_f"):
             value = getattr(self, name)
-            if not np.all(np.isfinite(value)):
+            if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.mu <= 0.0:
             raise ValueError(f"mu must be positive, got {self.mu}")
@@ -128,11 +126,6 @@ class MaterialParams:
                 f"{name} {fault}, got {value:.6g} ("
                 + ", ".join(f"{n} = {getattr(self, n)}" for n in inputs) + ")"
             )
-
-    @property
-    def rho_g(self) -> np.ndarray:
-        """The product rho_f * g appearing in the Darcy flux."""
-        return self.rho_f * np.asarray(self.g, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -209,7 +202,10 @@ class FlowBC:
     """Flow condition on one boundary segment.
 
     kind "pressure" carries Dirichlet data on p; kind "flux" carries the
-    prescribed value of (K/mu_f)*(grad p - rho_f g) . n.
+    prescribed value of (K/mu_f) grad p . n.  A constant fluid body force
+    b in Darcy's law, v = -(K/mu_f)(grad p - b), is flux data: against P1
+    test functions ((K/mu_f) b, grad psi) = <(K/mu_f) b . n, psi> exactly,
+    so (K/mu_f) b . n is added to the Darcy flux datum (docs/decisions.md).
     """
 
     kind: str

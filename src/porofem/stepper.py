@@ -7,6 +7,9 @@ monolithically; with theta = 0 the diffusion step uses the previous eta in
 the Stokes step, decoupling the two solves at the cost of a parabolic
 time-step restriction (advisory, not enforced).
 
+biot_limit_sweep repeats a run over several storage coefficients c0 and
+compares consecutive trajectories.
+
 A state holds only the solved unknowns.  The physical pressure and the
 displacement divergence are derived from them when read, as
 p = kappa1*xi + kappa2*eta_lag and q = kappa1*eta - kappa3*xi, where
@@ -17,8 +20,8 @@ from __future__ import annotations
 
 import numbers
 import warnings
-from dataclasses import dataclass
-from typing import Collection, Optional
+from dataclasses import dataclass, replace
+from typing import Collection, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -47,12 +50,14 @@ from .diagnostics import (
     EnergyRecord,
     ConservedQuantities,
     ErrorEvaluator,
+    TrajectoryDistance,
     VariableNorms,
     summarize_error_history,
 )
 from .mesh import BoundarySegment, Mesh
 from .model import (
-    Benchmark, MaterialParams, DerivedCoeffs, pq_from_xieta, xieta_from_pq, zero_scalar,
+    Benchmark, MaterialParams, DerivedCoeffs, get_benchmark, pq_from_xieta, xieta_from_pq,
+    zero_scalar,
 )
 from .solver import (
     DEFAULT_TOLERANCE,
@@ -80,6 +85,9 @@ __all__ = [
     "step_decoupled",
     "RunResult",
     "run",
+    "SweepRow",
+    "SweepRows",
+    "biot_limit_sweep",
     "UNSTABLE_AMPLIFICATION",
 ]
 
@@ -269,8 +277,9 @@ class LinearSolves:
     """The one path from a matrix to a solution: prepare reduces and
     factorizes a system, solve solves it at one tolerance.  The size and
     fill of every factorization and the report of every solve are
-    recorded.  The caller keeps a prepared system as long as it solves
-    with it; nothing here holds a factor.
+    recorded; a run keeps one such ledger for all of its systems.  The
+    caller keeps a prepared system as long as it solves with it; nothing
+    here holds a factor.
     """
 
     def __init__(self, tolerance: float = DEFAULT_TOLERANCE) -> None:
@@ -314,7 +323,7 @@ class LinearSolves:
         return system.reduced.expand(y, slave_values)
 
 
-class StepSystems(LinearSolves):
+class StepSystems:
     """Block matrices, reductions and factorizations for one run.
 
     Built once per run, after its initial data, on the boundary data
@@ -324,7 +333,7 @@ class StepSystems(LinearSolves):
     closures.  A discretization built for another mu or K/mu_f than the
     benchmark's is refused with ValueError, and so is one that
     check_scheme refuses.  Every system is prepared and solved through
-    LinearSolves.
+    `solves`, the run's ledger.
     """
 
     def __init__(
@@ -333,9 +342,8 @@ class StepSystems(LinearSolves):
         discretization: Discretization,
         scheme: TimeScheme,
         boundary: BoundaryData,
-        tolerance: float = DEFAULT_TOLERANCE,
+        solves: LinearSolves,
     ) -> None:
-        super().__init__(tolerance)
         disc = discretization
         prm = benchmark.params
         if (prm.mu, prm.K / prm.mu_f) != (disc.mu, disc.mobility):
@@ -346,6 +354,7 @@ class StepSystems(LinearSolves):
         self.benchmark = benchmark
         self.discretization = disc
         self.scheme = scheme
+        self.solves = solves
         dm = disc.dofmap
         self.coeffs = benchmark.coeffs
         k1, k2, k3 = self.coeffs.kappa1, self.coeffs.kappa2, self.coeffs.kappa3
@@ -371,7 +380,7 @@ class StepSystems(LinearSolves):
                     (np.full(pverts.size, -k1 / k2), (rows, dm.xi_offset + pverts)),
                     shape=(slaves.size, dm.n_monolithic),
                 )
-            self.coupled = self.prepare(
+            self.coupled = solves.prepare(
                 "coupled system",
                 sp.bmat(
                     [
@@ -384,17 +393,17 @@ class StepSystems(LinearSolves):
                 disc.grid, slaves, coupling, rigid,
             )
         else:
-            self.stokes = self.prepare(
+            self.stokes = solves.prepare(
                 "Stokes system", sp.bmat([[A, -B.T], [B, k3 * M]], format="csr"),
                 disc.grid[: dm.n_step1], u_dofs, lag_rows=rigid,
             )
-            self.diffusion = self.prepare(
+            self.diffusion = solves.prepare(
                 "diffusion system", (M / dt + k2 * S).tocsr(),
                 disc.grid[dm.xi_offset : dm.eta_offset], pverts,
             )
 
         self.loads = LoadAssembler.build(disc.mesh, dm, disc.quadrature, benchmark.sources,
-                                         benchmark.bcs, prm)
+                                         benchmark.bcs)
 
     def boundary_values(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Dirichlet displacement values and pressure data at time t."""
@@ -513,7 +522,7 @@ def init_state(
     else:
         none = np.empty(0)
         mass = solves.prepare(
-            "initial mass projections", disc.M, disc.grid[dm.xi_offset : dm.eta_offset], none
+            "initial mass projection", disc.M, disc.grid[dm.xi_offset : dm.eta_offset], none
         )
         p0 = solves.solve(
             mass, assemble_domain_load(disc.quadrature, benchmark.p0, 0.0, space="scalar"), none,
@@ -538,7 +547,7 @@ def step_coupled(
     )
     u_values, p_data = systems.boundary_values(t_next)
     slave_values = np.concatenate([u_values, p_data / systems.coeffs.kappa2])
-    x = systems.solve(systems.coupled, rhs, slave_values, f"coupled step to t={t_next:.6g}")
+    x = systems.solves.solve(systems.coupled, rhs, slave_values, f"coupled step to t={t_next:.6g}")
     eta = x[dm.eta_offset :]
     return FieldState(
         t_next, x[: dm.n_u], x[dm.xi_offset : dm.eta_offset], eta, eta, systems.coeffs
@@ -561,11 +570,11 @@ def _decoupled_solves(
     k1, k2 = systems.coeffs.kappa1, systems.coeffs.kappa2
     mass_eta = disc.M @ eta_prev
     rhs1 = np.concatenate([mech, k1 * mass_eta])
-    x1 = systems.solve(systems.stokes, rhs1, u_values, f"decoupled Stokes {label}")
+    x1 = systems.solves.solve(systems.stokes, rhs1, u_values, f"decoupled Stokes {label}")
     xi = x1[dm.n_u :]
     rhs2 = mass_eta / systems.scheme.dt + flow - k1 * (disc.S @ xi)
     eta_values = (p_data - k1 * xi[systems.boundary.pressure_vertices]) / k2
-    eta = systems.solve(systems.diffusion, rhs2, eta_values, f"decoupled diffusion {label}")
+    eta = systems.solves.solve(systems.diffusion, rhs2, eta_values, f"decoupled diffusion {label}")
     return x1[: dm.n_u], xi, eta
 
 
@@ -588,7 +597,10 @@ class RunResult:
 
     states holds the states at the steps run() was asked to keep, in step
     order.  conservation is empty unless the flow boundary is pure Neumann
-    (ConservationTracker).
+    (ConservationTracker).  factorizations, solve_count and
+    max_solver_residual cover every linear system and solve of the run:
+    the initial pressure projection, the decoupled amplification estimate
+    and the steps.
     """
 
     states: list[FieldState]
@@ -652,7 +664,7 @@ def run(
 
     The run builds its initial data (init_state) first, so the factor of
     its pressure projection is dropped before its step systems are
-    factorized.
+    factorized.  Both record into the run's one LinearSolves ledger.
     """
     disc = discretization
     levels = range(scheme.n_steps + 1)
@@ -663,9 +675,9 @@ def run(
             f"keep_steps must index the {len(levels)} states of the run, "
             f"got {sorted(keep_steps)}"
         ) from None
-    projections = LinearSolves(tolerance)
-    boundary, state = init_state(benchmark, disc, projections)
-    systems = StepSystems(benchmark, disc, scheme, boundary, tolerance=tolerance)
+    solves = LinearSolves(tolerance)
+    boundary, state = init_state(benchmark, disc, solves)
+    systems = StepSystems(benchmark, disc, scheme, boundary, solves)
     mesh, dofmap = disc.mesh, disc.dofmap
     coeffs = systems.coeffs
 
@@ -705,7 +717,6 @@ def run(
         ConservationTracker(benchmark, mesh, dofmap, disc.M, scheme.theta, state)
         if benchmark.bcs.is_pure_neumann_flow() else None
     )
-    first_step_report = len(systems.solve_reports)
 
     evaluator = (
         ErrorEvaluator(benchmark, mesh, dofmap, disc.quadrature)
@@ -743,7 +754,7 @@ def run(
             states.append(state)
 
     errors = summarize_error_history(error_levels) if evaluator is not None else None
-    reports = systems.solve_reports[first_step_report:]
+    reports = solves.solve_reports
     max_residual = max((r.relative_residual for r in reports), default=0.0)
     return RunResult(
         states=states,
@@ -756,5 +767,56 @@ def run(
         max_solver_residual=max_residual,
         solve_count=len(reports),
         decoupled_amplification=amplification,
-        factorizations=tuple(projections.factorizations + systems.factorizations),
+        factorizations=tuple(solves.factorizations),
     )
+
+
+@dataclass(frozen=True)
+class SweepRow:
+    """Distances between the runs of two consecutive storage coefficients."""
+
+    c0_a: float
+    c0_b: float
+    dist_u: float
+    dist_eta: float
+    dist_xi: float
+
+
+class SweepRows(list):
+    """A sweep's SweepRow list, in c0 order, with `members`: each member's
+    c0 and RunResult (states dropped), which holds the factorizations and
+    solves of that member's standalone run."""
+
+    def __init__(self, rows: Sequence[SweepRow], members: tuple) -> None:
+        super().__init__(rows)
+        self.members = members
+
+
+def biot_limit_sweep(benchmark: Benchmark, c0_values: Sequence[float], mesh: Mesh,
+                     scheme: TimeScheme, tolerance: float = DEFAULT_TOLERANCE) -> SweepRows:
+    """Pairwise L-infinity(L2) distances between runs with decreasing c0.
+
+    Re-solves the benchmark with each storage coefficient on the same mesh
+    and time scheme, then reports max-over-time L2 distances of u, eta and
+    xi between consecutive c0 values.  The runs share one discretization
+    (c0 enters no operator of it); each is the member's standalone `run`,
+    initial data included.  Each run is compared with the one before it as
+    soon as it finishes, so only two trajectories are held.  `tolerance`
+    bounds every linear solve of every run, as in `run`.
+    """
+    disc = Discretization.build(mesh, benchmark.params)
+    distance = TrajectoryDistance(mesh, disc.dofmap, disc.M)
+    rows, members = [], []
+    c0_prev = states_prev = None
+    for c0 in c0_values:
+        bench = get_benchmark(benchmark.name, replace(benchmark.params, c0=float(c0)))
+        result = run(
+            bench, disc, scheme, keep_steps=range(scheme.n_steps + 1), compute_errors=False,
+            tolerance=tolerance,
+        )
+        states = result.states
+        if states_prev is not None:
+            rows.append(SweepRow(float(c0_prev), float(c0), *distance(states_prev, states)))
+        members.append((float(c0), replace(result, states=[])))
+        c0_prev, states_prev = c0, states
+    return SweepRows(rows, tuple(members))

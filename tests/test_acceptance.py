@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from porofem.assembly import DofMap, assemble_div, assemble_elasticity
-from porofem.diagnostics import biot_limit_sweep, extract_rates
+from porofem.diagnostics import extract_rates
 from porofem.elements import eval_basis, edge_quadrature, triangle_quadrature
 from porofem.mesh import build_rect_mesh
 from porofem.model import MaterialParams, derive_kappas, get_benchmark
-from porofem.stepper import Discretization, TimeScheme, run
+from porofem.stepper import Discretization, TimeScheme, biot_limit_sweep, run
 
 from conftest import record_acceptance
 from helpers import (

@@ -7,8 +7,6 @@ production assembler; the two must agree entrywise.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -25,7 +23,6 @@ from porofem.assembly import (
     assemble_div,
     assemble_domain_load,
     assemble_elasticity,
-    assemble_gravity_load,
     assemble_load,
     assemble_scalar_mass,
     assemble_scalar_stiffness,
@@ -45,12 +42,16 @@ from porofem.elements import (
 )
 from porofem.mesh import BoundarySegment, build_rect_mesh
 from porofem.model import (
+    Benchmark,
     BoundaryConditionSpec,
     FlowBC,
     MaterialParams,
     MechanicalBC,
+    SourceFunctions,
     derive_kappas,
     get_benchmark,
+    zero_scalar,
+    zero_vector,
 )
 from porofem.solver import factorize, solve
 from porofem.stepper import Discretization, TimeScheme, run
@@ -70,7 +71,7 @@ def dofmap2(mesh2):
 
 def _loads(mesh, dofmap, bench) -> LoadAssembler:
     quadrature = DomainQuadrature.from_mesh(mesh, dofmap)
-    return LoadAssembler.build(mesh, dofmap, quadrature, bench.sources, bench.bcs, bench.params)
+    return LoadAssembler.build(mesh, dofmap, quadrature, bench.sources, bench.bcs)
 
 
 def _interleave(values: np.ndarray) -> np.ndarray:
@@ -337,16 +338,46 @@ def test_boundary_flux_load_sums_to_side_integral(mesh2, dofmap2):
     assert float(flow.sum()) == pytest.approx(0.3, rel=1e-12)
 
 
-def test_gravity_load_against_linear_test_function(mesh2, dofmap2):
-    prm = MaterialParams(
-        lam=1.0, mu=1.0, alpha=1.0, c0=1.0, K=2.0, mu_f=1.0, rho_f=2.0, g=(0.0, -3.0)
+def _reference_gradient_load(mesh, dofmap, c):
+    """(c, grad psi_i) for a constant vector c: the domain term of a constant
+    fluid body force in Darcy's law, (K/mu_f)(rho_f g, grad psi_i) with
+    c = (K/mu_f) rho_f g, as the flow load once assembled it."""
+    rule = triangle_quadrature(1)
+    _, ref_grads = eval_basis("P1", rule.points)
+    maps = AffineMaps.from_mesh(mesh)
+    grads = maps.physical_gradients(ref_grads)
+    local = np.einsum("q,a,fqja,f->fj", rule.weights, c, grads, maps.det, optimize=True)
+    out = np.zeros(dofmap.n_scalar)
+    np.add.at(out, mesh.triangles, local)
+    return out
+
+
+@pytest.mark.parametrize("mesh", [build_rect_mesh(5, 4), jittered_mesh(6, 5)],
+                         ids=["unit", "jittered"])
+def test_constant_darcy_body_force_is_flux_data(mesh):
+    # The divergence theorem against P1 test functions: (c, grad psi_i)
+    # = <c . n, psi_i> for constant c, so a flux of c . n on every side
+    # assembles exactly the domain term a constant rho_f g once added.
+    c = np.array([2.0, -12.0])  # (K/mu_f) rho_f g for K = 2, rho_f = 2, g = (0.5, -3)
+    dofmap = DofMap.from_mesh(mesh)
+
+    def flux_for(normal):
+        return lambda x, t: np.full(x.shape[0], c @ normal)
+
+    bench = Benchmark(
+        name="constant_flux",
+        T=1.0,
+        params=MaterialParams(),
+        bcs=BoundaryConditionSpec(
+            mechanical={seg: MechanicalBC(traction=zero_vector) for seg in BoundarySegment},
+            flow={seg: FlowBC(kind="flux", value=flux_for(np.array(seg.normal, dtype=float)))
+                  for seg in BoundarySegment},
+        ),
+        sources=SourceFunctions(f=zero_vector, phi=zero_scalar),
     )
-    grav = assemble_gravity_load(mesh2, dofmap2, prm)
-    x2 = mesh2.vertices[:, 1]
-    # (K/mu_f) * (rho_f g . grad x2) * |domain| = 2 * 2 * (-3) * 1
-    assert float(x2 @ grav) == pytest.approx(-12.0, rel=1e-12)
-    zero_g = assemble_gravity_load(mesh2, dofmap2, MaterialParams())
-    assert np.max(np.abs(zero_g)) == 0.0
+    _, flow = assemble_load(_loads(mesh, dofmap, bench), 0.0)
+    want = _reference_gradient_load(mesh, dofmap, c)
+    assert np.max(np.abs(flow - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_assembly_is_deterministic(mesh2, dofmap2):
@@ -419,23 +450,7 @@ def _reference_load(mesh, dofmap, bench, t):
     boundary = np.zeros(dofmap.n_scalar)
     _reference_edge_load(mesh, fluxes, t, boundary, vector=False)
     flow += boundary
-    prm = bench.params
-    gravity = np.zeros(dofmap.n_scalar)
-    if np.any(prm.rho_g):
-        g_rule = triangle_quadrature(1)
-        _, g_grads = eval_basis("P1", g_rule.points)
-        grads = maps.physical_gradients(g_grads)
-        local = (prm.K / prm.mu_f) * np.einsum(
-            "q,a,fqja,f->fj", g_rule.weights, prm.rho_g, grads, det, optimize=True
-        )
-        np.add.at(gravity, mesh.triangles, local)
-    flow += gravity
     return mech, flow
-
-
-def _with_gravity(bench):
-    params = dataclasses.replace(bench.params, rho_f=2.0, g=(0.5, -3.0))
-    return dataclasses.replace(bench, params=params)
 
 
 _LOAD_CASES = {
@@ -443,7 +458,6 @@ _LOAD_CASES = {
     "barry_mercer": lambda: get_benchmark("barry_mercer"),
     "locking": lambda: get_benchmark("locking"),
     "polynomial": lambda: get_benchmark("polynomial"),
-    "test1_gravity": lambda: _with_gravity(get_benchmark("test1")),
 }
 
 

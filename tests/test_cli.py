@@ -659,6 +659,24 @@ def test_out_directory_collision_exits_1(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:decoupled scheme")
+@pytest.mark.parametrize("settings, projection, solves", [
+    (["benchmark=test1", "theta=1", "T=3e-5"], True, 1 + 3),
+    (["benchmark=test1", "theta=0", "T=3e-5"], True, 1 + 50 + 2 * 3),
+    (["benchmark=barry_mercer", "theta=0", "T=0.03"], False, 50 + 2 * 3),
+], ids=["test1", "test1-decoupled", "barry_mercer-decoupled"])
+def test_run_log_counts_every_solve(tmp_path, settings, projection, solves):
+    # solves = n_steps + 1 for test1, whose p0 is projected; a decoupled
+    # run with pressure data adds the 25 iterations, two solves each, of
+    # its amplification estimate.
+    out = tmp_path / "o"
+    assert _cli("run", out, "nx=2", "vtk=off", *settings) == 0
+    lines = (out / "run.log").read_text().splitlines()
+    assert f"solves = {solves}" in lines
+    labels = [line.split(": ")[0] for line in lines if line.startswith("factorization = ")]
+    assert ("factorization = initial mass projection" in labels) == projection
+
+
 def test_unreachable_tolerance_exits_1_naming_the_solve(tmp_path, capsys):
     # No solve meets a relative residual of 1e-18; the first one of a
     # decoupled run, in the amplification estimate, fails and says so.
@@ -764,6 +782,19 @@ def test_convergence_produces_rates_for_genuine_errors(tmp_path):
     assert float(rows[1][2]) > 1.0  # p LinfL2 rate present and sensible
     assert float(rows[1][1]) < float(rows[0][1])  # errors decrease
     assert "errors at solver tolerance" not in (out / "run.log").read_text()
+    log = (out / "run.log").read_text().splitlines()
+    # Each mesh's factorizations and solves, in the lines of a run's log:
+    # test1's pressure projection, then one coupled solve per step.
+    tail = log[log.index("meshes = 2,4") + 1:]
+    assert [line.partition(" = ")[0] for line in tail] == [
+        "mesh nx", "factorization", "factorization", "solves", "max solver residual",
+    ] * 2
+    assert tail[0] == "mesh nx = 2" and tail[5] == "mesh nx = 4"
+    assert tail[1].startswith("factorization = initial mass projection: 9 unknowns, ")
+    assert tail[6].startswith("factorization = initial mass projection: 25 unknowns, ")
+    assert tail[2].startswith("factorization = coupled system: ")
+    assert tail[3] == tail[8] == "solves = 3"
+    assert all(float(tail[i].partition(" = ")[2]) <= 1e-10 for i in (4, 9))
 
 
 # ---------------------------------------------------------------------------

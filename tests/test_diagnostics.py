@@ -30,8 +30,6 @@ from porofem.diagnostics import (
     ConservedQuantities,
     EnergyAuditor,
     ErrorEvaluator,
-    SweepRow,
-    biot_limit_sweep,
     boundary_flux_functional,
     extract_rates,
     summarize_error_history,
@@ -53,7 +51,9 @@ from porofem.model import (
     MechanicalBC,
     get_benchmark,
 )
-from porofem.stepper import Discretization, FieldState, TimeScheme, run
+from porofem.stepper import (
+    Discretization, FieldState, SweepRow, TimeScheme, biot_limit_sweep, run,
+)
 
 from helpers import (
     conservation_benchmark,
@@ -94,7 +94,7 @@ def _audit(states, theta, dt, bench, mesh):
     M = assemble_scalar_mass(mesh, dofmap)
     S = assemble_scalar_stiffness(mesh, dofmap, prm.K / prm.mu_f)
     quadrature = DomainQuadrature.from_mesh(mesh, dofmap)
-    loads = LoadAssembler.build(mesh, dofmap, quadrature, bench.sources, bench.bcs, prm)
+    loads = LoadAssembler.build(mesh, dofmap, quadrature, bench.sources, bench.bcs)
     mech, flow = assemble_load(loads, states[0].t)
     auditor = EnergyAuditor(A, M, S, mech, flow, bench.coeffs, theta, dt)
     return [auditor.ingest(state) for state in states[1:]]
@@ -649,6 +649,25 @@ def test_sweep_members_factorize_only_their_coupled_systems(c0_values, monkeypat
     for _, member in rows.members:
         assert [f.label for f in member.factorizations] == ["coupled system"]
         assert member.solve_count == 2 and member.states == []
+
+
+def test_sweep_holds_at_most_two_trajectories(monkeypatch):
+    # Each member is compared with the one before it as soon as it ends, so
+    # no earlier trajectory is alive while the next member runs.
+    original = porofem.stepper.run
+    refs, alive = [], []
+
+    def tracking(*args, **kwargs):
+        gc.collect()
+        alive.append([ref() is not None for ref in refs])
+        result = original(*args, **kwargs)
+        refs.append(weakref.ref(result.states[-1]))
+        return result
+
+    monkeypatch.setattr(porofem.stepper, "run", tracking)
+    biot_limit_sweep(get_benchmark("locking"), [1e-2, 1e-4, 1e-6, 1e-8], build_rect_mesh(2, 2),
+                     TimeScheme(dt=1e-4, n_steps=2, theta=1))
+    assert alive == [[], [True], [False, True], [False, False, True]]
 
 
 def test_sweep_rows_carry_the_pair():

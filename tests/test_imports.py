@@ -1,6 +1,7 @@
 """Every module of the package uses each name it imports, imports no
-other module's private (leading-underscore) name, and defines no function
-or class that the package never reaches.
+other module's private (leading-underscore) name, defines no function or
+class that the package never reaches, and no two modules import each
+other, directly or through others.
 
 Standard library only: the checks parse each module with ast and compare
 the names its import statements bind, and the names it defines, with the
@@ -121,6 +122,52 @@ def unreached_definitions(sources: dict[str, str]) -> list[str]:
         live |= reached
 
 
+def import_cycles(sources: dict[str, str], package: str = "porofem") -> list[list[str]]:
+    """Groups of package modules that import one another, each sorted.
+
+    A module imports another when any import statement in it, at top level
+    or inside a function, names that module: `from .b import x`,
+    `from . import b`, or the same with the package's absolute name.
+    """
+    graph = {}
+    for module, source in sources.items():
+        targets = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom):
+                parts = (node.module or "").split(".")
+                if node.level == 0:
+                    if parts[0] != package:
+                        continue
+                    parts = parts[1:]
+                elif node.level != 1:
+                    continue
+                if parts and parts[0]:
+                    targets.add(parts[0])
+                else:  # from . import b
+                    targets.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    parts = alias.name.split(".")
+                    if parts[0] == package and len(parts) > 1:
+                        targets.add(parts[1])
+        graph[module] = {f"{name}.py" for name in targets} & set(sources)
+
+    def reached(start: str) -> set[str]:
+        seen, stack = set(), list(graph[start])
+        while stack:
+            module = stack.pop()
+            if module not in seen:
+                seen.add(module)
+                stack.extend(graph[module])
+        return seen
+
+    reach = {module: reached(module) for module in graph}
+    return [list(group) for group in sorted({
+        tuple(sorted(other for other in reach[module] if module in reach[other]))
+        for module in graph if module in reach[module]
+    })]
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8"), path.name) == []
@@ -134,6 +181,26 @@ def test_module_imports_no_private_name(path):
 def test_package_defines_nothing_unreached():
     sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
     assert unreached_definitions(sources) == []
+
+
+def test_package_has_no_import_cycle():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in PACKAGE.glob("*.py")}
+    assert import_cycles(sources) == []
+
+
+def test_import_cycle_check_flags_and_clears():
+    sources = {
+        "a.py": "from .b import f\n",
+        "b.py": "import numpy as np\ndef f():\n    from . import c\n    return c\n",
+        "c.py": "from porofem.a import g\n",
+        "d.py": "import porofem.d\nfrom .a import g\n",
+        "e.py": "from .mesh import Mesh\nimport porofem\n",
+    }
+    # The cycle through b runs through a function-local import; d imports
+    # itself; e imports only outside the given modules.
+    assert import_cycles(sources) == [["a.py", "b.py", "c.py"], ["d.py"]]
+    del sources["c.py"], sources["d.py"]
+    assert import_cycles(sources) == []
 
 
 def test_unreached_definition_check_flags_and_clears():

@@ -213,9 +213,9 @@ def test_init_state_starts_from_the_interpolant(name, theta):
     labels = [f.label for f in result.factorizations]
     assert "initial displacement projection" not in labels
     if name in ("test1", "polynomial"):  # a nonzero p0 is projected first
-        assert labels[0] == "initial mass projections"
+        assert labels[0] == "initial mass projection"
     else:
-        assert "initial mass projections" not in labels
+        assert "initial mass projection" not in labels
 
 
 @pytest.mark.filterwarnings("ignore:decoupled scheme amplifies errors")
@@ -556,8 +556,9 @@ def test_init_state_reuses_step_systems(name, monkeypatch):
         counting(porofem.stepper, attr)
     for attr in ("assemble_vector_mass", "physical_points"):
         counting(porofem.assembly, attr)
-    boundary, initial = init_state(bench, disc, LinearSolves())
-    StepSystems(bench, disc, TimeScheme(dt=1e-3, n_steps=1, theta=1), boundary)
+    solves = LinearSolves()
+    boundary, initial = init_state(bench, disc, solves)
+    StepSystems(bench, disc, TimeScheme(dt=1e-3, n_steps=1, theta=1), boundary, solves)
     # Nothing is assembled twice: operators and quadrature tables come from
     # the discretization, and the boundary data init_state builds (with the
     # rigid-motion rows of the pure-traction fixture) serve the run's
@@ -599,7 +600,7 @@ def test_init_state_releases_its_factors(theta, monkeypatch):
     result = run(bench, Discretization.build(build_rect_mesh(3, 3), bench.params),
                  TimeScheme(dt=1e-3, n_steps=2, theta=theta))
     n_step = 1 if theta == 1 else 2
-    assert [f.label for f in result.factorizations][:1] == ["initial mass projections"]
+    assert [f.label for f in result.factorizations][:1] == ["initial mass projection"]
     assert len(refs) == n_step + 1
     assert alive_at_first_step == [False] + [True] * n_step
 
@@ -795,7 +796,8 @@ def test_step_systems_reject_a_discretization_of_other_coefficients(field):
     other = dataclasses.replace(bench.params, **{field: 2.0 * getattr(bench.params, field)})
     disc = Discretization.build(build_rect_mesh(2, 2), other)
     with pytest.raises(ValueError, match="discretization carries mu"):
-        StepSystems(bench, disc, TimeScheme(dt=1e-4, n_steps=1, theta=1), _boundary(bench, disc))
+        StepSystems(bench, disc, TimeScheme(dt=1e-4, n_steps=1, theta=1), _boundary(bench, disc),
+                    LinearSolves())
     with pytest.raises(ValueError, match="discretization carries mu"):
         run(bench, disc, TimeScheme(dt=1e-4, n_steps=1, theta=1))
 
@@ -853,7 +855,8 @@ def test_factorization_orders_are_permutations_with_lagrange_rows_last(theta):
     bench = conservation_benchmark()
     disc = Discretization.build(build_rect_mesh(4, 3), bench.params)
     systems = StepSystems(
-        bench, disc, TimeScheme(dt=1e-3, n_steps=1, theta=theta), _boundary(bench, disc)
+        bench, disc, TimeScheme(dt=1e-3, n_steps=1, theta=theta), _boundary(bench, disc),
+        LinearSolves(),
     )
     records = [systems.coupled] if theta == 1 else [systems.stokes, systems.diffusion]
     for record in records:
@@ -874,7 +877,8 @@ def test_first_separator_decouples_reduced_coupled_matrix_on_jittered_mesh(name)
     bench = get_benchmark(name)
     disc = Discretization.build(jittered_mesh(9, 6), bench.params)
     systems = StepSystems(
-        bench, disc, TimeScheme(dt=1e-4, n_steps=1, theta=1), _boundary(bench, disc)
+        bench, disc, TimeScheme(dt=1e-4, n_steps=1, theta=1), _boundary(bench, disc),
+        LinearSolves(),
     )
     reduced = systems.coupled.reduced
     n_masters = reduced.masters.size
@@ -901,12 +905,13 @@ def test_coupled_locking_fill_and_residual_at_nx32():
     # about 3.6M L+U nonzeros here, grid nested dissection about 1.66M.
     bench = get_benchmark("locking")
     disc = Discretization.build(build_rect_mesh(32, 32), bench.params)
-    boundary, initial = init_state(bench, disc, LinearSolves())
-    systems = StepSystems(bench, disc, TimeScheme(dt=1e-4, n_steps=1, theta=1), boundary)
+    solves = LinearSolves()
+    boundary, initial = init_state(bench, disc, solves)
+    systems = StepSystems(bench, disc, TimeScheme(dt=1e-4, n_steps=1, theta=1), boundary, solves)
     assert systems.coupled.factorization.lu_nnz <= 2_500_000
     state = step_coupled(initial, systems, *assemble_load(systems.loads, 1e-4))
     assert state.t == pytest.approx(1e-4)
-    assert systems.solve_reports[-1].relative_residual <= 1e-11
+    assert solves.solve_reports[-1].relative_residual <= 1e-11
 
 
 def test_run_records_each_factorization():
@@ -915,9 +920,9 @@ def test_run_records_each_factorization():
     disc = Discretization.build(build_rect_mesh(3, 3), bench.params)
     result = run(bench, disc, scheme)
     labels = [f.label for f in result.factorizations]
-    assert labels == ["initial mass projections", "Stokes system", "diffusion system"]
+    assert labels == ["initial mass projection", "Stokes system", "diffusion system"]
     by_label = {f.label: f for f in result.factorizations}
-    assert by_label["initial mass projections"].unknowns == disc.dofmap.n_scalar
+    assert by_label["initial mass projection"].unknowns == disc.dofmap.n_scalar
     assert all(f.lu_nnz >= f.unknowns > 0 for f in result.factorizations)
 
 
@@ -929,8 +934,9 @@ def test_hand_loop_of_steps_reproduces_run(name, theta):
     disc = Discretization.build(build_rect_mesh(4, 4), bench.params)
     scheme = TimeScheme(dt=bench.default_dt, n_steps=3, theta=theta)
     result = run(bench, disc, scheme, keep_steps=range(scheme.n_steps + 1))
-    boundary, initial = init_state(bench, disc, LinearSolves())
-    systems = StepSystems(bench, disc, scheme, boundary)
+    solves = LinearSolves()
+    boundary, initial = init_state(bench, disc, solves)
+    systems = StepSystems(bench, disc, scheme, boundary, solves)
     step = step_coupled if theta == 1 else step_decoupled
     states = [initial]
     for _ in range(scheme.n_steps):
