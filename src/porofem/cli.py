@@ -97,6 +97,13 @@ def _parse_theta(text: str) -> int:
     return value
 
 
+def _parse_path(text: str) -> str:
+    # An empty path would put the outputs in the working directory.
+    if not text:
+        raise ValueError("must not be empty")
+    return text
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.lower()
     if lowered in ("on", "true", "1", "yes"):
@@ -135,11 +142,8 @@ class RunConfig:
     c0: Optional[float] = _key(None, _NONNEGATIVE)
     K: Optional[float] = _key(None, _POSITIVE)
     mu_f: Optional[float] = _key(None, _POSITIVE)
-    out: str = _key("out", str)
-    snapshot_every: Optional[int] = _key(None, _COUNT)
-    c_stab: Optional[float] = _key(None, _POSITIVE)
+    out: str = _key("out", _parse_path)
     tolerance: float = _key(DEFAULT_TOLERANCE, _POSITIVE)
-    errors: str = _key("auto", _choice("auto", "on", "off"))
     vtk: bool = _key(True, _parse_bool)
     nx_list: tuple[int, ...] = _key((8, 16, 32, 64), _list_of(_COUNT))
     # A sweep compares consecutive c0 values; one value compares nothing.
@@ -169,7 +173,6 @@ class ResolvedRun:
     benchmark: Benchmark
     mesh: Optional[Mesh]
     scheme: TimeScheme
-    snapshot_every: int
 
 
 def _resolve(config: RunConfig, command: str = "run") -> ResolvedRun:
@@ -199,37 +202,17 @@ def _resolve(config: RunConfig, command: str = "run") -> ResolvedRun:
             check_scheme(member, scheme.theta)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # A key that another key's value leaves unread is refused like one its
-    # command does not read.
-    if config.c_stab is not None and scheme.theta == 1:
+    if command == "convergence" and not benchmark.has_exact_solution:
         raise ConfigError(
-            f"c_stab = {_fmt(config.c_stab)}: theta = 1 runs no step-size gate; "
-            "c_stab is read only with theta = 0"
+            f"benchmark {config.benchmark!r} has no exact solution; "
+            "a convergence study needs one"
         )
-    if config.snapshot_every is not None and not config.vtk:
-        raise ConfigError(
-            f"snapshot_every = {config.snapshot_every}: vtk = off writes no snapshots"
-        )
-    if not benchmark.has_exact_solution:
-        if config.errors == "on":
-            raise ConfigError(
-                f"errors = on: benchmark {config.benchmark!r} has no exact solution "
-                "to measure errors against"
-            )
-        if command == "convergence":
-            raise ConfigError(
-                f"benchmark {config.benchmark!r} has no exact solution; "
-                "a convergence study needs one"
-            )
     if command == "convergence" and scheme.n_steps == 0:
         raise ConfigError(
             f"T = {_fmt(scheme.T)} gives no time step; a convergence study needs "
             "at least one for its L2-in-time H1 errors"
         )
-    snapshot = config.snapshot_every
-    if snapshot is None:
-        snapshot = max(1, math.ceil(scheme.n_steps / 10))
-    return ResolvedRun(config, benchmark, mesh, scheme, snapshot)
+    return ResolvedRun(config, benchmark, mesh, scheme)
 
 
 # --------------------------------------------------------------------------
@@ -301,7 +284,9 @@ def write_vtk(path: Path, grid: str, state: FieldState) -> None:
     _write_text(path, grid + "\n".join(lines) + "\n")
 
 
-def _snapshot_steps(n_steps: int, every: int) -> list[int]:
+def _snapshot_steps(n_steps: int) -> list[int]:
+    """Steps 0 and n_steps, and every ceil(n_steps/10)-th step between them."""
+    every = max(1, math.ceil(n_steps / 10))
     steps = {0, n_steps}
     steps.update(range(every, n_steps, every))
     return sorted(steps)
@@ -328,8 +313,6 @@ def _echo_config(resolved: ResolvedRun, command: str) -> list[str]:
     lines.append(f"resolved T = {_fmt(resolved.scheme.T)}")
     lines.append(f"resolved theta = {resolved.scheme.theta}")
     lines.append(f"resolved n_steps = {resolved.scheme.n_steps}")
-    if "snapshot_every" in keys and cfg.vtk:
-        lines.append(f"resolved snapshot_every = {resolved.snapshot_every}")
     # A command that does not read c0 (the sweep sets it per member) runs
     # with neither the base benchmark's c0 nor the kappas that follow from it.
     material = ["lam", "mu", "alpha", "c0", "K", "mu_f"]
@@ -367,16 +350,12 @@ def _solver_log(result: RunResult) -> list[str]:
 def cmd_run(resolved: ResolvedRun, out_dir: Path) -> list[str]:
     """Integrate one benchmark; write its diagnostics and field snapshots."""
     config = resolved.config
-    snapshots = (
-        _snapshot_steps(resolved.scheme.n_steps, resolved.snapshot_every) if config.vtk else []
-    )
+    snapshots = _snapshot_steps(resolved.scheme.n_steps) if config.vtk else []
     result = run(
         resolved.benchmark,
         Discretization.build(resolved.mesh, resolved.benchmark.params),
         resolved.scheme,
         keep_steps=snapshots,
-        compute_errors=config.errors != "off",
-        c_stab=config.c_stab,
         tolerance=config.tolerance,
     )
 
@@ -440,7 +419,6 @@ def cmd_convergence(resolved: ResolvedRun, out_dir: Path) -> list[str]:
             Discretization.build(mesh, resolved.benchmark.params),
             resolved.scheme,
             keep_steps=(),
-            c_stab=config.c_stab,
             tolerance=config.tolerance,
         )
         hs.append(mesh.h)
@@ -510,12 +488,12 @@ _COMMANDS = {
     "convergence": _Command(
         cmd_convergence,
         "mesh-refinement error study on the nx_list squares",
-        _KEYS - {"nx", "ny", "c0_list", "snapshot_every", "vtk", "errors"},
+        _KEYS - {"nx", "ny", "c0_list", "vtk"},
     ),
     "sweep": _Command(
         cmd_sweep,
         "storage-coefficient limit sweep over c0_list",
-        _KEYS - {"c0", "c_stab", "nx_list", "snapshot_every", "vtk", "errors"},
+        _KEYS - {"c0", "nx_list", "vtk"},
     ),
 }
 
@@ -542,8 +520,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
-    """The file's lines, then each --set, refusing any key the command does
-    not read."""
+    """The file's lines, then each --set, then --out, refusing any key the
+    command does not read."""
     command = _COMMANDS[args.command]
     values: dict = {}
 
@@ -569,10 +547,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"--set {item!r}: expected KEY=VALUE")
         key, _, value = item.partition("=")
         apply(key.strip(), value.strip(), f"--set {item}")
-    config = RunConfig(**values)
     if args.out is not None:
-        config = replace(config, out=args.out)
-    return config
+        apply("out", args.out, "--out")
+    return RunConfig(**values)
 
 
 def _format_warning(message, category, filename, lineno, line=None) -> str:

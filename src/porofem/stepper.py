@@ -174,15 +174,13 @@ def evaluate_gate(
     mesh: Mesh,
     params: MaterialParams,
     coeffs: DerivedCoeffs,
-    c_stab: Optional[float] = None,
 ) -> GateReport:
     """Evaluate the parabolic step-size gate for the decoupled scheme.
 
-    The default constant balances the lagged coupling term against the
+    The constant balances the lagged coupling term against the
     dissipation: c_stab = mu_f / (2 * mu * K * kappa1^2).
     """
-    if c_stab is None:
-        c_stab = 0.5 * params.mu_f / (params.mu * params.K * coeffs.kappa1**2)
+    c_stab = 0.5 * params.mu_f / (params.mu * params.K * coeffs.kappa1**2)
     threshold = c_stab * mesh.h**2
     return GateReport(
         dt=scheme.dt,
@@ -646,7 +644,6 @@ def run(
     *,
     keep_steps: Collection[int] = (0, -1),
     compute_errors: bool = True,
-    c_stab: Optional[float] = None,
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> RunResult:
     """Integrate a benchmark over [0, T] and collect per-step diagnostics.
@@ -684,7 +681,7 @@ def run(
     gate = None
     amplification = None
     if scheme.theta == 0:
-        gate = evaluate_gate(scheme, mesh, benchmark.params, coeffs, c_stab)
+        gate = evaluate_gate(scheme, mesh, benchmark.params, coeffs)
         if not gate.satisfied:
             warnings.warn(
                 f"decoupled scheme outside its advisory step-size gate: "

@@ -7,7 +7,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -109,7 +109,9 @@ def test_parse_config_reads_comments_and_blanks(tmp_path):
         ("dt = inf\n", "invalid value for dt"),
         ("theta = 2\n", "invalid value for theta"),
         ("benchmark = nope\n", "invalid value for benchmark"),
-        ("errors = maybe\n", "invalid value for errors"),
+        ("c_stab = 1\n", "line 1: unknown key 'c_stab'"),
+        ("snapshot_every = 1\n", "line 1: unknown key 'snapshot_every'"),
+        ("errors = on\n", "line 1: unknown key 'errors'"),
         ("vtk = maybe\n", "invalid value for vtk"),
         ("nx_list = \n", "invalid value for nx_list"),
         ("c0_list = 1e-2,-3\n", "invalid value for c0_list"),
@@ -138,8 +140,7 @@ RUN_SETTINGS = {
     "benchmark": "barry_mercer", "nx": "3", "ny": "2", "dt": repr(1.0 / 3.0),
     "T": repr(2.0 / 3.0), "theta": "0", "lam": "1.2345678901234567e5", "mu": "3",
     "alpha": "0.9", "c0": "1e-6", "K": "2", "mu_f": "1.5", "out": "o",
-    "snapshot_every": "3", "c_stab": "2.5", "tolerance": "1e-9", "errors": "off",
-    "vtk": "on",
+    "tolerance": "1e-9", "vtk": "on",
 }
 
 
@@ -150,7 +151,7 @@ def _echoed_settings(log_lines: list[str]) -> list[str]:
     return [f"{key}={value}" for key, _, value in pairs if key in keys]
 
 
-@pytest.mark.filterwarnings("ignore:decoupled scheme amplifies errors")
+@pytest.mark.filterwarnings("ignore:decoupled scheme")
 def test_run_log_round_trip_is_lossless(tmp_path, monkeypatch):
     # Every key the echo writes reads back through _load_config unchanged.
     monkeypatch.chdir(tmp_path)
@@ -181,6 +182,15 @@ def test_run_log_round_trip_property(dt, c0, nx):
     assert back == config
 
 
+def test_readme_key_list_is_the_config_fields():
+    # The backticked names of README's "Keys:" paragraph, values in
+    # parentheses left out, are the keys RunConfig accepts.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    paragraph = readme[readme.index("\nKeys: "):].split("\n\n", 1)[0]
+    named = set(re.findall(r"`([^`]+)`", re.sub(r"\([^()]*\)", "", paragraph)))
+    assert named == {f.name for f in fields(RunConfig)}
+
+
 def test_resolve_fills_benchmark_defaults():
     resolved = _resolve(RunConfig(benchmark="test1", nx=4))
     bench = resolved.benchmark
@@ -188,7 +198,6 @@ def test_resolve_fills_benchmark_defaults():
     assert resolved.scheme.dt == pytest.approx(bench.default_dt)
     assert resolved.scheme.theta == 1
     assert resolved.scheme.T == pytest.approx(bench.T)
-    assert resolved.snapshot_every >= 1
 
 
 def test_resolve_applies_material_overrides():
@@ -216,7 +225,6 @@ def small_run_args():
         "--set", "dt=1e-4",
         "--set", "T=1e-3",
         "--set", "theta=1",
-        "--set", "errors=off",
     ]
 
 
@@ -249,13 +257,12 @@ def test_run_writes_expected_files(tmp_path, small_run_args):
 
 def test_run_hundred_rows_without_snapshots(tmp_path):
     out = tmp_path / "o"
-    code = _cli("run", out, "benchmark=locking", "nx=2", "dt=1e-4", "T=1e-2", "vtk=off",
-                "errors=off")
+    code = _cli("run", out, "benchmark=locking", "nx=2", "dt=1e-4", "T=1e-2", "vtk=off")
     assert code == 0
     _, rows = _read_csv(out / "diagnostics.csv")
     assert len(rows) == 100
     assert not list(out.glob("*.vtk"))
-    assert "resolved snapshot_every" not in (out / "run.log").read_text()
+    assert "snapshots = " not in (out / "run.log").read_text()
     times = [float(r[1]) for r in rows]
     assert times[0] == pytest.approx(1e-4)
     assert times[-1] == pytest.approx(1e-2)
@@ -263,7 +270,7 @@ def test_run_hundred_rows_without_snapshots(tmp_path):
 
 def test_run_zero_steps_writes_header_only(tmp_path):
     out = tmp_path / "o"
-    code = _cli("run", out, "benchmark=locking", "nx=2", "T=0", "errors=off")
+    code = _cli("run", out, "benchmark=locking", "nx=2", "T=0")
     assert code == 0
     header, rows = _read_csv(out / "diagnostics.csv")
     assert rows == []
@@ -292,7 +299,7 @@ def test_run_log_reports_decoupled_amplification(tmp_path):
     out = tmp_path / "o"
     with pytest.warns(UserWarning, match="amplifies"):
         code = _cli("run", out, "benchmark=polynomial", "nx=2", "dt=1e-3", "T=2e-3", "theta=0",
-                    "errors=off", "vtk=off")
+                    "vtk=off")
     assert code == 0
     log = (out / "run.log").read_text()
     assert "decoupled boundary-elimination amplification" in log
@@ -411,7 +418,7 @@ def test_byte_identical_reruns(tmp_path, small_run_args, monkeypatch):
 def test_config_file_and_set_precedence(tmp_path):
     config = tmp_path / "case.cfg"
     config.write_text(
-        "benchmark = locking\nnx = 3\ndt = 1e-4\nT = 2e-4\nerrors = off\nvtk = off\n"
+        "benchmark = locking\nnx = 3\ndt = 1e-4\nT = 2e-4\nvtk = off\n"
     )
     out = tmp_path / "o"
     code = main([
@@ -424,18 +431,16 @@ def test_config_file_and_set_precedence(tmp_path):
     assert f"out = {out}" in log
 
 
-# A valid value for every key, and the keys each command does not read;
-# theta = 0 and vtk = on, since c_stab and snapshot_every are read only then.
+# A valid value for every key, and the keys each command does not read.
 VALID = {
     "benchmark": "test1", "nx": "4", "ny": "3", "dt": "1e-5", "T": "2e-5", "theta": "0",
     "lam": "1", "mu": "1", "alpha": "1", "c0": "0.5", "K": "1", "mu_f": "1",
-    "out": "o", "snapshot_every": "1", "c_stab": "0.25", "tolerance": "1e-10",
-    "errors": "off", "vtk": "on", "nx_list": "2,4", "c0_list": "1,0.1",
+    "out": "o", "tolerance": "1e-10", "vtk": "on", "nx_list": "2,4", "c0_list": "1,0.1",
 }
 UNREAD = {
     "run": {"nx_list", "c0_list"},
-    "convergence": {"nx", "ny", "c0_list", "snapshot_every", "vtk", "errors"},
-    "sweep": {"c0", "c_stab", "nx_list", "snapshot_every", "vtk", "errors"},
+    "convergence": {"nx", "ny", "c0_list", "vtk"},
+    "sweep": {"c0", "nx_list", "vtk"},
 }
 
 
@@ -473,7 +478,6 @@ def test_config_file_of_read_keys_runs_and_is_echoed(tmp_path, monkeypatch, comm
     lines = (tmp_path / "o" / "run.log").read_text().splitlines()
     echoed = lines[1 : lines.index("resolved benchmark = test1")]
     assert [line.partition(" = ")[0] for line in echoed] == read
-    assert ("resolved snapshot_every = 1" in lines) == (command == "run")
     kappas = [line for line in lines if line.startswith("kappa1/kappa2/kappa3 = ")]
     assert len(kappas) == (command != "sweep")
 
@@ -500,30 +504,6 @@ def test_sweep_log_echoes_no_base_c0(tmp_path):
     names, _, values = material.partition(" = ")
     assert names == "material lam/mu/alpha/K/mu_f"
     assert len(values.split("/")) == 5
-
-
-@pytest.mark.parametrize(
-    "command, settings, keys",
-    [
-        ("run", ["vtk=off", "snapshot_every=1"], ("snapshot_every", "vtk")),
-        ("run", ["theta=1", "c_stab=0.25"], ("c_stab", "theta")),
-        ("run", ["c_stab=0.25"], ("c_stab", "theta")),  # theta resolves to 1
-        ("convergence", ["theta=1", "c_stab=0.25"], ("c_stab", "theta")),
-        ("convergence", ["c_stab=0.25"], ("c_stab", "theta")),
-    ],
-    ids=[
-        "run-snapshot_every-vtk_off", "run-c_stab-theta_1", "run-c_stab-theta_default",
-        "convergence-c_stab-theta_1", "convergence-c_stab-theta_default",
-    ],
-)
-def test_key_left_unread_by_another_keys_value_exits_2(tmp_path, capsys, command, settings, keys):
-    out = tmp_path / "o"
-    mesh = "nx_list=2,4" if command == "convergence" else "nx=2"
-    assert _cli(command, out, "benchmark=test1", mesh, "T=2e-5", *settings) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("configuration error: ")
-    assert all(f"{key} = " in err for key in keys)
-    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -556,15 +536,6 @@ def test_bad_config_file_line_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(config)]) == 2
     err = capsys.readouterr().err
     assert "line 2" in err and "dt" in err
-
-
-def test_errors_on_without_exact_solution_exits_2(tmp_path, capsys):
-    out = tmp_path / "o"
-    code = _cli("run", out, "benchmark=locking", "nx=4", "errors=on")
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "errors = on" in err and "no exact solution" in err
-    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -649,6 +620,16 @@ def test_bad_numbers_exit_2_before_any_output(tmp_path, capsys, command, setting
     for fragment in named:
         assert fragment in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [["--set", "out="], ["--out", ""]], ids=["set", "out"])
+def test_empty_out_exits_2_writing_nothing(tmp_path, monkeypatch, capsys, args):
+    # An empty path would put the outputs in the working directory.
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--set", "benchmark=locking", "--set", "nx=2", "--set", "T=0", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "invalid value for out" in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_out_directory_collision_exits_1(tmp_path, capsys):

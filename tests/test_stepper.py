@@ -138,12 +138,13 @@ def test_gate_default_constant_on_locking():
     assert "satisfied" in gate.describe()
 
 
-def test_gate_custom_constant_and_violation():
+def test_gate_violation_with_default_constant():
+    # locking's c_stab is 14 (above), so dt = 0.5 lies above 14 * h^2 = 0.4375.
     bench = get_benchmark("locking")
     mesh = build_rect_mesh(8, 8)
     scheme = TimeScheme(dt=0.5, n_steps=1, theta=0)
-    gate = evaluate_gate(scheme, mesh, bench.params, bench.coeffs, c_stab=1.0)
-    assert gate.threshold == pytest.approx(mesh.h**2, rel=1e-12)
+    gate = evaluate_gate(scheme, mesh, bench.params, bench.coeffs)
+    assert gate.threshold == pytest.approx(14.0 * mesh.h**2, rel=1e-12)
     assert gate.satisfied is False
     assert "VIOLATED" in gate.describe()
 
