@@ -33,7 +33,7 @@ from .model import BENCHMARK_NAMES, Benchmark, get_benchmark
 from .solver import DEFAULT_TOLERANCE, SingularMatrixError, SolverFailureError
 from .stepper import (
     UNSTABLE_AMPLIFICATION, Discretization, FieldState, RunResult, SweepRow, TimeScheme,
-    biot_limit_sweep, check_scheme, run,
+    biot_limit_sweep, check_scheme, run, sweep_members,
 )
 
 __all__ = [
@@ -194,11 +194,8 @@ def _resolve(config: RunConfig, command: str = "run") -> ResolvedRun:
         )
         # Each benchmark the command steps (a sweep's members, not its base)
         # is checked here, before any output: material bounds and scheme.
-        members = (
-            [get_benchmark(config.benchmark, replace(params, c0=c0)) for c0 in config.c0_list]
-            if "c0_list" in _COMMANDS[command].keys else [benchmark]
-        )
-        for member in members:
+        sweep = "c0_list" in _COMMANDS[command].keys
+        for member in sweep_members(benchmark, config.c0_list) if sweep else [benchmark]:
             check_scheme(member, scheme.theta)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -385,12 +382,15 @@ def cmd_run(resolved: ResolvedRun, out_dir: Path) -> list[str]:
         )
     log.append(f"time-independent loads = {'yes' if result.time_independent_loads else 'no'}")
     if not result.time_independent_loads:
-        log.append("note: energy identity columns are informational (loads vary in time)")
+        log.append("note: energy identity columns are informational "
+                   "(loads or boundary data vary in time)")
     log += _solver_log(result)
     if result.records:
         # np.max, unlike max, keeps a NaN residual from any step.
         worst = np.max(np.abs([r.energy_residual for r in result.records]))
         log.append(f"max |energy residual| = {_fmt(worst)}")
+    if result.max_hat_slack is not None:
+        log.append(f"max hat slack = {_fmt(result.max_hat_slack)}")
     if snapshot_files:
         log.append("snapshots = " + ", ".join(snapshot_files))
     return log

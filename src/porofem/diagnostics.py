@@ -153,14 +153,12 @@ class ConservationTracker:
 class EnergyRecord:
     """Energy functional, accumulated dissipation, and identity residual.
 
-    level is the index ell of the identity J^ell + S^ell = J^0; a record at
-    level ell is computed once the state of time step ell+1 is available.
-    For theta=0 the inequality form carries s_hat_cum and hat_slack =
-    J^ell + S_hat^ell - J^0 (nonpositive up to solver tolerance when the
-    time step respects the parabolic gate).
+    The record of the state of time step n is level ell = n - 1 of the
+    identity J^ell + S^ell = J^0.  For theta=0 the inequality form carries
+    s_hat_cum and hat_slack = J^ell + S_hat^ell - J^0 (nonpositive up to
+    solver tolerance when the time step respects the parabolic gate).
     """
 
-    level: int
     t: float
     J: float
     s_cum: float
@@ -196,7 +194,6 @@ class EnergyAuditor:
         self.coeffs = coeffs
         self.theta = theta
         self.dt = dt
-        self._level = -1
         self._prev = None
         self._j0: Optional[float] = None
         self._s_cum = 0.0
@@ -219,14 +216,12 @@ class EnergyAuditor:
         """
         j = self._energy(state)
         prev, self._prev = self._prev, state
-        self._level += 1
         if prev is None:
             self._j0 = j
         else:
             self._dissipate(prev, state)
         decoupled = self.theta == 0
         return EnergyRecord(
-            level=self._level,
             t=state.t,
             J=j,
             s_cum=self._s_cum,

@@ -47,8 +47,6 @@ from .diagnostics import (
     ConservationTracker,
     DiagnosticsRecord,
     EnergyAuditor,
-    EnergyRecord,
-    ConservedQuantities,
     ErrorEvaluator,
     TrajectoryDistance,
     VariableNorms,
@@ -87,6 +85,7 @@ __all__ = [
     "run",
     "SweepRow",
     "SweepRows",
+    "sweep_members",
     "biot_limit_sweep",
     "UNSTABLE_AMPLIFICATION",
 ]
@@ -531,10 +530,11 @@ def init_state(
 
 
 def step_coupled(
-    state: FieldState, systems: StepSystems, mech: np.ndarray, flow: np.ndarray
+    state: FieldState, systems: StepSystems, mech: np.ndarray, flow: np.ndarray,
+    u_values: np.ndarray, p_data: np.ndarray,
 ) -> FieldState:
-    """One monolithic (theta = 1) step from state.t to state.t + dt, with
-    the loads mech, flow assembled at state.t + dt."""
+    """One monolithic (theta = 1) step from state.t to state.t + dt, with the
+    loads mech, flow and the boundary values u_values, p_data at state.t + dt."""
     disc = systems.discretization
     dm = disc.dofmap
     dt = systems.scheme.dt
@@ -543,7 +543,6 @@ def step_coupled(
     rhs = np.concatenate(
         [mech, np.zeros(dm.n_scalar), disc.M @ state.eta / dt + flow]
     )
-    u_values, p_data = systems.boundary_values(t_next)
     slave_values = np.concatenate([u_values, p_data / systems.coeffs.kappa2])
     x = systems.solves.solve(systems.coupled, rhs, slave_values, f"coupled step to t={t_next:.6g}")
     eta = x[dm.eta_offset :]
@@ -577,12 +576,12 @@ def _decoupled_solves(
 
 
 def step_decoupled(
-    state: FieldState, systems: StepSystems, mech: np.ndarray, flow: np.ndarray
+    state: FieldState, systems: StepSystems, mech: np.ndarray, flow: np.ndarray,
+    u_values: np.ndarray, p_data: np.ndarray,
 ) -> FieldState:
     """One decoupled (theta = 0) step: Stokes solve with lagged eta, then
-    the diffusion solve for the new eta; mech, flow as for step_coupled."""
+    the diffusion solve for the new eta; the data as for step_coupled."""
     t_next = state.t + systems.scheme.dt
-    u_values, p_data = systems.boundary_values(t_next)
     u, xi, eta = _decoupled_solves(
         systems, state.eta, mech, flow, u_values, p_data, f"step to t={t_next:.6g}"
     )
@@ -594,8 +593,10 @@ class RunResult:
     """A completed time integration with its diagnostics stream.
 
     states holds the states at the steps run() was asked to keep, in step
-    order.  conservation is empty unless the flow boundary is pure Neumann
-    (ConservationTracker).  factorizations, solve_count and
+    order, and records one DiagnosticsRecord per step.  max_hat_slack is the
+    largest EnergyRecord.hat_slack of a theta = 0 run (NaN if any is NaN),
+    None for theta = 1 or no steps.  time_independent_loads says every step's
+    loads and boundary values equal t = 0's bit for bit.  factorizations, solve_count and
     max_solver_residual cover every linear system and solve of the run:
     the initial pressure projection, the decoupled amplification estimate
     and the steps.
@@ -603,8 +604,6 @@ class RunResult:
 
     states: list[FieldState]
     records: list[DiagnosticsRecord]
-    energy: list[EnergyRecord]
-    conservation: list[ConservedQuantities]
     errors: Optional[dict[str, VariableNorms]]
     gate: Optional[GateReport]
     time_independent_loads: bool
@@ -612,6 +611,7 @@ class RunResult:
     factorizations: tuple[FactorizationRecord, ...]
     solve_count: int = 0
     decoupled_amplification: Optional[float] = None
+    max_hat_slack: Optional[float] = None
 
 
 def _check_rigid_balance(
@@ -631,12 +631,6 @@ def _check_rigid_balance(
     return None
 
 
-def _close(a: np.ndarray, b: np.ndarray) -> bool:
-    """np.allclose(a, b, rtol=1e-12, atol=1e-14) for finite a, b, without
-    its broadcasting and special-value passes."""
-    return bool(np.all(np.abs(a - b) <= 1e-14 + 1e-12 * np.abs(b)))
-
-
 def run(
     benchmark: Benchmark,
     discretization: Discretization,
@@ -648,11 +642,11 @@ def run(
 ) -> RunResult:
     """Integrate a benchmark over [0, T] and collect per-step diagnostics.
 
-    Every step records the energy identity level, conservation residuals
-    (for a pure-Neumann flow boundary), and, when exact closures are
-    available and errors are requested, instantaneous error norms.  Every
-    step's loads are compared with t = 0's and, for pure traction, checked
-    against the rigid motions.
+    Every step records the energy identity, conservation residuals (for a
+    pure-Neumann flow boundary), and, when exact closures are available and
+    errors are requested, instantaneous error norms.  Every step's loads and
+    boundary values are evaluated once, handed to the step and compared with
+    t = 0's; pure-traction loads are checked against the rigid motions.
 
     keep_steps names the states result.states keeps: indices into the
     trajectory of n_steps + 1 states, negative ones counting from its end
@@ -701,9 +695,10 @@ def run(
                 )
 
     mech0, flow0 = assemble_load(systems.loads, state.t)
-    # The loads are steady while every step's equal t = 0's.  A pure-traction
-    # load must do no work on rigid motions, else the continuous problem has
-    # no solution and the multiplier silently absorbs the imbalance; the
+    data0 = (mech0, flow0, *systems.boundary_values(state.t))
+    # The data are steady while every step's equal t = 0's bit for bit.  A
+    # pure-traction load must do no work on rigid motions, else the problem
+    # has no solution and the multiplier silently absorbs the imbalance; the
     # first step whose load does is named, once.
     time_independent = True
     rigid = None
@@ -723,22 +718,23 @@ def run(
 
     states = [state] if 0 in kept else []
     records: list[DiagnosticsRecord] = []
-    energy: list[EnergyRecord] = []
-    conservation: list[ConservedQuantities] = []
+    hat_slack = None
     step_fn = step_coupled if scheme.theta == 1 else step_decoupled
 
     for n in range(1, scheme.n_steps + 1):
-        mech, flow = assemble_load(systems.loads, state.t + scheme.dt)
-        state = step_fn(state, systems, mech, flow)
+        t_next = state.t + scheme.dt
+        mech, flow = assemble_load(systems.loads, t_next)
+        data = (mech, flow, *systems.boundary_values(t_next))
+        state = step_fn(state, systems, *data)
         erec = auditor.ingest(state)
-        energy.append(erec)
-        time_independent = time_independent and _close(mech0, mech) and _close(flow0, flow)
+        if erec.hat_slack is not None:  # np.maximum, unlike max, keeps a NaN
+            hat_slack = erec.hat_slack if n == 1 else np.maximum(hat_slack, erec.hat_slack)
+        time_independent = time_independent and all(map(np.array_equal, data0, data))
         if rigid is not None:
             rigid = _check_rigid_balance(rigid, n, state.t, mech)
         cells = {}
         if tracker is not None:
             refs = tracker.advance(state, scheme.dt, mech, flow)
-            conservation.append(refs)
             cells.update(C_eta_res=refs.eta_res, C_xi_res=refs.xi_res, flux_res=refs.flux_res)
         if evaluator is not None:
             errs = evaluator.evaluate(state)
@@ -756,8 +752,6 @@ def run(
     return RunResult(
         states=states,
         records=records,
-        energy=energy,
-        conservation=conservation,
         errors=errors,
         gate=gate,
         time_independent_loads=time_independent,
@@ -765,6 +759,7 @@ def run(
         solve_count=len(reports),
         decoupled_amplification=amplification,
         factorizations=tuple(solves.factorizations),
+        max_hat_slack=None if hat_slack is None else float(hat_slack),
     )
 
 
@@ -789,6 +784,12 @@ class SweepRows(list):
         self.members = members
 
 
+def sweep_members(benchmark: Benchmark, c0_values: Sequence[float]) -> list[Benchmark]:
+    """The runs of a c0 sweep: the benchmark with each c0 of c0_values."""
+    params = benchmark.params
+    return [get_benchmark(benchmark.name, replace(params, c0=float(c0))) for c0 in c0_values]
+
+
 def biot_limit_sweep(benchmark: Benchmark, c0_values: Sequence[float], mesh: Mesh,
                      scheme: TimeScheme, tolerance: float = DEFAULT_TOLERANCE) -> SweepRows:
     """Pairwise L-infinity(L2) distances between runs with decreasing c0.
@@ -805,15 +806,15 @@ def biot_limit_sweep(benchmark: Benchmark, c0_values: Sequence[float], mesh: Mes
     distance = TrajectoryDistance(mesh, disc.dofmap, disc.M)
     rows, members = [], []
     c0_prev = states_prev = None
-    for c0 in c0_values:
-        bench = get_benchmark(benchmark.name, replace(benchmark.params, c0=float(c0)))
+    for bench in sweep_members(benchmark, c0_values):
+        c0 = bench.params.c0
         result = run(
             bench, disc, scheme, keep_steps=range(scheme.n_steps + 1), compute_errors=False,
             tolerance=tolerance,
         )
         states = result.states
         if states_prev is not None:
-            rows.append(SweepRow(float(c0_prev), float(c0), *distance(states_prev, states)))
-        members.append((float(c0), replace(result, states=[])))
+            rows.append(SweepRow(c0_prev, c0, *distance(states_prev, states)))
+        members.append((c0, replace(result, states=[])))
         c0_prev, states_prev = c0, states
     return SweepRows(rows, tuple(members))

@@ -118,14 +118,14 @@ def test_criterion_2_energy_identity():
 
     res1 = run(bench, disc, TimeScheme(dt=1e-4, n_steps=10, theta=1),
                compute_errors=False)
-    J0 = res1.energy[0].J
-    worst1 = max(abs(rec.residual) for rec in res1.energy)
+    J0 = res1.records[0].J
+    worst1 = max(abs(rec.energy_residual) for rec in res1.records)
     bound1 = 1e-8 * max(1.0, abs(J0))
 
     res0 = run(bench, disc, TimeScheme(dt=1e-4, n_steps=10, theta=0),
                compute_errors=False)
-    J0_dec = res0.energy[0].J
-    worst_slack = max(rec.hat_slack for rec in res0.energy)
+    J0_dec = res0.records[0].J
+    worst_slack = res0.max_hat_slack
     bound0 = 1e-8 * abs(J0_dec)
 
     ok = (

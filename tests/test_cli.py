@@ -28,7 +28,7 @@ from porofem.cli import (
     write_vtk,
 )
 from porofem.model import DerivedCoeffs
-from porofem.stepper import FieldState
+from porofem.stepper import Discretization, FieldState
 
 from helpers import jittered_mesh
 
@@ -182,6 +182,15 @@ def test_run_log_round_trip_property(dt, c0, nx):
     assert back == config
 
 
+def test_readme_python_example_runs():
+    # README's one python block runs as printed: a field it reads that the
+    # package no longer has raises here.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+
+
 def test_readme_key_list_is_the_config_fields():
     # The backticked names of README's "Keys:" paragraph, values in
     # parentheses left out, are the keys RunConfig accepts.
@@ -304,6 +313,43 @@ def test_run_log_reports_decoupled_amplification(tmp_path):
     log = (out / "run.log").read_text()
     assert "decoupled boundary-elimination amplification" in log
     assert "UNSTABLE (use theta=1)" in log
+
+
+@pytest.mark.parametrize("alpha", ["1e-20", "5e-324"])
+def test_steady_verdict_covers_small_loads_and_boundary_data(tmp_path, alpha):
+    # barry_mercer's sin(t) traction scales with alpha: 1e-20 * sin(t) is
+    # not steady, and at alpha = 5e-324 it is zero on every step, which
+    # leaves the sin(t) pressure data to vary alone.  Either way the energy
+    # identity does not close, and run.log must say so.
+    out = tmp_path / "o"
+    code = _cli("run", out, "benchmark=barry_mercer", f"alpha={alpha}", "nx=4", "T=0.1",
+                "vtk=off")
+    assert code == 0
+    log = (out / "run.log").read_text()
+    assert "time-independent loads = no\n" in log
+    assert (
+        "note: energy identity columns are informational "
+        "(loads or boundary data vary in time)\n"
+    ) in log
+
+
+@pytest.mark.filterwarnings("ignore:decoupled scheme")
+@pytest.mark.parametrize("theta", [0, 1])
+def test_run_log_reports_max_hat_slack_for_theta_0_only(tmp_path, theta):
+    settings = {"benchmark": "barry_mercer", "nx": 4, "T": 0.06, "theta": theta}
+    out = tmp_path / "o"
+    assert _cli("run", out, *(f"{k}={v}" for k, v in settings.items()), "vtk=off") == 0
+    log = (out / "run.log").read_text()
+    if theta == 1:
+        assert "hat slack" not in log
+        return
+    resolved = _resolve(RunConfig(**settings))
+    disc = Discretization.build(resolved.mesh, resolved.benchmark.params)
+    result = porofem.run(resolved.benchmark, disc, resolved.scheme)
+    assert result.max_hat_slack > 0.0
+    lines = log.splitlines()
+    at = lines.index(f"max hat slack = {result.max_hat_slack:.17g}")
+    assert lines[at - 1].startswith("max |energy residual| = ")
 
 
 def _reference_vtk_text(mesh, state) -> str:

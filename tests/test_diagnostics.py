@@ -100,6 +100,20 @@ def _audit(states, theta, dt, bench, mesh):
     return [auditor.ingest(state) for state in states[1:]]
 
 
+def _track(states, theta, dt, bench, mesh):
+    """The conserved quantities along a trajectory, from a
+    ConservationTracker built from freshly assembled operators and started
+    from the initial state, independent of the run that produced the
+    states; each stepped state is measured with the loads at its time, as
+    run() assembles them."""
+    dofmap = DofMap.from_mesh(mesh)
+    M = assemble_scalar_mass(mesh, dofmap)
+    quadrature = DomainQuadrature.from_mesh(mesh, dofmap)
+    loads = LoadAssembler.build(mesh, dofmap, quadrature, bench.sources, bench.bcs)
+    tracker = ConservationTracker(bench, mesh, dofmap, M, theta, states[0])
+    return [tracker.advance(state, dt, *assemble_load(loads, state.t)) for state in states[1:]]
+
+
 def test_energy_audit_zero_run():
     bench = zero_benchmark()
     mesh = build_rect_mesh(3, 3)
@@ -120,11 +134,11 @@ def test_energy_audit_matches_run_records(theta):
     result = run(bench, disc, TimeScheme(dt=1e-4, n_steps=6, theta=theta),
                  keep_steps=range(7), compute_errors=False)
     records = _audit(result.states, theta, 1e-4, bench, mesh)
-    assert len(records) == len(result.energy)
-    for ext, internal in zip(records, result.energy):
-        assert ext.level == internal.level
+    assert len(records) == len(result.records)
+    for ext, internal in zip(records, result.records):
+        assert ext.t == internal.t
         assert ext.J == pytest.approx(internal.J, rel=1e-12, abs=1e-14)
-        assert ext.s_cum == pytest.approx(internal.s_cum, rel=1e-12, abs=1e-14)
+        assert ext.s_cum == pytest.approx(internal.S_cum, rel=1e-12, abs=1e-14)
         assert abs(ext.residual) <= 1e-10 * max(1.0, abs(records[0].J))
 
 
@@ -134,10 +148,25 @@ def test_energy_level_indexing():
     disc = Discretization.build(mesh, bench.params)
     result = run(bench, disc, TimeScheme(dt=1e-4, n_steps=4, theta=1),
                  compute_errors=False)
-    levels = [rec.level for rec in result.energy]
-    assert levels == [0, 1, 2, 3]
-    # level ell is recorded once the state of step ell+1 exists
-    assert result.energy[0].t == pytest.approx(1e-4)
+    steps = [rec.step for rec in result.records]
+    assert steps == [1, 2, 3, 4]
+    # level ell = step - 1 is recorded once the state of step ell+1 exists
+    assert result.records[0].t == pytest.approx(1e-4)
+    # J^0 is the energy of step 1's state, so level 0 has no dissipation
+    assert result.records[0].S_cum == 0.0 and result.records[0].energy_residual == 0.0
+
+
+@pytest.mark.parametrize("name", ["locking", "barry_mercer"])
+def test_max_hat_slack_is_the_audited_maximum(name):
+    bench = get_benchmark(name)
+    mesh = build_rect_mesh(6, 6)
+    disc = Discretization.build(mesh, bench.params)
+    dt = bench.default_dt
+    result = run(bench, disc, TimeScheme(dt=dt, n_steps=6, theta=0),
+                 keep_steps=range(7), compute_errors=False)
+    slacks = [rec.hat_slack for rec in _audit(result.states, 0, dt, bench, mesh)]
+    assert len(slacks) == 6
+    assert result.max_hat_slack == max(slacks)
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +179,10 @@ def test_conserved_references_match_hand_recursion():
     # gives work <f1, x> = 2*|domain| = 2; C_eta(t) = 1.3 t; hence at t = 0.1
     # C_xi = (0.5*0.13 - 2)/(2 + 0.25) = -0.86, C_u = 0.5*0.13 + 0.25*0.86 = 0.28.
     bench = conservation_benchmark()
-    result = run(bench, Discretization.build(build_rect_mesh(4, 4), bench.params),
+    mesh = build_rect_mesh(4, 4)
+    result = run(bench, Discretization.build(mesh, bench.params),
                  TimeScheme(dt=0.02, n_steps=5, theta=1), keep_steps=range(6))
-    refs = result.conservation[-1]
+    refs = _track(result.states, 1, 0.02, bench, mesh)[-1]
     assert refs.c_eta == pytest.approx(0.13, rel=1e-12)
     assert refs.c_xi == pytest.approx(-0.86, rel=1e-12)
     assert refs.c_u == pytest.approx(0.28, rel=1e-12)
@@ -165,9 +195,10 @@ def test_conserved_references_use_lagged_eta_for_decoupled_scheme():
     # Same fixture with theta = 0: the xi identity pairs with eta at the
     # previous level, so at t = 0.1 the reference is (0.65*0.08 - 2)/2.25.
     bench = conservation_benchmark()
-    result = run(bench, Discretization.build(build_rect_mesh(4, 4), bench.params),
+    mesh = build_rect_mesh(4, 4)
+    result = run(bench, Discretization.build(mesh, bench.params),
                  TimeScheme(dt=0.02, n_steps=5, theta=0), keep_steps=range(6))
-    refs = result.conservation[-1]
+    refs = _track(result.states, 0, 0.02, bench, mesh)[-1]
     expected = (0.65 * 0.08 - 2.0) / 2.25
     assert refs.c_xi == pytest.approx(expected, rel=1e-12)
     assert abs(refs.xi_measured - refs.c_xi) <= 1e-12
@@ -233,7 +264,7 @@ def test_conservation_tracker_builds_only_what_locking_reads(monkeypatch):
     bench = get_benchmark("locking")
     result = run(bench, Discretization.build(build_rect_mesh(4, 4), bench.params),
                  TimeScheme(dt=1e-4, n_steps=3, theta=1))
-    assert len(result.conservation) == 3
+    assert len(result.records) == 3
     for record in result.records:
         assert record.C_eta_res is not None and record.C_eta_res <= 1e-10
         assert record.C_xi_res is None and record.flux_res is None
@@ -241,9 +272,12 @@ def test_conservation_tracker_builds_only_what_locking_reads(monkeypatch):
 
 def test_run_records_carry_conservation_residuals():
     bench = conservation_benchmark()
-    result = run(bench, Discretization.build(build_rect_mesh(2, 2), bench.params),
-                 TimeScheme(dt=0.05, n_steps=2, theta=1))
-    for record, refs in zip(result.records, result.conservation):
+    mesh = build_rect_mesh(2, 2)
+    result = run(bench, Discretization.build(mesh, bench.params),
+                 TimeScheme(dt=0.05, n_steps=2, theta=1), keep_steps=range(3))
+    tracked = _track(result.states, 1, 0.05, bench, mesh)
+    assert len(result.records) == len(tracked) == 2
+    for record, refs in zip(result.records, tracked):
         assert record.t == refs.t
         assert (record.C_eta_res, record.C_xi_res, record.flux_res) == (
             refs.eta_res, refs.xi_res, refs.flux_res

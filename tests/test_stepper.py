@@ -54,6 +54,7 @@ from helpers import (
     zero_scalar,
     zero_vector,
 )
+from test_diagnostics import _track
 
 
 def _boundary(bench, disc):
@@ -430,7 +431,7 @@ def test_conserved_quantities_tracked_to_rounding():
         assert record.C_xi_res is not None and record.C_xi_res <= 1e-12
         assert record.flux_res is not None and record.flux_res <= 1e-12
     # Hand value: (eta(T), 1) = T * (phi*|domain| + flux*|bottom|) = 0.1*1.3.
-    final_refs = result.conservation[-1]
+    final_refs = _track(result.states, 1, 0.02, bench, mesh)[-1]
     assert final_refs.eta_measured == pytest.approx(0.13, rel=1e-10)
     assert final_refs.c_eta == pytest.approx(0.13, rel=1e-12)
 
@@ -446,7 +447,7 @@ def test_conservation_residuals_marked_inapplicable_with_dirichlet_bcs(monkeypat
         bench = get_benchmark(name)
         result = run(bench, Discretization.build(build_rect_mesh(3, 3), bench.params),
                      TimeScheme(dt=2e-4, n_steps=2, theta=theta), compute_errors=False)
-        assert result.conservation == []
+        assert len(result.records) == 2
         for record in result.records:
             assert record.C_eta_res is None
             assert record.C_xi_res is None
@@ -464,11 +465,11 @@ def test_energy_identity_machine_exact_for_steady_loads():
     disc = Discretization.build(mesh, bench.params)
     result = run(bench, disc, TimeScheme(dt=1e-4, n_steps=10, theta=1),
                  compute_errors=False)
-    j0 = result.energy[0].J
+    j0 = result.records[0].J
     scale = max(1.0, abs(j0))
-    for rec in result.energy:
-        assert abs(rec.residual) <= 1e-10 * scale
-        assert rec.s_hat_cum is None and rec.hat_slack is None
+    for rec in result.records:
+        assert abs(rec.energy_residual) <= 1e-10 * scale
+    assert result.max_hat_slack is None
 
 
 def test_decoupled_energy_identity_and_inequality():
@@ -478,12 +479,12 @@ def test_decoupled_energy_identity_and_inequality():
     result = run(bench, disc, TimeScheme(dt=1e-4, n_steps=10, theta=0),
                  compute_errors=False)
     assert result.gate is not None and result.gate.satisfied
-    j0 = result.energy[0].J
+    j0 = result.records[0].J
     scale = max(1.0, abs(j0))
-    for rec in result.energy:
-        assert abs(rec.residual) <= 1e-10 * scale
-        assert rec.hat_slack is not None
-        assert rec.hat_slack <= 1e-8 * scale
+    for rec in result.records:
+        assert abs(rec.energy_residual) <= 1e-10 * scale
+    assert result.max_hat_slack is not None
+    assert result.max_hat_slack <= 1e-8 * scale
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +497,7 @@ def test_zero_step_run():
     result = run(bench, Discretization.build(build_rect_mesh(2, 2), bench.params),
                  TimeScheme(dt=1e-3, n_steps=0, theta=1))
     assert len(result.states) == 1
-    assert result.records == [] and result.energy == [] and result.conservation == []
+    assert result.records == [] and result.max_hat_slack is None
     assert result.solve_count == 0
 
 
@@ -910,7 +911,8 @@ def test_coupled_locking_fill_and_residual_at_nx32():
     boundary, initial = init_state(bench, disc, solves)
     systems = StepSystems(bench, disc, TimeScheme(dt=1e-4, n_steps=1, theta=1), boundary, solves)
     assert systems.coupled.factorization.lu_nnz <= 2_500_000
-    state = step_coupled(initial, systems, *assemble_load(systems.loads, 1e-4))
+    state = step_coupled(initial, systems, *assemble_load(systems.loads, 1e-4),
+                         *systems.boundary_values(1e-4))
     assert state.t == pytest.approx(1e-4)
     assert solves.solve_reports[-1].relative_residual <= 1e-11
 
@@ -929,8 +931,8 @@ def test_run_records_each_factorization():
 
 @pytest.mark.parametrize("name, theta", [("test1", 1), ("barry_mercer", 0)])
 def test_hand_loop_of_steps_reproduces_run(name, theta):
-    # The step functions take the loads of the new time; a loop that
-    # assembles them reproduces run() bit for bit.
+    # The step functions take the loads and boundary values of the new
+    # time; a loop that evaluates them reproduces run() bit for bit.
     bench = get_benchmark(name)
     disc = Discretization.build(build_rect_mesh(4, 4), bench.params)
     scheme = TimeScheme(dt=bench.default_dt, n_steps=3, theta=theta)
@@ -942,7 +944,8 @@ def test_hand_loop_of_steps_reproduces_run(name, theta):
     states = [initial]
     for _ in range(scheme.n_steps):
         t_next = states[-1].t + scheme.dt
-        states.append(step(states[-1], systems, *assemble_load(systems.loads, t_next)))
+        states.append(step(states[-1], systems, *assemble_load(systems.loads, t_next),
+                           *systems.boundary_values(t_next)))
     assert len(result.states) == len(states) == 4
     for got, want in zip(states, result.states):
         assert got.t == want.t
