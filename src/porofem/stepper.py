@@ -728,7 +728,8 @@ def run(
         state = step_fn(state, systems, *data)
         erec = auditor.ingest(state)
         if erec.hat_slack is not None:  # np.maximum, unlike max, keeps a NaN
-            hat_slack = erec.hat_slack if n == 1 else np.maximum(hat_slack, erec.hat_slack)
+            hat_slack = (erec.hat_slack if hat_slack is None
+                         else np.maximum(hat_slack, erec.hat_slack))
         time_independent = time_independent and all(map(np.array_equal, data0, data))
         if rigid is not None:
             rigid = _check_rigid_balance(rigid, n, state.t, mech)

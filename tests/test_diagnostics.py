@@ -156,7 +156,9 @@ def test_energy_level_indexing():
     assert result.records[0].S_cum == 0.0 and result.records[0].energy_residual == 0.0
 
 
-@pytest.mark.parametrize("name", ["locking", "barry_mercer"])
+# The first slack is 0 by construction, so each case has its maximum past step 1.
+@pytest.mark.filterwarnings("ignore:decoupled scheme amplifies errors")
+@pytest.mark.parametrize("name", ["polynomial", "barry_mercer"])
 def test_max_hat_slack_is_the_audited_maximum(name):
     bench = get_benchmark(name)
     mesh = build_rect_mesh(6, 6)
@@ -165,7 +167,7 @@ def test_max_hat_slack_is_the_audited_maximum(name):
     result = run(bench, disc, TimeScheme(dt=dt, n_steps=6, theta=0),
                  keep_steps=range(7), compute_errors=False)
     slacks = [rec.hat_slack for rec in _audit(result.states, 0, dt, bench, mesh)]
-    assert len(slacks) == 6
+    assert len(slacks) == 6 and max(slacks) > slacks[0]
     assert result.max_hat_slack == max(slacks)
 
 

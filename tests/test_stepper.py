@@ -54,7 +54,7 @@ from helpers import (
     zero_scalar,
     zero_vector,
 )
-from test_diagnostics import _track
+from test_diagnostics import _audit, _track
 
 
 def _boundary(bench, disc):
@@ -464,11 +464,13 @@ def test_energy_identity_machine_exact_for_steady_loads():
     mesh = build_rect_mesh(8, 8)
     disc = Discretization.build(mesh, bench.params)
     result = run(bench, disc, TimeScheme(dt=1e-4, n_steps=10, theta=1),
-                 compute_errors=False)
+                 keep_steps=range(11), compute_errors=False)
     j0 = result.records[0].J
     scale = max(1.0, abs(j0))
     for rec in result.records:
         assert abs(rec.energy_residual) <= 1e-10 * scale
+    for rec in _audit(result.states, 1, 1e-4, bench, mesh):
+        assert rec.s_hat_cum is None and rec.hat_slack is None
     assert result.max_hat_slack is None
 
 
@@ -477,12 +479,15 @@ def test_decoupled_energy_identity_and_inequality():
     mesh = build_rect_mesh(8, 8)
     disc = Discretization.build(mesh, bench.params)
     result = run(bench, disc, TimeScheme(dt=1e-4, n_steps=10, theta=0),
-                 compute_errors=False)
+                 keep_steps=range(11), compute_errors=False)
     assert result.gate is not None and result.gate.satisfied
     j0 = result.records[0].J
     scale = max(1.0, abs(j0))
     for rec in result.records:
         assert abs(rec.energy_residual) <= 1e-10 * scale
+    for rec in _audit(result.states, 0, 1e-4, bench, mesh):
+        assert rec.hat_slack is not None
+        assert rec.hat_slack <= 1e-8 * scale
     assert result.max_hat_slack is not None
     assert result.max_hat_slack <= 1e-8 * scale
 
