@@ -2,10 +2,11 @@
 
 Builds the matrices of the two-field formulation (elasticity block,
 divergence coupling, scalar mass and stiffness), load vectors including
-boundary tractions and fluxes (from quadrature tables built once, not per step),
-the boundary data of a problem (which dofs are constrained, built once,
-and their values at any time), and the reduction of a full linear system
-to its free unknowns.
+boundary tractions and fluxes, the boundary data of a problem (which dofs
+are constrained and their values at any time), and the reduction of a full
+linear system to its free unknowns.  Every datum is separable (model.Separable):
+its space parts are integrated or evaluated once per run, and each time
+only scales and sums them.
 
 Displacement dofs are interleaved: dof(node, comp) = 2*node + comp, with
 quadratic nodes ordered vertices-first then edge midpoints.  Scalar dofs
@@ -15,7 +16,7 @@ coincide with vertex indices.  The monolithic layout is [u | xi | eta].
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,9 +35,10 @@ from .mesh import BoundarySegment, Mesh
 from .model import (
     BoundaryConditionSpec,
     DerivedCoeffs,
+    Field,
+    Separable,
     SourceFunctions,
-    zero_scalar,
-    zero_vector,
+    Tabulated,
 )
 
 __all__ = [
@@ -310,7 +312,7 @@ class CellRule:
         table: (nq * c, k * c) rule weights times the k basis values (or
             edge traces) at the nq points.  For vector fields (c = 2) it is
             the Kronecker product with the 2 x 2 identity, so interleaved
-            closure values map onto interleaved dofs; for scalars c = 1.
+            field values map onto interleaved dofs; for scalars c = 1.
         dofs: (n, k * c) global dof of each local entry.
         size: length of the assembled vector.
     """
@@ -321,9 +323,9 @@ class CellRule:
     dofs: np.ndarray
     size: int
 
-    def integrate(self, closure: Callable, t: float) -> np.ndarray:
-        """Load vector (closure(., t), phi_i) over the cells."""
-        values = np.asarray(closure(self.points, t), dtype=float)
+    def load(self, field: Field) -> np.ndarray:
+        """Load vector (g, phi_i) over the cells of a field g of space alone."""
+        values = np.asarray(field(self.points), dtype=float)
         local = values.reshape(self.measure.size, -1) @ self.table
         local *= self.measure[:, None]
         return np.bincount(self.dofs.ravel(), local.ravel(), self.size)
@@ -383,60 +385,55 @@ def _edge_rule(mesh: Mesh, dofmap: DofMap, tag: BoundarySegment, space: str) -> 
     return CellRule(points, length, w * edge_trace_p1(s), mesh.edges[eids], dofmap.n_scalar)
 
 
-def _contributes(closure: Optional[Callable]) -> bool:
-    """False for an absent closure and for the model's zero closures."""
-    return closure is not None and closure is not zero_vector and closure is not zero_scalar
+def _tabulate(data: list[tuple[Separable, CellRule]], size: int) -> Tabulated:
+    """The loads of (datum, cell rule) pairs: every term's load vector,
+    integrated once, with its time factor."""
+    return Tabulated((size,), tuple(term for datum, rule in data for term in datum.tabulate(rule.load)))
 
 
 def assemble_domain_load(
-    quadrature: DomainQuadrature, closure: Callable, t: float, space: str = "vector"
+    quadrature: DomainQuadrature, datum: Separable, t: float, space: str = "vector"
 ) -> np.ndarray:
     """Domain load (f, v) against P2 vectors or (phi, psi) against P1 scalars."""
     if space not in ("vector", "scalar"):
         raise ValueError(f"unknown load space {space!r}")
     rule = quadrature.vector if space == "vector" else quadrature.scalar
-    return rule.integrate(closure, t)
+    return _tabulate([(datum, rule)], rule.size)(t)
 
 
-def _edge_terms(
+def _edge_data(
     mesh: Mesh,
     dofmap: DofMap,
-    closures: Mapping[BoundarySegment, Optional[Callable]],
+    data: Mapping[BoundarySegment, Optional[Separable]],
     space: str,
-) -> list[tuple[Callable, CellRule]]:
-    """(closure, edge rule) per segment in tag order, for every closure
-    that can contribute."""
+) -> list[tuple[Separable, CellRule]]:
+    """(datum, edge rule) per segment in tag order, for every datum with
+    terms."""
     return [
-        (closures[tag], _edge_rule(mesh, dofmap, tag, space))
-        for tag in sorted(closures, key=int)
-        if _contributes(closures[tag])
+        (data[tag], _edge_rule(mesh, dofmap, tag, space))
+        for tag in sorted(data, key=int)
+        if data[tag] is not None and data[tag].terms
     ]
-
-
-def _sum_terms(terms, t: float, size: int) -> np.ndarray:
-    out = np.zeros(size)
-    for closure, rule in terms:
-        out += rule.integrate(closure, t)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
 class LoadAssembler:
-    """Right-hand sides of one problem on one mesh, with every table built once.
+    """Right-hand sides of one problem on one mesh, tabulated once.
 
-    Each term pairs a closure with the cell rule it is integrated by: the
-    body force and the mass source over the triangles, each traction and
-    each flux over the edges of its segment.  A closure that is
-    zero_vector or zero_scalar contributes nothing and is dropped here, so
-    no step evaluates it.  A constant fluid body force in Darcy's law is
-    part of the flux closures (FlowBC), not a term of its own.  The domain
-    quadrature is shared with the rest of a run, and with other runs
-    on the same mesh; only the closures belong to this problem.
+    Each term a_k(t) g_k(x) of the body force and of the mass source is
+    integrated over the triangles once, and each term of each traction and
+    each flux over the edges of its segment; a step scales the stored
+    vectors by a_k(t) and sums them.  A datum with no terms (zero_vector,
+    zero_scalar) contributes nothing.  A constant fluid body force in
+    Darcy's law is part of the flux data (FlowBC), not a term of its own.
+
+    Attributes:
+        mech: the load against P2 vector test functions.
+        flow: the load against P1 scalar test functions.
     """
 
-    quadrature: DomainQuadrature
-    mech_terms: tuple[tuple[Callable, CellRule], ...]
-    flow_terms: tuple[tuple[Callable, CellRule], ...]
+    mech: Tabulated
+    flow: Tabulated
 
     @classmethod
     def build(
@@ -447,26 +444,22 @@ class LoadAssembler:
         sources: SourceFunctions,
         bcs: BoundaryConditionSpec,
     ) -> "LoadAssembler":
-        mech = [(sources.f, quadrature.vector)] if _contributes(sources.f) else []
         tractions = {tag: bc.traction for tag, bc in bcs.mechanical.items()}
-        mech += _edge_terms(mesh, dofmap, tractions, "vector")
-        flow = [(sources.phi, quadrature.scalar)] if _contributes(sources.phi) else []
+        mech = [(sources.f, quadrature.vector)] + _edge_data(mesh, dofmap, tractions, "vector")
         fluxes = {tag: bc.value for tag, bc in bcs.flow.items() if bc.kind == "flux"}
-        flow += _edge_terms(mesh, dofmap, fluxes, "scalar")
-        return cls(quadrature=quadrature, mech_terms=tuple(mech), flow_terms=tuple(flow))
+        flow = [(sources.phi, quadrature.scalar)] + _edge_data(mesh, dofmap, fluxes, "scalar")
+        return cls(mech=_tabulate(mech, dofmap.n_u), flow=_tabulate(flow, dofmap.n_scalar))
 
 
 def assemble_load(loads: LoadAssembler, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Full right-hand sides at time t.
+    """Full right-hand sides at time t, as fresh arrays.
 
     Returns (rhs_mech, rhs_flow) with rhs_mech = (f, v) + <f1, v> over
     traction-carrying segments and rhs_flow = (phi, psi) + <phi1, psi> over
     flux segments, phi1 the flux datum (K/mu_f) grad p . n (FlowBC).
     Entries at constrained dofs are present but ignored by the reduction.
     """
-    mech = _sum_terms(loads.mech_terms, t, loads.quadrature.vector.size)
-    flow = _sum_terms(loads.flow_terms, t, loads.quadrature.scalar.size)
-    return mech, flow
+    return loads.mech(t), loads.flow(t)
 
 
 def rigid_motion_basis(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
@@ -503,7 +496,7 @@ def boundary_flux_functional(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
     g = np.zeros(dofmap.n_u)
     for tag in BoundarySegment:
         rule = _edge_rule(mesh, dofmap, tag, "vector")
-        g += rule.integrate(lambda x, t: np.broadcast_to(tag.normal, x.shape), 0.0)
+        g += rule.load(lambda x: np.broadcast_to(tag.normal, x.shape))
     return g
 
 
@@ -512,7 +505,7 @@ class BoundaryData:
     """Boundary constraints of the coupled problem, fixed for a whole run.
 
     Which dofs are constrained does not depend on time; only the prescribed
-    values do, and values(t) evaluates them.
+    values do, and values(t) sums their tabulated terms.
 
     Attributes:
         u_dofs: sorted displacement dofs carrying Dirichlet data.
@@ -527,34 +520,38 @@ class BoundaryData:
     u_dofs: np.ndarray
     pressure_vertices: np.ndarray
     rigid_rows: Optional[sp.csr_matrix]
-    # (closure, points) per Dirichlet segment in ascending tag order, and
-    # the position in their concatenated values of each constrained entry's
-    # first listing: where segments share a node the lower tag supplies it.
-    _u_sources: tuple[tuple[Callable, np.ndarray], ...]
-    _u_pick: np.ndarray
-    _p_sources: tuple[tuple[Callable, np.ndarray], ...]
-    _p_pick: np.ndarray
+    # The data's terms at u_dofs and at pressure_vertices (_dirichlet).
+    _u_values: Tabulated
+    _p_values: Tabulated
 
     def values(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Dirichlet displacement values at u_dofs and pressure data at
         pressure_vertices, at time t."""
-        return _gather(self._u_sources, self._u_pick, t), _gather(self._p_sources, self._p_pick, t)
+        return self._u_values(t), self._p_values(t)
 
 
-def _first_wins(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted distinct keys and the index of each one's first listing."""
+def _dirichlet(
+    sources: list[tuple[Separable, np.ndarray]], keys: list[np.ndarray]
+) -> tuple[np.ndarray, Tabulated]:
+    """Sorted distinct keys, and the data's terms at them.
+
+    sources holds a (datum, points) pair per segment in ascending tag order
+    and keys the dof or vertex of each point.  Where segments share a key,
+    the first listing supplies its value: each term is evaluated at its
+    segment's points once and placed at the keys that segment supplies,
+    zero elsewhere.
+    """
     if not keys:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(keys).astype(np.int64), return_index=True)
-
-
-def _gather(sources, pick: np.ndarray, t: float) -> np.ndarray:
-    if not sources:
-        return np.empty(0)
-    vals = np.concatenate(
-        [np.asarray(closure(points, t), dtype=float) for closure, points in sources]
-    )
-    return vals[pick]
+        return np.empty(0, dtype=np.int64), Tabulated((0,))
+    distinct, first = np.unique(np.concatenate(keys).astype(np.int64), return_index=True)
+    bounds = np.cumsum([0] + [k.size for k in keys])
+    terms = []
+    for (datum, points), lo, hi in zip(sources, bounds, bounds[1:]):
+        for factor, values in datum.tabulate(lambda g: g(points)):
+            listing = np.zeros(bounds[-1])
+            listing[lo:hi] = values
+            terms.append((factor, listing[first]))
+    return distinct, Tabulated((distinct.size,), tuple(terms))
 
 
 def check_eta_elimination(bcs: BoundaryConditionSpec, coeffs: DerivedCoeffs) -> None:
@@ -580,9 +577,9 @@ def build_constraints(
     u_sources, u_keys = [], []
     for tag in sorted(bcs.mechanical, key=int):
         nodes = mesh.nodes_on_segment(tag)
-        for comp, closure in enumerate(bcs.mechanical[tag].dirichlet):
-            if closure is not None:
-                u_sources.append((closure, coords[nodes]))
+        for comp, datum in enumerate(bcs.mechanical[tag].dirichlet):
+            if datum is not None:
+                u_sources.append((datum, coords[nodes]))
                 u_keys.append(dofmap.u_dofs(nodes, comp))
 
     p_sources, p_keys = [], []
@@ -593,8 +590,8 @@ def build_constraints(
             p_sources.append((bc.value, mesh.vertices[verts]))
             p_keys.append(verts)
 
-    u_dofs, u_pick = _first_wins(u_keys)
-    pverts, p_pick = _first_wins(p_keys)
+    u_dofs, u_values = _dirichlet(u_sources, u_keys)
+    pverts, p_values = _dirichlet(p_sources, p_keys)
 
     rigid = None
     if bcs.is_pure_traction():
@@ -603,10 +600,8 @@ def build_constraints(
         u_dofs=u_dofs,
         pressure_vertices=pverts,
         rigid_rows=rigid,
-        _u_sources=tuple(u_sources),
-        _u_pick=u_pick,
-        _p_sources=tuple(p_sources),
-        _p_pick=p_pick,
+        _u_values=u_values,
+        _p_values=p_values,
     )
 
 

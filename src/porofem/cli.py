@@ -3,7 +3,7 @@
 Subcommands:
     run          integrate one benchmark; writes diagnostics.csv, run.log,
                  and legacy-VTK field snapshots.
-    convergence  mesh-refinement study against exact closures; writes
+    convergence  mesh-refinement study against exact fields; writes
                  rates.csv and run.log.
     sweep        vanishing-storage (c0) sweep; writes sweep.csv and run.log.
 

@@ -14,7 +14,7 @@ problem definitions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -28,6 +28,10 @@ __all__ = [
     "BoundaryConditionSpec",
     "SourceFunctions",
     "Benchmark",
+    "Separable",
+    "Tabulated",
+    "zero_scalar",
+    "zero_vector",
     "derive_kappas",
     "lame_from_young_poisson",
     "pq_from_xieta",
@@ -40,18 +44,96 @@ __all__ = [
     "BENCHMARK_NAMES",
 ]
 
-# Closures take points of shape (n, 2) and a time, and return (n,) scalars
-# or (n, 2) vectors.
-ScalarClosure = Callable[[np.ndarray, float], np.ndarray]
-VectorClosure = Callable[[np.ndarray, float], np.ndarray]
+# A field maps points of shape (n, 2) to values of shape (n, *shape); a time
+# factor maps t to a number, or is the number 1.0 for a term that does not
+# vary in time.
+Field = Callable[[np.ndarray], np.ndarray]
+Factor = Union[float, Callable[[float], float]]
 
 
-def zero_scalar(x: np.ndarray, t: float) -> np.ndarray:
-    return np.zeros(x.shape[0])
+def _at(factor: Factor, t: float) -> float:
+    return factor(t) if callable(factor) else factor
 
 
-def zero_vector(x: np.ndarray, t: float) -> np.ndarray:
-    return np.zeros((x.shape[0], 2))
+@dataclass(frozen=True, eq=False)
+class Separable:
+    """A datum in separable form, the finite sum of a_k(t) * g_k(x).
+
+    Every benchmark datum is one: sources, boundary data, initial data and
+    exact fields.  A consumer evaluates each g_k once, at its own points,
+    and then only scales and sums on each step (Tabulated); calling the
+    datum serves one-off evaluations.
+
+    Attributes:
+        shape: value shape at one point: () scalar, (2,) vector, (2, 2) the
+            gradient of a vector, [i, j] = du_i/dx_j.
+        terms: the (a_k, g_k) pairs; no terms is the zero datum.
+    """
+
+    shape: tuple[int, ...]
+    terms: tuple[tuple[Factor, Field], ...] = ()
+
+    def __call__(self, x: np.ndarray, t: float) -> np.ndarray:
+        """Values at points x (n, 2) and time t: (n, *shape)."""
+        out = np.zeros((x.shape[0], *self.shape))
+        for factor, field in self.terms:
+            out += _at(factor, t) * field(x)
+        return out
+
+    def component(self, k: int) -> "Separable":
+        """Component k of a vector datum, as a scalar datum."""
+        return Separable(self.shape[1:], tuple((a, _component(g, k)) for a, g in self.terms))
+
+    def tabulate(self, space: Callable[[Field], np.ndarray]) -> tuple[tuple[Factor, np.ndarray], ...]:
+        """The terms (a_k, space(g_k)): each space part worked out once."""
+        return tuple((factor, np.asarray(space(field), dtype=float)) for factor, field in self.terms)
+
+
+@dataclass(frozen=True, eq=False)
+class Tabulated:
+    """The sum of a_k(t) * T_k over tables T_k of one shape, each built once
+    from a Separable's space part (Separable.tabulate)."""
+
+    shape: tuple[int, ...]
+    terms: tuple[tuple[Factor, np.ndarray], ...] = ()
+
+    def __call__(self, t: float) -> np.ndarray:
+        """The sum at time t, as a fresh array."""
+        if not self.terms:
+            return np.zeros(self.shape)
+        (factor, table), *rest = self.terms
+        out = _at(factor, t) * table
+        out += 0.0  # as a sum started from +0.0: no -0.0 entries
+        for factor, table in rest:
+            out += _at(factor, t) * table
+        return out
+
+
+def _component(field: Field, k: int) -> Field:
+    def value(x: np.ndarray) -> np.ndarray:
+        return field(x)[:, k]
+
+    return value
+
+
+zero_scalar = Separable(())
+zero_vector = Separable((2,))
+
+_KINDS = {(): "scalar", (2,): "vector", (2, 2): "(2, 2) tensor"}
+
+
+def _check_datum(where: str, datum, shape: tuple[int, ...], optional: bool = False) -> None:
+    """Refuse, with TypeError naming the field, a datum that is not a
+    Separable of the given value shape."""
+    if datum is None and optional:
+        return
+    if not isinstance(datum, Separable):
+        raise TypeError(
+            f"{where} must be a {_KINDS[shape]} Separable (a sum of a_k(t)*g_k(x)), "
+            f"got {type(datum).__name__}"
+        )
+    if datum.shape != shape:
+        raise TypeError(f"{where} must be a {_KINDS[shape]} Separable, got shape {datum.shape}")
 
 
 @dataclass(frozen=True)
@@ -184,17 +266,21 @@ def xieta_from_pq(p, q, params: MaterialParams):
 class MechanicalBC:
     """Mechanical condition on one boundary segment.
 
-    Each displacement component is either Dirichlet (a value closure) or
-    free; free components receive the total-stress traction closure.
+    Each displacement component is either Dirichlet (a scalar Separable) or
+    free; free components receive the total-stress traction, a vector
+    Separable.
     """
 
-    dirichlet: tuple[Optional[ScalarClosure], Optional[ScalarClosure]] = (None, None)
-    traction: Optional[VectorClosure] = None
+    dirichlet: tuple[Optional[Separable], Optional[Separable]] = (None, None)
+    traction: Optional[Separable] = None
 
     def __post_init__(self) -> None:
+        for k, datum in enumerate(self.dirichlet):
+            _check_datum(f"MechanicalBC.dirichlet[{k}]", datum, (), optional=True)
+        _check_datum("MechanicalBC.traction", self.traction, (2,), optional=True)
         has_free = any(d is None for d in self.dirichlet)
         if has_free and self.traction is None:
-            raise ValueError("a free displacement component requires a traction closure")
+            raise ValueError("a free displacement component requires a traction")
 
 
 @dataclass(frozen=True)
@@ -209,11 +295,12 @@ class FlowBC:
     """
 
     kind: str
-    value: ScalarClosure
+    value: Separable
 
     def __post_init__(self) -> None:
         if self.kind not in ("pressure", "flux"):
             raise ValueError(f"unknown flow BC kind {self.kind!r}")
+        _check_datum("FlowBC.value", self.value, ())
 
 
 @dataclass(frozen=True)
@@ -249,8 +336,12 @@ class BoundaryConditionSpec:
 class SourceFunctions:
     """Body force f(x, t) and mass source phi(x, t)."""
 
-    f: VectorClosure
-    phi: ScalarClosure
+    f: Separable
+    phi: Separable
+
+    def __post_init__(self) -> None:
+        _check_datum("SourceFunctions.f", self.f, (2,))
+        _check_datum("SourceFunctions.phi", self.phi, ())
 
 
 @dataclass(frozen=True)
@@ -264,12 +355,15 @@ class Benchmark:
         params: material constants.
         bcs: boundary conditions.
         sources: body force and mass source.
-        u0, p0: initial data closures; u0 must be divergence-free (the
-            initial q is zero).
-        exact_u, exact_p: optional exact solution closures.
-        exact_grad_u: optional closure returning (n, 2, 2) arrays du_i/dx_j.
-        exact_grad_p: optional closure returning (n, 2) arrays.
+        u0, p0: initial data; u0 must be divergence-free (the initial q is
+            zero).
+        exact_u, exact_p: optional exact solution.
+        exact_grad_u: optional exact displacement gradient, du_i/dx_j.
+        exact_grad_p: optional exact pressure gradient.
         default_dt: time-step default for the CLI.
+
+    Every datum is a Separable of its value shape; anything else raises
+    TypeError naming the field.
     """
 
     name: str
@@ -277,13 +371,20 @@ class Benchmark:
     params: MaterialParams
     bcs: BoundaryConditionSpec
     sources: SourceFunctions
-    u0: VectorClosure = zero_vector
-    p0: ScalarClosure = zero_scalar
-    exact_u: Optional[VectorClosure] = None
-    exact_p: Optional[ScalarClosure] = None
-    exact_grad_u: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
-    exact_grad_p: Optional[VectorClosure] = None
+    u0: Separable = zero_vector
+    p0: Separable = zero_scalar
+    exact_u: Optional[Separable] = None
+    exact_p: Optional[Separable] = None
+    exact_grad_u: Optional[Separable] = None
+    exact_grad_p: Optional[Separable] = None
     default_dt: float = 1e-5
+
+    def __post_init__(self) -> None:
+        _check_datum("Benchmark.u0", self.u0, (2,))
+        _check_datum("Benchmark.p0", self.p0, ())
+        for name, shape in (("exact_u", (2,)), ("exact_p", ()),
+                            ("exact_grad_u", (2, 2)), ("exact_grad_p", (2,))):
+            _check_datum(f"Benchmark.{name}", getattr(self, name), shape, optional=True)
 
     @property
     def coeffs(self) -> DerivedCoeffs:
@@ -291,17 +392,16 @@ class Benchmark:
 
     @property
     def has_exact_solution(self) -> bool:
-        """Whether both exact closures, u and p, are given."""
+        """Whether both exact fields, u and p, are given."""
         return self.exact_u is not None and self.exact_p is not None
 
 
-def _component(closure: VectorClosure, k: int) -> ScalarClosure:
-    """Component k of a vector closure, as a scalar closure."""
+def _linear(t: float) -> float:
+    return t
 
-    def value(x: np.ndarray, t: float) -> np.ndarray:
-        return closure(x, t)[:, k]
 
-    return value
+def _one_plus(t: float) -> float:
+    return 1.0 + t
 
 
 def benchmark_test1(params: Optional[MaterialParams] = None) -> Benchmark:
@@ -312,51 +412,52 @@ def benchmark_test1(params: Optional[MaterialParams] = None) -> Benchmark:
     fields for any admissible material constants.  Pressure is Dirichlet
     on the whole boundary; u1 is Dirichlet on the vertical sides and u2 on
     the horizontal sides, with the traction driving the free components.
+    Every datum is a term in t, a term in e^t, or one of each.
     """
     prm = params if params is not None else MaterialParams()
     lam, mu, alpha = prm.lam, prm.mu, prm.alpha
     c0, K, mu_f = prm.c0, prm.K, prm.mu_f
 
-    def exact_u(x: np.ndarray, t: float) -> np.ndarray:
-        return 0.5 * t * np.column_stack([x[:, 0] ** 2, x[:, 1] ** 2])
+    def s(x: np.ndarray) -> np.ndarray:
+        return x[:, 0] + x[:, 1]
 
-    def exact_p(x: np.ndarray, t: float) -> np.ndarray:
-        return np.sin(x[:, 0] + x[:, 1]) * np.exp(t)
+    def both(values: np.ndarray) -> np.ndarray:
+        return np.column_stack([values, values])
 
-    def exact_grad_u(x: np.ndarray, t: float) -> np.ndarray:
+    def grad_u(x: np.ndarray) -> np.ndarray:
         out = np.zeros((x.shape[0], 2, 2))
-        out[:, 0, 0] = t * x[:, 0]
-        out[:, 1, 1] = t * x[:, 1]
+        out[:, 0, 0] = x[:, 0]
+        out[:, 1, 1] = x[:, 1]
         return out
 
-    def exact_grad_p(x: np.ndarray, t: float) -> np.ndarray:
-        c = np.cos(x[:, 0] + x[:, 1]) * np.exp(t)
-        return np.column_stack([c, c])
+    exact_u = Separable((2,), ((_linear, lambda x: 0.5 * np.column_stack([x[:, 0] ** 2, x[:, 1] ** 2])),))
+    exact_p = Separable((), ((np.exp, lambda x: np.sin(s(x))),))
+    body_force = Separable((2,), (
+        (_linear, lambda x: np.full((x.shape[0], 2), -(lam + mu))),
+        (np.exp, lambda x: both(alpha * np.cos(s(x)))),
+    ))
+    mass_source = Separable((), (
+        (np.exp, lambda x: (c0 + 2.0 * K / mu_f) * np.sin(s(x))),
+        (1.0, lambda x: alpha * s(x)),
+    ))
 
-    def body_force(x: np.ndarray, t: float) -> np.ndarray:
-        ones = np.ones(x.shape[0])
-        base = -(lam + mu) * t
-        grad_p = alpha * np.cos(x[:, 0] + x[:, 1]) * np.exp(t)
-        return np.column_stack([base + grad_p, base * ones + grad_p])
-
-    def mass_source(x: np.ndarray, t: float) -> np.ndarray:
-        s = x[:, 0] + x[:, 1]
-        return (c0 + 2.0 * K / mu_f) * np.sin(s) * np.exp(t) + alpha * s
-
-    def traction_for(normal: tuple[float, float]) -> VectorClosure:
+    def traction_for(normal: tuple[float, float]) -> Separable:
         n1, n2 = normal
 
-        def f1(x: np.ndarray, t: float) -> np.ndarray:
-            s = x[:, 0] + x[:, 1]
-            sig_n1 = mu * t * x[:, 0] * n1 + lam * t * s * n1
-            sig_n2 = mu * t * x[:, 1] * n2 + lam * t * s * n2
-            pn = alpha * np.sin(s) * np.exp(t)
-            return np.column_stack([sig_n1 - pn * n1, sig_n2 - pn * n2])
+        def stress(x: np.ndarray) -> np.ndarray:
+            return np.column_stack([
+                mu * x[:, 0] * n1 + lam * s(x) * n1,
+                mu * x[:, 1] * n2 + lam * s(x) * n2,
+            ])
 
-        return f1
+        def pressure(x: np.ndarray) -> np.ndarray:
+            pn = alpha * np.sin(s(x))
+            return np.column_stack([-pn * n1, -pn * n2])
+
+        return Separable((2,), ((_linear, stress), (np.exp, pressure)))
 
     # The vertical sides are those whose normal lies along x1.
-    u1, u2 = _component(exact_u, 0), _component(exact_u, 1)
+    u1, u2 = exact_u.component(0), exact_u.component(1)
     mechanical = {
         seg: MechanicalBC(
             dirichlet=(u1, None) if seg.normal[0] else (None, u2),
@@ -375,8 +476,8 @@ def benchmark_test1(params: Optional[MaterialParams] = None) -> Benchmark:
         p0=exact_p,
         exact_u=exact_u,
         exact_p=exact_p,
-        exact_grad_u=exact_grad_u,
-        exact_grad_p=exact_grad_p,
+        exact_grad_u=Separable((2, 2), ((_linear, grad_u),)),
+        exact_grad_p=Separable((2,), ((np.exp, lambda x: both(np.cos(s(x)))),)),
         default_dt=1e-5,
     )
 
@@ -393,14 +494,16 @@ def benchmark_barry_mercer(params: Optional[MaterialParams] = None) -> Benchmark
     prm = params if params is not None else MaterialParams()
     alpha = prm.alpha
 
-    def p2(x: np.ndarray, t: float) -> np.ndarray:
+    def window(x: np.ndarray) -> np.ndarray:
         inside = (x[:, 0] >= 0.2) & (x[:, 0] < 0.8)
-        return np.where(inside, np.sin(t), 0.0)
+        return np.where(inside, 1.0, 0.0)
 
-    def traction_bottom(x: np.ndarray, t: float) -> np.ndarray:
-        vals = alpha * p2(x, t)
+    def lifted(x: np.ndarray) -> np.ndarray:
+        vals = alpha * window(x)
         return np.column_stack([np.zeros_like(vals), vals])
 
+    p2 = Separable((), ((np.sin, window),))
+    traction_bottom = Separable((2,), ((np.sin, lifted),))
     mechanical = {
         BoundarySegment.RIGHT: MechanicalBC(dirichlet=(zero_scalar, None), traction=zero_vector),
         BoundarySegment.LEFT: MechanicalBC(dirichlet=(zero_scalar, None), traction=zero_vector),
@@ -440,7 +543,7 @@ def benchmark_locking(params: Optional[MaterialParams] = None) -> Benchmark:
     else:
         prm = params
 
-    def traction_top(x: np.ndarray, t: float) -> np.ndarray:
+    def downward(x: np.ndarray) -> np.ndarray:
         out = np.zeros((x.shape[0], 2))
         out[:, 1] = -1.0
         return out
@@ -449,7 +552,7 @@ def benchmark_locking(params: Optional[MaterialParams] = None) -> Benchmark:
         BoundarySegment.LEFT: MechanicalBC(dirichlet=(zero_scalar, zero_scalar)),
         BoundarySegment.RIGHT: MechanicalBC(traction=zero_vector),
         BoundarySegment.BOTTOM: MechanicalBC(traction=zero_vector),
-        BoundarySegment.TOP: MechanicalBC(traction=traction_top),
+        BoundarySegment.TOP: MechanicalBC(traction=Separable((2,), ((1.0, downward),))),
     }
     flow = {seg: FlowBC(kind="flux", value=zero_scalar) for seg in BoundarySegment}
 
@@ -481,43 +584,26 @@ def benchmark_polynomial(params: Optional[MaterialParams] = None) -> Benchmark:
     prm = params if params is not None else MaterialParams(c0=0.0)
     mu, alpha, c0 = prm.mu, prm.alpha, prm.c0
 
-    def exact_u(x: np.ndarray, t: float) -> np.ndarray:
-        return (1.0 + t) * np.column_stack([x[:, 1] ** 2, -(x[:, 0] ** 2)])
-
-    def exact_p(x: np.ndarray, t: float) -> np.ndarray:
-        return (1.0 + t) * (x[:, 0] - 2.0 * x[:, 1])
-
-    def exact_grad_u(x: np.ndarray, t: float) -> np.ndarray:
+    def grad_u(x: np.ndarray) -> np.ndarray:
         out = np.zeros((x.shape[0], 2, 2))
-        out[:, 0, 1] = 2.0 * (1.0 + t) * x[:, 1]
-        out[:, 1, 0] = -2.0 * (1.0 + t) * x[:, 0]
+        out[:, 0, 1] = 2.0 * x[:, 1]
+        out[:, 1, 0] = -2.0 * x[:, 0]
         return out
 
-    def exact_grad_p(x: np.ndarray, t: float) -> np.ndarray:
-        out = np.empty((x.shape[0], 2))
-        out[:, 0] = 1.0 + t
-        out[:, 1] = -2.0 * (1.0 + t)
-        return out
+    def rows(first: float, second: float):
+        return lambda x: np.tile([first, second], (x.shape[0], 1))
 
-    def body_force(x: np.ndarray, t: float) -> np.ndarray:
-        out = np.empty((x.shape[0], 2))
-        out[:, 0] = (1.0 + t) * (alpha - mu)
-        out[:, 1] = (1.0 + t) * (mu - 2.0 * alpha)
-        return out
-
-    def mass_source(x: np.ndarray, t: float) -> np.ndarray:
-        return c0 * (x[:, 0] - 2.0 * x[:, 1])
-
-    def traction_right(x: np.ndarray, t: float) -> np.ndarray:
+    def traction_right(x: np.ndarray) -> np.ndarray:
         # (sigma - alpha p I) n with sigma = mu eps(u) (div u = 0), n = e1.
-        out = np.empty((x.shape[0], 2))
-        out[:, 0] = (1.0 + t) * alpha * (2.0 * x[:, 1] - 1.0)
-        out[:, 1] = (1.0 + t) * mu * (x[:, 1] - 1.0)
-        return out
+        return np.column_stack([alpha * (2.0 * x[:, 1] - 1.0), mu * (x[:, 1] - 1.0)])
 
-    dirichlet = (_component(exact_u, 0), _component(exact_u, 1))
+    exact_u = Separable((2,), ((_one_plus, lambda x: np.column_stack([x[:, 1] ** 2, -(x[:, 0] ** 2)])),))
+    exact_p = Separable((), ((_one_plus, lambda x: x[:, 0] - 2.0 * x[:, 1]),))
+    dirichlet = (exact_u.component(0), exact_u.component(1))
     mechanical = {seg: MechanicalBC(dirichlet=dirichlet) for seg in BoundarySegment}
-    mechanical[BoundarySegment.RIGHT] = MechanicalBC(traction=traction_right)
+    mechanical[BoundarySegment.RIGHT] = MechanicalBC(
+        traction=Separable((2,), ((_one_plus, traction_right),))
+    )
     flow = {seg: FlowBC(kind="pressure", value=exact_p) for seg in BoundarySegment}
 
     return Benchmark(
@@ -525,13 +611,16 @@ def benchmark_polynomial(params: Optional[MaterialParams] = None) -> Benchmark:
         T=0.01,
         params=prm,
         bcs=BoundaryConditionSpec(mechanical=mechanical, flow=flow),
-        sources=SourceFunctions(f=body_force, phi=mass_source),
+        sources=SourceFunctions(
+            f=Separable((2,), ((_one_plus, rows(alpha - mu, mu - 2.0 * alpha)),)),
+            phi=Separable((), ((1.0, lambda x: c0 * (x[:, 0] - 2.0 * x[:, 1])),)),
+        ),
         u0=exact_u,
         p0=exact_p,
         exact_u=exact_u,
         exact_p=exact_p,
-        exact_grad_u=exact_grad_u,
-        exact_grad_p=exact_grad_p,
+        exact_grad_u=Separable((2, 2), ((_one_plus, grad_u),)),
+        exact_grad_p=Separable((2,), ((_one_plus, rows(1.0, -2.0)),)),
         default_dt=1e-3,
     )
 

@@ -55,7 +55,6 @@ from .diagnostics import (
 from .mesh import BoundarySegment, Mesh
 from .model import (
     Benchmark, MaterialParams, DerivedCoeffs, get_benchmark, pq_from_xieta, xieta_from_pq,
-    zero_scalar,
 )
 from .solver import (
     DEFAULT_TOLERANCE,
@@ -241,7 +240,7 @@ class FieldState:
 class Discretization:
     """The operators and quadrature tables of one mesh, shared by every run
     on it.  A carries mu and S the mobility K/mu_f; no other parameter and
-    no closure enters, so all runs whose benchmarks have those two values
+    no benchmark datum enters, so all runs whose benchmarks have those two values
     (the c0 values of a sweep, say) can share one instance.
     """
 
@@ -325,9 +324,9 @@ class StepSystems:
 
     Built once per run, after its initial data, on the boundary data
     init_state built for it; every step reuses the factorizations and only
-    reassembles right-hand sides and boundary values.  The load closures
-    are set up once, at construction; each step evaluates only the
-    closures.  A discretization built for another mu or K/mu_f than the
+    reassembles right-hand sides and boundary values.  The loads are
+    tabulated once, at construction; each step only scales and sums the
+    stored vectors.  A discretization built for another mu or K/mu_f than the
     benchmark's is refused with ValueError, and so is one that
     check_scheme refuses.  Every system is prepared and solved through
     `solves`, the run's ledger.
@@ -459,9 +458,9 @@ def check_scheme(benchmark: Benchmark, theta: int) -> None:
             "(theta = 1)"
         )
     if theta == 0 and benchmark.coeffs.kappa3 == 0.0 and all(
-        closure is not None
+        datum is not None
         for seg in BoundarySegment
-        for closure, n in zip(benchmark.bcs.mechanical[seg].dirichlet, seg.normal)
+        for datum, n in zip(benchmark.bcs.mechanical[seg].dirichlet, seg.normal)
         if n
     ):
         raise ValueError(
@@ -486,9 +485,9 @@ def init_state(
     (u_I)_f.  A benchmark whose u_I breaks either condition is refused with
     ValueError.  The initial pressure is the L2 projection of p0, from a
     factor of M that is dropped before this returns, so it is not live
-    while a step system is factorized; a p0 that is the model's
-    zero_scalar projects to zeros with no factorization, as LoadAssembler
-    drops it from the loads.  q0 = 0 since u0 is divergence-free
+    while a step system is factorized; a p0 with no terms (the model's
+    zero_scalar) projects to zeros with no factorization, as LoadAssembler
+    drops such data from the loads.  q0 = 0 since u0 is divergence-free
     (Benchmark.u0).  eta and xi follow coefficientwise from the change of
     variables; the state derives p and q back from them.
     """
@@ -514,7 +513,7 @@ def init_state(
             "a pure-traction run starts from the interpolant of u0, which must be"
         )
 
-    if benchmark.p0 is zero_scalar:
+    if not benchmark.p0.terms:
         p0 = np.zeros(dm.n_scalar)
     else:
         none = np.empty(0)
@@ -594,8 +593,10 @@ class RunResult:
 
     states holds the states at the steps run() was asked to keep, in step
     order, and records one DiagnosticsRecord per step.  max_hat_slack is the
-    largest EnergyRecord.hat_slack of a theta = 0 run (NaN if any is NaN),
-    None for theta = 1 or no steps.  time_independent_loads says every step's
+    largest EnergyRecord.hat_slack of a theta = 0 run from its second step
+    on, that is over levels 1 and up (NaN if any is NaN); level 0's slack is
+    J^0 - J^0 = 0 by construction.  It is None for theta = 1 and for a run
+    of fewer than two steps.  time_independent_loads says every step's
     loads and boundary values equal t = 0's bit for bit.  factorizations, solve_count and
     max_solver_residual cover every linear system and solve of the run:
     the initial pressure projection, the decoupled amplification estimate
@@ -643,7 +644,7 @@ def run(
     """Integrate a benchmark over [0, T] and collect per-step diagnostics.
 
     Every step records the energy identity, conservation residuals (for a
-    pure-Neumann flow boundary), and, when exact closures are available and
+    pure-Neumann flow boundary), and, when exact fields are available and
     errors are requested, instantaneous error norms.  Every step's loads and
     boundary values are evaluated once, handed to the step and compared with
     t = 0's; pure-traction loads are checked against the rigid motions.
@@ -727,7 +728,7 @@ def run(
         data = (mech, flow, *systems.boundary_values(t_next))
         state = step_fn(state, systems, *data)
         erec = auditor.ingest(state)
-        if erec.hat_slack is not None:  # np.maximum, unlike max, keeps a NaN
+        if erec.hat_slack is not None and n > 1:  # np.maximum, unlike max, keeps a NaN
             hat_slack = (erec.hat_slack if hat_slack is None
                          else np.maximum(hat_slack, erec.hat_slack))
         time_independent = time_independent and all(map(np.array_equal, data0, data))

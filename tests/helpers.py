@@ -31,7 +31,10 @@ from porofem.model import (
     FlowBC,
     MaterialParams,
     MechanicalBC,
+    Separable,
     SourceFunctions,
+    zero_scalar,
+    zero_vector,
 )
 from porofem.stepper import Discretization, FieldState, LinearSolves, init_state
 
@@ -165,25 +168,22 @@ def check_state_consistency(state, coeffs: DerivedCoeffs) -> tuple[float, float]
     return float(p_res), float(q_res)
 
 
-def zero_vector(x: np.ndarray, t: float) -> np.ndarray:
-    return np.zeros((x.shape[0], 2))
+def constant(value: float) -> Separable:
+    """The scalar datum that is value everywhere, at every time."""
+    return Separable((), ((1.0, lambda x: np.full(x.shape[0], value)),))
 
 
-def zero_scalar(x: np.ndarray, t: float) -> np.ndarray:
-    return np.zeros(x.shape[0])
-
-
-def normal_traction(tag: BoundarySegment, scale: float = 1.0):
+def normal_traction(tag: BoundarySegment, scale: float = 1.0) -> Separable:
     """Traction f1 = scale * n on one side; globally self-equilibrated."""
     n1, n2 = tag.normal
 
-    def closure(x: np.ndarray, t: float) -> np.ndarray:
+    def field(x: np.ndarray) -> np.ndarray:
         out = np.empty((x.shape[0], 2))
         out[:, 0] = scale * n1
         out[:, 1] = scale * n2
         return out
 
-    return closure
+    return Separable((2,), ((1.0, field),))
 
 
 def conservation_benchmark(
@@ -204,24 +204,17 @@ def conservation_benchmark(
     integral-of-eta grows by dt*(phi_const*|domain| + flux_bottom*|bottom|)
     per step.
     """
-
-    def phi(x: np.ndarray, t: float) -> np.ndarray:
-        return np.full(x.shape[0], phi_const)
-
-    def flux_b(x: np.ndarray, t: float) -> np.ndarray:
-        return np.full(x.shape[0], flux_bottom)
-
     mechanical = {
         tag: MechanicalBC(traction=normal_traction(tag)) for tag in BoundarySegment
     }
     flow = {tag: FlowBC(kind="flux", value=zero_scalar) for tag in BoundarySegment}
-    flow[BoundarySegment.BOTTOM] = FlowBC(kind="flux", value=flux_b)
+    flow[BoundarySegment.BOTTOM] = FlowBC(kind="flux", value=constant(flux_bottom))
     return Benchmark(
         name="conservation_fixture",
         T=T,
         params=MaterialParams(lam=lam, mu=mu, alpha=alpha, c0=c0, K=1.0, mu_f=1.0),
         bcs=BoundaryConditionSpec(mechanical=mechanical, flow=flow),
-        sources=SourceFunctions(f=zero_vector, phi=phi),
+        sources=SourceFunctions(f=zero_vector, phi=constant(phi_const)),
     )
 
 

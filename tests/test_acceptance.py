@@ -138,7 +138,7 @@ def test_criterion_2_energy_identity():
         2,
         ok,
         f"theta=1 max |J+S-J0|={worst1:.2e} <= {bound1:.1e}; theta=0 gated "
-        f"(dt={res0.gate.dt:g} <= {res0.gate.threshold:g}) max hat-slack="
+        f"(dt={res0.gate.dt:g} <= {res0.gate.threshold:g}) max hat-slack over steps 2-10="
         f"{worst_slack:.2e} <= {bound0:.1e}",
     )
     assert ok

@@ -47,16 +47,18 @@ from porofem.model import (
     FlowBC,
     MaterialParams,
     MechanicalBC,
+    Separable,
     SourceFunctions,
     derive_kappas,
     get_benchmark,
     zero_scalar,
     zero_vector,
 )
+from porofem.diagnostics import ErrorEvaluator
 from porofem.solver import factorize, solve
 from porofem.stepper import Discretization, TimeScheme, run
 
-from helpers import conservation_benchmark, jittered_mesh
+from helpers import conservation_benchmark, jittered_mesh, zero_benchmark
 
 
 @pytest.fixture(scope="module")
@@ -260,7 +262,8 @@ def test_scalar_mass_total_and_row_sums(mesh2, dofmap2):
     M = assemble_scalar_mass(mesh2, dofmap2)
     assert float(M.sum()) == pytest.approx(1.0, rel=1e-12)
     load_of_one = assemble_domain_load(
-        DomainQuadrature.from_mesh(mesh2, dofmap2), lambda x, t: np.ones(x.shape[0]), 0.0,
+        DomainQuadrature.from_mesh(mesh2, dofmap2),
+        Separable((), ((1.0, lambda x: np.ones(x.shape[0])),)), 0.0,
         space="scalar",
     )
     assert np.allclose(M @ np.ones(dofmap2.n_scalar), load_of_one, atol=1e-13)
@@ -303,11 +306,12 @@ def test_stiffness_coefficient_scaling(mesh2, dofmap2):
 
 
 def test_constant_body_force_sums_to_total(mesh2, dofmap2):
-    def f(x, t):
+    def field(x):
         out = np.zeros((x.shape[0], 2))
         out[:, 0] = 1.0
         return out
 
+    f = Separable((2,), ((1.0, field),))
     rhs = assemble_domain_load(DomainQuadrature.from_mesh(mesh2, dofmap2), f, 0.0, space="vector")
     assert float(rhs[0::2].sum()) == pytest.approx(1.0, rel=1e-12)
     assert float(rhs[1::2].sum()) == pytest.approx(0.0, abs=1e-13)
@@ -362,7 +366,7 @@ def test_constant_darcy_body_force_is_flux_data(mesh):
     dofmap = DofMap.from_mesh(mesh)
 
     def flux_for(normal):
-        return lambda x, t: np.full(x.shape[0], c @ normal)
+        return Separable((), ((1.0, lambda x: np.full(x.shape[0], c @ normal)),))
 
     bench = Benchmark(
         name="constant_flux",
@@ -479,16 +483,96 @@ def test_zero_closures_are_dropped_and_give_exact_zeros(mesh2, dofmap2):
     # the right and bottom sides; only the top traction is integrated.
     bench = get_benchmark("locking")
     loads = _loads(mesh2, dofmap2, bench)
-    assert loads.flow_terms == ()
-    assert [closure for closure, _ in loads.mech_terms] == [
-        bench.bcs.mechanical[BoundarySegment.TOP].traction
-    ]
+    assert loads.flow.terms == ()
+    top_terms = bench.bcs.mechanical[BoundarySegment.TOP].traction.terms
+    assert [factor for factor, _ in loads.mech.terms] == [factor for factor, _ in top_terms]
     mech, flow = assemble_load(loads, bench.T)
     assert np.all(flow == 0.0)
     top = dofmap2.u_dofs(mesh2.nodes_on_segment(BoundarySegment.TOP), 1)
     off_top = np.setdiff1d(np.arange(dofmap2.n_u), top)
     assert np.all(mech[off_top] == 0.0)
     assert np.all(mech[top] < 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Tables built once against direct evaluation at each time
+# ---------------------------------------------------------------------------
+
+
+def _per_step_integral(rule, datum, t):
+    """The per-step path the load tables replaced: the datum evaluated at
+    the rule's points at time t, weighted and scattered."""
+    values = np.asarray(datum(rule.points, t), dtype=float)
+    local = values.reshape(rule.measure.size, -1) @ rule.table
+    local *= rule.measure[:, None]
+    return np.bincount(rule.dofs.ravel(), local.ravel(), rule.size)
+
+
+def _per_step_load(mesh, dofmap, quadrature, bench, t):
+    """Both loads at time t, each datum with terms integrated at t, in the
+    assembler's order: the domain datum, then each segment's by tag."""
+    bcs = bench.bcs
+    tractions = [(tag, bc.traction) for tag, bc in bcs.mechanical.items()]
+    fluxes = [(tag, bc.value) for tag, bc in bcs.flow.items() if bc.kind == "flux"]
+    loads = []
+    for domain, rule, edges, space, size in (
+        (bench.sources.f, quadrature.vector, tractions, "vector", dofmap.n_u),
+        (bench.sources.phi, quadrature.scalar, fluxes, "scalar", dofmap.n_scalar),
+    ):
+        out = np.zeros(size)
+        if domain.terms:
+            out += _per_step_integral(rule, domain, t)
+        for tag, datum in sorted(edges, key=lambda item: int(item[0])):
+            if datum is not None and datum.terms:
+                edge_rule = porofem.assembly._edge_rule(mesh, dofmap, tag, space)
+                out += _per_step_integral(edge_rule, datum, t)
+        loads.append(out)
+    return loads
+
+
+_TABLE_CASES = {
+    **{name: (lambda name=name: get_benchmark(name)) for name in
+       ("test1", "barry_mercer", "locking", "polynomial")},
+    "conservation_fixture": conservation_benchmark,
+    "zero_fixture": zero_benchmark,
+}
+
+
+def _close(new, old):
+    return np.max(np.abs(new - old), initial=0.0) <= 1e-13 * np.max(np.abs(old), initial=0.0)
+
+
+@pytest.mark.parametrize("case", sorted(_TABLE_CASES))
+def test_tables_match_direct_evaluation(case):
+    bench = _TABLE_CASES[case]()
+    mesh = jittered_mesh(6, 5)
+    dofmap = DofMap.from_mesh(mesh)
+    quadrature = DomainQuadrature.from_mesh(mesh, dofmap)
+    loads = LoadAssembler.build(mesh, dofmap, quadrature, bench.sources, bench.bcs)
+    boundary = build_constraints(mesh, dofmap, bench.bcs, bench.coeffs)
+    evaluator = (ErrorEvaluator(bench, mesh, dofmap, quadrature)
+                 if bench.has_exact_solution else None)
+    f, q = mesh.n_triangles, quadrature.rule.weights.size
+    flat = quadrature.vector.points
+    for t in (0.0, 0.5 * bench.T, bench.T):
+        got = assemble_load(loads, t)
+        want = _per_step_load(mesh, dofmap, quadrature, bench, t)
+        for new, old in zip(got, want):
+            if case == "locking":  # one term, constant in time
+                assert new.tobytes() == old.tobytes(), t
+            assert _close(new, old), (t, np.max(np.abs(new - old)))
+        _, u_want, _, p_want = _reference_boundary_values(mesh, bench.bcs, t)
+        for new, old in zip(boundary.values(t), (u_want, p_want)):
+            assert _close(new, old), t
+        if evaluator is None:
+            continue
+        for table, direct in (
+            (evaluator.exact_u, bench.exact_u(flat, t).reshape(f, q, 2)),
+            (evaluator.exact_grad_u, bench.exact_grad_u(flat, t).reshape(f, q, 2, 2)),
+            (evaluator.exact_p, bench.exact_p(flat, t).reshape(f, q)),
+            (evaluator.exact_grad_p, np.moveaxis(bench.exact_grad_p(flat, t).reshape(f, q, 2), 1, 2)),
+        ):
+            assert _close(table(t), direct), t
 
 
 def test_load_tables_are_built_once_per_run(monkeypatch):
@@ -599,7 +683,7 @@ def _disagreeing_corners_spec():
     # Every side prescribes its own constant, so each corner node is
     # listed by two sides with different values.
     def const(value):
-        return lambda x, t: np.full(x.shape[0], value * (1.0 + t))
+        return Separable((), ((lambda t: 1.0 + t, lambda x: np.full(x.shape[0], value)),))
 
     mechanical = {
         tag: MechanicalBC(dirichlet=(const(float(tag)), const(-float(tag))))

@@ -352,6 +352,14 @@ def test_run_log_reports_max_hat_slack_for_theta_0_only(tmp_path, theta):
     assert lines[at - 1].startswith("max |energy residual| = ")
 
 
+@pytest.mark.filterwarnings("ignore:decoupled scheme")
+def test_run_log_prints_no_hat_slack_for_a_single_step(tmp_path):
+    out = tmp_path / "o"
+    assert _cli("run", out, "benchmark=barry_mercer", "nx=4", "T=0.01", "theta=0", "vtk=off") == 0
+    log = (out / "run.log").read_text()
+    assert "max |energy residual| = " in log and "hat slack" not in log
+
+
 def _reference_vtk_text(mesh, state) -> str:
     """write_vtk's text as an element-by-element f-string formatter writes it."""
     n_v, n_f = mesh.n_vertices, mesh.n_triangles

@@ -420,6 +420,53 @@ def test_error_evaluator_matches_reference_formula(name):
         assert abs(got[key] - value) <= 1e-13 * scale, key
 
 
+def _matmul_errors(bench, mesh, dofmap, quadrature, state):
+    """The formulation ErrorEvaluator.evaluate had before its gradient
+    tables were laid out [f, q, c, a]: P2 gradients pushed forward once per
+    triangle by physical_gradients, contracted with the coefficients by a
+    batched matmul, and exact fields evaluated at the points on each call."""
+    flat, t = quadrature.vector.points, state.t
+    weights, maps = quadrature.rule.weights, quadrature.maps
+    f, q = mesh.n_triangles, weights.size
+    p2_vals, p2_grads = eval_basis("P2", quadrature.rule.points)
+    p1_vals, p1_grads = eval_basis("P1", quadrature.rule.points)
+    grads = maps.physical_gradients(p2_grads)  # (F, nq, 6, 2)
+    table = np.ascontiguousarray(grads.transpose(0, 2, 1, 3)).reshape(f, 6, 2 * q)
+
+    def norm(squares):
+        per_point = squares[0].size // q
+        return float(np.sqrt(maps.det @ (squares.reshape(f, -1) @ np.repeat(weights, per_point))))
+
+    u_coef = state.u[dofmap.triangle_u]
+    u_vals = (u_coef @ np.kron(p2_vals.T, np.eye(2))).reshape(f, q, 2)
+    u_grads = np.matmul(u_coef.reshape(f, 6, 2).transpose(0, 2, 1), table).reshape(f, 2, q, 2)
+    p_coef = state.p[mesh.triangles]
+    p_grads = np.matmul(p_coef[:, None, :], maps.physical_gradients(p1_grads[:1])[:, 0])
+    return {
+        "u_L2": norm((u_vals - bench.exact_u(flat, t).reshape(f, q, 2)) ** 2),
+        "u_H1": norm((u_grads.transpose(0, 2, 1, 3) - bench.exact_grad_u(flat, t).reshape(f, q, 2, 2)) ** 2),
+        "p_L2": norm((p_coef @ p1_vals.T - bench.exact_p(flat, t).reshape(f, q)) ** 2),
+        "p_H1": norm((p_grads - bench.exact_grad_p(flat, t).reshape(f, q, 2)) ** 2),
+    }
+
+
+@pytest.mark.parametrize("mesh", [jittered_mesh(9, 6), build_rect_mesh(8, 8)],
+                         ids=["jittered", "unit"])
+def test_error_evaluator_gradient_layout_matches_matmul_formulation(mesh):
+    bench = get_benchmark("test1")
+    dofmap = DofMap.from_mesh(mesh)
+    disc = Discretization.build(mesh, bench.params)
+    result = run(bench, disc, TimeScheme(dt=bench.default_dt, n_steps=3, theta=1),
+                 compute_errors=False)
+    state = result.states[-1]
+    quadrature = DomainQuadrature.from_mesh(mesh, dofmap)
+    got = ErrorEvaluator(bench, mesh, dofmap, quadrature).evaluate(state)
+    want = _matmul_errors(bench, mesh, dofmap, quadrature, state)
+    assert set(got) == set(want)
+    for key, value in want.items():
+        assert abs(got[key] - value) <= 1e-13 * value, key
+
+
 def test_error_evaluator_requires_exact_closures():
     bench = conservation_benchmark()
     mesh = build_rect_mesh(2, 2)

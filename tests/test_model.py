@@ -8,6 +8,7 @@ shipped with each benchmark must agree at random space-time samples.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import numpy as np
@@ -19,12 +20,18 @@ from hypothesis import strategies as st
 from porofem.mesh import BoundarySegment, build_rect_mesh
 from porofem.model import (
     BENCHMARK_NAMES,
+    FlowBC,
     MaterialParams,
+    MechanicalBC,
+    Separable,
+    SourceFunctions,
     derive_kappas,
     get_benchmark,
     lame_from_young_poisson,
     pq_from_xieta,
     xieta_from_pq,
+    zero_scalar,
+    zero_vector,
 )
 
 
@@ -389,6 +396,51 @@ def test_test1_boundary_condition_layout():
     for seg in (BoundarySegment.BOTTOM, BoundarySegment.TOP):
         d = bench.bcs.mechanical[seg].dirichlet
         assert d[0] is None and d[1] is not None
+
+
+def _plain(x: np.ndarray, t: float) -> np.ndarray:
+    return np.zeros(x.shape[0])
+
+
+_PLAIN_CALLABLES = {
+    "SourceFunctions.f": lambda: SourceFunctions(f=_plain, phi=zero_scalar),
+    "SourceFunctions.phi": lambda: SourceFunctions(f=zero_vector, phi=_plain),
+    "MechanicalBC.dirichlet[0]": lambda: MechanicalBC(dirichlet=(_plain, None), traction=zero_vector),
+    "MechanicalBC.dirichlet[1]": lambda: MechanicalBC(dirichlet=(zero_scalar, _plain)),
+    "MechanicalBC.traction": lambda: MechanicalBC(traction=_plain),
+    "FlowBC.value": lambda: FlowBC(kind="flux", value=_plain),
+    **{
+        f"Benchmark.{field}": (lambda field=field: dataclasses.replace(
+            get_benchmark("test1"), **{field: _plain}))
+        for field in ("u0", "p0", "exact_u", "exact_p", "exact_grad_u", "exact_grad_p")
+    },
+}
+
+
+@pytest.mark.parametrize("field", sorted(_PLAIN_CALLABLES))
+def test_data_not_in_separable_form_are_refused(field):
+    with pytest.raises(TypeError, match=re.escape(field) + " must be a .*Separable.*got function"):
+        _PLAIN_CALLABLES[field]()
+
+
+def test_data_of_the_wrong_value_shape_are_refused():
+    with pytest.raises(TypeError, match=r"FlowBC.value must be a scalar Separable, got shape \(2,\)"):
+        FlowBC(kind="pressure", value=zero_vector)
+    with pytest.raises(TypeError, match="Benchmark.exact_grad_u must be a .2, 2. tensor Separable"):
+        dataclasses.replace(get_benchmark("polynomial"), exact_grad_u=zero_vector)
+
+
+def test_separable_sums_its_terms_and_components():
+    # 3t * x1 + 1.0 * (1, 2) at two points; the zero data have no terms.
+    datum = Separable((2,), (
+        (lambda t: 3.0 * t, lambda x: np.column_stack([x[:, 0], x[:, 0]])),
+        (1.0, lambda x: np.tile([1.0, 2.0], (x.shape[0], 1))),
+    ))
+    x = np.array([[0.5, 0.0], [2.0, 1.0]])
+    assert np.array_equal(datum(x, 2.0), [[4.0, 5.0], [13.0, 14.0]])
+    assert np.array_equal(datum.component(1)(x, 2.0), [5.0, 14.0])
+    assert zero_vector.terms == () and zero_scalar.terms == ()
+    assert np.array_equal(zero_vector(x, 1.0), np.zeros((2, 2)))
 
 
 def test_material_override_threads_through():

@@ -28,7 +28,10 @@ from porofem.diagnostics import ErrorEvaluator
 from porofem.mesh import BoundarySegment, build_rect_mesh
 from porofem.model import (
     BoundaryConditionSpec,
+    FlowBC,
     MechanicalBC,
+    Separable,
+    SourceFunctions,
     get_benchmark,
 )
 from porofem.solver import SolverFailureError
@@ -243,16 +246,17 @@ def test_zero_initial_pressure_is_not_projected(name, theta):
 def test_init_state_refuses_an_interpolant_off_the_constraints():
     mesh = build_rect_mesh(3, 3)
     test1 = get_benchmark("test1")
-    late = dataclasses.replace(test1, u0=lambda x, t: test1.exact_u(x, 1.0))
+    late = dataclasses.replace(test1, u0=Separable((2,), ((1.0, lambda x: test1.exact_u(x, 1.0)),)))
     disc = Discretization.build(mesh, test1.params)
     with pytest.raises(ValueError, match="'test1'.*t = 0 Dirichlet data"):
         init_state(late, disc, LinearSolves())
 
     free = conservation_benchmark()
 
-    def translated(x: np.ndarray, t: float) -> np.ndarray:
+    def translation(x: np.ndarray) -> np.ndarray:
         return np.column_stack([np.full(x.shape[0], 0.25), np.zeros(x.shape[0])])
 
+    translated = Separable((2,), ((1.0, translation),))
     moved = dataclasses.replace(free, u0=translated)
     disc = Discretization.build(mesh, free.params)
     with pytest.raises(ValueError, match="'conservation_fixture'.*rigid motions"):
@@ -492,6 +496,19 @@ def test_decoupled_energy_identity_and_inequality():
     assert result.max_hat_slack <= 1e-8 * scale
 
 
+def test_max_hat_slack_shows_the_margin_from_the_second_step():
+    # Level 0's slack is J^0 - J^0 = 0 by construction, so a maximum that
+    # took it in never read below 0; from the second step on, the gated
+    # locking run shows the room the inequality leaves.
+    bench = get_benchmark("locking")
+    disc = Discretization.build(build_rect_mesh(8, 8), bench.params)
+    result = run(bench, disc, TimeScheme(dt=1e-4, n_steps=10, theta=0), compute_errors=False)
+    assert result.gate.satisfied
+    assert result.max_hat_slack < 0.0
+    single = run(bench, disc, TimeScheme(dt=1e-4, n_steps=1, theta=0), compute_errors=False)
+    assert single.max_hat_slack is None
+
+
 # ---------------------------------------------------------------------------
 # Run-level bookkeeping
 # ---------------------------------------------------------------------------
@@ -504,6 +521,52 @@ def test_zero_step_run():
     assert len(result.states) == 1
     assert result.records == [] and result.max_hat_slack is None
     assert result.solve_count == 0
+
+
+def _counting(bench, calls: list):
+    """bench with every space part g_k of every datum counting its calls."""
+
+    def wrap(datum):
+        if datum is None:
+            return None
+
+        def counted(field):
+            def value(x):
+                calls.append(1)
+                return field(x)
+
+            return value
+
+        return Separable(datum.shape, tuple((a, counted(g)) for a, g in datum.terms))
+
+    bcs = BoundaryConditionSpec(
+        mechanical={tag: MechanicalBC(dirichlet=tuple(map(wrap, bc.dirichlet)),
+                                      traction=wrap(bc.traction))
+                    for tag, bc in bench.bcs.mechanical.items()},
+        flow={tag: FlowBC(kind=bc.kind, value=wrap(bc.value)) for tag, bc in bench.bcs.flow.items()},
+    )
+    fields = ("u0", "p0", "exact_u", "exact_p", "exact_grad_u", "exact_grad_p")
+    return dataclasses.replace(
+        bench, bcs=bcs, sources=SourceFunctions(f=wrap(bench.sources.f), phi=wrap(bench.sources.phi)),
+        **{name: wrap(getattr(bench, name)) for name in fields},
+    )
+
+
+@pytest.mark.parametrize("name", ["test1", "conservation_fixture"])
+def test_no_datum_is_evaluated_per_step(name):
+    bench = get_benchmark("test1") if name == "test1" else conservation_benchmark()
+    calls = []
+    counted = _counting(bench, calls)
+    disc = Discretization.build(build_rect_mesh(3, 3), bench.params)
+    counts = []
+    for n_steps in (2, 6):
+        calls.clear()
+        result = run(counted, disc, TimeScheme(dt=1e-4, n_steps=n_steps, theta=1))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+    assert len(result.records) == 6
+    if name == "test1":
+        assert result.records[-1].err_u_H1 is not None
 
 
 def test_pure_traction_boundary_data_built_once(monkeypatch):
@@ -733,8 +796,8 @@ def test_load_periodic_over_the_run_is_not_steady():
     bench = zero_benchmark()
     period = 4e-3
 
-    def pulsing(x: np.ndarray, t: float) -> np.ndarray:
-        return np.full(x.shape[0], np.sin(2.0 * np.pi * t / period))
+    pulsing = Separable((), ((lambda t: np.sin(2.0 * np.pi * t / period),
+                              lambda x: np.ones(x.shape[0])),))
 
     pulsed = dataclasses.replace(
         bench, sources=dataclasses.replace(bench.sources, phi=pulsing)
@@ -779,9 +842,7 @@ def test_pure_traction_load_checked_at_every_step():
     # vanishes, and a net upward pull at every later step.
     bench = conservation_benchmark(phi_const=0.0, flux_bottom=0.0)
     pull = normal_traction(BoundarySegment.TOP)
-
-    def growing(x: np.ndarray, t: float) -> np.ndarray:
-        return t * pull(x, t)
+    growing = Separable((2,), tuple((lambda t: t, field) for _, field in pull.terms))
 
     mechanical = {
         tag: MechanicalBC(traction=zero_vector) for tag in BoundarySegment
