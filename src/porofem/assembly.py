@@ -529,6 +529,11 @@ class BoundaryData:
         pressure_vertices, at time t."""
         return self._u_values(t), self._p_values(t)
 
+    @property
+    def steady(self) -> bool:
+        """Whether the values are the same at every t (Tabulated.steady)."""
+        return self._u_values.steady and self._p_values.steady
+
 
 def _dirichlet(
     sources: list[tuple[Separable, np.ndarray]], keys: list[np.ndarray]

@@ -30,7 +30,7 @@ from .assembly import SingularConstraintsError
 from .diagnostics import DiagnosticsRecord, extract_rates
 from .mesh import Mesh, build_rect_mesh
 from .model import BENCHMARK_NAMES, Benchmark, get_benchmark
-from .solver import DEFAULT_TOLERANCE, SingularMatrixError, SolverFailureError
+from .solver import SingularMatrixError, SolverFailureError
 from .stepper import (
     UNSTABLE_AMPLIFICATION, Discretization, FieldState, RunResult, SweepRow, TimeScheme,
     biot_limit_sweep, check_scheme, run, sweep_members,
@@ -132,7 +132,6 @@ class RunConfig:
 
     benchmark: str = _key("test1", _choice(*BENCHMARK_NAMES))
     nx: int = _key(8, _COUNT)
-    ny: Optional[int] = _key(None, _COUNT)
     dt: Optional[float] = _key(None, _POSITIVE)
     T: Optional[float] = _key(None, _NONNEGATIVE)
     theta: Optional[int] = _key(None, _parse_theta)
@@ -143,7 +142,6 @@ class RunConfig:
     K: Optional[float] = _key(None, _POSITIVE)
     mu_f: Optional[float] = _key(None, _POSITIVE)
     out: str = _key("out", _parse_path)
-    tolerance: float = _key(DEFAULT_TOLERANCE, _POSITIVE)
     vtk: bool = _key(True, _parse_bool)
     nx_list: tuple[int, ...] = _key((8, 16, 32, 64), _list_of(_COUNT))
     # A sweep compares consecutive c0 values; one value compares nothing.
@@ -185,8 +183,7 @@ def _resolve(config: RunConfig, command: str = "run") -> ResolvedRun:
     params = replace(base.params, **overrides) if overrides else base.params
     try:
         benchmark = get_benchmark(config.benchmark, params)
-        ny = config.ny if config.ny is not None else config.nx
-        mesh = build_rect_mesh(config.nx, ny) if "nx" in _COMMANDS[command].keys else None
+        mesh = build_rect_mesh(config.nx, config.nx) if "nx" in _COMMANDS[command].keys else None
         scheme = TimeScheme.from_final_time(
             T=config.T if config.T is not None else benchmark.T,
             dt=config.dt if config.dt is not None else benchmark.default_dt,
@@ -304,8 +301,6 @@ def _echo_config(resolved: ResolvedRun, command: str) -> list[str]:
         lines.append(f"{f.name} = {_fmt(value) if value is not None else '(default)'}")
     mesh = resolved.mesh
     lines.append(f"resolved benchmark = {bench.name}")
-    if mesh is not None:
-        lines.append(f"resolved ny = {mesh.ny}")
     lines.append(f"resolved dt = {_fmt(resolved.scheme.dt)}")
     lines.append(f"resolved T = {_fmt(resolved.scheme.T)}")
     lines.append(f"resolved theta = {resolved.scheme.theta}")
@@ -346,14 +341,12 @@ def _solver_log(result: RunResult) -> list[str]:
 
 def cmd_run(resolved: ResolvedRun, out_dir: Path) -> list[str]:
     """Integrate one benchmark; write its diagnostics and field snapshots."""
-    config = resolved.config
-    snapshots = _snapshot_steps(resolved.scheme.n_steps) if config.vtk else []
+    snapshots = _snapshot_steps(resolved.scheme.n_steps) if resolved.config.vtk else []
     result = run(
         resolved.benchmark,
         Discretization.build(resolved.mesh, resolved.benchmark.params),
         resolved.scheme,
         keep_steps=snapshots,
-        tolerance=config.tolerance,
     )
 
     _write_csv(
@@ -419,7 +412,6 @@ def cmd_convergence(resolved: ResolvedRun, out_dir: Path) -> list[str]:
             Discretization.build(mesh, resolved.benchmark.params),
             resolved.scheme,
             keep_steps=(),
-            tolerance=config.tolerance,
         )
         hs.append(mesh.h)
         reports.append(result.errors)
@@ -450,10 +442,7 @@ def cmd_convergence(resolved: ResolvedRun, out_dir: Path) -> list[str]:
 def cmd_sweep(resolved: ResolvedRun, out_dir: Path) -> list[str]:
     """Vanishing-storage sweep writing pairwise trajectory distances."""
     c0_list = resolved.config.c0_list
-    rows = biot_limit_sweep(
-        resolved.benchmark, list(c0_list), resolved.mesh, resolved.scheme,
-        tolerance=resolved.config.tolerance,
-    )
+    rows = biot_limit_sweep(resolved.benchmark, list(c0_list), resolved.mesh, resolved.scheme)
     _write_csv(
         out_dir / "sweep.csv",
         [f.name for f in fields(SweepRow)],
@@ -488,7 +477,7 @@ _COMMANDS = {
     "convergence": _Command(
         cmd_convergence,
         "mesh-refinement error study on the nx_list squares",
-        _KEYS - {"nx", "ny", "c0_list", "vtk"},
+        _KEYS - {"nx", "c0_list", "vtk"},
     ),
     "sweep": _Command(
         cmd_sweep,
@@ -552,38 +541,44 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**values)
 
 
-def _format_warning(message, category, filename, lineno, line=None) -> str:
-    return f"warning: {message}\n"
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit status.
 
     Every command resolves its configuration, creates the output directory,
     writes its own files and returns its log lines; run.log is the echoed
-    configuration followed by those lines.  Warnings print as
-    ``warning: <message>`` while the command runs.
+    configuration, those lines and a ``warning = <message>`` line for each
+    warning, which prints as ``warning: <message>`` when raised.  Each call
+    has warning filters of its own, so it prints every advisory its runs
+    raise, and each numpy floating-point warning (RuntimeWarning) once.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
-    show_source = warnings.formatwarning
-    warnings.formatwarning = _format_warning
-    try:
-        resolved = _resolve(_load_config(args), args.command)
-        out_dir = Path(resolved.config.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        log = _echo_config(resolved, args.command)
-        log += _COMMANDS[args.command].function(resolved, out_dir)
-        _write_text(out_dir / "run.log", "\n".join(log) + "\n")
-        return 0
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except (SolverFailureError, SingularMatrixError, SingularConstraintsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 1
-    finally:
-        warnings.formatwarning = show_source
+    shown: list[str] = []
+
+    def show(message, category, *_) -> None:
+        if not (issubclass(category, RuntimeWarning) and str(message) in shown):
+            shown.append(str(message))
+            print(f"warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", UserWarning)
+        warnings.simplefilter("always", RuntimeWarning)
+        warnings.showwarning = show
+        try:
+            resolved = _resolve(_load_config(args), args.command)
+            out_dir = Path(resolved.config.out)
+            out_dir.mkdir(parents=True, exist_ok=True)
+            log = _echo_config(resolved, args.command)
+            log += _COMMANDS[args.command].function(resolved, out_dir)
+            log += [f"warning = {text}" for text in shown]
+            _write_text(out_dir / "run.log", "\n".join(log) + "\n")
+            return 0
+        except ValueError as exc:
+            print(f"configuration error: {exc}", file=sys.stderr)
+            return 2
+        except (SolverFailureError, SingularMatrixError, SingularConstraintsError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except OSError as exc:
+            print(f"i/o error: {exc}", file=sys.stderr)
+            return 1

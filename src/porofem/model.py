@@ -108,6 +108,11 @@ class Tabulated:
             out += _at(factor, t) * table
         return out
 
+    @property
+    def steady(self) -> bool:
+        """Whether no term's factor is a function of t."""
+        return not any(callable(factor) for factor, _ in self.terms)
+
 
 def _component(field: Field, k: int) -> Field:
     def value(x: np.ndarray) -> np.ndarray:

@@ -24,7 +24,9 @@ __all__ = [
     "solve",
 ]
 
-DEFAULT_TOLERANCE = 1e-10
+# Largest relative residual a solve may leave: one gate for every solve of
+# every command.  solve reads it at each call, not as a default argument.
+RESIDUAL_GATE = 1e-10
 
 # Equilibration sweeps before factorizing; each halves the log of how far a
 # row or column max-norm is from one.
@@ -40,7 +42,7 @@ class SingularMatrixError(RuntimeError):
 
 
 class SolverFailureError(RuntimeError):
-    """Raised when a solve does not meet the residual tolerance."""
+    """Raised when a solve does not meet the residual gate."""
 
     def __init__(self, message: str, report: "LinearSolveReport") -> None:
         super().__init__(message)
@@ -206,16 +208,14 @@ def factorize(matrix: sp.spmatrix, order: np.ndarray) -> Factorization:
     return Factorization(csc, lu, order, r, c)
 
 
-def solve(
-    fact: Factorization, rhs: np.ndarray, tolerance: float = DEFAULT_TOLERANCE
-) -> tuple[np.ndarray, LinearSolveReport]:
+def solve(fact: Factorization, rhs: np.ndarray) -> tuple[np.ndarray, LinearSolveReport]:
     """Solve against a factorization and verify the relative residual.
 
     Returns (solution, report); deterministic for identical inputs.
 
     Raises:
-        SolverFailureError: when ||Ax - b|| / max(||b||, 1) exceeds the
-            tolerance (relative to ||b|| when b is nonzero).
+        SolverFailureError: when ||Ax - b|| / max(||b||, 1) exceeds
+            RESIDUAL_GATE (relative to ||b|| when b is nonzero).
     """
     rhs = np.asarray(rhs, dtype=float)
     n = fact.shape[0]
@@ -225,8 +225,8 @@ def solve(
     norm_b = np.linalg.norm(rhs)
     residual = np.linalg.norm(fact.matrix @ x - rhs) / (norm_b if norm_b > 0.0 else 1.0)
     report = LinearSolveReport(relative_residual=float(residual))
-    if not np.isfinite(residual) or residual > tolerance:
+    if not np.isfinite(residual) or residual > RESIDUAL_GATE:
         raise SolverFailureError(
-            f"linear solve residual {residual:.3e} exceeds tolerance {tolerance:.1e}", report
+            f"linear solve residual {residual:.3e} exceeds tolerance {RESIDUAL_GATE:.1e}", report
         )
     return x, report

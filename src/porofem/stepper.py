@@ -57,7 +57,6 @@ from .model import (
     Benchmark, MaterialParams, DerivedCoeffs, get_benchmark, pq_from_xieta, xieta_from_pq,
 )
 from .solver import (
-    DEFAULT_TOLERANCE,
     Factorization,
     LinearSolveReport,
     SingularMatrixError,
@@ -271,15 +270,14 @@ class Discretization:
 
 class LinearSolves:
     """The one path from a matrix to a solution: prepare reduces and
-    factorizes a system, solve solves it at one tolerance.  The size and
-    fill of every factorization and the report of every solve are
+    factorizes a system, solve solves it under the residual gate.  The
+    size and fill of every factorization and the report of every solve are
     recorded; a run keeps one such ledger for all of its systems.  The
     caller keeps a prepared system as long as it solves with it; nothing
     here holds a factor.
     """
 
-    def __init__(self, tolerance: float = DEFAULT_TOLERANCE) -> None:
-        self.tolerance = float(tolerance)
+    def __init__(self) -> None:
         self.solve_reports: list[LinearSolveReport] = []
         self.factorizations: list[FactorizationRecord] = []
 
@@ -308,11 +306,11 @@ class LinearSolves:
     def solve(
         self, system: LinearSystem, rhs: np.ndarray, slave_values: np.ndarray, label: str
     ) -> np.ndarray:
-        """Full solution of one prepared system at the tolerance; the
-        solve's report is recorded, and a failure names the label."""
+        """Full solution of one prepared system under the residual gate;
+        the solve's report is recorded, and a failure names the label."""
         reduced_rhs = system.reduced.reduce_rhs(rhs, slave_values)
         try:
-            y, report = solve(system.factorization, reduced_rhs, self.tolerance)
+            y, report = solve(system.factorization, reduced_rhs)
         except SolverFailureError as exc:
             raise SolverFailureError(f"{label}: {exc}", exc.report) from exc
         self.solve_reports.append(report)
@@ -596,8 +594,9 @@ class RunResult:
     largest EnergyRecord.hat_slack of a theta = 0 run from its second step
     on, that is over levels 1 and up (NaN if any is NaN); level 0's slack is
     J^0 - J^0 = 0 by construction.  It is None for theta = 1 and for a run
-    of fewer than two steps.  time_independent_loads says every step's
-    loads and boundary values equal t = 0's bit for bit.  factorizations, solve_count and
+    of fewer than two steps.  time_independent_loads says no term of the
+    loads or of the Dirichlet data varies in time (Tabulated.steady), for a
+    run of no steps too.  factorizations, solve_count and
     max_solver_residual cover every linear system and solve of the run:
     the initial pressure projection, the decoupled amplification estimate
     and the steps.
@@ -639,15 +638,14 @@ def run(
     *,
     keep_steps: Collection[int] = (0, -1),
     compute_errors: bool = True,
-    tolerance: float = DEFAULT_TOLERANCE,
 ) -> RunResult:
     """Integrate a benchmark over [0, T] and collect per-step diagnostics.
 
     Every step records the energy identity, conservation residuals (for a
     pure-Neumann flow boundary), and, when exact fields are available and
     errors are requested, instantaneous error norms.  Every step's loads and
-    boundary values are evaluated once, handed to the step and compared with
-    t = 0's; pure-traction loads are checked against the rigid motions.
+    boundary values are evaluated once and handed to the step; pure-traction
+    loads are checked against the rigid motions.
 
     keep_steps names the states result.states keeps: indices into the
     trajectory of n_steps + 1 states, negative ones counting from its end
@@ -667,7 +665,7 @@ def run(
             f"keep_steps must index the {len(levels)} states of the run, "
             f"got {sorted(keep_steps)}"
         ) from None
-    solves = LinearSolves(tolerance)
+    solves = LinearSolves()
     boundary, state = init_state(benchmark, disc, solves)
     systems = StepSystems(benchmark, disc, scheme, boundary, solves)
     mesh, dofmap = disc.mesh, disc.dofmap
@@ -696,12 +694,12 @@ def run(
                 )
 
     mech0, flow0 = assemble_load(systems.loads, state.t)
-    data0 = (mech0, flow0, *systems.boundary_values(state.t))
-    # The data are steady while every step's equal t = 0's bit for bit.  A
-    # pure-traction load must do no work on rigid motions, else the problem
+    # The data are steady exactly when no term of them has a time factor.
+    loads = systems.loads
+    time_independent = loads.mech.steady and loads.flow.steady and systems.boundary.steady
+    # A pure-traction load must do no work on rigid motions, else the problem
     # has no solution and the multiplier silently absorbs the imbalance; the
     # first step whose load does is named, once.
-    time_independent = True
     rigid = None
     if systems.boundary.rigid_rows is not None:
         rigid = _check_rigid_balance(rigid_motion_basis(mesh, dofmap), 0, state.t, mech0)
@@ -725,13 +723,11 @@ def run(
     for n in range(1, scheme.n_steps + 1):
         t_next = state.t + scheme.dt
         mech, flow = assemble_load(systems.loads, t_next)
-        data = (mech, flow, *systems.boundary_values(t_next))
-        state = step_fn(state, systems, *data)
+        state = step_fn(state, systems, mech, flow, *systems.boundary_values(t_next))
         erec = auditor.ingest(state)
         if erec.hat_slack is not None and n > 1:  # np.maximum, unlike max, keeps a NaN
             hat_slack = (erec.hat_slack if hat_slack is None
                          else np.maximum(hat_slack, erec.hat_slack))
-        time_independent = time_independent and all(map(np.array_equal, data0, data))
         if rigid is not None:
             rigid = _check_rigid_balance(rigid, n, state.t, mech)
         cells = {}
@@ -793,7 +789,7 @@ def sweep_members(benchmark: Benchmark, c0_values: Sequence[float]) -> list[Benc
 
 
 def biot_limit_sweep(benchmark: Benchmark, c0_values: Sequence[float], mesh: Mesh,
-                     scheme: TimeScheme, tolerance: float = DEFAULT_TOLERANCE) -> SweepRows:
+                     scheme: TimeScheme) -> SweepRows:
     """Pairwise L-infinity(L2) distances between runs with decreasing c0.
 
     Re-solves the benchmark with each storage coefficient on the same mesh
@@ -801,8 +797,7 @@ def biot_limit_sweep(benchmark: Benchmark, c0_values: Sequence[float], mesh: Mes
     xi between consecutive c0 values.  The runs share one discretization
     (c0 enters no operator of it); each is the member's standalone `run`,
     initial data included.  Each run is compared with the one before it as
-    soon as it finishes, so only two trajectories are held.  `tolerance`
-    bounds every linear solve of every run, as in `run`.
+    soon as it finishes, so only two trajectories are held.
     """
     disc = Discretization.build(mesh, benchmark.params)
     distance = TrajectoryDistance(mesh, disc.dofmap, disc.M)
@@ -811,8 +806,7 @@ def biot_limit_sweep(benchmark: Benchmark, c0_values: Sequence[float], mesh: Mes
     for bench in sweep_members(benchmark, c0_values):
         c0 = bench.params.c0
         result = run(
-            bench, disc, scheme, keep_steps=range(scheme.n_steps + 1), compute_errors=False,
-            tolerance=tolerance,
+            bench, disc, scheme, keep_steps=range(scheme.n_steps + 1), compute_errors=False
         )
         states = result.states
         if states_prev is not None:

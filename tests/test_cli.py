@@ -119,9 +119,9 @@ def test_parse_config_reads_comments_and_blanks(tmp_path):
         ("c0_list = 1e-2\n", "invalid value for c0_list: '1e-2' (expected at least 2 values)"),
         ("nx = 4\nnx = x\n", "line 2: invalid value for nx"),
         ("T = -1\n", "invalid value for T"),
-        ("ny = 0\n", "invalid value for ny"),
+        ("ny = 0\n", "line 1: unknown key 'ny'"),
         ("mu = 0\n", "invalid value for mu"),
-        ("tolerance = 0\n", "invalid value for tolerance"),
+        ("tolerance = 0\n", "line 1: unknown key 'tolerance'"),
         ("c0 = nan\n", "invalid value for c0"),
         ("nx_list = 2,0\n", "invalid value for nx_list"),
     ],
@@ -137,10 +137,9 @@ def test_parse_config_reports_offending_line(tmp_path, text, fragment):
 # A value for every key run reads, floats among them that need all 17
 # significant digits to come back bit-exact.
 RUN_SETTINGS = {
-    "benchmark": "barry_mercer", "nx": "3", "ny": "2", "dt": repr(1.0 / 3.0),
-    "T": repr(2.0 / 3.0), "theta": "0", "lam": "1.2345678901234567e5", "mu": "3",
-    "alpha": "0.9", "c0": "1e-6", "K": "2", "mu_f": "1.5", "out": "o",
-    "tolerance": "1e-9", "vtk": "on",
+    "benchmark": "barry_mercer", "nx": "3", "dt": repr(1.0 / 3.0),
+    "T": repr(2.0 / 3.0), "theta": "1", "lam": "1.2345678901234567e5", "mu": "3",
+    "alpha": "0.9", "c0": "1e-6", "K": "2", "mu_f": "1.5", "out": "o", "vtk": "on",
 }
 
 
@@ -151,7 +150,6 @@ def _echoed_settings(log_lines: list[str]) -> list[str]:
     return [f"{key}={value}" for key, _, value in pairs if key in keys]
 
 
-@pytest.mark.filterwarnings("ignore:decoupled scheme")
 def test_run_log_round_trip_is_lossless(tmp_path, monkeypatch):
     # Every key the echo writes reads back through _load_config unchanged.
     monkeypatch.chdir(tmp_path)
@@ -198,6 +196,7 @@ def test_readme_key_list_is_the_config_fields():
     paragraph = readme[readme.index("\nKeys: "):].split("\n\n", 1)[0]
     named = set(re.findall(r"`([^`]+)`", re.sub(r"\([^()]*\)", "", paragraph)))
     assert named == {f.name for f in fields(RunConfig)}
+    assert len(named) == 15
 
 
 def test_resolve_fills_benchmark_defaults():
@@ -210,9 +209,9 @@ def test_resolve_fills_benchmark_defaults():
 
 
 def test_resolve_applies_material_overrides():
-    resolved = _resolve(RunConfig(benchmark="locking", nx=2, c0=0.125, ny=3))
+    resolved = _resolve(RunConfig(benchmark="locking", nx=2, c0=0.125))
     assert resolved.benchmark.params.c0 == pytest.approx(0.125)
-    assert resolved.mesh.ny == 3
+    assert resolved.mesh.nx == resolved.mesh.ny == 2
 
 
 def test_resolve_rejects_inconsistent_scheme():
@@ -289,36 +288,44 @@ def test_run_zero_steps_writes_header_only(tmp_path):
     assert "max |energy residual|" not in log
 
 
-def test_run_log_energy_residual_keeps_a_nan(tmp_path):
+def test_run_log_energy_residual_keeps_a_nan(tmp_path, capsys):
     # Overflowing data: the residual turns NaN from step 3 on, after finite
     # steps, and run.log's maximum reads nan rather than the largest finite
-    # value.  The overflow itself is still not refused (exit 0).
+    # value.  The overflow itself is still not refused (exit 0), and numpy's
+    # warnings print once each.
     out = tmp_path / "o"
-    with pytest.warns(RuntimeWarning, match="(overflow|invalid value) encountered"):
-        code = _cli("run", out, "nx=2", "T=2e-4", "lam=3.3e153", "c0=0", "alpha=1e77",
-                    "vtk=off")
+    code = _cli("run", out, "nx=2", "T=2e-4", "lam=3.3e153", "c0=0", "alpha=1e77", "vtk=off")
     assert code == 0
     header, rows = _read_csv(out / "diagnostics.csv")
     residuals = [row[header.index("energy_residual")] for row in rows]
     assert len(rows) == 20 and residuals[1] != "nan" and residuals[2] == "nan"
-    assert "max |energy residual| = nan\n" in (out / "run.log").read_text()
+    log = (out / "run.log").read_text()
+    assert "max |energy residual| = nan\n" in log
+    warned = capsys.readouterr().err.splitlines()
+    assert warned == [
+        "warning: overflow encountered in matmul",
+        "warning: invalid value encountered in scalar multiply",
+    ]
+    assert log.endswith("".join(f"warning = {w[9:]}\n" for w in warned))
 
 
-def test_run_log_reports_decoupled_amplification(tmp_path):
+def test_run_log_reports_decoupled_amplification(tmp_path, capsys):
     out = tmp_path / "o"
-    with pytest.warns(UserWarning, match="amplifies"):
-        code = _cli("run", out, "benchmark=polynomial", "nx=2", "dt=1e-3", "T=2e-3", "theta=0",
-                    "vtk=off")
+    code = _cli("run", out, "benchmark=polynomial", "nx=2", "dt=1e-3", "T=2e-3", "theta=0",
+                "vtk=off")
     assert code == 0
     log = (out / "run.log").read_text()
     assert "decoupled boundary-elimination amplification" in log
     assert "UNSTABLE (use theta=1)" in log
+    [warned] = capsys.readouterr().err.splitlines()
+    assert warned.startswith("warning: decoupled scheme amplifies errors by a factor of ")
+    assert log.endswith(f"warning = {warned[9:]}\n")
 
 
 @pytest.mark.parametrize("alpha", ["1e-20", "5e-324"])
 def test_steady_verdict_covers_small_loads_and_boundary_data(tmp_path, alpha):
-    # barry_mercer's sin(t) traction scales with alpha: 1e-20 * sin(t) is
-    # not steady, and at alpha = 5e-324 it is zero on every step, which
+    # barry_mercer's traction scales with alpha: 1e-20 * sin(t) varies
+    # however little, and at alpha = 5e-324 it is zero on every step, which
     # leaves the sin(t) pressure data to vary alone.  Either way the energy
     # identity does not close, and run.log must say so.
     out = tmp_path / "o"
@@ -331,6 +338,13 @@ def test_steady_verdict_covers_small_loads_and_boundary_data(tmp_path, alpha):
         "note: energy identity columns are informational "
         "(loads or boundary data vary in time)\n"
     ) in log
+
+
+def test_steady_verdict_of_a_run_without_steps_reads_the_data(tmp_path):
+    # test1's data vary in time, whether or not a step samples them.
+    out = tmp_path / "o"
+    assert _cli("run", out, "benchmark=test1", "nx=2", "T=0") == 0
+    assert "time-independent loads = no\n" in (out / "run.log").read_text()
 
 
 @pytest.mark.filterwarnings("ignore:decoupled scheme")
@@ -352,7 +366,6 @@ def test_run_log_reports_max_hat_slack_for_theta_0_only(tmp_path, theta):
     assert lines[at - 1].startswith("max |energy residual| = ")
 
 
-@pytest.mark.filterwarnings("ignore:decoupled scheme")
 def test_run_log_prints_no_hat_slack_for_a_single_step(tmp_path):
     out = tmp_path / "o"
     assert _cli("run", out, "benchmark=barry_mercer", "nx=4", "T=0.01", "theta=0", "vtk=off") == 0
@@ -487,15 +500,22 @@ def test_config_file_and_set_precedence(tmp_path):
 
 # A valid value for every key, and the keys each command does not read.
 VALID = {
-    "benchmark": "test1", "nx": "4", "ny": "3", "dt": "1e-5", "T": "2e-5", "theta": "0",
+    "benchmark": "test1", "nx": "4", "dt": "1e-5", "T": "2e-5", "theta": "0",
     "lam": "1", "mu": "1", "alpha": "1", "c0": "0.5", "K": "1", "mu_f": "1",
-    "out": "o", "tolerance": "1e-10", "vtk": "on", "nx_list": "2,4", "c0_list": "1,0.1",
+    "out": "o", "vtk": "on", "nx_list": "2,4", "c0_list": "1,0.1",
 }
 UNREAD = {
     "run": {"nx_list", "c0_list"},
-    "convergence": {"nx", "ny", "c0_list", "vtk"},
+    "convergence": {"nx", "c0_list", "vtk"},
     "sweep": {"c0", "nx_list", "vtk"},
 }
+
+
+def test_key_table_has_fifteen_keys_and_thirty_seven_pairs():
+    assert set(VALID) == {f.name for f in fields(RunConfig)} and len(VALID) == 15
+    assert sum(len(command.keys) for command in cli._COMMANDS.values()) == 37
+    for command, unread in UNREAD.items():
+        assert cli._COMMANDS[command].keys == set(VALID) - unread
 
 
 @pytest.mark.parametrize("via", ["set", "config"])
@@ -518,7 +538,26 @@ def test_command_refuses_keys_it_does_not_read(tmp_path, capsys, command, key, v
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore:decoupled scheme amplifies errors")
+@pytest.mark.parametrize("via", ["set", "config"])
+@pytest.mark.parametrize("key, value", [("ny", "4"), ("tolerance", "1e-10")])
+def test_removed_keys_exit_2_as_unknown(tmp_path, capsys, key, value, via):
+    # The mesh is the nx by nx square and the residual gate a solver
+    # constant; neither is a key any more.
+    out = tmp_path / "o"
+    args = ["run", "--set", "benchmark=test1", "--out", str(out)]
+    if via == "set":
+        args += ["--set", f"{key}={value}"]
+        where = f"--set {key}={value}"
+    else:
+        config = tmp_path / "case.cfg"
+        config.write_text(f"{key} = {value}\n")
+        args += ["--config", str(config)]
+        where = "line 1"
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"configuration error: {where}: unknown key {key!r}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", sorted(UNREAD))
 def test_config_file_of_read_keys_runs_and_is_echoed(tmp_path, monkeypatch, command):
     # Every key the command reads is accepted from a file, and run.log echoes
@@ -694,7 +733,6 @@ def test_out_directory_collision_exits_1(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:decoupled scheme")
 @pytest.mark.parametrize("settings, projection, solves", [
     (["benchmark=test1", "theta=1", "T=3e-5"], True, 1 + 3),
     (["benchmark=test1", "theta=0", "T=3e-5"], True, 1 + 50 + 2 * 3),
@@ -712,20 +750,21 @@ def test_run_log_counts_every_solve(tmp_path, settings, projection, solves):
     assert ("factorization = initial mass projection" in labels) == projection
 
 
-def test_unreachable_tolerance_exits_1_naming_the_solve(tmp_path, capsys):
+def test_unreachable_tolerance_exits_1_naming_the_solve(tmp_path, capsys, monkeypatch):
     # No solve meets a relative residual of 1e-18; the first one of a
     # decoupled run, in the amplification estimate, fails and says so.
-    code = _cli("run", tmp_path / "o", "benchmark=barry_mercer", "theta=0", "nx=4",
-                "tolerance=1e-18")
+    monkeypatch.setattr(porofem.solver, "RESIDUAL_GATE", 1e-18)
+    code = _cli("run", tmp_path / "o", "benchmark=barry_mercer", "theta=0", "nx=4")
     assert code == 1
     err = capsys.readouterr().err
     assert "error: decoupled Stokes solve of the amplification estimate: linear solve residual" in err
 
 
-def test_unreachable_tolerance_names_the_initial_projection(tmp_path, capsys):
+def test_unreachable_tolerance_names_the_initial_projection(tmp_path, capsys, monkeypatch):
     # test1's initial displacement is zero, so its projection passes with a
     # zero residual; the pressure projection is the first to fail.
-    code = _cli("run", tmp_path / "o", "benchmark=test1", "nx=4", "tolerance=1e-18")
+    monkeypatch.setattr(porofem.solver, "RESIDUAL_GATE", 1e-18)
+    code = _cli("run", tmp_path / "o", "benchmark=test1", "nx=4")
     assert code == 1
     err = capsys.readouterr().err
     assert "error: initial pressure projection: linear solve residual" in err
@@ -768,10 +807,10 @@ def test_convergence_rejects_zero_steps(tmp_path, capsys):
 
 
 def test_convergence_rejects_ny(tmp_path, capsys):
-    # The study's meshes are the nx_list squares; a set ny would be ignored.
+    # The study's meshes are the nx_list squares, and no command reads ny.
     code = _cli("convergence", tmp_path / "o", "benchmark=test1", "nx_list=2,4", "ny=3", "T=2e-5")
     assert code == 2
-    assert "nx_list squares" in capsys.readouterr().err
+    assert "unknown key 'ny'" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 
@@ -862,9 +901,9 @@ def test_sweep_writes_pairwise_distances(tmp_path):
     assert tail[2] == tail[6] == "solves = 2"
 
 
-def test_sweep_tolerance_bounds_every_member_solve(tmp_path, capsys):
-    code = _cli("sweep", tmp_path / "o", "benchmark=locking", "nx=2", "c0_list=1,0.1",
-                "tolerance=1e-18", "T=2e-4")
+def test_sweep_tolerance_bounds_every_member_solve(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(porofem.solver, "RESIDUAL_GATE", 1e-18)
+    code = _cli("sweep", tmp_path / "o", "benchmark=locking", "nx=2", "c0_list=1,0.1", "T=2e-4")
     assert code == 1
     err = capsys.readouterr().err
     assert "error: coupled step to t=0.0001: linear solve residual" in err
@@ -903,13 +942,17 @@ def test_workload_arguments_are_read_by_their_command(name):
 # ---------------------------------------------------------------------------
 
 
-def test_module_entry_point(tmp_path):
-    out = tmp_path / "o"
-    # The child imports porofem from the same place this process did.
+def _child_env() -> dict:
+    """The environment of a child that imports porofem from the same place
+    this process did."""
     src = str(Path(porofem.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])
     )}
+
+
+def test_module_entry_point(tmp_path):
+    out = tmp_path / "o"
     proc = subprocess.run(
         [
             sys.executable, "-m", "porofem", "run",
@@ -920,17 +963,13 @@ def test_module_entry_point(tmp_path):
         ],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "run.log").exists()
 
 
 def test_warnings_print_as_one_line_without_source(tmp_path):
-    src = str(Path(porofem.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])
-    )}
     proc = subprocess.run(
         [
             sys.executable, "-m", "porofem", "run",
@@ -944,9 +983,40 @@ def test_warnings_print_as_one_line_without_source(tmp_path):
         ],
         capture_output=True,
         text=True,
-        env=env,
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     lines = proc.stderr.splitlines()
     assert lines and all(line.startswith("warning: ") for line in lines)
     assert any("amplifies errors" in line for line in lines)
+
+
+def test_every_call_of_main_prints_its_warnings(tmp_path):
+    # In one fresh process: a second call of main prints what the first did,
+    # and each member of a sweep prints its own advisory.
+    script = """
+import sys
+from porofem.cli import main
+run = ["run", "--set", "benchmark=polynomial", "--set", "nx=4", "--set", "theta=0"]
+for out in ("a", "b"):
+    assert main(run + ["--out", out]) == 0
+    print("--", file=sys.stderr)
+assert main(["sweep", "--set", "benchmark=polynomial", "--set", "theta=0", "--set", "nx=2",
+             "--set", "T=2e-3", "--set", "c0_list=0,0", "--out", "s"]) == 0
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    first, second, sweep = proc.stderr.split("--\n")
+    assert first == second
+    assert first.startswith("warning: decoupled scheme amplifies errors") and first.count("\n") == 1
+    warned = sweep.splitlines()
+    assert len(warned) == 2 and all("amplifies errors" in line for line in warned)
+    logs = [(tmp_path / out / "run.log").read_text().splitlines() for out in ("a", "b")]
+    assert logs[0].index("out = a") == logs[1].index("out = b")
+    assert [line for line in logs[0] if line != "out = a"] == [
+        line for line in logs[1] if line != "out = b"
+    ]
+    assert logs[0][-1] == "warning = " + first[len("warning: "):-1]

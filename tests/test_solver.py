@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import porofem.solver
 from porofem.solver import (
-    DEFAULT_TOLERANCE,
+    RESIDUAL_GATE,
     Factorization,
     LinearSolveReport,
     SingularMatrixError,
@@ -22,7 +23,7 @@ def test_hand_solved_2x2():
     A = sp.csc_matrix(np.array([[2.0, 1.0], [1.0, 3.0]]))
     x, report = solve(factorize(A, np.arange(2)), np.array([5.0, 10.0]))
     assert np.allclose(x, [1.0, 3.0], atol=1e-14)
-    assert report.relative_residual <= DEFAULT_TOLERANCE
+    assert report.relative_residual <= RESIDUAL_GATE
 
 
 def test_hand_solved_saddle_point():
@@ -41,7 +42,7 @@ def test_random_spd_system_matches_dense_solve():
     b = rng.standard_normal(50)
     x, report = solve(factorize(sp.csc_matrix(dense), np.arange(50)), b)
     assert np.allclose(x, np.linalg.solve(dense, b), rtol=1e-10, atol=1e-12)
-    assert report.relative_residual <= DEFAULT_TOLERANCE
+    assert report.relative_residual <= RESIDUAL_GATE
 
 
 def test_solution_is_bitwise_deterministic():
@@ -102,9 +103,9 @@ def test_wrong_rhs_length_rejected():
         solve(fact, np.ones(4))
 
 
-def test_residual_tolerance_violation_raises_with_report():
+def test_residual_tolerance_violation_raises_with_report(monkeypatch):
     # An ill-conditioned system whose true residual, while tiny, is measured
-    # honestly; tightening the tolerance below it must raise and the report
+    # honestly; tightening the gate below it must raise and the report
     # must travel with the exception.
     rng = np.random.default_rng(3)
     dense = rng.standard_normal((30, 30)) + 30.0 * np.eye(30)
@@ -113,8 +114,9 @@ def test_residual_tolerance_violation_raises_with_report():
     fact = factorize(A, np.arange(30))
     _, report = solve(fact, b)
     assert report.relative_residual > 0.0
+    monkeypatch.setattr(porofem.solver, "RESIDUAL_GATE", report.relative_residual / 2.0)
     with pytest.raises(SolverFailureError) as exc_info:
-        solve(fact, b, tolerance=report.relative_residual / 2.0)
+        solve(fact, b)
     carried = exc_info.value.report
     assert isinstance(carried, LinearSolveReport)
     assert carried.relative_residual == pytest.approx(report.relative_residual)
