@@ -274,7 +274,7 @@ def assemble_scalar_mass(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
 def assemble_scalar_stiffness(mesh: Mesh, dofmap: DofMap, coeff: float = 1.0) -> sp.csr_matrix:
     """P1 stiffness S with S[i, j] = coeff * (grad psi_j, grad psi_i).
 
-    The coefficient is the mobility K/mu_f in the flow equation.
+    The coefficient is the Darcy mobility K in the flow equation.
     """
     rule = triangle_quadrature(1)
     _, ref_grads = eval_basis("P1", rule.points)
@@ -456,7 +456,7 @@ def assemble_load(loads: LoadAssembler, t: float) -> tuple[np.ndarray, np.ndarra
 
     Returns (rhs_mech, rhs_flow) with rhs_mech = (f, v) + <f1, v> over
     traction-carrying segments and rhs_flow = (phi, psi) + <phi1, psi> over
-    flux segments, phi1 the flux datum (K/mu_f) grad p . n (FlowBC).
+    flux segments, phi1 the flux datum K grad p . n (FlowBC).
     Entries at constrained dofs are present but ignored by the reduction.
     """
     return loads.mech(t), loads.flow(t)

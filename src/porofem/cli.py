@@ -29,7 +29,7 @@ import numpy as np
 from .assembly import SingularConstraintsError
 from .diagnostics import DiagnosticsRecord, extract_rates
 from .mesh import Mesh, build_rect_mesh
-from .model import BENCHMARK_NAMES, Benchmark, get_benchmark
+from .model import BENCHMARK_NAMES, Benchmark, MaterialParams, get_benchmark
 from .solver import SingularMatrixError, SolverFailureError
 from .stepper import (
     UNSTABLE_AMPLIFICATION, Discretization, FieldState, RunResult, SweepRow, TimeScheme,
@@ -140,7 +140,6 @@ class RunConfig:
     alpha: Optional[float] = _key(None, _POSITIVE)
     c0: Optional[float] = _key(None, _NONNEGATIVE)
     K: Optional[float] = _key(None, _POSITIVE)
-    mu_f: Optional[float] = _key(None, _POSITIVE)
     out: str = _key("out", _parse_path)
     vtk: bool = _key(True, _parse_bool)
     nx_list: tuple[int, ...] = _key((8, 16, 32, 64), _list_of(_COUNT))
@@ -176,9 +175,9 @@ class ResolvedRun:
 def _resolve(config: RunConfig, command: str = "run") -> ResolvedRun:
     base = get_benchmark(config.benchmark)
     overrides = {
-        key: getattr(config, key)
-        for key in ("lam", "mu", "alpha", "c0", "K", "mu_f")
-        if getattr(config, key) is not None
+        f.name: getattr(config, f.name)
+        for f in fields(MaterialParams)
+        if getattr(config, f.name) is not None
     }
     params = replace(base.params, **overrides) if overrides else base.params
     try:
@@ -307,9 +306,7 @@ def _echo_config(resolved: ResolvedRun, command: str) -> list[str]:
     lines.append(f"resolved n_steps = {resolved.scheme.n_steps}")
     # A command that does not read c0 (the sweep sets it per member) runs
     # with neither the base benchmark's c0 nor the kappas that follow from it.
-    material = ["lam", "mu", "alpha", "c0", "K", "mu_f"]
-    if "c0" not in keys:
-        material.remove("c0")
+    material = [f.name for f in fields(MaterialParams) if f.name in keys]
     lines.append(
         f"material {'/'.join(material)} = "
         + "/".join(_fmt(getattr(prm, n)) for n in material)

@@ -13,7 +13,7 @@ problem definitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
@@ -151,8 +151,9 @@ class MaterialParams:
         alpha: pressure/volumetric-strain coupling constant, positive.
         c0: constrained specific storage coefficient (1/Pa), nonnegative;
             alpha^2 + lam*c0 must be finite and positive.
-        K: scalar permeability (m^2); stands for the isotropic tensor K*I.
-        mu_f: solvent viscosity (Pa*s), positive.
+        K: Darcy mobility, permeability over solvent viscosity (K/mu_f in
+            the paper), positive, at most 2**510; stands for the isotropic
+            tensor K*I.
 
     A constant fluid body force in Darcy's law is flux data (FlowBC).
     """
@@ -162,13 +163,12 @@ class MaterialParams:
     alpha: float = 1.0
     c0: float = 1.0
     K: float = 1.0
-    mu_f: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("lam", "mu", "alpha", "c0", "K", "mu_f"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.mu <= 0.0:
             raise ValueError(f"mu must be positive, got {self.mu}")
         if self.lam < 0.0:
@@ -179,8 +179,6 @@ class MaterialParams:
             raise ValueError(f"c0 must be nonnegative, got {self.c0}")
         if self.K <= 0.0:
             raise ValueError(f"K must be positive, got {self.K}")
-        if self.mu_f <= 0.0:
-            raise ValueError(f"mu_f must be positive, got {self.mu_f}")
         # Every kappa divides by this; alpha**2 would raise on overflow.
         denom = self.alpha * self.alpha + self.lam * self.c0
         if not 0.0 < denom < np.inf:
@@ -199,7 +197,7 @@ class MaterialParams:
             ("kappa1 = alpha/(alpha*alpha + lam*c0)", coeffs.kappa1, kappa, False),
             ("kappa2 = lam/(alpha*alpha + lam*c0)", coeffs.kappa2, kappa, True),
             ("kappa3 = c0/(alpha*alpha + lam*c0)", coeffs.kappa3, kappa, False),
-            ("K/mu_f", self.K / self.mu_f, ("K", "mu_f"), False),
+            ("K", self.K, ("K",), False),
             ("lam", self.lam, ("lam",), False),
             ("mu", self.mu, ("mu",), True),
         ):
@@ -293,10 +291,10 @@ class FlowBC:
     """Flow condition on one boundary segment.
 
     kind "pressure" carries Dirichlet data on p; kind "flux" carries the
-    prescribed value of (K/mu_f) grad p . n.  A constant fluid body force
-    b in Darcy's law, v = -(K/mu_f)(grad p - b), is flux data: against P1
-    test functions ((K/mu_f) b, grad psi) = <(K/mu_f) b . n, psi> exactly,
-    so (K/mu_f) b . n is added to the Darcy flux datum (docs/decisions.md).
+    prescribed value of K grad p . n, K the Darcy mobility.  A constant
+    fluid body force b in Darcy's law, v = -K(grad p - b), is flux data:
+    against P1 test functions (K b, grad psi) = <K b . n, psi> exactly, so
+    K b . n is added to the Darcy flux datum (docs/decisions.md).
     """
 
     kind: str
@@ -421,7 +419,7 @@ def benchmark_test1(params: Optional[MaterialParams] = None) -> Benchmark:
     """
     prm = params if params is not None else MaterialParams()
     lam, mu, alpha = prm.lam, prm.mu, prm.alpha
-    c0, K, mu_f = prm.c0, prm.K, prm.mu_f
+    c0, K = prm.c0, prm.K
 
     def s(x: np.ndarray) -> np.ndarray:
         return x[:, 0] + x[:, 1]
@@ -442,7 +440,7 @@ def benchmark_test1(params: Optional[MaterialParams] = None) -> Benchmark:
         (np.exp, lambda x: both(alpha * np.cos(s(x)))),
     ))
     mass_source = Separable((), (
-        (np.exp, lambda x: (c0 + 2.0 * K / mu_f) * np.sin(s(x))),
+        (np.exp, lambda x: (c0 + 2.0 * K) * np.sin(s(x))),
         (1.0, lambda x: alpha * s(x)),
     ))
 
@@ -538,13 +536,13 @@ def benchmark_locking(params: Optional[MaterialParams] = None) -> Benchmark:
     c0 = 0 with Lame constants from E = 1e5, nu = 0.4.  Zero sources and
     initial data, zero Darcy flux on the whole boundary, clamped left
     side, downward unit traction on the top, traction-free right and
-    bottom sides.  Small permeability K/mu_f = 1e-6 by default: the
-    regime where spurious pressure oscillations appear for non-robust
+    bottom sides.  Small Darcy mobility K = 1e-6 by default: the regime
+    where spurious pressure oscillations appear for non-robust
     discretizations.
     """
     if params is None:
         lam, mu = lame_from_young_poisson(1e5, 0.4)
-        prm = MaterialParams(lam=lam, mu=mu, alpha=1.0, c0=0.0, K=1e-6, mu_f=1.0)
+        prm = MaterialParams(lam=lam, mu=mu, alpha=1.0, c0=0.0, K=1e-6)
     else:
         prm = params
 

@@ -175,9 +175,9 @@ def evaluate_gate(
     """Evaluate the parabolic step-size gate for the decoupled scheme.
 
     The constant balances the lagged coupling term against the
-    dissipation: c_stab = mu_f / (2 * mu * K * kappa1^2).
+    dissipation: c_stab = 1 / (2 * mu * K * kappa1^2).
     """
-    c_stab = 0.5 * params.mu_f / (params.mu * params.K * coeffs.kappa1**2)
+    c_stab = 0.5 / (params.mu * params.K * coeffs.kappa1**2)
     threshold = c_stab * mesh.h**2
     return GateReport(
         dt=scheme.dt,
@@ -238,7 +238,7 @@ class FieldState:
 @dataclass(frozen=True, eq=False)
 class Discretization:
     """The operators and quadrature tables of one mesh, shared by every run
-    on it.  A carries mu and S the mobility K/mu_f; no other parameter and
+    on it.  A carries mu and S the Darcy mobility K; no other parameter and
     no benchmark datum enters, so all runs whose benchmarks have those two values
     (the c0 values of a sweep, say) can share one instance.
     """
@@ -257,13 +257,12 @@ class Discretization:
     @classmethod
     def build(cls, mesh: Mesh, params: MaterialParams) -> "Discretization":
         dm = DofMap.from_mesh(mesh)
-        mobility = params.K / params.mu_f
         return cls(
-            mesh, dm, dm.grid_index(), params.mu, mobility,
+            mesh, dm, dm.grid_index(), params.mu, params.K,
             assemble_elasticity(mesh, dm, params.mu),
             assemble_div(mesh, dm),
             assemble_scalar_mass(mesh, dm),
-            assemble_scalar_stiffness(mesh, dm, mobility),
+            assemble_scalar_stiffness(mesh, dm, params.K),
             DomainQuadrature.from_mesh(mesh, dm),
         )
 
@@ -324,7 +323,7 @@ class StepSystems:
     init_state built for it; every step reuses the factorizations and only
     reassembles right-hand sides and boundary values.  The loads are
     tabulated once, at construction; each step only scales and sums the
-    stored vectors.  A discretization built for another mu or K/mu_f than the
+    stored vectors.  A discretization built for another mu or K than the
     benchmark's is refused with ValueError, and so is one that
     check_scheme refuses.  Every system is prepared and solved through
     `solves`, the run's ledger.
@@ -340,10 +339,10 @@ class StepSystems:
     ) -> None:
         disc = discretization
         prm = benchmark.params
-        if (prm.mu, prm.K / prm.mu_f) != (disc.mu, disc.mobility):
+        if (prm.mu, prm.K) != (disc.mu, disc.mobility):
             raise ValueError(
-                f"the discretization carries mu, K/mu_f = {disc.mu:.17g}, "
-                f"{disc.mobility:.17g}, the benchmark {prm.mu:.17g}, {prm.K / prm.mu_f:.17g}"
+                f"the discretization carries mu, K = {disc.mu:.17g}, "
+                f"{disc.mobility:.17g}, the benchmark {prm.mu:.17g}, {prm.K:.17g}"
             )
         self.benchmark = benchmark
         self.discretization = disc
@@ -450,7 +449,7 @@ def check_scheme(benchmark: Benchmark, theta: int) -> None:
     prm, kappa1 = benchmark.params, benchmark.coeffs.kappa1
     if theta == 0 and prm.mu * prm.K * kappa1**2 == 0.0:
         raise ValueError(
-            f"decoupled scheme's step-size gate c_stab = mu_f/(2*mu*K*kappa1**2) divides by "
+            f"decoupled scheme's step-size gate c_stab = 1/(2*mu*K*kappa1**2) divides by "
             f"zero: mu*K*kappa1**2 underflows (mu = {prm.mu}, K = {prm.K}, "
             f"kappa1 = alpha/(alpha*alpha + lam*c0) = {kappa1:.6g}); use the coupled scheme "
             "(theta = 1)"

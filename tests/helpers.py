@@ -212,7 +212,7 @@ def conservation_benchmark(
     return Benchmark(
         name="conservation_fixture",
         T=T,
-        params=MaterialParams(lam=lam, mu=mu, alpha=alpha, c0=c0, K=1.0, mu_f=1.0),
+        params=MaterialParams(lam=lam, mu=mu, alpha=alpha, c0=c0, K=1.0),
         bcs=BoundaryConditionSpec(mechanical=mechanical, flow=flow),
         sources=SourceFunctions(f=zero_vector, phi=constant(phi_const)),
     )
@@ -228,7 +228,7 @@ def zero_benchmark() -> Benchmark:
     return Benchmark(
         name="zero_fixture",
         T=1e-2,
-        params=MaterialParams(lam=1.0, mu=1.0, alpha=1.0, c0=0.5, K=1.0, mu_f=1.0),
+        params=MaterialParams(lam=1.0, mu=1.0, alpha=1.0, c0=0.5, K=1.0),
         bcs=BoundaryConditionSpec(mechanical=mechanical, flow=flow),
         sources=SourceFunctions(f=zero_vector, phi=zero_scalar),
     )

@@ -246,7 +246,7 @@ def test_criterion_5_no_locking():
     # degraded control: decoupled scheme far above its step-size gate
     degraded_params = MaterialParams(
         lam=bench.params.lam, mu=bench.params.mu, alpha=bench.params.alpha,
-        c0=bench.params.c0, K=1.0, mu_f=bench.params.mu_f,
+        c0=bench.params.c0, K=1.0,
     )
     degraded = get_benchmark("locking", degraded_params)
     degraded_disc = Discretization.build(mesh, degraded.params)
@@ -330,7 +330,7 @@ def test_criterion_6_supplement_limit_holds_below_crossover():
         assert b.dist_xi < a.dist_xi
 
     unit = get_benchmark(
-        "locking", MaterialParams(lam=1.0, mu=1.0, alpha=1.0, c0=1.0, K=1.0, mu_f=1.0)
+        "locking", MaterialParams(lam=1.0, mu=1.0, alpha=1.0, c0=1.0, K=1.0)
     )
     pinned = biot_limit_sweep(unit, [1e-2, 1e-4, 1e-6], build_rect_mesh(4, 4),
                               TimeScheme(dt=1e-4, n_steps=5, theta=1))

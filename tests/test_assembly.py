@@ -344,8 +344,8 @@ def test_boundary_flux_load_sums_to_side_integral(mesh2, dofmap2):
 
 def _reference_gradient_load(mesh, dofmap, c):
     """(c, grad psi_i) for a constant vector c: the domain term of a constant
-    fluid body force in Darcy's law, (K/mu_f)(rho_f g, grad psi_i) with
-    c = (K/mu_f) rho_f g, as the flow load once assembled it."""
+    fluid body force in Darcy's law, K (rho_f g, grad psi_i) with c = K rho_f g,
+    K the Darcy mobility, as the flow load once assembled it."""
     rule = triangle_quadrature(1)
     _, ref_grads = eval_basis("P1", rule.points)
     maps = AffineMaps.from_mesh(mesh)
@@ -362,7 +362,7 @@ def test_constant_darcy_body_force_is_flux_data(mesh):
     # The divergence theorem against P1 test functions: (c, grad psi_i)
     # = <c . n, psi_i> for constant c, so a flux of c . n on every side
     # assembles exactly the domain term a constant rho_f g once added.
-    c = np.array([2.0, -12.0])  # (K/mu_f) rho_f g for K = 2, rho_f = 2, g = (0.5, -3)
+    c = np.array([2.0, -12.0])  # K rho_f g for K = 2, rho_f = 2, g = (0.5, -3)
     dofmap = DofMap.from_mesh(mesh)
 
     def flux_for(normal):

@@ -27,7 +27,7 @@ from porofem.cli import (
     vtk_grid,
     write_vtk,
 )
-from porofem.model import DerivedCoeffs
+from porofem.model import DerivedCoeffs, MaterialParams
 from porofem.stepper import Discretization, FieldState
 
 from helpers import jittered_mesh
@@ -139,7 +139,7 @@ def test_parse_config_reports_offending_line(tmp_path, text, fragment):
 RUN_SETTINGS = {
     "benchmark": "barry_mercer", "nx": "3", "dt": repr(1.0 / 3.0),
     "T": repr(2.0 / 3.0), "theta": "1", "lam": "1.2345678901234567e5", "mu": "3",
-    "alpha": "0.9", "c0": "1e-6", "K": "2", "mu_f": "1.5", "out": "o", "vtk": "on",
+    "alpha": "0.9", "c0": "1e-6", "K": repr(2.0 / 1.5), "out": "o", "vtk": "on",
 }
 
 
@@ -196,7 +196,7 @@ def test_readme_key_list_is_the_config_fields():
     paragraph = readme[readme.index("\nKeys: "):].split("\n\n", 1)[0]
     named = set(re.findall(r"`([^`]+)`", re.sub(r"\([^()]*\)", "", paragraph)))
     assert named == {f.name for f in fields(RunConfig)}
-    assert len(named) == 15
+    assert len(named) == 14
 
 
 def test_resolve_fills_benchmark_defaults():
@@ -501,7 +501,7 @@ def test_config_file_and_set_precedence(tmp_path):
 # A valid value for every key, and the keys each command does not read.
 VALID = {
     "benchmark": "test1", "nx": "4", "dt": "1e-5", "T": "2e-5", "theta": "0",
-    "lam": "1", "mu": "1", "alpha": "1", "c0": "0.5", "K": "1", "mu_f": "1",
+    "lam": "1", "mu": "1", "alpha": "1", "c0": "0.5", "K": "1",
     "out": "o", "vtk": "on", "nx_list": "2,4", "c0_list": "1,0.1",
 }
 UNREAD = {
@@ -511,11 +511,23 @@ UNREAD = {
 }
 
 
-def test_key_table_has_fifteen_keys_and_thirty_seven_pairs():
-    assert set(VALID) == {f.name for f in fields(RunConfig)} and len(VALID) == 15
-    assert sum(len(command.keys) for command in cli._COMMANDS.values()) == 37
+def test_key_table_has_fourteen_keys_and_thirty_four_pairs():
+    assert set(VALID) == {f.name for f in fields(RunConfig)} and len(VALID) == 14
+    assert sum(len(command.keys) for command in cli._COMMANDS.values()) == 34
     for command, unread in UNREAD.items():
         assert cli._COMMANDS[command].keys == set(VALID) - unread
+
+
+def test_every_material_constant_is_a_key():
+    # The overrides and the material line of run.log read the names off
+    # MaterialParams; each one is a key, and each command that steps one
+    # material reads all of them (the sweep sets c0 per member).
+    material = {f.name for f in fields(MaterialParams)}
+    assert material == {"lam", "mu", "alpha", "c0", "K"}
+    assert material <= {f.name for f in fields(RunConfig)}
+    assert material <= cli._COMMANDS["run"].keys
+    assert material <= cli._COMMANDS["convergence"].keys
+    assert material & cli._COMMANDS["sweep"].keys == material - {"c0"}
 
 
 @pytest.mark.parametrize("via", ["set", "config"])
@@ -539,10 +551,10 @@ def test_command_refuses_keys_it_does_not_read(tmp_path, capsys, command, key, v
 
 
 @pytest.mark.parametrize("via", ["set", "config"])
-@pytest.mark.parametrize("key, value", [("ny", "4"), ("tolerance", "1e-10")])
+@pytest.mark.parametrize("key, value", [("ny", "4"), ("tolerance", "1e-10"), ("mu_f", "1")])
 def test_removed_keys_exit_2_as_unknown(tmp_path, capsys, key, value, via):
-    # The mesh is the nx by nx square and the residual gate a solver
-    # constant; neither is a key any more.
+    # The mesh is the nx by nx square, the residual gate a solver constant
+    # and K the Darcy mobility (the paper's K/mu_f); none is a key any more.
     out = tmp_path / "o"
     args = ["run", "--set", "benchmark=test1", "--out", str(out)]
     if via == "set":
@@ -584,7 +596,7 @@ def test_kappa_line_follows_the_key_table(tmp_path, monkeypatch):
     assert _cli("sweep", out, "benchmark=locking", "nx=2", "T=2e-4", "c0_list=1,0.1") == 0
     log = (out / "run.log").read_text()
     assert "kappa1/kappa2/kappa3 = " in log
-    assert "material lam/mu/alpha/c0/K/mu_f = " in log
+    assert "material lam/mu/alpha/c0/K = " in log
 
 
 def test_sweep_log_echoes_no_base_c0(tmp_path):
@@ -595,8 +607,8 @@ def test_sweep_log_echoes_no_base_c0(tmp_path):
     lines = (out / "run.log").read_text().splitlines()
     [material] = [line for line in lines if line.startswith("material ")]
     names, _, values = material.partition(" = ")
-    assert names == "material lam/mu/alpha/K/mu_f"
-    assert len(values.split("/")) == 5
+    assert names == "material lam/mu/alpha/K"
+    assert len(values.split("/")) == 4
 
 
 # ---------------------------------------------------------------------------
@@ -690,9 +702,9 @@ def test_impossible_scheme_of_any_command_exits_2_before_any_output(
         # The base c0 = 0 passes; the member with c0 = 1e300 overflows lam*c0.
         ("sweep", ["benchmark=locking", "lam=1e150", "c0_list=1,1e300", "T=2e-4"],
          ["alpha*alpha + lam*c0", "c0 = 1e+300"]),
-        # Finite constants whose kappa2 or K/mu_f no solve can use.
+        # Finite constants whose kappa2 or K no solve can use.
         ("run", ["T=2e-4", "c0=1e308"], ["kappa2 = ", "c0 = 1e+308"]),
-        ("run", ["T=2e-4", "mu_f=1e-300"], ["K/mu_f", "mu_f = 1e-300"]),
+        ("run", ["T=2e-4", "K=1e300"], ["K exceeds 2**510", "K = 1e+300"]),
         # A Lame constant out of scale: test1's data scale with lam and mu,
         # and the elastic block with mu.
         ("run", ["T=2e-4", "lam=1e300"], ["lam exceeds 2**510", "lam = 1e+300"]),
@@ -928,13 +940,16 @@ WORKLOADS = _load_workloads().WORKLOADS
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_workload_arguments_are_read_by_their_command(name):
+def test_workload_arguments_are_read_by_their_command(tmp_path, name):
     # A key table edit that refused a workload's key would fail that
-    # benchmark run with exit 2; this resolves each seed's arguments
-    # without solving anything.
+    # benchmark run with exit 2; this resolves each seed's arguments, as
+    # the benchmark passes them, without solving or writing anything.  The
+    # workload's expected snapshot files follow from its step count.
+    workload = WORKLOADS[name]
     for seed in (1, 2, 3):
-        args = _build_parser().parse_args(WORKLOADS[name].argv(seed))
-        _resolve(_load_config(args), args.command)
+        args = _build_parser().parse_args(workload.argv(seed) + ["--out", str(tmp_path / "o")])
+        assert _resolve(_load_config(args), args.command).scheme.n_steps == workload.n_steps
+    assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ def _audit(states, theta, dt, bench, mesh):
     prm = bench.params
     A = assemble_elasticity(mesh, dofmap, prm.mu)
     M = assemble_scalar_mass(mesh, dofmap)
-    S = assemble_scalar_stiffness(mesh, dofmap, prm.K / prm.mu_f)
+    S = assemble_scalar_stiffness(mesh, dofmap, prm.K)
     quadrature = DomainQuadrature.from_mesh(mesh, dofmap)
     loads = LoadAssembler.build(mesh, dofmap, quadrature, bench.sources, bench.bcs)
     mech, flow = assemble_load(loads, states[0].t)
@@ -641,7 +641,7 @@ def test_sweep_identical_storage_gives_zero_distances():
 
 
 def test_sweep_distances_decrease_for_unit_materials():
-    params = MaterialParams(lam=1.0, mu=1.0, alpha=1.0, c0=1.0, K=1.0, mu_f=1.0)
+    params = MaterialParams(lam=1.0, mu=1.0, alpha=1.0, c0=1.0, K=1.0)
     bench = get_benchmark("locking", params)
     rows = biot_limit_sweep(bench, [1e-2, 1e-4, 1e-6], build_rect_mesh(4, 4),
                             TimeScheme(dt=1e-4, n_steps=5, theta=1))

@@ -134,7 +134,7 @@ def test_gate_default_constant_on_locking():
     mesh = build_rect_mesh(8, 8)
     scheme = TimeScheme(dt=1e-4, n_steps=10, theta=0)
     gate = evaluate_gate(scheme, mesh, bench.params, bench.coeffs)
-    # c_stab = mu_f / (2 mu K kappa1^2); E = 1e5, nu = 0.4 gives mu = 1e5/2.8,
+    # c_stab = 1 / (2 mu K kappa1^2); E = 1e5, nu = 0.4 gives mu = 1e5/2.8,
     # so c_stab = 0.5 / (1e5/2.8 * 1e-6) = 14 and threshold = 14 * (sqrt(2)/8)^2.
     assert gate.c_stab == pytest.approx(14.0, rel=1e-12)
     assert gate.threshold == pytest.approx(0.4375, rel=1e-12)
@@ -203,6 +203,26 @@ def test_init_state_solves_at_the_run_tolerance(monkeypatch):
         init_state(bench, disc, LinearSolves())
     with pytest.raises(SolverFailureError, match="initial pressure projection"):
         run(bench, disc, TimeScheme(dt=1e-3, n_steps=1, theta=1))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=SolverFailureError,
+    reason="with u . n prescribed on every side only kappa3*M holds the constant mode "
+    "of xi, and kappa3 <= 1/lam here: the decoupled Stokes solve of the amplification "
+    "estimate misses the gate at 5.1e-10 (ROADMAP item 15)",
+)
+@pytest.mark.filterwarnings("ignore:decoupled scheme outside its advisory step-size gate")
+def test_decoupled_stokes_solve_of_a_nearly_incompressible_material_meets_the_gate():
+    # The constants of test_cli.py's RUN_SETTINGS, run with theta = 0.
+    params = dataclasses.replace(
+        get_benchmark("barry_mercer").params,
+        lam=1.2345678901234567e5, mu=3.0, alpha=0.9, c0=1e-6, K=2.0 / 1.5,
+    )
+    bench = get_benchmark("barry_mercer", params)
+    scheme = TimeScheme.from_final_time(T=2.0 / 3.0, dt=1.0 / 3.0, theta=0)
+    result = run(bench, Discretization.build(build_rect_mesh(3, 3), params), scheme)
+    assert result.max_solver_residual <= porofem.solver.RESIDUAL_GATE
 
 
 @pytest.mark.filterwarnings("ignore:decoupled scheme amplifies errors")
@@ -859,7 +879,7 @@ def test_pure_traction_load_checked_at_every_step():
     assert "step 1 " in str(incompatible[0].message)
 
 
-@pytest.mark.parametrize("field", ["mu", "K", "mu_f"])
+@pytest.mark.parametrize("field", ["mu", "K"])
 def test_step_systems_reject_a_discretization_of_other_coefficients(field):
     bench = get_benchmark("test1")
     other = dataclasses.replace(bench.params, **{field: 2.0 * getattr(bench.params, field)})
