@@ -590,10 +590,8 @@ class RunResult:
 
     states holds the states at the steps run() was asked to keep, in step
     order, and records one DiagnosticsRecord per step.  max_hat_slack is the
-    largest EnergyRecord.hat_slack of a theta = 0 run from its second step
-    on, that is over levels 1 and up (NaN if any is NaN); level 0's slack is
-    J^0 - J^0 = 0 by construction.  It is None for theta = 1 and for a run
-    of fewer than two steps.  time_independent_loads says no term of the
+    run's EnergyAuditor.max_hat_slack: None for theta = 1 and for a run of
+    fewer than two steps.  time_independent_loads says no term of the
     loads or of the Dirichlet data varies in time (Tabulated.steady), for a
     run of no steps too.  factorizations, solve_count and
     max_solver_residual cover every linear system and solve of the run:
@@ -716,7 +714,6 @@ def run(
 
     states = [state] if 0 in kept else []
     records: list[DiagnosticsRecord] = []
-    hat_slack = None
     step_fn = step_coupled if scheme.theta == 1 else step_decoupled
 
     for n in range(1, scheme.n_steps + 1):
@@ -724,9 +721,6 @@ def run(
         mech, flow = assemble_load(systems.loads, t_next)
         state = step_fn(state, systems, mech, flow, *systems.boundary_values(t_next))
         erec = auditor.ingest(state)
-        if erec.hat_slack is not None and n > 1:  # np.maximum, unlike max, keeps a NaN
-            hat_slack = (erec.hat_slack if hat_slack is None
-                         else np.maximum(hat_slack, erec.hat_slack))
         if rigid is not None:
             rigid = _check_rigid_balance(rigid, n, state.t, mech)
         cells = {}
@@ -756,7 +750,7 @@ def run(
         solve_count=len(reports),
         decoupled_amplification=amplification,
         factorizations=tuple(solves.factorizations),
-        max_hat_slack=None if hat_slack is None else float(hat_slack),
+        max_hat_slack=auditor.max_hat_slack,
     )
 
 

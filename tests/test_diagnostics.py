@@ -83,11 +83,95 @@ def _scalar_state(mesh, p_values, t=0.0):
 # ---------------------------------------------------------------------------
 
 
-def _audit(states, theta, dt, bench, mesh):
+class _ReferenceAuditor:
+    """The energy audit as EnergyAuditor computed it before it reused its
+    products: J from fresh A u, M eta_theta and M xi products, and each
+    step's dissipation from fresh products of the difference quotients."""
+
+    def __init__(self, A, M, S, mech_load, flow_load, coeffs, theta, dt):
+        self.A, self.M, self.S = A, M, S
+        self.mech_load, self.flow_load = mech_load, flow_load
+        self.coeffs, self.theta, self.dt = coeffs, theta, dt
+        self._prev = self._j0 = None
+        self._s_cum = self._s_hat_cum = 0.0
+
+    def _energy(self, state):
+        k2, k3 = self.coeffs.kappa2, self.coeffs.kappa3
+        quad = (
+            state.u @ (self.A @ state.u)
+            + k2 * (state.eta_theta @ (self.M @ state.eta_theta))
+            + k3 * (state.xi @ (self.M @ state.xi))
+        )
+        return 0.5 * quad - float(self.mech_load @ state.u)
+
+    def ingest(self, state):
+        j = self._energy(state)
+        prev, self._prev = self._prev, state
+        if prev is None:
+            self._j0 = j
+        else:
+            self._dissipate(prev, state)
+        decoupled = self.theta == 0
+        return porofem.diagnostics.EnergyRecord(
+            t=state.t,
+            J=j,
+            s_cum=self._s_cum,
+            residual=j + self._s_cum - self._j0,
+            s_hat_cum=self._s_hat_cum if decoupled else None,
+            hat_slack=j + self._s_hat_cum - self._j0 if decoupled else None,
+        )
+
+    def _dissipate(self, prev, state):
+        k1, k2, k3 = self.coeffs.kappa1, self.coeffs.kappa2, self.coeffs.kappa3
+        dt = self.dt
+        d_u = (state.u - prev.u) / dt
+        d_xi = (state.xi - prev.xi) / dt
+        d_eta_theta = (state.eta_theta - prev.eta_theta) / dt
+        p_new = state.p
+        s_p = self.S @ p_new
+        du_a_du = d_u @ (self.A @ d_u)
+        p_s_p = p_new @ s_p
+        d_eta_m = d_eta_theta @ (self.M @ d_eta_theta)
+        d_xi_m = d_xi @ (self.M @ d_xi)
+        source_work = float(self.flow_load @ p_new)
+        term = (
+            0.5 * dt * du_a_du
+            + p_s_p
+            + 0.5 * dt * k2 * d_eta_m
+            + 0.5 * dt * k3 * d_xi_m
+            - source_work
+        )
+        if self.theta == 0:
+            term -= k1 * dt * float(d_xi @ s_p)
+            hat_term = (
+                0.25 * dt * du_a_du
+                + 0.5 * p_s_p
+                + 0.5 * dt * k2 * d_eta_m
+                + 0.5 * dt * k3 * d_xi_m
+                - source_work
+            )
+            self._s_hat_cum += dt * hat_term
+        self._s_cum += dt * term
+
+
+class _Counted:
+    """A sparse operator whose products with vectors are counted."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.shape = matrix.shape
+        self.products = 0
+
+    def __matmul__(self, vec):
+        self.products += 1
+        return self.matrix @ vec
+
+
+def _audit(states, theta, dt, bench, mesh, auditor=EnergyAuditor):
     """The energy identity evaluated along a trajectory by an EnergyAuditor
-    built from freshly assembled operators and the loads at the initial
-    state's time, independent of the run that produced the states; the
-    auditor is fed the stepped states."""
+    (or another auditor class of its signature) built from freshly assembled
+    operators and the loads at the initial state's time, independent of the
+    run that produced the states; the auditor is fed the stepped states."""
     dofmap = DofMap.from_mesh(mesh)
     prm = bench.params
     A = assemble_elasticity(mesh, dofmap, prm.mu)
@@ -96,8 +180,8 @@ def _audit(states, theta, dt, bench, mesh):
     quadrature = DomainQuadrature.from_mesh(mesh, dofmap)
     loads = LoadAssembler.build(mesh, dofmap, quadrature, bench.sources, bench.bcs)
     mech, flow = assemble_load(loads, states[0].t)
-    auditor = EnergyAuditor(A, M, S, mech, flow, bench.coeffs, theta, dt)
-    return [auditor.ingest(state) for state in states[1:]]
+    audit = auditor(A, M, S, mech, flow, bench.coeffs, theta, dt)
+    return [audit.ingest(state) for state in states[1:]]
 
 
 def _track(states, theta, dt, bench, mesh):
@@ -169,6 +253,58 @@ def test_max_hat_slack_is_the_audited_maximum(name):
     slacks = [rec.hat_slack for rec in _audit(result.states, 0, dt, bench, mesh)]
     assert len(slacks) == 6 and max(slacks) > slacks[0]
     assert result.max_hat_slack == max(slacks)
+
+
+@pytest.mark.filterwarnings("ignore:decoupled scheme amplifies errors")
+@pytest.mark.parametrize(
+    "name, nx, theta",
+    [("locking", 6, 0), ("locking", 6, 1), ("barry_mercer", 4, 0), ("test1", 4, 1)],
+)
+def test_energy_audit_matches_the_reference_audit(name, nx, theta):
+    # The reused products change S, S_hat and the residuals by rounding
+    # only; J is formed from the same products in the same order.
+    bench = get_benchmark(name)
+    mesh = build_rect_mesh(nx, nx)
+    dt = 1e-4 if name == "locking" else bench.default_dt
+    result = run(bench, Discretization.build(mesh, bench.params),
+                 TimeScheme(dt=dt, n_steps=6, theta=theta), keep_steps=range(7),
+                 compute_errors=False)
+    records = _audit(result.states, theta, dt, bench, mesh)
+    reference = _audit(result.states, theta, dt, bench, mesh, auditor=_ReferenceAuditor)
+    scale = 1e-12 * max(1.0, abs(reference[0].J))
+    assert len(records) == len(reference) == 6
+    for rec, ref in zip(records, reference):
+        assert rec.t == ref.t and rec.J == ref.J
+        for field in ("s_cum", "s_hat_cum", "residual", "hat_slack"):
+            got, want = getattr(rec, field), getattr(ref, field)
+            if theta == 1 and field in ("s_hat_cum", "hat_slack"):
+                assert got is None and want is None
+            else:
+                assert abs(got - want) <= scale, field
+    assert reference[-1].s_cum != 0.0
+
+
+@pytest.mark.parametrize("theta", [0, 1])
+def test_energy_audit_forms_each_product_once_per_level(theta):
+    bench = get_benchmark("locking")
+    mesh = build_rect_mesh(4, 4)
+    dofmap = DofMap.from_mesh(mesh)
+    result = run(bench, Discretization.build(mesh, bench.params),
+                 TimeScheme(dt=1e-4, n_steps=4, theta=theta), keep_steps=range(5),
+                 compute_errors=False)
+    prm = bench.params
+    A = _Counted(assemble_elasticity(mesh, dofmap, prm.mu))
+    M = _Counted(assemble_scalar_mass(mesh, dofmap))
+    S = _Counted(assemble_scalar_stiffness(mesh, dofmap, prm.K))
+    zeros = np.zeros(dofmap.n_u), np.zeros(dofmap.n_scalar)
+    auditor = EnergyAuditor(A, M, S, *zeros, bench.coeffs, theta, 1e-4)
+    counts = []
+    for state in result.states[1:]:
+        before = (A.products, M.products, S.products)
+        auditor.ingest(state)
+        counts.append(tuple(op.products - n for op, n in zip((A, M, S), before)))
+    # Level 0 forms J only; each later level adds S p and reuses the rest.
+    assert counts == [(1, 2, 0)] + [(1, 2, 1)] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +421,26 @@ def test_run_records_carry_conservation_residuals():
             refs.eta_res, refs.xi_res, refs.flux_res
         )
         assert record.C_eta_res <= 1e-10 and record.flux_res <= 1e-10
+
+
+@pytest.mark.parametrize("theta", [0, 1])
+def test_conservation_tracker_advance_forms_no_mass_product(theta):
+    # Each integral is a dot product with the basis integrals M 1, which
+    # the constructor forms once.
+    bench = conservation_benchmark()
+    mesh = build_rect_mesh(2, 2)
+    dofmap = DofMap.from_mesh(mesh)
+    result = run(bench, Discretization.build(mesh, bench.params),
+                 TimeScheme(dt=0.05, n_steps=2, theta=theta), keep_steps=range(3))
+    M = _Counted(assemble_scalar_mass(mesh, dofmap))
+    tracker = ConservationTracker(bench, mesh, dofmap, M, theta, result.states[0])
+    assert M.products == 1
+    quadrature = DomainQuadrature.from_mesh(mesh, dofmap)
+    loads = LoadAssembler.build(mesh, dofmap, quadrature, bench.sources, bench.bcs)
+    tracked = [tracker.advance(state, 0.05, *assemble_load(loads, state.t))
+               for state in result.states[1:]]
+    assert M.products == 1
+    assert tracked == _track(result.states, theta, 0.05, bench, mesh)
 
 
 def test_tracker_starts_from_initial_state():
