@@ -364,11 +364,15 @@ def cmd_run(resolved: ResolvedRun, out_dir: Path) -> list[str]:
         log.append(f"gate = {result.gate.describe()}")
     else:
         log.append("gate = not applicable (theta = 1)")
-    if result.decoupled_amplification is not None:
-        rho = result.decoupled_amplification
-        verdict = "UNSTABLE (use theta=1)" if rho > UNSTABLE_AMPLIFICATION else "stable"
+    if result.amplification is not None:
+        est = result.amplification
+        verdict = "UNSTABLE (use theta=1)" if est.rho > UNSTABLE_AMPLIFICATION else "stable"
         log.append(
-            f"decoupled boundary-elimination amplification = {rho:.6g} -> {verdict}"
+            f"decoupled boundary-elimination amplification = {est.rho:.6g} -> {verdict}"
+        )
+        log.append(
+            f"decoupled amplification residual = {est.residual:.1e} "
+            f"after {est.applications} applications"
         )
     log.append(f"time-independent loads = {'yes' if result.time_independent_loads else 'no'}")
     if not result.time_independent_loads:

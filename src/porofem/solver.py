@@ -214,8 +214,9 @@ def solve(fact: Factorization, rhs: np.ndarray) -> tuple[np.ndarray, LinearSolve
     Returns (solution, report); deterministic for identical inputs.
 
     Raises:
-        SolverFailureError: when ||Ax - b|| / max(||b||, 1) exceeds
-            RESIDUAL_GATE (relative to ||b|| when b is nonzero).
+        SolverFailureError: when the relative residual ||Ax - b|| / ||b||
+            exceeds RESIDUAL_GATE or is not finite; for b = 0 the gate
+            reads ||Ax|| itself.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = fact.shape[0]

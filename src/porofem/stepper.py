@@ -86,11 +86,14 @@ __all__ = [
     "sweep_members",
     "biot_limit_sweep",
     "UNSTABLE_AMPLIFICATION",
+    "AmplificationEstimate",
 ]
 
-# Power iterations of the decoupled amplification estimate; the growth
-# factor is the geometric mean of the last five ratios.
+# The decoupled amplification estimate's budget of step-map applications
+# (two solves each), and the fraction of the estimate's distance from one
+# below which its Ritz residual settles the verdict.
 _AMPLIFICATION_ITERS = 25
+_AMPLIFICATION_SETTLE = 1e-3
 
 # A decoupled amplification estimate above this is a step that amplifies
 # errors: run() warns and run.log's verdict reads UNSTABLE.
@@ -185,6 +188,18 @@ def evaluate_gate(
         threshold=float(threshold),
         satisfied=bool(scheme.dt <= threshold),
     )
+
+
+@dataclass(frozen=True)
+class AmplificationEstimate:
+    """StepSystems.estimate_decoupled_amplification's outcome: rho, the
+    modulus of the Ritz value of largest modulus; residual, its Ritz
+    residual; applications, the step-map applications (two solves each)
+    it took."""
+
+    rho: float
+    residual: float
+    applications: int
 
 
 @dataclass(frozen=True)
@@ -402,37 +417,54 @@ class StepSystems:
         """Dirichlet displacement values and pressure data at time t."""
         return self.boundary.values(t)
 
-    def estimate_decoupled_amplification(self) -> float:
+    def estimate_decoupled_amplification(self) -> AmplificationEstimate:
         """Per-step growth factor of the decoupled scheme's homogeneous map.
 
         The new eta of a decoupled step is a fixed linear map of the old
-        one (the displacement does not feed back); power iteration on that
-        map with zero loads and zero boundary data estimates its spectral
-        radius.  A value above one means the step amplifies errors
-        geometrically no matter how small the time step: the nodal
-        elimination of the boundary eta through the freshly computed xi
-        can be unstable when the storage term is too weak to damp it.
-        Only meaningful for theta = 0.
+        one (the displacement does not feed back); its spectral radius is
+        estimated, with zero loads and zero boundary data, by the Ritz
+        value of largest modulus of an Arnoldi process from ones/sqrt(n)
+        (two Gram-Schmidt passes per step, no restarts).  After each map
+        application the Ritz residual h_{j+1,j}*|y_j| of that value is
+        read, y its unit eigenvector of the Hessenberg matrix; the process
+        stops once the residual is at most _AMPLIFICATION_SETTLE times the
+        distance of the modulus from one, which settles the verdict, on an
+        invariant Krylov space (h_{j+1,j} = 0), or after
+        _AMPLIFICATION_ITERS applications.  A value above one means the
+        step amplifies errors geometrically no matter how small the time
+        step: the nodal elimination of the boundary eta through the freshly
+        computed xi can be unstable when the storage term is too weak to
+        damp it.  Only meaningful for theta = 0.
         """
         if self.scheme.theta != 0:
             raise ValueError("amplification estimate applies to theta = 0 only")
         dm = self.discretization.dofmap
-        mech, flow = np.zeros(dm.n_u), np.zeros(dm.n_scalar)
+        n = dm.n_scalar
+        mech, flow = np.zeros(dm.n_u), np.zeros(n)
         u_values = np.zeros(self.boundary.u_dofs.size)
         p_data = np.zeros(self.boundary.pressure_vertices.size)
-        vec = np.ones(dm.n_scalar) / np.sqrt(dm.n_scalar)
-        ratios: list[float] = []
-        for _ in range(_AMPLIFICATION_ITERS):
-            _, _, new = _decoupled_solves(
-                self, vec, mech, flow, u_values, p_data, "solve of the amplification estimate"
+        m = min(_AMPLIFICATION_ITERS, n)
+        basis = np.zeros((m + 1, n))
+        basis[0] = 1.0 / np.sqrt(n)
+        hess = np.zeros((m + 1, m))
+        for j in range(m):
+            _, _, w = _decoupled_solves(
+                self, basis[j], mech, flow, u_values, p_data, "solve of the amplification estimate"
             )
-            norm = float(np.linalg.norm(new))
-            if norm == 0.0:
-                return 0.0
-            ratios.append(norm)
-            vec = new / norm
-        tail = ratios[-5:]
-        return float(np.exp(np.mean(np.log(tail))))
+            for _ in range(2):
+                h = basis[: j + 1] @ w
+                w = w - basis[: j + 1].T @ h
+                hess[: j + 1, j] += h
+            beta = float(np.linalg.norm(w))
+            hess[j + 1, j] = beta
+            values, vectors = np.linalg.eig(hess[: j + 1, : j + 1])
+            k = int(np.argmax(np.abs(values)))
+            rho = float(np.abs(values[k]))
+            residual = beta * float(np.abs(vectors[j, k]))
+            if beta == 0.0 or residual <= _AMPLIFICATION_SETTLE * abs(rho - 1.0):
+                break
+            basis[j + 1] = w / beta
+        return AmplificationEstimate(rho, residual, j + 1)
 
 
 def check_scheme(benchmark: Benchmark, theta: int) -> None:
@@ -593,10 +625,11 @@ class RunResult:
     run's EnergyAuditor.max_hat_slack: None for theta = 1 and for a run of
     fewer than two steps.  time_independent_loads says no term of the
     loads or of the Dirichlet data varies in time (Tabulated.steady), for a
-    run of no steps too.  factorizations, solve_count and
-    max_solver_residual cover every linear system and solve of the run:
-    the initial pressure projection, the decoupled amplification estimate
-    and the steps.
+    run of no steps too.  amplification is the decoupled amplification
+    estimate, None where the run makes none (theta = 1, no pressure data,
+    no steps).  factorizations, solve_count and max_solver_residual cover
+    every linear system and solve of the run: the initial pressure
+    projection, the decoupled amplification estimate and the steps.
     """
 
     states: list[FieldState]
@@ -607,7 +640,7 @@ class RunResult:
     max_solver_residual: float
     factorizations: tuple[FactorizationRecord, ...]
     solve_count: int = 0
-    decoupled_amplification: Optional[float] = None
+    amplification: Optional[AmplificationEstimate] = None
     max_hat_slack: Optional[float] = None
 
 
@@ -680,10 +713,10 @@ def run(
             )
         if systems.boundary.pressure_vertices.size and scheme.n_steps > 0:
             amplification = systems.estimate_decoupled_amplification()
-            if amplification > UNSTABLE_AMPLIFICATION:
+            if amplification.rho > UNSTABLE_AMPLIFICATION:
                 warnings.warn(
                     f"decoupled scheme amplifies errors by a factor of "
-                    f"{amplification:.3g} per step for this problem "
+                    f"{amplification.rho:.3g} per step for this problem "
                     f"(independent of the step size): the nodal elimination "
                     f"of boundary eta values is unstable for these material "
                     f"parameters; use theta=1",
@@ -748,7 +781,7 @@ def run(
         time_independent_loads=time_independent,
         max_solver_residual=max_residual,
         solve_count=len(reports),
-        decoupled_amplification=amplification,
+        amplification=amplification,
         factorizations=tuple(solves.factorizations),
         max_hat_slack=auditor.max_hat_slack,
     )

@@ -769,13 +769,14 @@ def test_out_directory_collision_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("settings, projection, solves", [
     (["benchmark=test1", "theta=1", "T=3e-5"], True, 1 + 3),
-    (["benchmark=test1", "theta=0", "T=3e-5"], True, 1 + 50 + 2 * 3),
-    (["benchmark=barry_mercer", "theta=0", "T=0.03"], False, 50 + 2 * 3),
+    (["benchmark=test1", "theta=0", "T=3e-5"], True, 1 + 2 * 4 + 2 * 3),
+    (["benchmark=barry_mercer", "theta=0", "T=0.03"], False, 2 * 3 + 2 * 3),
 ], ids=["test1", "test1-decoupled", "barry_mercer-decoupled"])
 def test_run_log_counts_every_solve(tmp_path, settings, projection, solves):
     # solves = n_steps + 1 for test1, whose p0 is projected; a decoupled
-    # run with pressure data adds the 25 iterations, two solves each, of
-    # its amplification estimate.
+    # run with pressure data adds two solves for each step-map application
+    # of its amplification estimate: 4 for test1 and 3 for barry_mercer,
+    # where their Ritz residuals settle the verdict.
     out = tmp_path / "o"
     assert _cli("run", out, "nx=2", "vtk=off", *settings) == 0
     lines = (out / "run.log").read_text().splitlines()
@@ -958,7 +959,8 @@ def _load_workloads():
     return module
 
 
-WORKLOADS = _load_workloads().WORKLOADS
+PERFBENCH_WORKLOADS = _load_workloads()
+WORKLOADS = PERFBENCH_WORKLOADS.WORKLOADS
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -972,6 +974,18 @@ def test_workload_arguments_are_read_by_their_command(tmp_path, name):
         args = _build_parser().parse_args(workload.argv(seed) + ["--out", str(tmp_path / "o")])
         assert _resolve(_load_config(args), args.command).scheme.n_steps == workload.n_steps
     assert not list(tmp_path.iterdir())
+
+
+def test_decoupled_pulse_check_reads_the_amplification_line(tmp_path):
+    # The benchmark's decoupled-pulse check parses the first token of the
+    # amplification line; the estimate's residual has a line of its own.
+    out = tmp_path / "o"
+    assert _cli("run", out, "benchmark=barry_mercer", "nx=4", "theta=0", "T=0.03",
+                "vtk=off") == 0
+    log = PERFBENCH_WORKLOADS._read_log(out / "run.log")
+    WORKLOADS["decoupled-pulse"].physics({"log": log})
+    assert re.fullmatch(r"\d\.\de[-+]\d\d after \d+ applications",
+                        log["decoupled amplification residual"])
 
 
 # ---------------------------------------------------------------------------
