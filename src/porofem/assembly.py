@@ -34,17 +34,16 @@ from .elements import (
 from .mesh import BoundarySegment, Mesh
 from .model import (
     BoundaryConditionSpec,
-    DerivedCoeffs,
     Field,
     Separable,
     SourceFunctions,
     Tabulated,
+    zero_scalar,
 )
 
 __all__ = [
     "DofMap",
     "nested_dissection",
-    "SingularConstraintsError",
     "assemble_elasticity",
     "assemble_div",
     "assemble_scalar_mass",
@@ -56,17 +55,11 @@ __all__ = [
     "assemble_domain_load",
     "assemble_load",
     "rigid_motion_basis",
-    "rigid_motion_rows",
     "boundary_flux_functional",
     "BoundaryData",
-    "check_eta_elimination",
     "build_constraints",
     "ReducedSystem",
 ]
-
-
-class SingularConstraintsError(RuntimeError):
-    """Raised when a constraint block is rank deficient."""
 
 
 @dataclass(frozen=True)
@@ -477,16 +470,6 @@ def rigid_motion_basis(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
     return basis
 
 
-def rigid_motion_rows(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
-    """Rows (r_i, .)_{L2} of the rigid-motion orthogonality constraint.
-
-    Returns a dense (3, n_u) array: the L2 pairing of each rigid motion of
-    rigid_motion_basis with the displacement dofs.
-    """
-    mass = assemble_vector_mass(mesh, dofmap)
-    return mass.dot(rigid_motion_basis(mesh, dofmap).T).T
-
-
 def boundary_flux_functional(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
     """The vector g with g @ u = the boundary integral of u . n.
 
@@ -512,14 +495,10 @@ class BoundaryData:
         pressure_vertices: sorted vertex ids carrying pressure-Dirichlet
             data; at each, eta is eliminated through xi by the row
             kappa1*xi_b + kappa2*eta_b = p_D(x_b, t).
-        rigid_rows: (3, n_u) rows (r_i, .)_{L2} enforcing rigid-motion
-            orthogonality of the displacement; present exactly when no
-            displacement component is Dirichlet anywhere.
     """
 
     u_dofs: np.ndarray
     pressure_vertices: np.ndarray
-    rigid_rows: Optional[sp.csr_matrix]
     # The data's terms at u_dofs and at pressure_vertices (_dirichlet).
     _u_values: Tabulated
     _p_values: Tabulated
@@ -540,11 +519,11 @@ def _dirichlet(
 ) -> tuple[np.ndarray, Tabulated]:
     """Sorted distinct keys, and the data's terms at them.
 
-    sources holds a (datum, points) pair per segment in ascending tag order
-    and keys the dof or vertex of each point.  Where segments share a key,
-    the first listing supplies its value: each term is evaluated at its
-    segment's points once and placed at the keys that segment supplies,
-    zero elsewhere.
+    sources holds a (datum, points) pair per segment in ascending tag order,
+    or per other listing after them, and keys the dof or vertex of each
+    point.  Where segments share a key, the first listing supplies its
+    value: each term is evaluated at its segment's points once and placed
+    at the keys that segment supplies, zero elsewhere.
     """
     if not keys:
         return np.empty(0, dtype=np.int64), Tabulated((0,))
@@ -559,25 +538,14 @@ def _dirichlet(
     return distinct, Tabulated((distinct.size,), tuple(terms))
 
 
-def check_eta_elimination(bcs: BoundaryConditionSpec, coeffs: DerivedCoeffs) -> None:
-    """Refuse, with ValueError, pressure-Dirichlet data with kappa2 = 0,
-    where the elimination of eta through xi is undefined."""
-    if coeffs.kappa2 == 0.0 and any(bc.kind == "pressure" for bc in bcs.flow.values()):
-        raise ValueError(
-            "pressure-Dirichlet data requires kappa2 > 0 (i.e. lam > 0); "
-            "the eta elimination is undefined otherwise"
-        )
+def build_constraints(mesh: Mesh, dofmap: DofMap, bcs: BoundaryConditionSpec) -> BoundaryData:
+    """Boundary data of the coupled problem.
 
-
-def build_constraints(
-    mesh: Mesh,
-    dofmap: DofMap,
-    bcs: BoundaryConditionSpec,
-    coeffs: DerivedCoeffs,
-) -> BoundaryData:
-    """Boundary data of the coupled problem; data that check_eta_elimination
-    refuses raise its ValueError."""
-    check_eta_elimination(bcs, coeffs)
+    Pure-traction mechanics determine the displacement only up to a rigid
+    motion.  Three zero displacements pin it, as Dirichlet data like any
+    other: both components at the bottom side's first vertex, (x_min,
+    y_min), and the vertical one at its last, (x_max, y_min).
+    """
     coords = mesh.p2_node_coords()
     u_sources, u_keys = [], []
     for tag in sorted(bcs.mechanical, key=int):
@@ -586,6 +554,12 @@ def build_constraints(
             if datum is not None:
                 u_sources.append((datum, coords[nodes]))
                 u_keys.append(dofmap.u_dofs(nodes, comp))
+
+    if bcs.is_pure_traction():
+        first, last = mesh.vertices_on_segment(BoundarySegment.BOTTOM)[[0, -1]]
+        pins = np.array([first, first, last])
+        u_sources.append((zero_scalar, coords[pins]))
+        u_keys.append(2 * pins + np.array([0, 1, 1]))
 
     p_sources, p_keys = [], []
     for tag in sorted(bcs.flow, key=int):
@@ -597,16 +571,8 @@ def build_constraints(
 
     u_dofs, u_values = _dirichlet(u_sources, u_keys)
     pverts, p_values = _dirichlet(p_sources, p_keys)
-
-    rigid = None
-    if bcs.is_pure_traction():
-        rigid = sp.csr_matrix(rigid_motion_rows(mesh, dofmap))
     return BoundaryData(
-        u_dofs=u_dofs,
-        pressure_vertices=pverts,
-        rigid_rows=rigid,
-        _u_values=u_values,
-        _p_values=p_values,
+        u_dofs=u_dofs, pressure_vertices=pverts, _u_values=u_values, _p_values=p_values
     )
 
 
@@ -618,10 +584,7 @@ class ReducedSystem:
     columns of T correspond to master dofs and s carries prescribed slave
     values; the retained equations are the master rows.  A coupling of
     shape (n_slaves, n_full), nonzero in master columns only, adds
-    coupling @ x to the slaves.  Extra homogeneous constraint rows (the
-    rigid-motion constraints) are enforced by Lagrange multipliers appended
-    after the reduction; rows narrower than the system cover its leading
-    unknowns and are zero on the rest.
+    coupling @ x to the slaves.
     """
 
     def __init__(
@@ -629,7 +592,6 @@ class ReducedSystem:
         matrix: sp.spmatrix,
         slaves: np.ndarray,
         coupling: Optional[sp.spmatrix] = None,
-        lag_rows: Optional[sp.spmatrix] = None,
     ) -> None:
         matrix = matrix.tocsr()
         n_full = matrix.shape[0]
@@ -664,27 +626,7 @@ class ReducedSystem:
 
         a_keep = matrix[masters, :]
         self._a_slave = a_keep[:, slaves].tocsr() if slaves.size else None
-        core = (a_keep @ self.T).tocsr()
-
-        self.n_lag = 0
-        self._lag_slave = None
-        if lag_rows is not None and lag_rows.shape[0] > 0:
-            lag = lag_rows.tocsr()
-            if lag.shape[1] > n_full:
-                raise ValueError("constraint rows are wider than the system")
-            lag = sp.csr_matrix((lag.data, lag.indices, lag.indptr), shape=(lag.shape[0], n_full))
-            self.n_lag = lag.shape[0]
-            lag_red = (lag @ self.T).tocsr()
-            gram = (lag_red @ lag_red.T).toarray()
-            eigs = np.linalg.eigvalsh(gram)
-            if eigs[-1] <= 0.0 or eigs[0] < 1e-12 * eigs[-1]:
-                raise SingularConstraintsError(
-                    "constraint rows are linearly dependent after elimination"
-                )
-            self._lag_slave = lag[:, slaves].tocsr() if slaves.size else None
-            col_block = lag[:, masters].T.tocsr()
-            core = sp.bmat([[core, col_block], [lag_red, None]], format="csr")
-        self.matrix = core.tocsc()
+        self.matrix = (a_keep @ self.T).tocsc()
 
     def _slave_vals(self, slave_values: np.ndarray) -> np.ndarray:
         vals = np.asarray(slave_values, dtype=float)
@@ -694,19 +636,14 @@ class ReducedSystem:
 
     def reduce_rhs(self, rhs: np.ndarray, slave_values: np.ndarray) -> np.ndarray:
         """Right-hand side of the reduced system for given slave values."""
-        top = np.asarray(rhs, dtype=float)[self.masters].copy()
-        bottom = np.zeros(self.n_lag)
+        reduced = np.asarray(rhs, dtype=float)[self.masters].copy()
         if self.slaves.size:
-            vals = self._slave_vals(slave_values)
-            top -= self._a_slave @ vals
-            if self._lag_slave is not None:
-                bottom -= self._lag_slave @ vals
-        return np.concatenate([top, bottom]) if self.n_lag else top
+            reduced -= self._a_slave @ self._slave_vals(slave_values)
+        return reduced
 
     def expand(self, solution: np.ndarray, slave_values: np.ndarray) -> np.ndarray:
         """Recover the full dof vector from a reduced solution."""
-        y = np.asarray(solution, dtype=float)[: self.masters.size]
-        x = self.T @ y
+        x = self.T @ np.asarray(solution, dtype=float)
         if self.slaves.size:
             x[self.slaves] += self._slave_vals(slave_values)
         return x

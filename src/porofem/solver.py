@@ -214,16 +214,23 @@ def solve(fact: Factorization, rhs: np.ndarray) -> tuple[np.ndarray, LinearSolve
     Returns (solution, report); deterministic for identical inputs.
 
     Raises:
-        SolverFailureError: when the relative residual ||Ax - b|| / ||b||
-            exceeds RESIDUAL_GATE or is not finite; for b = 0 the gate
-            reads ||Ax|| itself.
+        SolverFailureError: when ||b|| is not finite, which leaves the gate
+            nothing to measure against, or when the relative residual
+            ||Ax - b|| / ||b|| exceeds RESIDUAL_GATE or is not finite; for
+            b = 0 the gate reads ||Ax|| itself.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = fact.shape[0]
     if rhs.shape != (n,):
         raise ValueError(f"rhs has shape {rhs.shape}, expected ({n},)")
-    x = fact._solve_vector(rhs)
     norm_b = np.linalg.norm(rhs)
+    if not np.isfinite(norm_b):
+        raise SolverFailureError(
+            f"right-hand side norm {norm_b:.3e} is not finite; the residual gate "
+            "cannot measure the solve",
+            LinearSolveReport(relative_residual=float("nan")),
+        )
+    x = fact._solve_vector(rhs)
     residual = np.linalg.norm(fact.matrix @ x - rhs) / (norm_b if norm_b > 0.0 else 1.0)
     report = LinearSolveReport(relative_residual=float(residual))
     if not np.isfinite(residual) or residual > RESIDUAL_GATE:

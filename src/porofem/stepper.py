@@ -39,7 +39,6 @@ from .assembly import (
     assemble_scalar_mass,
     assemble_scalar_stiffness,
     build_constraints,
-    check_eta_elimination,
     nested_dissection,
     rigid_motion_basis,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "SweepRows",
     "sweep_members",
     "biot_limit_sweep",
-    "UNSTABLE_AMPLIFICATION",
     "AmplificationEstimate",
 ]
 
@@ -94,10 +92,6 @@ __all__ = [
 # below which its Ritz residual settles the verdict.
 _AMPLIFICATION_ITERS = 25
 _AMPLIFICATION_SETTLE = 1e-3
-
-# A decoupled amplification estimate above this is a step that amplifies
-# errors: run() warns and run.log's verdict reads UNSTABLE.
-UNSTABLE_AMPLIFICATION = 1.000001
 
 
 @dataclass(frozen=True)
@@ -195,11 +189,26 @@ class AmplificationEstimate:
     """StepSystems.estimate_decoupled_amplification's outcome: rho, the
     modulus of the Ritz value of largest modulus; residual, its Ritz
     residual; applications, the step-map applications (two solves each)
-    it took."""
+    it took; settled, whether the residual settled which side of one rho
+    lies on (or the Krylov space was invariant) before the budget ran
+    out."""
 
     rho: float
     residual: float
     applications: int
+    settled: bool
+
+    @property
+    def unstable(self) -> bool:
+        """A settled estimate above one: the step amplifies errors."""
+        return self.settled and self.rho > 1.0
+
+    @property
+    def verdict(self) -> str:
+        """The stability verdict run.log prints."""
+        if not self.settled:
+            return "unsettled"
+        return "UNSTABLE (use theta=1)" if self.unstable else "stable"
 
 
 @dataclass(frozen=True)
@@ -297,21 +306,17 @@ class LinearSolves:
 
     def prepare(
         self, label: str, matrix: sp.spmatrix, grid: np.ndarray, slaves: np.ndarray,
-        coupling: Optional[sp.spmatrix] = None, lag_rows: Optional[sp.spmatrix] = None,
+        coupling: Optional[sp.spmatrix] = None,
     ) -> LinearSystem:
         """The reduction of one system (see ReducedSystem), and its
         factorization in nested-dissection order of its masters' grid
-        positions, Lagrange rows last; its size and fill are recorded under
-        the label, and a failure names it.  A matrix the caller does not
-        hold is freed before the factorization starts."""
-        reduced = ReducedSystem(matrix, slaves=slaves, coupling=coupling, lag_rows=lag_rows)
+        positions; its size and fill are recorded under the label, and a
+        failure names it.  A matrix the caller does not hold is freed
+        before the factorization starts."""
+        reduced = ReducedSystem(matrix, slaves=slaves, coupling=coupling)
         del matrix
-        n_masters = reduced.masters.size
-        order = np.concatenate(
-            [nested_dissection(grid[reduced.masters]), n_masters + np.arange(reduced.n_lag)]
-        )
         try:
-            fact = factorize(reduced.matrix, order)
+            fact = factorize(reduced.matrix, nested_dissection(grid[reduced.masters]))
         except SingularMatrixError as exc:
             raise SingularMatrixError(f"{label}: {exc}", exc.row) from exc
         self.factorizations.append(FactorizationRecord(label, fact.shape[0], fact.lu_nnz))
@@ -374,7 +379,6 @@ class StepSystems:
         pverts = boundary.pressure_vertices
 
         dt = scheme.dt
-        rigid = boundary.rigid_rows
         # Each block matrix is built in the call that reduces it, so that
         # only its reduction is alive while the reduction is factorized.
         if scheme.theta == 1:
@@ -398,12 +402,12 @@ class StepSystems:
                     ],
                     format="csr",
                 ),
-                disc.grid, slaves, coupling, rigid,
+                disc.grid, slaves, coupling,
             )
         else:
             self.stokes = solves.prepare(
                 "Stokes system", sp.bmat([[A, -B.T], [B, k3 * M]], format="csr"),
-                disc.grid[: dm.n_step1], u_dofs, lag_rows=rigid,
+                disc.grid[: dm.n_step1], u_dofs,
             )
             self.diffusion = solves.prepare(
                 "diffusion system", (M / dt + k2 * S).tocsr(),
@@ -430,11 +434,12 @@ class StepSystems:
         stops once the residual is at most _AMPLIFICATION_SETTLE times the
         distance of the modulus from one, which settles the verdict, on an
         invariant Krylov space (h_{j+1,j} = 0), or after
-        _AMPLIFICATION_ITERS applications.  A value above one means the
-        step amplifies errors geometrically no matter how small the time
-        step: the nodal elimination of the boundary eta through the freshly
-        computed xi can be unstable when the storage term is too weak to
-        damp it.  Only meaningful for theta = 0.
+        _AMPLIFICATION_ITERS applications, which leaves the verdict
+        unsettled (AmplificationEstimate.verdict).  A value above one means
+        the step amplifies errors geometrically no matter how small the
+        time step: the nodal elimination of the boundary eta through the
+        freshly computed xi can be unstable when the storage term is too
+        weak to damp it.  Only meaningful for theta = 0.
         """
         if self.scheme.theta != 0:
             raise ValueError("amplification estimate applies to theta = 0 only")
@@ -461,24 +466,31 @@ class StepSystems:
             k = int(np.argmax(np.abs(values)))
             rho = float(np.abs(values[k]))
             residual = beta * float(np.abs(vectors[j, k]))
-            if beta == 0.0 or residual <= _AMPLIFICATION_SETTLE * abs(rho - 1.0):
+            settled = beta == 0.0 or residual <= _AMPLIFICATION_SETTLE * abs(rho - 1.0)
+            if settled:
                 break
             basis[j + 1] = w / beta
-        return AmplificationEstimate(rho, residual, j + 1)
+        return AmplificationEstimate(rho, residual, j + 1, settled)
 
 
 def check_scheme(benchmark: Benchmark, theta: int) -> None:
     """Refuse, with ValueError, a benchmark that the scheme with coupling
     weight theta cannot step on any mesh.
 
-    Pressure-Dirichlet data need kappa2 > 0 (check_eta_elimination).  With
-    zero storage (kappa3 = 0) and u . n Dirichlet on every side, no
-    displacement test function carries boundary flux, so constant xi lies
-    in the kernel of the decoupled Stokes step.  The decoupled step-size
+    Pressure-Dirichlet data need kappa2 > 0: the elimination of eta through
+    xi divides by it.  With zero storage (kappa3 = 0) and u . n Dirichlet
+    on every side, no displacement test function carries boundary flux, so
+    constant xi lies in the kernel of the decoupled Stokes step.  The decoupled step-size
     gate (evaluate_gate) divides by mu*K*kappa1**2, which must not vanish.
     """
-    check_eta_elimination(benchmark.bcs, benchmark.coeffs)
     prm, kappa1 = benchmark.params, benchmark.coeffs.kappa1
+    if benchmark.coeffs.kappa2 == 0.0 and any(
+        bc.kind == "pressure" for bc in benchmark.bcs.flow.values()
+    ):
+        raise ValueError(
+            "pressure-Dirichlet data requires kappa2 > 0 (i.e. lam > 0); "
+            "the eta elimination is undefined otherwise"
+        )
     if theta == 0 and prm.mu * prm.K * kappa1**2 == 0.0:
         raise ValueError(
             f"decoupled scheme's step-size gate c_stab = 1/(2*mu*K*kappa1**2) divides by "
@@ -509,20 +521,20 @@ def init_state(
     The displacement is the nodal interpolant u_I of the initial field, with
     no solve.  It is the elliptic projection of itself: the projection
     solves A_ff x = (A u_I)_f - A_fs g, and when g, the t = 0 Dirichlet
-    values, equals u_I on the Dirichlet dofs (and, for pure-traction
-    problems, u_I is orthogonal to the rigid motions) its solution is
-    (u_I)_f.  A benchmark whose u_I breaks either condition is refused with
-    ValueError.  The initial pressure is the L2 projection of p0, from a
-    factor of M that is dropped before this returns, so it is not live
-    while a step system is factorized; a p0 with no terms (the model's
-    zero_scalar) projects to zeros with no factorization, as LoadAssembler
-    drops such data from the loads.  q0 = 0 since u0 is divergence-free
-    (Benchmark.u0).  eta and xi follow coefficientwise from the change of
-    variables; the state derives p and q back from them.
+    values, equals u_I on the Dirichlet dofs (for pure traction, the three
+    pins of build_constraints) its solution is (u_I)_f.  A benchmark whose
+    u_I breaks that condition is refused with ValueError.  The initial
+    pressure is the L2 projection of p0, from a factor of M that is dropped
+    before this returns, so it is not live while a step system is
+    factorized; a p0 with no terms (the model's zero_scalar) projects to
+    zeros with no factorization, as LoadAssembler drops such data from the
+    loads.  q0 = 0 since u0 is divergence-free (Benchmark.u0).  eta and xi
+    follow coefficientwise from the change of variables; the state derives
+    p and q back from them.
     """
     disc = discretization
     dm = disc.dofmap
-    boundary = build_constraints(disc.mesh, dm, benchmark.bcs, benchmark.coeffs)
+    boundary = build_constraints(disc.mesh, dm, benchmark.bcs)
     coords = disc.mesh.p2_node_coords()
     u0 = np.asarray(benchmark.u0(coords, 0.0), dtype=float).reshape(-1)  # interleaved
     g = boundary.values(0.0)[0]
@@ -533,13 +545,6 @@ def init_state(
             f"the t = 0 Dirichlet data at {np.count_nonzero(gap != 0)} of "
             f"{gap.size} prescribed dofs (max |difference| {np.max(gap):.3e}); "
             "a run starts from the interpolant of u0, which must meet that data"
-        )
-    rigid = boundary.rigid_rows @ u0 if boundary.rigid_rows is not None else np.zeros(0)
-    if np.any(rigid):
-        raise ValueError(
-            f"benchmark {benchmark.name!r}: the initial displacement u0(x, 0) is not "
-            f"orthogonal to the rigid motions (max |(r_i, u0)| {np.max(np.abs(rigid)):.3e}); "
-            "a pure-traction run starts from the interpolant of u0, which must be"
         )
 
     if not benchmark.p0.terms:
@@ -647,8 +652,9 @@ class RunResult:
 def _check_rigid_balance(
     rigid: np.ndarray, n: int, t: float, mech: np.ndarray
 ) -> Optional[np.ndarray]:
-    """The rigid-motion rows to check later loads against, or None once a
-    load doing work on a rigid motion has been named (warned once)."""
+    """The rigid motions to check later loads against, or None once a load
+    doing work on one has been named (warned once); the three pins would
+    take that work up as reactions without a word."""
     scale = np.linalg.norm(mech) * np.linalg.norm(rigid, axis=1)
     worst = float(np.max(np.abs(rigid @ mech) / np.maximum(1.0, scale)))
     if worst <= 1e-10:
@@ -713,7 +719,7 @@ def run(
             )
         if systems.boundary.pressure_vertices.size and scheme.n_steps > 0:
             amplification = systems.estimate_decoupled_amplification()
-            if amplification.rho > UNSTABLE_AMPLIFICATION:
+            if amplification.unstable:
                 warnings.warn(
                     f"decoupled scheme amplifies errors by a factor of "
                     f"{amplification.rho:.3g} per step for this problem "
@@ -728,10 +734,10 @@ def run(
     loads = systems.loads
     time_independent = loads.mech.steady and loads.flow.steady and systems.boundary.steady
     # A pure-traction load must do no work on rigid motions, else the problem
-    # has no solution and the multiplier silently absorbs the imbalance; the
-    # first step whose load does is named, once.
+    # has no solution and the reactions at the three pins silently absorb the
+    # imbalance; the first step whose load does is named, once.
     rigid = None
-    if systems.boundary.rigid_rows is not None:
+    if benchmark.bcs.is_pure_traction():
         rigid = _check_rigid_balance(rigid_motion_basis(mesh, dofmap), 0, state.t, mech0)
     auditor = EnergyAuditor(disc.A, disc.M, disc.S, mech0, flow0, coeffs, scheme.theta, scheme.dt)
     tracker = (

@@ -6,7 +6,9 @@ tests that use them are derived by hand from the conserved-quantity
 recursions.  The checks (the inf-sup pencil, the centerline locking scan,
 an independent triangle-area formula and the p/q identities of a state)
 certify claims of the method that no command reports, so they live here
-with the tests that call them.
+with the tests that call them.  multiplier_step is an oracle for the
+pure-traction steps: it fixes the rigid motions by Lagrange multipliers
+instead of the package's three pinned displacements.
 """
 
 from __future__ import annotations
@@ -18,10 +20,13 @@ import scipy.linalg as la
 
 from porofem.assembly import (
     DofMap,
+    LoadAssembler,
     assemble_div,
     assemble_elasticity,
+    assemble_load,
     assemble_scalar_mass,
-    rigid_motion_rows,
+    assemble_vector_mass,
+    rigid_motion_basis,
 )
 from porofem.mesh import BoundarySegment, Mesh, build_rect_mesh
 from porofem.model import (
@@ -37,6 +42,13 @@ from porofem.model import (
     zero_vector,
 )
 from porofem.stepper import Discretization, FieldState, LinearSolves, init_state
+
+
+def rigid_motion_rows(mesh: Mesh, dofmap: DofMap) -> np.ndarray:
+    """Dense (3, n_u) rows (r_i, .)_{L2}: the L2 pairing of each rigid
+    motion of rigid_motion_basis with the displacement dofs."""
+    return rigid_motion_basis(mesh, dofmap) @ assemble_vector_mass(mesh, dofmap)
+
 
 def jittered_mesh(nx: int, ny: int, rect=(0.0, 0.0, 1.0, 1.0), seed: int = 0) -> Mesh:
     """A structured mesh with every vertex moved by up to 0.2 cell widths,
@@ -216,6 +228,46 @@ def conservation_benchmark(
         bcs=BoundaryConditionSpec(mechanical=mechanical, flow=flow),
         sources=SourceFunctions(f=zero_vector, phi=constant(phi_const)),
     )
+
+
+def multiplier_step(
+    benchmark: Benchmark, disc: Discretization, state: FieldState, dt: float, theta: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(u, xi, eta) of one step from state, solved densely with the rigid
+    motions fixed the other way: three Lagrange multipliers make u
+    L2-orthogonal to them (rigid_motion_rows).  A pure-traction,
+    pure-Neumann-flow benchmark only, so that nothing is eliminated; theta
+    = 1 solves the coupled system, theta = 0 the Stokes system with eta
+    lagged at state.eta and then the diffusion system.
+    """
+    assert benchmark.bcs.is_pure_traction() and benchmark.bcs.is_pure_neumann_flow()
+    dm = disc.dofmap
+    n_u, n = dm.n_u, dm.n_scalar
+    k1, k2, k3 = benchmark.coeffs.kappa1, benchmark.coeffs.kappa2, benchmark.coeffs.kappa3
+    A, B, M, S = (op.toarray() for op in (disc.A, disc.B, disc.M, disc.S))
+    C = rigid_motion_rows(disc.mesh, dm)
+    loads = LoadAssembler.build(disc.mesh, dm, disc.quadrature, benchmark.sources, benchmark.bcs)
+    mech, flow = assemble_load(loads, state.t + dt)
+    Z = np.zeros
+    if theta == 1:
+        kkt = np.block([
+            [A, -B.T, Z((n_u, n)), C.T],
+            [B, k3 * M, -k1 * M, Z((n, 3))],
+            [Z((n, n_u)), k1 * S, M / dt + k2 * S, Z((n, 3))],
+            [C, Z((3, 2 * n + 3))],
+        ])
+        rhs = np.concatenate([mech, Z(n), M @ state.eta / dt + flow, Z(3)])
+        x = la.solve(kkt, rhs)
+        return x[:n_u], x[n_u : n_u + n], x[n_u + n : n_u + 2 * n]
+    kkt = np.block([
+        [A, -B.T, C.T],
+        [B, k3 * M, Z((n, 3))],
+        [C, Z((3, n + 3))],
+    ])
+    x = la.solve(kkt, np.concatenate([mech, k1 * M @ state.eta, Z(3)]))
+    u, xi = x[:n_u], x[n_u : n_u + n]
+    eta = la.solve(M / dt + k2 * S, M @ state.eta / dt + flow - k1 * S @ xi)
+    return u, xi, eta
 
 
 def zero_benchmark() -> Benchmark:

@@ -19,7 +19,6 @@ from porofem.assembly import (
     DomainQuadrature,
     LoadAssembler,
     ReducedSystem,
-    SingularConstraintsError,
     assemble_div,
     assemble_domain_load,
     assemble_elasticity,
@@ -49,7 +48,6 @@ from porofem.model import (
     MechanicalBC,
     Separable,
     SourceFunctions,
-    derive_kappas,
     get_benchmark,
     zero_scalar,
     zero_vector,
@@ -58,7 +56,7 @@ from porofem.diagnostics import ErrorEvaluator
 from porofem.solver import factorize, solve
 from porofem.stepper import Discretization, TimeScheme, run
 
-from helpers import conservation_benchmark, jittered_mesh, zero_benchmark
+from helpers import conservation_benchmark, jittered_mesh, rigid_motion_rows, zero_benchmark
 
 
 @pytest.fixture(scope="module")
@@ -549,7 +547,7 @@ def test_tables_match_direct_evaluation(case):
     dofmap = DofMap.from_mesh(mesh)
     quadrature = DomainQuadrature.from_mesh(mesh, dofmap)
     loads = LoadAssembler.build(mesh, dofmap, quadrature, bench.sources, bench.bcs)
-    boundary = build_constraints(mesh, dofmap, bench.bcs, bench.coeffs)
+    boundary = build_constraints(mesh, dofmap, bench.bcs)
     evaluator = (ErrorEvaluator(bench, mesh, dofmap, quadrature)
                  if bench.has_exact_solution else None)
     f, q = mesh.n_triangles, quadrature.rule.weights.size
@@ -601,11 +599,10 @@ def test_load_tables_are_built_once_per_run(monkeypatch):
 
 def test_constraints_locking_layout(mesh2, dofmap2):
     bench = get_benchmark("locking")
-    bd = build_constraints(mesh2, dofmap2, bench.bcs, bench.coeffs)
+    bd = build_constraints(mesh2, dofmap2, bench.bcs)
     n_left_nodes = 2 * mesh2.ny + 1
     assert bd.u_dofs.size == 2 * n_left_nodes
     assert bd.pressure_vertices.size == 0
-    assert bd.rigid_rows is None
     coords = mesh2.p2_node_coords()
     for dof in bd.u_dofs:
         assert coords[dof // 2, 0] == pytest.approx(0.0, abs=1e-14)
@@ -613,9 +610,8 @@ def test_constraints_locking_layout(mesh2, dofmap2):
 
 def test_constraints_test1_layout(mesh2, dofmap2):
     bench = get_benchmark("test1")
-    bd = build_constraints(mesh2, dofmap2, bench.bcs, bench.coeffs)
+    bd = build_constraints(mesh2, dofmap2, bench.bcs)
     assert bd.pressure_vertices.size == 2 * (mesh2.nx + mesh2.ny)
-    assert bd.rigid_rows is None
     coords = mesh2.p2_node_coords()
     for dof in bd.u_dofs:
         node, comp = divmod(dof, 2)
@@ -626,24 +622,19 @@ def test_constraints_test1_layout(mesh2, dofmap2):
             assert min(abs(y), abs(y - 1.0)) <= 1e-14  # u2 on horizontal sides
 
 
-def test_constraints_pure_traction_gets_rigid_rows(mesh2, dofmap2):
+def test_constraints_pure_traction_pins_three_dofs(mesh2, dofmap2):
     bench = conservation_benchmark()
-    bd = build_constraints(mesh2, dofmap2, bench.bcs, bench.coeffs)
-    assert bd.u_dofs.size == 0
-    assert bd.rigid_rows is not None
-    assert bd.rigid_rows.shape == (3, dofmap2.n_u)
-    # The rows are L2 pairings with (1,0), (0,1), (-x2, x1): on the unit
-    # square, u = (1, 0) gives (1, 0, -1/2) and u = (0, 1) gives (0, 1, 1/2).
-    for comp, expected in ((0, [1.0, 0.0, -0.5]), (1, [0.0, 1.0, 0.5])):
-        u = np.zeros(dofmap2.n_u)
-        u[comp::2] = 1.0
-        assert np.allclose(bd.rigid_rows @ u, expected, rtol=0.0, atol=1e-13)
-
-
-def test_constraints_reject_kappa2_zero_with_pressure_bc(mesh2, dofmap2):
-    bench = get_benchmark("test1", MaterialParams(lam=0.0, mu=1.0, alpha=1.0, c0=1.0))
-    with pytest.raises(ValueError, match="kappa2"):
-        build_constraints(mesh2, dofmap2, bench.bcs, bench.coeffs)
+    bd = build_constraints(mesh2, dofmap2, bench.bcs)
+    # Both components at (0, 0) and the vertical one at (1, 0), all zero.
+    coords = mesh2.p2_node_coords()
+    pinned = [(tuple(coords[dof // 2]), dof % 2) for dof in bd.u_dofs]
+    assert pinned == [((0.0, 0.0), 0), ((0.0, 0.0), 1), ((1.0, 0.0), 1)]
+    assert bd.pressure_vertices.size == 0
+    for t in (0.0, bench.T):
+        assert np.array_equal(bd.values(t)[0], np.zeros(3))
+    # They admit no rigid motion: its values there vanish only for zero.
+    basis = rigid_motion_basis(mesh2, dofmap2)
+    assert np.linalg.matrix_rank(basis[:, bd.u_dofs]) == 3
 
 
 def _reference_boundary_values(mesh, bcs, t):
@@ -660,6 +651,15 @@ def _reference_boundary_values(mesh, bcs, t):
             values = np.asarray(closure(coords[nodes], t), dtype=float)
             for node, val in zip(nodes, values):
                 u_map.setdefault(2 * int(node) + comp, float(val))
+    if bcs.is_pure_traction():
+        # The rigid-motion pins: both components at the lower-left corner,
+        # the vertical one at the lower-right corner, zero at all times.
+        x, y = mesh.vertices.T
+        low = y == y.min()
+        for vert, comps in ((np.flatnonzero(low & (x == x.min())), (0, 1)),
+                            (np.flatnonzero(low & (x == x.max())), (1,))):
+            for comp in comps:
+                u_map.setdefault(2 * int(vert[0]) + comp, 0.0)
     p_map = {}
     for tag in sorted(bcs.flow, key=int):
         bc = bcs.flow[tag]
@@ -698,11 +698,11 @@ def test_boundary_values_match_per_dof_reference(name):
     mesh = build_rect_mesh(3, 2)
     dofmap = DofMap.from_mesh(mesh)
     if name == "corners":
-        bcs, coeffs, t_later = _disagreeing_corners_spec(), derive_kappas(MaterialParams()), 0.25
+        bcs, t_later = _disagreeing_corners_spec(), 0.25
     else:
         bench = get_benchmark(name)
-        bcs, coeffs, t_later = bench.bcs, bench.coeffs, 0.37 * bench.T
-    bd = build_constraints(mesh, dofmap, bcs, coeffs)
+        bcs, t_later = bench.bcs, 0.37 * bench.T
+    bd = build_constraints(mesh, dofmap, bcs)
     for t in (0.0, t_later):
         u_dofs, u_vals, p_verts, p_vals = _reference_boundary_values(mesh, bcs, t)
         got_u, got_p = bd.values(t)
@@ -720,33 +720,29 @@ def test_reduced_system_identity_with_prescribed_dof():
     assert np.allclose(rs.expand(x, prescribed), [5.0, 3.0], atol=1e-14)
 
 
-def test_reduced_system_lagrange_row_matches_dense_kkt_oracle():
-    matrix = sp.csr_matrix(np.array([[2.0, -1.0], [-1.0, 2.0]]))
-    rhs = np.array([1.0, 3.0])
-    none = np.empty(0)
-    rs = ReducedSystem(matrix, slaves=none, lag_rows=sp.csr_matrix(np.array([[1.0, 1.0]])))
-    fact = factorize(rs.matrix, np.arange(rs.matrix.shape[0]))
-    x, _ = solve(fact, rs.reduce_rhs(rhs, none))
-    got = rs.expand(x, none)
-    kkt = np.array([[2.0, -1.0, 1.0], [-1.0, 2.0, 1.0], [1.0, 1.0, 0.0]])
-    oracle = np.linalg.solve(kkt, np.array([1.0, 3.0, 0.0]))
-    assert np.allclose(got, oracle[:2], atol=1e-13)
-    assert x[2] == pytest.approx(oracle[2], abs=1e-13)  # the multiplier
-
-
 def test_rigid_motion_constrained_traction_solve(mesh2, dofmap2):
+    # The pinned traction solve and the solve that makes u L2-orthogonal to
+    # the rigid motions by multipliers differ by a rigid motion alone.
     bench = conservation_benchmark()
     A = assemble_elasticity(mesh2, dofmap2, bench.params.mu)
     mech, _ = assemble_load(_loads(mesh2, dofmap2, bench), 0.0)
-    bd = build_constraints(mesh2, dofmap2, bench.bcs, bench.coeffs)
+    bd = build_constraints(mesh2, dofmap2, bench.bcs)
     u_values, _ = bd.values(0.0)
-    rs = ReducedSystem(A, slaves=bd.u_dofs, lag_rows=bd.rigid_rows)
+    rs = ReducedSystem(A, slaves=bd.u_dofs)
     fact = factorize(rs.matrix, np.arange(rs.matrix.shape[0]))
     x, _ = solve(fact, rs.reduce_rhs(mech, u_values))
     u = rs.expand(x, u_values)
+    assert np.array_equal(u[bd.u_dofs], np.zeros(3))
+    C = rigid_motion_rows(mesh2, dofmap2)
+    # The rows are L2 pairings with (1,0), (0,1), (-x2, x1): on the unit
+    # square, u = (1, 0) gives (1, 0, -1/2) and u = (0, 1) gives (0, 1, 1/2).
+    for comp, expected in ((0, [1.0, 0.0, -0.5]), (1, [0.0, 1.0, 0.5])):
+        assert np.allclose(C[:, comp::2].sum(axis=1), expected, rtol=0.0, atol=1e-13)
+    kkt = np.block([[A.toarray(), C.T], [C, np.zeros((3, 3))]])
+    oracle = np.linalg.solve(kkt, np.concatenate([mech, np.zeros(3)]))[: dofmap2.n_u]
     basis = rigid_motion_basis(mesh2, dofmap2)
-    for row in basis:
-        assert abs(row @ u) <= 1e-10 * max(1.0, np.linalg.norm(u) * np.linalg.norm(row))
+    coef = np.linalg.lstsq(basis.T, u - oracle, rcond=None)[0]
+    assert np.max(np.abs(u - oracle - basis.T @ coef)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 @pytest.mark.parametrize(
@@ -760,68 +756,38 @@ def test_reduced_system_rejects_invalid_slaves(slaves, message):
         ReducedSystem(sp.eye(3, format="csr"), slaves=np.array(slaves), coupling=coupling)
 
 
-def test_reduced_system_pads_narrow_lagrange_rows():
-    # Rows over the leading two unknowns act as rows zero on the third.
-    matrix = sp.csr_matrix(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]))
-    slaves = np.array([2])
-    narrow = ReducedSystem(matrix, slaves=slaves, lag_rows=sp.csr_matrix([[1.0, 1.0]]))
-    full = ReducedSystem(matrix, slaves=slaves, lag_rows=sp.csr_matrix([[1.0, 1.0, 0.0]]))
-    assert (narrow.matrix != full.matrix).nnz == 0
-    rhs, values = np.array([1.0, 3.0, 5.0]), np.array([0.5])
-    assert np.array_equal(narrow.reduce_rhs(rhs, values), full.reduce_rhs(rhs, values))
-    with pytest.raises(ValueError, match="wider than the system"):
-        ReducedSystem(matrix, slaves=slaves, lag_rows=sp.csr_matrix(np.ones((1, 4))))
-
-
-def test_dependent_affine_rows_rejected():
-    with pytest.raises(SingularConstraintsError):
-        ReducedSystem(
-            sp.eye(2, format="csr"), slaves=np.empty(0),
-            lag_rows=sp.csr_matrix(np.array([[1.0, 1.0], [2.0, 2.0]])),
-        )
-
-
 @settings(max_examples=80, deadline=None)
 @given(
     n=st.integers(2, 8),
     seed=st.integers(0, 2**32 - 1),
     with_coupling=st.booleans(),
-    n_lag=st.integers(0, 2),
 )
-def test_reduced_system_matches_dense_kkt_oracle(n, seed, with_coupling, n_lag):
+def test_reduced_system_matches_dense_kkt_oracle(n, seed, with_coupling):
     """A random master/slave split of a random SPD matrix, with prescribed
-    slave values, optionally slaves coupled to masters and homogeneous
-    Lagrange rows, against the full saddle-point system solved densely."""
+    slave values and optionally slaves coupled to masters, against the full
+    system with each slave row replaced by its constraint, solved
+    densely."""
     rng = np.random.default_rng(seed)
     g = rng.uniform(-1.0, 1.0, (n, n))
     A = g @ g.T + n * np.eye(n)
     is_slave = rng.random(n) < 0.4
     is_slave[rng.integers(n)] = False
     masters, slaves = np.flatnonzero(~is_slave), np.flatnonzero(is_slave)
-    n_lag = min(n_lag, masters.size)
     values = rng.uniform(-2.0, 2.0, slaves.size)
     # The coupling is given in full-system columns, zero in the slave ones.
     C = np.zeros((slaves.size, n))
     if with_coupling:
         C[:, masters] = rng.uniform(-1.0, 1.0, (slaves.size, masters.size))
         C *= rng.random(C.shape) < 0.5
-    L = rng.uniform(-1.0, 1.0, (n_lag, n))
     b = rng.uniform(-1.0, 1.0, n)
-    # The Lagrange rows act on x_m and x_s = C x_m + values alike.
-    assume(
-        n_lag == 0
-        or np.linalg.svd(L[:, masters] + L[:, slaves] @ C[:, masters], compute_uv=False)[-1] > 1e-3
-    )
 
-    # Unknowns (x, lam): master rows of A x + L^T lam = b, each slave row
-    # replaced by its constraint x_s - C x_m = values, and L x = 0.
-    kkt = np.zeros((n + n_lag, n + n_lag))
-    kkt[masters, :n] = A[masters]
-    kkt[masters, n:] = L[:, masters].T
+    # Master rows of A x = b, each slave row replaced by its constraint
+    # x_s - C x_m = values.
+    kkt = np.zeros((n, n))
+    kkt[masters] = A[masters]
     kkt[slaves, slaves] = 1.0
     kkt[np.ix_(slaves, masters)] = -C[:, masters]
-    kkt[n:, :n] = L
-    full_rhs = np.concatenate([b, np.zeros(n_lag)])
+    full_rhs = b.copy()
     full_rhs[slaves] = values
     assume(np.linalg.cond(kkt) < 1e8)
     oracle = np.linalg.solve(kkt, full_rhs)
@@ -829,9 +795,7 @@ def test_reduced_system_matches_dense_kkt_oracle(n, seed, with_coupling, n_lag):
     rs = ReducedSystem(
         sp.csr_matrix(A), slaves=slaves,
         coupling=sp.csr_matrix(C) if with_coupling else None,
-        lag_rows=sp.csr_matrix(L) if n_lag else None,
     )
     y = np.linalg.solve(rs.matrix.toarray(), rs.reduce_rhs(b, values))
     tol = 1e-9 * max(1.0, np.max(np.abs(oracle)))
-    assert np.allclose(rs.expand(y, values), oracle[:n], rtol=0.0, atol=tol)
-    assert np.allclose(y[masters.size:], oracle[n:], rtol=0.0, atol=tol)
+    assert np.allclose(rs.expand(y, values), oracle, rtol=0.0, atol=tol)

@@ -311,9 +311,6 @@ def test_run_log_energy_residual_keeps_a_nan(tmp_path, monkeypatch):
 
 
 def test_numpy_warnings_print_once_and_are_echoed(tmp_path, capsys, monkeypatch):
-    # Overflowing data: the norm of every step's right-hand side overflows.
-    # The overflow is not refused (exit 0), and numpy's warning, raised on
-    # each of the 20 steps, prints once and is echoed at the end of run.log.
     raised = []
     show = warnings._showwarnmsg
 
@@ -322,12 +319,35 @@ def test_numpy_warnings_print_once_and_are_echoed(tmp_path, capsys, monkeypatch)
         show(msg)
 
     monkeypatch.setattr(warnings, "_showwarnmsg", count)
+    # Overflowing data: the norm of the first step's right-hand side
+    # overflows, which leaves the residual gate nothing to measure against;
+    # the solve fails and names its step, after numpy's warning.
     out = tmp_path / "o"
     code = _cli("run", out, "nx=2", "T=2e-4", "lam=3.3e153", "alpha=1e153", "mu=3e153", "vtk=off")
-    assert code == 0
+    assert code == 1
+    assert raised == ["overflow encountered in dot"]
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: overflow encountered in dot",
+        "error: coupled step to t=1e-05: right-hand side norm inf is not finite; "
+        "the residual gate cannot measure the solve",
+    ]
+    assert not (out / "run.log").exists()
+
+    # A run whose numpy warning is raised 20 times prints it once and echoes
+    # it at the end of run.log.
+    real_run = cli.run
+
+    def run_overflowing(*args, **kwargs):
+        for _ in range(20):
+            np.dot(np.array([1e200]), np.array([1e200]))
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run", run_overflowing)
+    raised.clear()
+    out = tmp_path / "p"
+    assert _cli("run", out, "nx=2", "T=2e-4", "vtk=off") == 0
     assert raised == ["overflow encountered in dot"] * 20
-    warned = capsys.readouterr().err.splitlines()
-    assert warned == ["warning: overflow encountered in dot"]
+    assert capsys.readouterr().err.splitlines() == ["warning: overflow encountered in dot"]
     assert (out / "run.log").read_text().endswith("warning = overflow encountered in dot\n")
 
 

@@ -122,6 +122,15 @@ def test_residual_tolerance_violation_raises_with_report(monkeypatch):
     assert carried.relative_residual == pytest.approx(report.relative_residual)
 
 
+@pytest.mark.parametrize("rhs", [[1e200, 1e200], [np.inf, 1.0], [np.nan, 1.0]])
+def test_non_finite_rhs_norm_fails_the_solve(rhs):
+    # ||b|| = inf would read any finite residual as exactly 0; entries of
+    # 1e200 are finite, but their norm overflows.
+    fact = factorize(sp.eye(2, format="csc"), np.arange(2))
+    with np.errstate(over="ignore"), pytest.raises(SolverFailureError, match="not finite"):
+        solve(fact, np.array(rhs))
+
+
 def test_relative_residual_definition():
     # For a 1x1 system the residual is exactly computable by hand: it is 0.
     A = sp.csc_matrix(np.array([[2.0]]))

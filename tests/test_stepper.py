@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import porofem.assembly
-import porofem.diagnostics
 import porofem.solver
 import porofem.stepper
 from porofem.assembly import (
@@ -41,7 +40,7 @@ from porofem.stepper import (
     LinearSolves,
     StepSystems,
     TimeScheme,
-    UNSTABLE_AMPLIFICATION,
+    check_scheme,
     evaluate_gate,
     init_state,
     run,
@@ -54,6 +53,7 @@ from helpers import (
     conservation_benchmark,
     initial_state,
     jittered_mesh,
+    multiplier_step,
     normal_traction,
     zero_benchmark,
     zero_scalar,
@@ -63,7 +63,7 @@ from test_diagnostics import _audit, _track
 
 
 def _boundary(bench, disc):
-    return build_constraints(disc.mesh, disc.dofmap, bench.bcs, bench.coeffs)
+    return build_constraints(disc.mesh, disc.dofmap, bench.bcs)
 
 
 def _interleave(values: np.ndarray) -> np.ndarray:
@@ -279,7 +279,8 @@ def test_init_state_refuses_an_interpolant_off_the_constraints():
     translated = Separable((2,), ((1.0, translation),))
     moved = dataclasses.replace(free, u0=translated)
     disc = Discretization.build(mesh, free.params)
-    with pytest.raises(ValueError, match="'conservation_fixture'.*rigid motions"):
+    # For pure traction that data is the three zero pins of the rigid motions.
+    with pytest.raises(ValueError, match="'conservation_fixture'.*t = 0 Dirichlet data"):
         init_state(moved, disc, LinearSolves())
 
 
@@ -294,7 +295,6 @@ def test_polynomial_interpolant_is_its_elliptic_projection():
     solves = LinearSolves()
     elastic = solves.prepare(
         "elliptic projection", disc.A, disc.grid[: disc.dofmap.n_u], boundary.u_dofs,
-        lag_rows=boundary.rigid_rows,
     )
     u_interp = initial.u
     projected = solves.solve(elastic, disc.A @ u_interp, boundary.values(0.0)[0], "projection")
@@ -415,7 +415,8 @@ def test_amplification_estimate_agrees_with_a_dense_eigen_solve(name, nx):
     rho = _dense_spectral_radius(systems)
     assert abs(est.rho - rho) <= est.residual + 1e-12
     assert est.residual <= porofem.stepper._AMPLIFICATION_SETTLE * abs(est.rho - 1.0)
-    assert (est.rho > UNSTABLE_AMPLIFICATION) == (rho > UNSTABLE_AMPLIFICATION)
+    assert est.settled and est.unstable == (rho > 1.0)
+    assert est.verdict == ("UNSTABLE (use theta=1)" if rho > 1.0 else "stable")
 
 
 def _estimate_and_solves(name: str, nx: int):
@@ -429,16 +430,18 @@ def _estimate_and_solves(name: str, nx: int):
 def test_amplification_estimate_spends_its_budget_on_a_clustered_spectrum():
     # test1's dominant eigenvalues cluster near 0.9998 at nx = 8: the
     # estimate makes all 25 applications, two ledger solves each, and its
-    # residual does not settle the verdict.
+    # residual does not settle the verdict, which reads unsettled.
     est, solves = _estimate_and_solves("test1", 8)
     assert (est.applications, solves) == (25, 50)
     assert est.residual > porofem.stepper._AMPLIFICATION_SETTLE * abs(est.rho - 1.0)
+    assert not est.settled and not est.unstable and est.verdict == "unsettled"
 
 
 def test_amplification_estimate_settles_barry_mercer_early():
     est, solves = _estimate_and_solves("barry_mercer", 8)
     assert est.applications <= 10 and solves == 2 * est.applications
     assert est.residual <= porofem.stepper._AMPLIFICATION_SETTLE * abs(est.rho - 1.0)
+    assert est.settled and est.verdict == "stable"
 
 
 def test_decoupled_matches_coupled_to_first_order_in_dt():
@@ -649,14 +652,13 @@ def test_no_datum_is_evaluated_per_step(name):
 
 def test_pure_traction_boundary_data_built_once(monkeypatch):
     calls = []
-    original = porofem.assembly.assemble_vector_mass
+    original = porofem.stepper.build_constraints
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    for module in (porofem.assembly, porofem.diagnostics):
-        monkeypatch.setattr(module, "assemble_vector_mass", counting)
+    monkeypatch.setattr(porofem.stepper, "build_constraints", counting)
     bench = conservation_benchmark()
     counts = []
     for n_steps in (2, 6):
@@ -664,7 +666,7 @@ def test_pure_traction_boundary_data_built_once(monkeypatch):
         run(bench, Discretization.build(build_rect_mesh(2, 2), bench.params),
             TimeScheme(dt=0.02, n_steps=n_steps, theta=1))
         counts.append(len(calls))
-    # Once per run, for the rigid rows of the boundary data.
+    # Once per run, pins included, whatever the number of steps.
     assert counts == [1, 1]
 
 
@@ -709,10 +711,9 @@ def test_init_state_reuses_step_systems(name, monkeypatch):
     StepSystems(bench, disc, TimeScheme(dt=1e-3, n_steps=1, theta=1), boundary, solves)
     # Nothing is assembled twice: operators and quadrature tables come from
     # the discretization, and the boundary data init_state builds (with the
-    # rigid-motion rows of the pure-traction fixture) serve the run's
+    # rigid-motion pins of the pure-traction fixture) serve the run's
     # StepSystems.
-    rigid = ["assemble_vector_mass"] if name == "conservation" else []
-    assert calls == ["build_constraints"] + rigid
+    assert calls == ["build_constraints"]
     p_res, q_res = check_state_consistency(initial, bench.coeffs)
     assert max(p_res, q_res) == 0.0
 
@@ -979,6 +980,36 @@ def test_decoupled_rejects_singular_enclosed_zero_storage_problem():
     assert np.max(np.abs(result.states[-1].u)) == 0.0
 
 
+def test_check_scheme_rejects_kappa2_zero_with_pressure_bc():
+    # lam = 0 gives kappa2 = 0, where the elimination of eta through xi at
+    # pressure-Dirichlet vertices divides by zero, whatever the scheme.
+    bench = get_benchmark("test1", MaterialParams(lam=0.0, mu=1.0, alpha=1.0, c0=1.0))
+    for theta in (0, 1):
+        with pytest.raises(ValueError, match=r"requires kappa2 > 0 \(i.e. lam > 0\)"):
+            check_scheme(bench, theta)
+        # The same material with flux data everywhere eliminates nothing.
+        check_scheme(dataclasses.replace(bench, bcs=zero_benchmark().bcs), theta)
+
+
+@pytest.mark.parametrize("theta", [0, 1])
+def test_pinned_pure_traction_step_matches_multiplier_oracle(theta):
+    # The pins and the L2-orthogonality multipliers fix the rigid motions two
+    # ways: xi and eta agree, and the displacements differ by a rigid motion.
+    bench = conservation_benchmark()
+    disc = Discretization.build(build_rect_mesh(3, 3), bench.params)
+    result = run(bench, disc, TimeScheme(dt=0.02, n_steps=2, theta=theta),
+                 keep_steps=range(3), compute_errors=False)
+    before, pinned = result.states[1], result.states[2]
+    u, xi, eta = multiplier_step(bench, disc, before, 0.02, theta)
+    for got, want in ((pinned.xi, xi), (pinned.eta, eta)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    basis = porofem.assembly.rigid_motion_basis(disc.mesh, disc.dofmap)
+    gap = pinned.u - u
+    rigid_part = basis.T @ np.linalg.lstsq(basis.T, gap, rcond=None)[0]
+    assert np.max(np.abs(gap - rigid_part)) <= 1e-12 * np.max(np.abs(u))
+    assert np.max(np.abs(rigid_part)) > 1e-6 * np.max(np.abs(u))  # the gauges differ
+
+
 def test_compatible_pure_traction_run_is_clean():
     import warnings as _warnings
 
@@ -996,8 +1027,9 @@ def test_compatible_pure_traction_run_is_clean():
 
 
 @pytest.mark.parametrize("theta", [0, 1])
-def test_factorization_orders_are_permutations_with_lagrange_rows_last(theta):
-    # Pure traction: every mechanical system carries three rigid-motion rows.
+def test_factorization_orders_are_permutations_of_the_pinned_masters(theta):
+    # Pure traction: the three rigid-motion pins are slaves of every
+    # mechanical system, and each order covers the masters alone.
     bench = conservation_benchmark()
     disc = Discretization.build(build_rect_mesh(4, 3), bench.params)
     systems = StepSystems(
@@ -1008,11 +1040,10 @@ def test_factorization_orders_are_permutations_with_lagrange_rows_last(theta):
     for record in records:
         reduced, fact = record.reduced, record.factorization
         n = reduced.matrix.shape[0]
-        n_masters = reduced.masters.size
+        assert n == reduced.masters.size  # no unknown beyond the masters
         assert sorted(fact._order.tolist()) == list(range(n))
-        assert n - n_masters == reduced.n_lag
-        assert fact._order[n_masters:].tolist() == list(range(n_masters, n))
-    assert records[0].reduced.n_lag == 3
+    assert records[0].reduced.slaves.tolist() == systems.boundary.u_dofs.tolist()
+    assert systems.boundary.u_dofs.size == 3
 
 
 @pytest.mark.parametrize("name", ["locking", "test1"])
